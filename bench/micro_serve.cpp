@@ -12,8 +12,9 @@
 //                  latency/throughput gates apply to this phase (full runs
 //                  only; smoke skips timing gates).
 //   3. mixed     — multi-threaded Zipf stream with an 85/10/5 split of
-//                  indexed / embedded-but-unindexed / unknown tails, so the
-//                  micro-batcher amortizes fallback scoring. Informational.
+//                  indexed / embedded-but-unindexed / unknown tails; each
+//                  reader thread scores its own fallbacks inline.
+//                  Informational.
 //   4. reload    — readers hammer lookups while the main thread republishes
 //                  the snapshot repeatedly; every read must succeed with the
 //                  expected score (zero failed or torn reads). Gated always.
@@ -139,8 +140,6 @@ int main() {
 
   serve::ServeOptions options;
   options.index_limit = indexed;
-  options.max_batch = 32;
-  options.batch_deadline_us = 200;
   serve::ServeEngine engine{setup.embeddings_path, setup.model_path, options};
   const double setup_ms = setup_watch.millis();
 
@@ -188,7 +187,7 @@ int main() {
   const double p999 = percentile(latencies_us, 0.999);
 
   // --- phase 3: mixed open-loop stream, multi-threaded --------------------
-  // 85% indexed Zipf head, 10% embedded-but-unindexed (micro-batched),
+  // 85% indexed Zipf head, 10% embedded-but-unindexed (SVM fallback),
   // 5% unknown. Request streams are pregenerated so arrival order does not
   // depend on completion times.
   enum class Kind { kHead, kTail, kAbsent };

@@ -315,20 +315,6 @@ SvmModel SvmModel::load_file(const std::string& path) {
   }
 }
 
-std::vector<double> SvmModel::score_rows(std::span<const std::span<const double>> rows) const {
-  static obs::Counter& scored = obs::metrics().counter("ml.svm.scored_rows");
-  scored.add(rows.size());
-  std::vector<double> out(rows.size(), bias_);
-  for (std::size_t s = 0; s < coef_.size(); ++s) {
-    const auto sv = support_vectors_.row(s);
-    const double c = coef_[s];
-    for (std::size_t b = 0; b < rows.size(); ++b) {
-      out[b] += c * kernel_value(config_, sv, rows[b]);
-    }
-  }
-  return out;
-}
-
 std::vector<double> SvmModel::decision_values(const Matrix& x) const {
   OBS_SPAN("ml.svm.batch_score");
   static obs::Counter& scored = obs::metrics().counter("ml.svm.scored_rows");

@@ -51,13 +51,6 @@ class SvmModel {
   /// (the training config's threads knob is carried into the model).
   std::vector<double> decision_values(const Matrix& x) const;
 
-  /// Micro-batch scoring for the serve fallback path: streams each support
-  /// vector once across the whole batch (SV-major), so a batch of b rows
-  /// reads the support-vector matrix once instead of b times. Each output
-  /// accumulates in the same per-support-vector order as decision_value, so
-  /// the doubles are bit-identical to scoring the rows one at a time.
-  std::vector<double> score_rows(std::span<const std::span<const double>> rows) const;
-
   /// Feature dimension the model was trained on.
   std::size_t dimension() const noexcept { return support_vectors_.cols(); }
 

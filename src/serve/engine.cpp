@@ -1,8 +1,6 @@
 #include "serve/engine.hpp"
 
-#include <chrono>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -74,21 +72,7 @@ ServeEngine::ServeEngine(std::string embeddings_path, std::string model_path,
     : embeddings_path_{std::move(embeddings_path)},
       model_path_{std::move(model_path)},
       options_{options} {
-  if (options_.max_batch == 0) {
-    throw std::invalid_argument{"serve: max_batch must be at least 1"};
-  }
   snapshot_.publish(build_snapshot(next_version_.fetch_add(1)));
-  scorer_ = std::thread{[this] { scorer_loop(); }};
-}
-
-ServeEngine::~ServeEngine() {
-  {
-    const std::lock_guard<std::mutex> lock{queue_mutex_};
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  done_cv_.notify_all();
-  if (scorer_.joinable()) scorer_.join();
 }
 
 void ServeEngine::reload() {
@@ -106,6 +90,7 @@ void ServeEngine::reload() {
 LookupResult ServeEngine::lookup(std::string_view domain) {
   static obs::Counter& lookup_counter = obs::metrics().counter("serve.lookups");
   static obs::Counter& hit_counter = obs::metrics().counter("serve.index_hits");
+  static obs::Counter& fallback_counter = obs::metrics().counter("serve.batch_scored");
   static obs::Counter& unknown_counter = obs::metrics().counter("serve.unknown");
   static obs::Histogram& latency =
       obs::metrics().fine_latency_histogram("serve.lookup_seconds");
@@ -123,7 +108,6 @@ LookupResult ServeEngine::lookup(std::string_view domain) {
   if (key.empty()) key = norm;
 
   LookupResult result;
-  bool miss_with_row = false;
   {
     const auto snap = snapshot_.acquire();
     double score = 0.0;
@@ -131,105 +115,21 @@ LookupResult ServeEngine::lookup(std::string_view domain) {
       hit_counter.add(1);
       index_hits_.fetch_add(1, std::memory_order_relaxed);
       result = {score, score >= 0.0, ScoreSource::kIndex};
-    } else if (snap->embedding.index_of(key).has_value()) {
-      miss_with_row = true;
+    } else if (const auto row = snap->embedding.vector_for(key)) {
+      // Fallback: the batch pipeline's float-to-double cast and
+      // decision_value, so the score is bit-identical to the batch score.
+      const std::vector<double> x(row->begin(), row->end());
+      score = snap->model.decision_value(x);
+      fallback_counter.add(1);
+      batch_scored_.fetch_add(1, std::memory_order_relaxed);
+      result = {score, score >= 0.0, ScoreSource::kBatched};
+    } else {
+      unknown_counter.add(1);
+      unknown_.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-  if (miss_with_row) {
-    // The guard is released before blocking: a waiter must never pin a
-    // snapshot across a reload, and the scorer re-resolves the name under
-    // its own (possibly newer) snapshot.
-    result = enqueue_and_wait(key);
-  } else if (result.source == ScoreSource::kUnknown) {
-    unknown_counter.add(1);
-    unknown_.fetch_add(1, std::memory_order_relaxed);
   }
   latency.observe(watch.seconds());
   return result;
-}
-
-LookupResult ServeEngine::enqueue_and_wait(std::string_view name) {
-  Pending request;
-  request.name = name;
-  {
-    std::unique_lock<std::mutex> lock{queue_mutex_};
-    // Bounded queue: back-pressure callers instead of growing without limit.
-    done_cv_.wait(lock, [&] { return queue_.size() < options_.max_batch * 8 || stopping_; });
-    if (stopping_) return {};
-    queue_.push_back(&request);
-    queue_cv_.notify_one();
-    done_cv_.wait(lock, [&] { return request.done; });
-  }
-  static obs::Counter& batched_counter = obs::metrics().counter("serve.batch_scored");
-  static obs::Counter& unknown_counter = obs::metrics().counter("serve.unknown");
-  if (!request.found) {
-    // The row vanished between the miss and the batch (a reload shrank the
-    // embedding): report unknown rather than a stale score.
-    unknown_counter.add(1);
-    unknown_.fetch_add(1, std::memory_order_relaxed);
-    return {};
-  }
-  batched_counter.add(1);
-  batch_scored_.fetch_add(1, std::memory_order_relaxed);
-  return {request.score, request.score >= 0.0, ScoreSource::kBatched};
-}
-
-void ServeEngine::scorer_loop() {
-  using Clock = std::chrono::steady_clock;
-  for (;;) {
-    std::deque<Pending*> batch;
-    {
-      std::unique_lock<std::mutex> lock{queue_mutex_};
-      queue_cv_.wait(lock, [&] { return !queue_.empty() || stopping_; });
-      if (queue_.empty() && stopping_) return;
-      // Deadline from the FIRST queued request: collect arrivals until the
-      // batch fills or the deadline passes, whichever is earlier.
-      const auto deadline = Clock::now() + std::chrono::microseconds{options_.batch_deadline_us};
-      queue_cv_.wait_until(lock, deadline, [&] {
-        return queue_.size() >= options_.max_batch || stopping_;
-      });
-      const std::size_t take = std::min(queue_.size(), options_.max_batch);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(queue_.front());
-        queue_.pop_front();
-      }
-    }
-    score_batch(batch);
-    done_cv_.notify_all();
-  }
-}
-
-void ServeEngine::score_batch(std::deque<Pending*>& batch) {
-  static obs::Histogram& batch_size_hist =
-      obs::metrics().histogram("serve.batch_size", obs::Registry::size_bounds());
-  batch_size_hist.observe(static_cast<double>(batch.size()));
-
-  // Resolve rows under one snapshot guard; names queued before a reload are
-  // scored against the snapshot current at scoring time.
-  const auto snap = snapshot_.acquire();
-  std::vector<std::vector<double>> rows;
-  std::vector<std::span<const double>> row_views;
-  std::vector<Pending*> scored;
-  rows.reserve(batch.size());
-  scored.reserve(batch.size());
-  for (Pending* request : batch) {
-    const auto row = snap->embedding.vector_for(request->name);
-    if (!row.has_value()) continue;
-    rows.emplace_back(row->begin(), row->end());
-    scored.push_back(request);
-  }
-  row_views.reserve(rows.size());
-  for (const auto& r : rows) row_views.emplace_back(r.data(), r.size());
-  const std::vector<double> scores = snap->model.score_rows(row_views);
-
-  {
-    const std::lock_guard<std::mutex> lock{queue_mutex_};
-    for (std::size_t i = 0; i < scored.size(); ++i) {
-      scored[i]->score = scores[i];
-      scored[i]->found = true;
-    }
-    for (Pending* request : batch) request->done = true;
-  }
 }
 
 ServeEngine::Stats ServeEngine::stats() const {

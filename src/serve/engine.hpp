@@ -5,27 +5,23 @@
 // — under one version number. Lookups pin the current snapshot through
 // serve/snapshot.hpp, normalize the query to its e2LD with the
 // zero-allocation dns view path, and answer from the index without locks.
-// Domains absent from the index but present in the embedding fall through
-// to a bounded micro-batch queue: a scorer thread collects requests until
-// the batch fills or a deadline expires, then scores them in one SV-major
-// pass (SvmModel::score_rows), amortizing the support-vector streaming over
-// the batch while keeping every score bit-identical to the batch pipeline.
+// Domains absent from the index but present in the embedding are scored
+// inline on the caller's thread, under the same snapshot guard, with
+// SvmModel::decision_value: the batch pipeline's own function, so the score
+// is bit-identical to it by construction. No lookup waits on another thread.
 //
 // reload() rebuilds a snapshot from the artifact paths off the reader
 // threads and publishes it atomically; in-flight lookups finish on the old
 // snapshot, new lookups see the new one, and the old snapshot is retired
-// once the last guard releases.
+// once the last guard releases. A fallback keeps its guard while it scores
+// one row, so publish() may wait that long.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "embed/embedding.hpp"
 #include "ml/svm.hpp"
@@ -36,13 +32,8 @@ namespace dnsembed::serve {
 
 struct ServeOptions {
   /// Index the scores of the first index_limit embedding rows (0 = all).
-  /// Rows past the limit stay reachable through the batched fallback.
+  /// Rows past the limit stay reachable through the SVM fallback.
   std::size_t index_limit = 0;
-  /// Micro-batch cap: the scorer never waits once this many requests queue.
-  std::size_t max_batch = 32;
-  /// Batching deadline: a queued request is scored at most this long after
-  /// it arrives even when the batch has not filled.
-  std::uint64_t batch_deadline_us = 200;
   /// Threads for the reload-time score precompute (0 = hardware).
   std::size_t threads = 1;
   /// Seed of the index hash family; any fixed value works.
@@ -51,7 +42,7 @@ struct ServeOptions {
 
 enum class ScoreSource {
   kIndex,    // wait-free index hit
-  kBatched,  // scored through the micro-batch fallback
+  kBatched,  // scored inline by the SVM fallback (wire tag "batched")
   kUnknown,  // not in the embedding: no verdict possible
 };
 
@@ -71,19 +62,18 @@ struct ServeSnapshot {
 
 class ServeEngine {
  public:
-  /// Loads the artifacts, precomputes the index, publishes snapshot v1, and
-  /// starts the batch scorer thread. Throws util::CorruptArtifact /
-  /// fsio::IoError on artifact problems and std::invalid_argument when the
-  /// embedding dimension does not match the model.
+  /// Loads the artifacts, precomputes the index, and publishes snapshot v1.
+  /// Throws util::CorruptArtifact / fsio::IoError on artifact problems and
+  /// std::invalid_argument when the embedding dimension does not match the
+  /// model.
   ServeEngine(std::string embeddings_path, std::string model_path, ServeOptions options);
-  ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Score one domain. Index hits are lock-free and allocation-free;
-  /// fallback requests block the caller until the micro-batch resolves
-  /// (bounded by the deadline plus scoring time).
+  /// Score one domain on the calling thread. Index hits are lock-free and
+  /// allocation-free; a fallback runs decision_value over its embedding row
+  /// while holding the snapshot guard.
   LookupResult lookup(std::string_view domain);
 
   /// Re-read the artifact paths, rebuild the index, and publish the new
@@ -110,17 +100,7 @@ class ServeEngine {
   const ServeOptions& options() const noexcept { return options_; }
 
  private:
-  struct Pending {
-    std::string_view name;  // aliases the waiting caller's stack buffer
-    double score = 0.0;
-    bool found = false;
-    bool done = false;
-  };
-
   std::unique_ptr<ServeSnapshot> build_snapshot(std::uint64_t version) const;
-  LookupResult enqueue_and_wait(std::string_view name);
-  void scorer_loop();
-  void score_batch(std::deque<Pending*>& batch);
 
   std::string embeddings_path_;
   std::string model_path_;
@@ -128,13 +108,6 @@ class ServeEngine {
 
   SnapshotHolder<ServeSnapshot> snapshot_;
   std::atomic<std::uint64_t> next_version_{1};
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;    // scorer wakes on arrivals / shutdown
-  std::condition_variable done_cv_;     // waiters wake on completed batches
-  std::deque<Pending*> queue_;
-  bool stopping_ = false;
-  std::thread scorer_;
 
   std::atomic<std::uint64_t> lookups_{0};
   std::atomic<std::uint64_t> index_hits_{0};

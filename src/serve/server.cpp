@@ -47,7 +47,12 @@ std::uint64_t run_line_server(ServeEngine& engine, std::istream& in, std::ostrea
 
   std::uint64_t scored = 0;
   std::string line;
-  while (std::getline(in, line)) {
+  for (;;) {
+    // Flush only before a read that could block: while more input is
+    // buffered or waiting in the pipe, replies accumulate and a burst's
+    // replies leave together once its lines are consumed.
+    if (in.rdbuf()->in_avail() <= 0) out.flush();
+    if (!std::getline(in, line)) break;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     if (line[0] == '!') {
@@ -64,7 +69,6 @@ std::uint64_t run_line_server(ServeEngine& engine, std::istream& in, std::ostrea
       } else {
         out << "error unknown command " << line << '\n';
       }
-      out.flush();
       if (status) write_status_file(engine, options.status_path);
       continue;
     }

@@ -12,6 +12,12 @@
 //   !stats        reply one-line JSON with the engine counters
 //   !quit         stop; EOF does the same
 //
+// Replies keep request order. The output is flushed only before a read
+// that could block (no input left in the stream buffer or the pipe), so a
+// burst of pipelined requests is answered with one write per output buffer
+// instead of one per line. A client must send whole lines: the replies to
+// earlier lines wait while a partial line is read.
+//
 // When a status path is configured the engine counters are also written
 // there as a small JSON document (atomically, so a watcher never reads a
 // torn file) every status_every requests and on every control command.

@@ -119,8 +119,9 @@ class SnapshotHolder {
  public:
   SnapshotHolder() = default;
   ~SnapshotHolder() {
-    // No readers may be live at destruction (the engine joins its threads
-    // first), so the final snapshot is deleted directly.
+    // No readers may be live at destruction (callers stop their reader
+    // threads before destroying the owner), so the final snapshot is
+    // deleted directly.
     delete current_.exchange(nullptr, std::memory_order_acq_rel);
   }
 

@@ -2,10 +2,10 @@
 // artifact round-trip), hazard-slot snapshot swapping (torn-read and
 // retirement checks under concurrent readers — this file carries the
 // concurrency label so the TSan preset hammers it), and the serve engine
-// end to end: index hits and micro-batched fallbacks must be byte-identical
+// end to end: index hits and inline SVM fallbacks must be byte-identical
 // to the batch pipeline's decision values for the same artifacts, through
 // reloads under load, and the line-protocol front end must speak the
-// documented format.
+// documented format and answer a pipelined burst in order with one flush.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -265,8 +265,7 @@ TEST(ServeEngine, IndexHitsAreByteIdenticalToBatchScores) {
 TEST(ServeEngine, BatchedFallbackMatchesBatchScores) {
   const EngineFixture fx{"batched"};
   serve::ServeOptions options;
-  options.index_limit = 10;  // rows 10.. fall through to the micro-batcher
-  options.batch_deadline_us = 500;
+  options.index_limit = 10;  // rows 10.. fall through to the SVM fallback
   serve::ServeEngine engine{fx.embeddings_path, fx.model_path, options};
   EXPECT_EQ(engine.stats().index_entries, 10u);
   for (std::size_t i = 0; i < fx.embedding.size(); ++i) {
@@ -292,12 +291,10 @@ TEST(ServeEngine, UnknownDomainsReportUnknown) {
   EXPECT_EQ(engine.stats().unknown, 1u);
 }
 
-TEST(ServeEngine, ConcurrentBatchedLookupsShareMicroBatches) {
-  const EngineFixture fx{"microbatch"};
+TEST(ServeEngine, ConcurrentFallbackLookupsMatchBatchScores) {
+  const EngineFixture fx{"fallback4"};
   serve::ServeOptions options;
-  options.index_limit = 1;  // nearly everything goes through the batcher
-  options.max_batch = 8;
-  options.batch_deadline_us = 2000;
+  options.index_limit = 1;  // nearly everything goes through the fallback
   serve::ServeEngine engine{fx.embeddings_path, fx.model_path, options};
   constexpr int kThreads = 4;
   std::atomic<int> mismatches{0};
@@ -394,6 +391,86 @@ TEST(LineServer, SpeaksTheDocumentedProtocol) {
 
   ASSERT_TRUE(std::getline(lines, line));  // !reload ack
   EXPECT_EQ(line, "ok reload version=2");
+}
+
+/// Output buffer that counts flushes, notes the ones that ran while `in`
+/// still had unread input, and records how much was written by the first.
+class FlushCountingBuf : public std::stringbuf {
+ public:
+  explicit FlushCountingBuf(std::istream& in) : in_{in} {}
+
+  int syncs = 0;
+  int syncs_with_input_left = 0;
+  std::size_t bytes_at_first_sync = 0;
+
+ protected:
+  int sync() override {
+    if (syncs++ == 0) bytes_at_first_sync = str().size();
+    if (in_.rdbuf()->in_avail() > 0) ++syncs_with_input_left;
+    return std::stringbuf::sync();
+  }
+
+ private:
+  std::istream& in_;
+};
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in{text};
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(LineServer, PipelinedBurstRepliesInOrderWithOneFlush) {
+  const EngineFixture fx{"burst"};
+  serve::ServeOptions options;
+  options.index_limit = 10;  // d10.test.. reach the SVM fallback
+  // The last three lines are hostile names for the stack-buffer
+  // normalization path (the serving label reruns under ASan): over-long
+  // mixed case, dots only, and non-ASCII bytes.
+  const std::vector<std::string> burst{
+      "d0.test",  "d15.test",      "",         "no-such.example", "d3.test\r",
+      "!stats",   "WWW.D27.TEST.", "d12.test", "!reload",         "d1.test",
+      "",         "d39.test\r",    "gone.example", "!stats",     "d10.test",
+      std::string(300, 'Q') + ".TEST", "...", "\xc3\xa9X.T\xffst"};
+
+  // Reference: every line sent alone, in order, to an engine with the same
+  // history, so counters and reload versions match line for line.
+  serve::ServeEngine alone{fx.embeddings_path, fx.model_path, options};
+  std::string expected;
+  for (const std::string& line : burst) {
+    std::istringstream in{line + "\n"};
+    std::ostringstream out;
+    serve::run_line_server(alone, in, out);
+    expected += out.str();
+  }
+
+  serve::ServeEngine engine{fx.embeddings_path, fx.model_path, options};
+  std::string input;
+  for (const std::string& line : burst) input += line + "\n";
+  std::istringstream in{input};
+  FlushCountingBuf buf{in};
+  std::ostream out{&buf};
+  const std::uint64_t scored = serve::run_line_server(engine, in, out);
+
+  EXPECT_EQ(scored, 13u);
+  const auto replies = split_lines(buf.str());
+  EXPECT_EQ(replies, split_lines(expected));
+  ASSERT_EQ(replies.size(), 16u);  // two blank lines get no reply
+  EXPECT_NE(replies[0].find("\tindex\td0.test"), std::string::npos);
+  EXPECT_NE(replies[1].find("\tbatched\td15.test"), std::string::npos);
+  EXPECT_NE(replies[2].find("\tunknown\tunknown\tno-such.example"), std::string::npos);
+  EXPECT_EQ(replies[7], "ok reload version=2");
+  EXPECT_NE(replies[12].find("\tbatched\td10.test"), std::string::npos);
+  for (std::size_t i = 13; i < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].rfind("0\tunknown\tunknown\t", 0), 0u) << replies[i];
+  }
+
+  // The whole burst was buffered before the first flush, and no flush ran
+  // while input was left to read.
+  EXPECT_GE(buf.syncs, 1);
+  EXPECT_EQ(buf.syncs_with_input_left, 0);
+  EXPECT_EQ(buf.bytes_at_first_sync, buf.str().size());
 }
 
 TEST(LineServer, WritesAtomicStatusFile) {

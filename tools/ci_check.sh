@@ -26,15 +26,18 @@
 #      regression, zero-day held-out recall, evasion recall floor) must pass
 #      at smoke scale
 #   5d. serving label (score index round-trips, snapshot-swap retirement,
-#      engine/batch score parity, line-protocol server), then the
+#      engine/batch score parity, line-protocol server incl. a pipelined
+#      burst, and the cli_serve daemon driven over real pipes), then the
 #      micro_serve smoke: daemon scores must stay byte-identical to the
 #      batch pipeline and snapshot swaps must not fail a single read
-#      (latency/throughput gates skipped at smoke scale)
+#      (latency/throughput gates skipped at smoke scale); the serving
+#      label reruns under ASan in step 6
 #   6. robustness label (fault injection, loader fuzz, crash recovery)
 #      under Address+UB sanitizers — the scenario suite carries the
 #      robustness label too, so it reruns sanitized — plus one
 #      distributed-label pass under ASan so the fork/waitpid/heartbeat
-#      paths run sanitized
+#      paths run sanitized, and one serving-label pass under ASan so the
+#      daemon's stdin parsing into stack buffers runs sanitized
 #   7. concurrency label (parallel projection, deterministic LINE barriers,
 #      sharded metrics) under ThreadSanitizer
 #
@@ -109,6 +112,9 @@ ctest --preset asan -j "$jobs"
 
 step "distributed label under ASan (fork/waitpid/heartbeat paths sanitized)"
 ctest --test-dir build-asan -j "$jobs" -L distributed --output-on-failure
+
+step "serving label under ASan (stdin line parsing, engine, daemon over pipes)"
+ctest --test-dir build-asan -j "$jobs" -L serving --output-on-failure
 
 step "concurrency label under TSan"
 cmake --preset tsan >/dev/null

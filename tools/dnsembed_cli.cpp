@@ -12,8 +12,8 @@
 //   faultsim   sweep fault-injection severities over the full ingest +
 //              streaming-detection chain; report degradation curves (JSON)
 //   serve      long-running scoring daemon: lock-free domain->score index
-//              with snapshot-swap artifact reload and micro-batched SVM
-//              fallback for unindexed domains
+//              with snapshot-swap artifact reload; unindexed domains are
+//              scored inline by the SVM
 //
 // Durable intermediates (embeddings, models, labeled sets, run artifacts)
 // are written atomically as versioned, checksummed containers; loaders
@@ -157,17 +157,17 @@ commands:
              mimicry rate with zero-day + evasion campaigns and IoT hosts
              enabled; emits per-scenario recall/precision/AUC and
              seed-expansion reach as JSON)
-  serve     --embeddings FILE --model MODEL [--index-limit N] [--max-batch N]
-            [--batch-deadline-us N] [--threads N] [--status-out FILE]
-            [--status-every N]
+  serve     --embeddings FILE --model MODEL [--index-limit N] [--threads N]
+            [--status-out FILE] [--status-every N]
             (scoring daemon: precomputes a lock-free domain->score index
              from the artifacts and answers one domain per stdin line as
-             "<score>\t<verdict>\t<source>\t<domain>"; unseen domains go
-             through a deadline-bounded micro-batch SVM fallback. Control
-             lines: !reload rebuilds + atomically swaps the artifact
-             snapshot without blocking readers, !stats prints counters
-             JSON, !quit/EOF exits. --status-out atomically rewrites a
-             JSON status file while serving.)
+             "<score>\t<verdict>\t<source>\t<domain>"; embedded domains
+             past --index-limit are scored inline by the SVM (source
+             "batched"). Replies are flushed once the buffered input is
+             drained. Control lines: !reload rebuilds + atomically swaps
+             the artifact snapshot without blocking readers, !stats prints
+             counters JSON, !quit/EOF exits. --status-out atomically
+             rewrites a JSON status file while serving.)
 
 global options (any command):
   --log-level debug|info|warn|error   minimum stderr log level
@@ -1358,9 +1358,6 @@ int cmd_serve(const util::ArgParser& args) {
 
   serve::ServeOptions options;
   options.index_limit = static_cast<std::size_t>(args.get_int_or("--index-limit", 0));
-  options.max_batch = static_cast<std::size_t>(args.get_int_or("--max-batch", 32));
-  options.batch_deadline_us =
-      static_cast<std::uint64_t>(args.get_int_or("--batch-deadline-us", 200));
   options.threads = static_cast<std::size_t>(args.get_int_or("--threads", 1));
   serve::ServeEngine engine{*embeddings, *model, options};
 
@@ -1378,6 +1375,11 @@ int cmd_serve(const util::ArgParser& args) {
                  static_cast<double>(s.index_bytes) / (1024.0 * 1024.0),
                  static_cast<unsigned long long>(s.embedding_rows));
   }
+  // Unsynced streams read stdin through a buffered filebuf, whose in_avail()
+  // sees what waits in the pipe; the server flushes replies only when that
+  // input is drained. Untying cin keeps reads from flushing every line.
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
   serve::run_line_server(engine, std::cin, std::cout, server);
   const auto s = engine.stats();
   std::fprintf(stderr,
