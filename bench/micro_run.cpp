@@ -1,7 +1,8 @@
 // Supervised-runner smoke bench. Runs the same pipeline config three ways —
 // single-process reference, --workers 1, and --workers 4 with every task's
 // first attempt crash-injected — and FAILS (nonzero exit) unless both
-// supervised reports are byte-identical to the reference. This is the
+// supervised runs match the reference byte for byte: report.md and
+// manifest.run, which holds the digest of every stage artifact. This is the
 // determinism contract of the orchestrator ("bit-identical at any worker
 // count, even through retries") gated as an executable check, with the
 // wall times and restart counters recorded for trend-watching.
@@ -46,6 +47,8 @@ core::RunOptions base_options(const std::string& workdir, bool smoke) {
 struct RunResult {
   double wall_ms = 0.0;
   core::RunSummary summary;
+  /// report.md followed by manifest.run.
+  std::string outputs;
 };
 
 RunResult timed_run(const core::RunOptions& options) {
@@ -53,6 +56,8 @@ RunResult timed_run(const core::RunOptions& options) {
   RunResult result;
   result.summary = core::run_resumable(options);
   result.wall_ms = watch.millis();
+  result.outputs = util::fsio::read_file(result.summary.report_path) +
+                   util::fsio::read_file(options.workdir + "/manifest.run");
   return result;
 }
 
@@ -69,8 +74,6 @@ int main() {
 
   // Single-process reference.
   const auto reference = timed_run(base_options(scratch + "/ref", smoke));
-  const auto reference_report =
-      util::fsio::read_file(reference.summary.report_path);
 
   // --workers 1: same task decomposition, one child in flight.
   auto w1_options = base_options(scratch + "/w1", smoke);
@@ -88,10 +91,8 @@ int main() {
   w4_options.supervise.process_faults.proc_max_faults_per_task = 1;
   const auto w4 = timed_run(w4_options);
 
-  const bool w1_identical =
-      util::fsio::read_file(w1.summary.report_path) == reference_report;
-  const bool w4_identical =
-      util::fsio::read_file(w4.summary.report_path) == reference_report;
+  const bool w1_identical = w1.outputs == reference.outputs;
+  const bool w4_identical = w4.outputs == reference.outputs;
   std::filesystem::remove_all(scratch);
 
   std::FILE* out = std::fopen(json_path, "w");
@@ -129,8 +130,8 @@ int main() {
       w4.wall_ms, w4.summary.supervision.restarts);
   if (!w1_identical || !w4_identical) {
     std::fprintf(stderr,
-                 "micro_run: FAIL: supervised report diverged from the "
-                 "single-process reference (workers1=%s workers4=%s)\n",
+                 "micro_run: FAIL: supervised report or manifest diverged from "
+                 "the single-process reference (workers1=%s workers4=%s)\n",
                  w1_identical ? "ok" : "DIFF", w4_identical ? "ok" : "DIFF");
     return 1;
   }

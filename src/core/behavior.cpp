@@ -1,5 +1,6 @@
 #include "core/behavior.hpp"
 
+#include <string_view>
 #include <unordered_set>
 
 #include "obs/span.hpp"
@@ -37,6 +38,33 @@ graph::BipartiteGraph GraphBuilderSink::take_dtbg() {
   return std::move(dtbg_);
 }
 
+std::vector<std::string> kept_domains(const graph::BipartiteGraph& hdbg,
+                                      const graph::DegreePruneOptions& prune) {
+  const auto keep_mask = graph::right_degree_keep_mask(hdbg, prune);
+  std::vector<std::string> kept;
+  for (graph::VertexId r = 0; r < hdbg.right_count(); ++r) {
+    if (keep_mask[r]) kept.push_back(hdbg.right_names().name(r));
+  }
+  return kept;
+}
+
+graph::BipartiteGraph restrict_domains(const graph::BipartiteGraph& g,
+                                       const std::vector<std::string>& kept) {
+  const std::unordered_set<std::string_view> keep(kept.begin(), kept.end());
+  std::vector<bool> mask(g.right_count(), false);
+  for (graph::VertexId r = 0; r < g.right_count(); ++r) {
+    mask[r] = keep.contains(g.right_names().name(r));
+  }
+  return g.filter_right(mask);
+}
+
+graph::WeightedGraph project_channel(const Channel& channel, const graph::BipartiteGraph& pruned,
+                                     const graph::ProjectionOptions& options) {
+  const std::string span = std::string{"behavior.project."} + channel.name;
+  OBS_SPAN(span.c_str());
+  return graph::project_right(pruned, options);
+}
+
 BehaviorModel build_behavior_model(graph::BipartiteGraph hdbg, graph::BipartiteGraph dibg,
                                    graph::BipartiteGraph dtbg,
                                    const BehaviorModelConfig& config) {
@@ -45,42 +73,14 @@ BehaviorModel build_behavior_model(graph::BipartiteGraph hdbg, graph::BipartiteG
   dtbg.finalize();
 
   OBS_SPAN("behavior.model");
-  // Pruning rules 1-2 are defined on host behavior, i.e. on the HDBG.
-  const auto keep_mask = graph::right_degree_keep_mask(hdbg, config.prune);
-  std::unordered_set<std::string> kept;
-  for (graph::VertexId r = 0; r < hdbg.right_count(); ++r) {
-    if (keep_mask[r]) kept.insert(hdbg.right_names().name(r));
-  }
-
-  const auto mask_for = [&kept](const graph::BipartiteGraph& g) {
-    std::vector<bool> mask(g.right_count(), false);
-    for (graph::VertexId r = 0; r < g.right_count(); ++r) {
-      mask[r] = kept.contains(g.right_names().name(r));
-    }
-    return mask;
-  };
-
   BehaviorModel model;
-  model.hdbg = hdbg.filter_right(keep_mask);
-  model.dibg = dibg.filter_right(mask_for(dibg));
-  model.dtbg = dtbg.filter_right(mask_for(dtbg));
-
-  model.kept_domains.reserve(kept.size());
-  for (graph::VertexId r = 0; r < model.hdbg.right_count(); ++r) {
-    model.kept_domains.push_back(model.hdbg.right_names().name(r));
-  }
-
-  {
-    OBS_SPAN("behavior.project.query");
-    model.query_similarity = graph::project_right(model.hdbg, config.query_projection);
-  }
-  {
-    OBS_SPAN("behavior.project.ip");
-    model.ip_similarity = graph::project_right(model.dibg, config.ip_projection);
-  }
-  {
-    OBS_SPAN("behavior.project.temporal");
-    model.temporal_similarity = graph::project_right(model.dtbg, config.temporal_projection);
+  model.kept_domains = kept_domains(hdbg, config.prune);
+  model.hdbg = restrict_domains(hdbg, model.kept_domains);
+  model.dibg = restrict_domains(dibg, model.kept_domains);
+  model.dtbg = restrict_domains(dtbg, model.kept_domains);
+  for (const auto& channel : kChannels) {
+    model.*channel.projected =
+        project_channel(channel, model.*channel.pruned, config.*channel.projection);
   }
   return model;
 }

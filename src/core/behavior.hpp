@@ -8,6 +8,7 @@
 // yields domain similarity for all three graphs.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -63,8 +64,49 @@ struct BehaviorModel {
   graph::WeightedGraph temporal_similarity;
 };
 
-/// Prune (host-degree rules computed on the HDBG, applied to every graph)
-/// and project. Consumes the graphs.
+/// One similarity channel (paper §4): a bipartite graph over domains, its
+/// Jaccard projection and its embedding. The table below is the single
+/// list of channels; run_pipeline, build_behavior_model and the resumable
+/// runner's stage tasks all iterate it.
+struct Channel {
+  const char* name;        // "query" | "ip" | "temporal"
+  const char* bipartite;   // trace-stage artifact of the bipartite graph
+  const char* similarity;  // behavior-stage artifact of the projection (CSR)
+  const char* embedding;   // embed-stage artifact of the LINE embedding
+  /// The channel's LINE seed is PipelineConfig::seed + seed_offset.
+  std::uint64_t seed_offset;
+  graph::ProjectionOptions BehaviorModelConfig::*projection;
+  graph::BipartiteGraph BehaviorModel::*pruned;
+  graph::WeightedGraph BehaviorModel::*projected;
+};
+
+inline constexpr Channel kChannels[] = {
+    {"query", "hdbg.bg", "query_sim.csr", "query.emb", 0, &BehaviorModelConfig::query_projection,
+     &BehaviorModel::hdbg, &BehaviorModel::query_similarity},
+    {"ip", "dibg.bg", "ip_sim.csr", "ip.emb", 1, &BehaviorModelConfig::ip_projection,
+     &BehaviorModel::dibg, &BehaviorModel::ip_similarity},
+    {"temporal", "dtbg.bg", "temporal_sim.csr", "temporal.emb", 2,
+     &BehaviorModelConfig::temporal_projection, &BehaviorModel::dtbg,
+     &BehaviorModel::temporal_similarity},
+};
+
+/// Pruning rules 1-2, which are defined on host behavior: the domains of
+/// the (finalized) HDBG that survive them, in HDBG vertex order.
+std::vector<std::string> kept_domains(const graph::BipartiteGraph& hdbg,
+                                      const graph::DegreePruneOptions& prune);
+
+/// `g` restricted to the domains in `kept` (every graph of the model is
+/// pruned by the HDBG's rules this way). The result is finalized.
+graph::BipartiteGraph restrict_domains(const graph::BipartiteGraph& g,
+                                       const std::vector<std::string>& kept);
+
+/// One-mode projection of the channel's pruned bipartite graph onto its
+/// domains, traced as span "behavior.project.<channel>".
+graph::WeightedGraph project_channel(const Channel& channel, const graph::BipartiteGraph& pruned,
+                                     const graph::ProjectionOptions& options);
+
+/// Prune (kept_domains, applied to every graph) and project. Consumes the
+/// graphs.
 BehaviorModel build_behavior_model(graph::BipartiteGraph hdbg, graph::BipartiteGraph dibg,
                                    graph::BipartiteGraph dtbg,
                                    const BehaviorModelConfig& config);

@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <iterator>
 #include <map>
 
 #include "obs/metrics.hpp"
@@ -35,6 +36,22 @@ class EntryStore final : public trace::TraceSink {
 
 }  // namespace
 
+graph::ProjectionOptions channel_projection(const PipelineConfig& config,
+                                            const Channel& channel) {
+  graph::ProjectionOptions projection = config.behavior.*channel.projection;
+  projection.threads = config.projection_threads;
+  projection.mode = config.projection_mode;
+  projection.sketch = config.sketch;
+  return projection;
+}
+
+embed::EmbedConfig channel_embedding(const PipelineConfig& config, const Channel& channel) {
+  embed::EmbedConfig embedding = config.embedding;
+  embedding.dimension = config.embedding_dimension;
+  embedding.seed = config.seed + channel.seed_offset;
+  return embedding;
+}
+
 PipelineResult run_pipeline(const PipelineConfig& config) {
   obs::StageSpan pipeline_span{"pipeline.run"};
   PipelineResult result;
@@ -59,11 +76,8 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
   {
     obs::StageSpan span{"pipeline.behavior"};
     BehaviorModelConfig behavior = config.behavior;
-    for (auto* proj : {&behavior.query_projection, &behavior.ip_projection,
-                       &behavior.temporal_projection}) {
-      proj->threads = config.projection_threads;
-      proj->mode = config.projection_mode;
-      proj->sketch = config.sketch;
+    for (const auto& channel : kChannels) {
+      behavior.*channel.projection = channel_projection(config, channel);
     }
     result.model = build_behavior_model(graphs.take_hdbg(), graphs.take_dibg(),
                                         graphs.take_dtbg(), behavior);
@@ -84,23 +98,14 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
 
   {
     obs::StageSpan span{"pipeline.embed"};
-    embed::EmbedConfig embed_config = config.embedding;
-    embed_config.dimension = config.embedding_dimension;
-    embed_config.seed = config.seed;
-    {
-      OBS_SPAN("pipeline.embed.query");
-      result.query_embedding = embed::embed_graph(result.model.query_similarity, embed_config);
-    }
-    embed_config.seed = config.seed + 1;
-    {
-      OBS_SPAN("pipeline.embed.ip");
-      result.ip_embedding = embed::embed_graph(result.model.ip_similarity, embed_config);
-    }
-    embed_config.seed = config.seed + 2;
-    {
-      OBS_SPAN("pipeline.embed.temporal");
-      result.temporal_embedding =
-          embed::embed_graph(result.model.temporal_similarity, embed_config);
+    embed::EmbeddingMatrix* const embeddings[] = {
+        &result.query_embedding, &result.ip_embedding, &result.temporal_embedding};
+    for (std::size_t i = 0; i < std::size(kChannels); ++i) {
+      const auto& channel = kChannels[i];
+      const std::string channel_span = std::string{"pipeline.embed."} + channel.name;
+      OBS_SPAN(channel_span.c_str());
+      *embeddings[i] = embed::embed_graph(result.model.*channel.projected,
+                                          channel_embedding(config, channel));
     }
     result.combined_embedding = embed::EmbeddingMatrix::concat(
         result.model.kept_domains,

@@ -24,8 +24,8 @@ struct PipelineConfig {
 
   /// Worker threads for the three one-mode projections (0 = one per
   /// hardware thread). Applied to all three ProjectionOptions in
-  /// `behavior` by run_pipeline; projection output is deterministic for
-  /// every value, so this is purely a throughput knob.
+  /// `behavior` by channel_projection; projection output is deterministic
+  /// for every value, so this is purely a throughput knob.
   std::size_t projection_threads = 0;
 
   /// Projection backend for the three one-mode projections, applied to all
@@ -72,6 +72,14 @@ struct PipelineConfig {
     xmeans.k_max = 48;
   }
 };
+
+/// `channel`'s projection options with the run-wide projection knobs
+/// (projection_threads, projection_mode, sketch) applied.
+graph::ProjectionOptions channel_projection(const PipelineConfig& config, const Channel& channel);
+
+/// `channel`'s embedding config: `embedding` at embedding_dimension, seeded
+/// with seed + the channel's seed offset.
+embed::EmbedConfig channel_embedding(const PipelineConfig& config, const Channel& channel);
 
 struct PipelineResult {
   trace::TraceResult trace;

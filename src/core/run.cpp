@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
-#include <unordered_set>
 
 #include "core/behavior.hpp"
 #include "core/clustering.hpp"
@@ -71,7 +70,9 @@ const std::vector<StageSpec>& stage_specs() {
   return specs;
 }
 
-std::string join(const std::string& dir, const char* file) { return dir + "/" + file; }
+std::string join(const std::string& dir, std::string_view file) {
+  return dir + "/" + std::string{file};
+}
 
 // ------------------------------------------------------- small payloads
 
@@ -324,11 +325,10 @@ class StageDriver {
   StageDriver(const RunOptions& options, Manifest manifest)
       : options_{options}, manifest_{std::move(manifest)} {}
 
-  /// Record a just-committed artifact's digest, fire the test hooks, and
-  /// poll the deadline.
-  void committed(const char* file, StageWatchdog& watchdog) {
-    const auto path = join(options_.workdir, file);
-    pending_.push_back({file, file_digest(util::fsio::read_file(path))});
+  /// Record a just-written artifact of the stage in flight: its digest,
+  /// the test hooks, and a deadline poll.
+  void commit(const std::string& file) {
+    pending_.push_back({file, file_digest(util::fsio::read_file(join(options_.workdir, file)))});
     if (!options_.crash_after_artifact.empty() && options_.crash_after_artifact == file) {
       util::log_warn() << "run: crash hook firing after " << file;
       std::_Exit(137);
@@ -336,15 +336,26 @@ class StageDriver {
     if (!options_.expire_deadline_after_artifact.empty() &&
         options_.expire_deadline_after_artifact == file) {
       util::log_warn() << "run: deadline hook firing after " << file;
-      watchdog.force_expire();
+      watchdog_->force_expire();
     }
-    watchdog.check();
+    watchdog_->check();
   }
 
-  /// Run or skip one stage. `body` receives (watchdog) and must commit every
-  /// artifact in the stage's spec via committed().
-  void stage(const StageSpec& spec, RunSummary& summary,
-             const std::function<void(StageWatchdog&)>& body) {
+  /// Commit every artifact of the stage in flight among `task`'s outputs.
+  void commit_outputs(const WorkerTask& task) {
+    for (const auto& output : task.outputs) {
+      for (const auto& artifact : spec_->artifacts) {
+        if (output.path == join(options_.workdir, artifact.file)) commit(artifact.file);
+      }
+    }
+  }
+
+  /// Poll the deadline of the stage in flight.
+  void check() const { watchdog_->check(); }
+
+  /// Run or skip one stage. `body` must commit every artifact in the
+  /// stage's spec, in any order.
+  void stage(const StageSpec& spec, RunSummary& summary, const std::function<void()>& body) {
     util::Stopwatch watch;
     if (const auto* record = reusable_record(spec.name)) {
       if (stage_artifacts_valid(options_.workdir, *record, spec)) {
@@ -366,10 +377,12 @@ class StageDriver {
     }
     obs::StageSpan span{std::string{"run."} + spec.name};
     StageWatchdog watchdog{spec.name, options_.stage_deadline_seconds};
+    spec_ = &spec;
+    watchdog_ = &watchdog;
     watchdog.check();
     pending_.clear();
     try {
-      body(watchdog);
+      body();
     } catch (...) {
       // Mid-stage abort (deadline, I/O failure, supervisor giving up):
       // persist the completed-stage prefix so the on-disk manifest always
@@ -383,7 +396,7 @@ class StageDriver {
       }
       throw;
     }
-    completed_.push_back({spec.name, std::move(pending_)});
+    completed_.push_back({spec.name, committed_in_spec_order(spec)});
     pending_ = {};
     // Rewrite the manifest after every stage: a crash between stages loses
     // at most the stage in flight.
@@ -405,6 +418,22 @@ class StageDriver {
   const std::vector<std::string>& quarantined() const noexcept { return quarantined_; }
 
  private:
+  /// The stage's manifest record: its artifacts in spec order, whatever
+  /// order the executor committed them in.
+  std::vector<ManifestEntry> committed_in_spec_order(const StageSpec& spec) const {
+    std::vector<ManifestEntry> entries;
+    for (const auto& artifact : spec.artifacts) {
+      const auto it = std::find_if(pending_.begin(), pending_.end(),
+                                   [&](const ManifestEntry& e) { return e.file == artifact.file; });
+      if (it == pending_.end()) {
+        throw std::logic_error{std::string{"run: stage '"} + spec.name + "' did not commit " +
+                               artifact.file};
+      }
+      entries.push_back(*it);
+    }
+    return entries;
+  }
+
   /// The previous run's record for this stage, when resume applies to it.
   const StageRecord* reusable_record(const char* name) const {
     if (!options_.resume) return nullptr;
@@ -439,58 +468,84 @@ class StageDriver {
   std::vector<StageRecord> completed_; // this run, in order
   std::vector<ManifestEntry> pending_; // artifacts of the stage in flight
   std::vector<std::string> quarantined_;  // sorted quarantined task names
+  const StageSpec* spec_ = nullptr;       // the stage in flight
+  StageWatchdog* watchdog_ = nullptr;     // its deadline
 };
 
-// ------------------------------------------------- supervised stage work
+// ------------------------------------------------------------- executors
 
-/// One projection channel of the behavior stage.
-struct ChannelSpec {
-  const char* name;        // task-name component ("behavior.<name>.s<k>")
-  const char* input;       // bipartite input artifact
-  const char* final_file;  // merged similarity CSR artifact
-};
-
-constexpr ChannelSpec kChannels[] = {
-    {"query", "hdbg.bg", "query_sim.csr"},
-    {"ip", "dibg.bg", "ip_sim.csr"},
-    {"temporal", "dtbg.bg", "temporal_sim.csr"},
-};
-
-/// The channel's bipartite graph after the paper's pruning rules — exactly
-/// the graph build_behavior_model projects. Each shard worker recomputes
-/// this independently from the trace artifacts (workers share no memory);
-/// the pruning is deterministic, so every shard filters the identical
-/// vertex set.
-graph::BipartiteGraph pruned_channel_graph(const std::string& workdir,
-                                           const ChannelSpec& channel,
-                                           const PipelineConfig& config) {
-  auto hdbg = graph::load_bipartite_file(join(workdir, "hdbg.bg"));
-  const auto keep_mask = graph::right_degree_keep_mask(hdbg, config.behavior.prune);
-  if (std::string_view{channel.name} == "query") return hdbg.filter_right(keep_mask);
-  std::unordered_set<std::string> kept;
-  for (graph::VertexId r = 0; r < hdbg.right_count(); ++r) {
-    if (keep_mask[r]) kept.insert(hdbg.right_names().name(r));
+/// Runs a stage's tasks one round at a time and commits the stage artifacts
+/// they write. Inline (--workers 0) it runs each task body in this process,
+/// in list order, and commits the task's artifacts right after it.
+/// Supervised, a round is one Supervisor::run_tasks call and is committed
+/// when it returns; a task the supervisor quarantined commits nothing.
+class Executor {
+ public:
+  Executor(const RunOptions& options, StageDriver& driver) : driver_{driver} {
+    if (options.supervise.workers == 0) return;
+    supervisor_.emplace(options.workdir, options.supervise);
+    supervisor_->reset_scratch(driver.config_hash(), options.resume);
+    // The sketched backend is not pair-shardable: one task per channel.
+    if (options.config.projection_mode == graph::ProjectionMode::kExact) {
+      projection_shards_ = std::max<std::size_t>(1, options.supervise.projection_shards);
+    }
   }
-  auto g = graph::load_bipartite_file(join(workdir, channel.input));
-  std::vector<bool> mask(g.right_count(), false);
-  for (graph::VertexId r = 0; r < g.right_count(); ++r) {
-    mask[r] = kept.contains(g.right_names().name(r));
+
+  /// Pair-hash shards per projection channel (always one inline).
+  std::size_t projection_shards() const noexcept { return projection_shards_; }
+
+  /// Scratch file for a shard's partial output. Only multi-shard channels
+  /// have partials, and only a supervised executor has several shards.
+  std::string scratch_path(const std::string& file) const {
+    return supervisor_.value().scratch_path(file);
   }
-  return g.filter_right(mask);
+
+  /// Run one round; returns the tasks quarantined in it.
+  std::vector<std::string> run(const std::vector<WorkerTask>& tasks) {
+    const auto check = [this] { driver_.check(); };
+    if (!supervisor_) {
+      for (const auto& task : tasks) {
+        task.body(check);
+        driver_.commit_outputs(task);
+      }
+      return {};
+    }
+    const auto& all_quarantined = supervisor_->stats().quarantined;
+    const auto before = static_cast<std::ptrdiff_t>(all_quarantined.size());
+    supervisor_->run_tasks(tasks, check);
+    std::vector<std::string> quarantined(all_quarantined.begin() + before,
+                                         all_quarantined.end());
+    driver_.add_quarantined(quarantined);
+    for (const auto& task : tasks) {
+      if (std::find(quarantined.begin(), quarantined.end(), task.name) == quarantined.end()) {
+        driver_.commit_outputs(task);
+      }
+    }
+    return quarantined;
+  }
+
+  SupervisionStats stats() const {
+    return supervisor_ ? supervisor_->stats() : SupervisionStats{};
+  }
+
+ private:
+  StageDriver& driver_;
+  std::optional<Supervisor> supervisor_;
+  std::size_t projection_shards_ = 1;
+};
+
+// ------------------------------------------------------------ stage work
+
+std::vector<std::string> load_kept_domains(const std::string& workdir) {
+  const auto path = join(workdir, "kept.domains");
+  return parse_domain_list(util::load_artifact(path, "domain-list"), path);
 }
 
-/// The channel's projection options with the run-level knobs applied, as
-/// the in-process path does in its behavior stage.
-graph::ProjectionOptions channel_projection(const PipelineConfig& config,
-                                            const ChannelSpec& channel) {
-  const std::string_view name{channel.name};
-  graph::ProjectionOptions proj = name == "query" ? config.behavior.query_projection
-                                  : name == "ip" ? config.behavior.ip_projection
-                                                 : config.behavior.temporal_projection;
-  proj.threads = config.projection_threads;
-  proj.mode = config.projection_mode;
-  proj.sketch = config.sketch;
-  return proj;
+/// The channel's bipartite graph restricted to the kept domains: the graph
+/// build_behavior_model projects.
+graph::BipartiteGraph channel_graph(const std::string& workdir, const Channel& channel) {
+  return restrict_domains(graph::load_bipartite_file(join(workdir, channel.bipartite)),
+                          load_kept_domains(workdir));
 }
 
 /// Deterministic size-aware merge of per-shard partial projections into the
@@ -498,11 +553,10 @@ graph::ProjectionOptions channel_projection(const PipelineConfig& config,
 /// emits exact similarities over the full vertex set, so the merged edge
 /// list is the concatenation (reserved to total size up front), and one
 /// global (u, v) sort reproduces the exact emission order of an unsharded
-/// projection — the merged artifact is byte-identical to a single-process
+/// projection — the merged artifact is byte-identical to a single-shard
 /// run. Quarantined shards are simply absent: their pairs are missing and
 /// the report is flagged as partial.
-void merge_channel_shards(const std::string& workdir, const ChannelSpec& channel,
-                          const PipelineConfig& config,
+void merge_channel_shards(const std::string& workdir, const Channel& channel,
                           const std::vector<std::string>& partial_paths) {
   std::vector<graph::WeightedGraph> parts;
   parts.reserve(partial_paths.size());
@@ -532,31 +586,27 @@ void merge_channel_shards(const std::string& workdir, const ChannelSpec& channel
   } else {
     // All shards quarantined: an edgeless graph over the pruned vertex set
     // keeps downstream stages well-formed (isolated vertices are legal).
-    const auto pruned = pruned_channel_graph(workdir, channel, config);
+    const auto pruned = channel_graph(workdir, channel);
     for (graph::VertexId r = 0; r < pruned.right_count(); ++r) {
       merged.add_vertex(pruned.right_names().name(r));
     }
   }
   for (const auto& e : edges) merged.add_edge_unchecked(e.u, e.v, e.weight);
-  graph::save_csr_file(join(workdir, channel.final_file), merged);
+  graph::save_csr_file(join(workdir, channel.similarity), merged);
 }
 
-/// Labels-stage work, shared by the in-process path and the worker child.
 void write_labels_file(const std::string& workdir, const PipelineConfig& config,
                        const std::function<void()>& checkpoint) {
   const auto truth = trace::load_ground_truth_file(join(workdir, "truth.gt"));
-  const auto kept =
-      parse_domain_list(util::load_artifact(join(workdir, "kept.domains"), "domain-list"),
-                        join(workdir, "kept.domains"));
+  const auto kept = load_kept_domains(workdir);
   checkpoint();
   const intel::VirusTotalSim vt{truth, config.virustotal};
   intel::save_labeled_file(join(workdir, "labeled.set"),
                            intel::build_labeled_set(kept, truth, vt, config.labeling));
 }
 
-/// Report-stage work, shared by the in-process path and the worker child.
 /// `quarantined` non-empty appends a degraded-run section, so a clean
-/// supervised run emits byte-identical bytes to the single-process path.
+/// supervised run emits byte-identical bytes to an inline one.
 void write_report_file(const std::string& workdir, const PipelineConfig& config,
                        const std::vector<std::string>& quarantined,
                        const std::function<void()>& checkpoint) {
@@ -568,12 +618,11 @@ void write_report_file(const std::string& workdir, const PipelineConfig& config,
   result.trace.dns_events = stats.dns_events;
   result.trace.nxdomain_events = stats.nxdomain_events;
   result.trace.flow_events = stats.flow_events;
-  result.model.kept_domains = parse_domain_list(
-      util::load_artifact(path("kept.domains"), "domain-list"), path("kept.domains"));
-  result.model.query_similarity = graph::from_csr(graph::load_csr_file(path("query_sim.csr")));
-  result.model.ip_similarity = graph::from_csr(graph::load_csr_file(path("ip_sim.csr")));
-  result.model.temporal_similarity =
-      graph::from_csr(graph::load_csr_file(path("temporal_sim.csr")));
+  result.model.kept_domains = load_kept_domains(workdir);
+  for (const auto& channel : kChannels) {
+    result.model.*channel.projected =
+        graph::from_csr(graph::load_csr_file(path(channel.similarity)));
+  }
   result.query_embedding = embed::EmbeddingMatrix::load_arena_file(path("query.emb"));
   result.ip_embedding = embed::EmbeddingMatrix::load_arena_file(path("ip.emb"));
   result.temporal_embedding = embed::EmbeddingMatrix::load_arena_file(path("temporal.emb"));
@@ -650,276 +699,153 @@ RunSummary run_resumable(const RunOptions& options) {
     if (auto loaded = try_load_manifest(options.workdir)) previous = std::move(*loaded);
   }
   StageDriver driver{options, std::move(previous)};
+  Executor executor{options, driver};
   const auto& specs = stage_specs();
-  const auto path = [&](const char* file) { return join(options.workdir, file); };
+  const std::string& workdir = options.workdir;
+  const PipelineConfig& config = options.config;
+  const auto path = [&](const char* file) { return join(workdir, file); };
 
   RunSummary summary;
   summary.report_path = path("report.md");
-  const PipelineConfig& config = options.config;
-
-  const bool supervised = options.supervise.workers > 0;
-  std::optional<Supervisor> supervisor;
-  if (supervised) {
-    supervisor.emplace(options.workdir, options.supervise);
-    supervisor->reset_scratch(driver.config_hash(), options.resume);
-  }
-  /// Commit every artifact of a supervised stage, in spec order (the
-  /// supervisor already validated the workers' output containers).
-  const auto commit_all = [&](const StageSpec& spec, StageWatchdog& watchdog) {
-    for (const auto& artifact : spec.artifacts) driver.committed(artifact.file, watchdog);
-  };
-  const auto poll_for = [](StageWatchdog& watchdog) {
-    return [&watchdog] { watchdog.check(); };
-  };
 
   // trace: synthesize the campus capture into the three bipartite graphs
   // plus the ground-truth registry.
-  driver.stage(specs[0], summary, [&](StageWatchdog& watchdog) {
-    if (supervised) {
-      WorkerTask task;
-      task.name = "trace";
-      for (const auto& artifact : specs[0].artifacts) {
-        task.outputs.push_back({path(artifact.file), artifact.kind});
-      }
-      task.body = [&path, &config] {
-        GraphBuilderSink graphs;
-        const auto trace_result = trace::generate_trace(config.trace, graphs);
-        graph::save_bipartite_file(path("hdbg.bg"), graphs.take_hdbg());
-        graph::save_bipartite_file(path("dibg.bg"), graphs.take_dibg());
-        graph::save_bipartite_file(path("dtbg.bg"), graphs.take_dtbg());
-        trace::save_ground_truth_file(path("truth.gt"), trace_result.truth);
-        util::save_artifact(path("trace.stats"), "trace-stats",
-                            trace_stats_payload({trace_result.dns_events,
-                                                 trace_result.nxdomain_events,
-                                                 trace_result.flow_events}));
-      };
-      supervisor->run_tasks({task}, poll_for(watchdog));
-      commit_all(specs[0], watchdog);
-      return;
+  driver.stage(specs[0], summary, [&] {
+    WorkerTask task;
+    task.name = "trace";
+    for (const auto& artifact : specs[0].artifacts) {
+      task.outputs.push_back({path(artifact.file), artifact.kind});
     }
-    GraphBuilderSink graphs;
-    const auto trace_result = trace::generate_trace(config.trace, graphs);
-    watchdog.check();
-    graph::save_bipartite_file(path("hdbg.bg"), graphs.take_hdbg());
-    driver.committed("hdbg.bg", watchdog);
-    graph::save_bipartite_file(path("dibg.bg"), graphs.take_dibg());
-    driver.committed("dibg.bg", watchdog);
-    graph::save_bipartite_file(path("dtbg.bg"), graphs.take_dtbg());
-    driver.committed("dtbg.bg", watchdog);
-    trace::save_ground_truth_file(path("truth.gt"), trace_result.truth);
-    driver.committed("truth.gt", watchdog);
-    util::save_artifact(path("trace.stats"), "trace-stats",
-                        trace_stats_payload({trace_result.dns_events,
-                                             trace_result.nxdomain_events,
-                                             trace_result.flow_events}));
-    driver.committed("trace.stats", watchdog);
+    task.body = [&](const auto&) {
+      GraphBuilderSink graphs;
+      const auto trace_result = trace::generate_trace(config.trace, graphs);
+      graph::save_bipartite_file(path("hdbg.bg"), graphs.take_hdbg());
+      graph::save_bipartite_file(path("dibg.bg"), graphs.take_dibg());
+      graph::save_bipartite_file(path("dtbg.bg"), graphs.take_dtbg());
+      trace::save_ground_truth_file(path("truth.gt"), trace_result.truth);
+      util::save_artifact(path("trace.stats"), "trace-stats",
+                          trace_stats_payload({trace_result.dns_events,
+                                               trace_result.nxdomain_events,
+                                               trace_result.flow_events}));
+    };
+    executor.run({task});
   });
 
-  // behavior: prune + project the reloaded bipartite graphs. Supervised,
-  // the projection fans out as pair-hash shard tasks per channel whose
-  // partial CSRs the parent merges deterministically; quarantined shards
-  // leave their pairs out and flag the run.
-  driver.stage(specs[1], summary, [&](StageWatchdog& watchdog) {
-    if (supervised) {
-      const std::size_t shard_count =
-          config.projection_mode == graph::ProjectionMode::kSketched
-              ? 1
-              : std::max<std::size_t>(1, options.supervise.projection_shards);
-      std::vector<WorkerTask> tasks;
-      {
-        WorkerTask prune;
-        prune.name = "behavior.prune";
-        prune.outputs.push_back({path("kept.domains"), "domain-list"});
-        prune.body = [&options, &path, &config] {
-          const auto pruned = pruned_channel_graph(options.workdir, kChannels[0], config);
-          std::vector<std::string> kept;
-          kept.reserve(pruned.right_count());
-          for (graph::VertexId r = 0; r < pruned.right_count(); ++r) {
-            kept.push_back(pruned.right_names().name(r));
-          }
-          util::save_artifact(path("kept.domains"), "domain-list",
-                              domain_list_payload(kept));
-        };
-        tasks.push_back(std::move(prune));
-      }
-      for (const auto& channel : kChannels) {
-        for (std::size_t s = 0; s < shard_count; ++s) {
-          WorkerTask task;
-          task.name = std::string{"behavior."} + channel.name + ".s" + std::to_string(s);
-          task.quarantinable = true;
-          task.reusable = true;
-          const auto partial = supervisor->scratch_path(std::string{channel.name} + ".s" +
-                                                        std::to_string(s) + ".csr");
-          task.outputs.push_back({partial, "csr-graph"});
-          task.body = [&options, &config, channel, s, shard_count, partial] {
-            auto proj = channel_projection(config, channel);
-            proj.pair_shard_index = s;
-            proj.pair_shard_count = shard_count;
-            const auto pruned = pruned_channel_graph(options.workdir, channel, config);
-            graph::save_csr_file(partial, graph::project_right(pruned, proj));
-          };
-          tasks.push_back(std::move(task));
-        }
-      }
-      const std::size_t quarantined_before = supervisor->stats().quarantined.size();
-      supervisor->run_tasks(tasks, poll_for(watchdog));
-      const auto& all_quarantined = supervisor->stats().quarantined;
-      driver.add_quarantined({all_quarantined.begin() +
-                                  static_cast<std::ptrdiff_t>(quarantined_before),
-                              all_quarantined.end()});
-      const std::unordered_set<std::string> quarantined(all_quarantined.begin(),
-                                                        all_quarantined.end());
-      for (const auto& channel : kChannels) {
-        std::vector<std::string> partials;
-        for (std::size_t s = 0; s < shard_count; ++s) {
-          const auto name =
-              std::string{"behavior."} + channel.name + ".s" + std::to_string(s);
-          if (!quarantined.contains(name)) {
-            partials.push_back(supervisor->scratch_path(std::string{channel.name} + ".s" +
-                                                        std::to_string(s) + ".csr"));
-          }
-        }
-        merge_channel_shards(options.workdir, channel, config, partials);
-      }
-      commit_all(specs[1], watchdog);
-      return;
-    }
-    auto hdbg = graph::load_bipartite_file(path("hdbg.bg"));
-    auto dibg = graph::load_bipartite_file(path("dibg.bg"));
-    auto dtbg = graph::load_bipartite_file(path("dtbg.bg"));
-    watchdog.check();
-    BehaviorModelConfig behavior = config.behavior;
-    for (auto* proj : {&behavior.query_projection, &behavior.ip_projection,
-                       &behavior.temporal_projection}) {
-      proj->threads = config.projection_threads;
-      proj->mode = config.projection_mode;
-      proj->sketch = config.sketch;
-    }
-    auto model =
-        build_behavior_model(std::move(hdbg), std::move(dibg), std::move(dtbg), behavior);
-    watchdog.check();
-    util::save_artifact(path("kept.domains"), "domain-list",
-                        domain_list_payload(model.kept_domains));
-    driver.committed("kept.domains", watchdog);
-    graph::save_csr_file(path("query_sim.csr"), model.query_similarity);
-    driver.committed("query_sim.csr", watchdog);
-    graph::save_csr_file(path("ip_sim.csr"), model.ip_similarity);
-    driver.committed("ip_sim.csr", watchdog);
-    graph::save_csr_file(path("temporal_sim.csr"), model.temporal_similarity);
-    driver.committed("temporal_sim.csr", watchdog);
-  });
+  // behavior: prune on the HDBG first, then project each channel's
+  // bipartite graph restricted to the kept domains. With several pair-hash
+  // shards per channel, each shard leaves a partial CSR in scratch and the
+  // parent merges them deterministically; a single shard writes the
+  // channel's CSR itself. A quarantined shard leaves its pairs out and
+  // flags the run.
+  driver.stage(specs[1], summary, [&] {
+    WorkerTask prune;
+    prune.name = "behavior.prune";
+    prune.outputs.push_back({path("kept.domains"), "domain-list"});
+    prune.body = [&](const auto&) {
+      util::save_artifact(
+          path("kept.domains"), "domain-list",
+          domain_list_payload(kept_domains(graph::load_bipartite_file(path("hdbg.bg")),
+                                           config.behavior.prune)));
+    };
+    executor.run({prune});
 
-  // embed: one embedding per similarity graph (seed, seed+1, seed+2 as in
-  // run_pipeline), then the concatenated vector. The CSR graphs are
-  // memory-mapped, not parsed: LINE's edge sampler reads the mapped
-  // sections in place. Supervised, each channel trains in its own worker
-  // (LINE is bit-deterministic at any thread count, so worker placement
-  // cannot change the arenas) and the parent concatenates.
-  driver.stage(specs[2], summary, [&](StageWatchdog& watchdog) {
-    if (supervised) {
-      struct EmbedTaskSpec {
-        const char* channel;
-        const char* csr;
-        const char* arena;
-        std::uint64_t seed_offset;
-      };
-      static constexpr EmbedTaskSpec kEmbeds[] = {
-          {"query", "query_sim.csr", "query.emb", 0},
-          {"ip", "ip_sim.csr", "ip.emb", 1},
-          {"temporal", "temporal_sim.csr", "temporal.emb", 2},
-      };
-      std::vector<WorkerTask> tasks;
-      for (const auto& spec : kEmbeds) {
+    const std::size_t shards = executor.projection_shards();
+    const auto shard_task = [](const Channel& channel, std::size_t s) {
+      return std::string{"behavior."} + channel.name + ".s" + std::to_string(s);
+    };
+    const auto partial_path = [&](const Channel& channel, std::size_t s) {
+      return executor.scratch_path(std::string{channel.name} + ".s" + std::to_string(s) +
+                                   ".csr");
+    };
+    std::vector<WorkerTask> tasks;
+    for (const auto& channel : kChannels) {
+      for (std::size_t s = 0; s < shards; ++s) {
         WorkerTask task;
-        task.name = std::string{"embed."} + spec.channel;
-        task.outputs.push_back({path(spec.arena), "embedding-arena"});
-        task.body = [&path, &config, spec] {
-          embed::EmbedConfig embed_config = config.embedding;
-          embed_config.dimension = config.embedding_dimension;
-          embed_config.seed = config.seed + spec.seed_offset;
-          embed::embed_graph(graph::load_csr_file(path(spec.csr)), embed_config)
-              .save_arena_file(path(spec.arena));
+        task.name = shard_task(channel, s);
+        task.quarantinable = true;
+        // Scratch partials survive an interrupted run; the manifest, not
+        // scratch, decides whether a final artifact is reused.
+        task.reusable = shards > 1;
+        const auto output = shards > 1 ? partial_path(channel, s) : path(channel.similarity);
+        task.outputs.push_back({output, "csr-graph"});
+        task.body = [&, channel, s, output](const auto&) {
+          auto projection = channel_projection(config, channel);
+          projection.pair_shard_index = s;
+          projection.pair_shard_count = shards;
+          graph::save_csr_file(
+              output, project_channel(channel, channel_graph(workdir, channel), projection));
         };
         tasks.push_back(std::move(task));
       }
-      supervisor->run_tasks(tasks, poll_for(watchdog));
-      const auto kept = parse_domain_list(
-          util::load_artifact(path("kept.domains"), "domain-list"), path("kept.domains"));
-      const auto query = embed::EmbeddingMatrix::load_arena_file(path("query.emb"));
-      const auto ip = embed::EmbeddingMatrix::load_arena_file(path("ip.emb"));
-      const auto temporal = embed::EmbeddingMatrix::load_arena_file(path("temporal.emb"));
-      embed::EmbeddingMatrix::concat(kept, {&query, &ip, &temporal})
-          .save_arena_file(path("combined.emb"));
-      commit_all(specs[2], watchdog);
-      return;
     }
-    const auto kept = parse_domain_list(
-        util::load_artifact(path("kept.domains"), "domain-list"), path("kept.domains"));
-    embed::EmbedConfig embed_config = config.embedding;
-    embed_config.dimension = config.embedding_dimension;
+    const auto quarantined = executor.run(tasks);
+    const auto lost = [&](const Channel& channel, std::size_t s) {
+      return std::find(quarantined.begin(), quarantined.end(), shard_task(channel, s)) !=
+             quarantined.end();
+    };
+    for (const auto& channel : kChannels) {
+      if (shards == 1 && !lost(channel, 0)) continue;  // its task wrote the CSR
+      std::vector<std::string> partials;
+      for (std::size_t s = 0; s < shards; ++s) {
+        if (!lost(channel, s)) partials.push_back(partial_path(channel, s));
+      }
+      merge_channel_shards(workdir, channel, partials);
+      driver.commit(channel.similarity);
+    }
+  });
 
-    embed_config.seed = config.seed;
-    const auto query =
-        embed::embed_graph(graph::load_csr_file(path("query_sim.csr")), embed_config);
-    query.save_arena_file(path("query.emb"));
-    driver.committed("query.emb", watchdog);
-
-    embed_config.seed = config.seed + 1;
-    const auto ip =
-        embed::embed_graph(graph::load_csr_file(path("ip_sim.csr")), embed_config);
-    ip.save_arena_file(path("ip.emb"));
-    driver.committed("ip.emb", watchdog);
-
-    embed_config.seed = config.seed + 2;
-    const auto temporal =
-        embed::embed_graph(graph::load_csr_file(path("temporal_sim.csr")), embed_config);
-    temporal.save_arena_file(path("temporal.emb"));
-    driver.committed("temporal.emb", watchdog);
-
-    embed::EmbeddingMatrix::concat(kept, {&query, &ip, &temporal})
+  // embed: one LINE embedding per similarity graph (the CSR is memory-
+  // mapped, not parsed: LINE's edge sampler reads the mapped sections in
+  // place), then the concatenated vector over the kept domains.
+  driver.stage(specs[2], summary, [&] {
+    std::vector<WorkerTask> tasks;
+    for (const auto& channel : kChannels) {
+      WorkerTask task;
+      task.name = std::string{"embed."} + channel.name;
+      task.outputs.push_back({path(channel.embedding), "embedding-arena"});
+      task.body = [&, channel](const auto&) {
+        embed::embed_graph(graph::load_csr_file(path(channel.similarity)),
+                           channel_embedding(config, channel))
+            .save_arena_file(path(channel.embedding));
+      };
+      tasks.push_back(std::move(task));
+    }
+    executor.run(tasks);
+    std::vector<embed::EmbeddingMatrix> parts;
+    for (const auto& channel : kChannels) {
+      parts.push_back(embed::EmbeddingMatrix::load_arena_file(path(channel.embedding)));
+    }
+    std::vector<const embed::EmbeddingMatrix*> part_views;
+    for (const auto& part : parts) part_views.push_back(&part);
+    embed::EmbeddingMatrix::concat(load_kept_domains(workdir), part_views)
         .save_arena_file(path("combined.emb"));
-    driver.committed("combined.emb", watchdog);
+    driver.commit("combined.emb");
   });
 
   // labels: ground truth + simulated VirusTotal over the kept domains.
-  driver.stage(specs[3], summary, [&](StageWatchdog& watchdog) {
-    if (supervised) {
-      WorkerTask task;
-      task.name = "labels";
-      task.outputs.push_back({path("labeled.set"), "labeled-set"});
-      task.body = [&options, &config] {
-        write_labels_file(options.workdir, config, [] {});
-      };
-      supervisor->run_tasks({task}, poll_for(watchdog));
-      commit_all(specs[3], watchdog);
-      return;
-    }
-    write_labels_file(options.workdir, config, [&watchdog] { watchdog.check(); });
-    driver.committed("labeled.set", watchdog);
+  driver.stage(specs[3], summary, [&] {
+    WorkerTask task;
+    task.name = "labels";
+    task.outputs.push_back({path("labeled.set"), "labeled-set"});
+    task.body = [&](const auto& checkpoint) { write_labels_file(workdir, config, checkpoint); };
+    executor.run({task});
   });
 
   // report: per-channel SVM evaluation + clustering over the persisted
   // artifacts only (nothing carried in memory from earlier stages).
-  driver.stage(specs[4], summary, [&](StageWatchdog& watchdog) {
-    if (supervised) {
-      WorkerTask task;
-      task.name = "report";
-      task.outputs.push_back({path("report.md"), nullptr});
-      // The quarantine list is final here: the behavior stage (the only
-      // producer of quarantinable tasks) completed before this stage.
-      task.body = [&options, &config, quarantined = driver.quarantined()] {
-        write_report_file(options.workdir, config, quarantined, [] {});
-      };
-      supervisor->run_tasks({task}, poll_for(watchdog));
-      commit_all(specs[4], watchdog);
-      return;
-    }
-    write_report_file(options.workdir, config, driver.quarantined(),
-                      [&watchdog] { watchdog.check(); });
-    driver.committed("report.md", watchdog);
+  driver.stage(specs[4], summary, [&] {
+    WorkerTask task;
+    task.name = "report";
+    task.outputs.push_back({path("report.md"), nullptr});
+    // The quarantine list is final here: the behavior stage (the only
+    // producer of quarantinable tasks) completed before this stage.
+    task.body = [&, quarantined = driver.quarantined()](const auto& checkpoint) {
+      write_report_file(workdir, config, quarantined, checkpoint);
+    };
+    executor.run({task});
   });
 
-  if (supervisor) summary.supervision = supervisor->stats();
+  summary.supervision = executor.stats();
   summary.quarantined = driver.quarantined();
   return summary;
 }

@@ -5,11 +5,16 @@
 // hash; `--resume` skips stages whose artifacts still validate and re-runs
 // anything missing, corrupt, or built under a different config.
 //
-// Every stage boundary is a disk round-trip even on a fresh run (a stage
-// always loads its inputs from the previous stage's artifacts), so an
-// interrupted run resumed later produces a bit-identical report to an
-// uninterrupted one by construction — there is no separate in-memory fast
-// path to diverge from.
+// Each stage is declared once, as a list of named tasks that read artifacts
+// and write artifacts, and one of two executors runs it: inline (each task
+// body in this process, in order, its artifacts committed right after it)
+// or supervised (the tasks forked as worker processes, see
+// core/supervisor.hpp). Every stage boundary is a disk round-trip even on a
+// fresh run (a stage always loads its inputs from the previous stage's
+// artifacts), so an interrupted run resumed later produces a bit-identical
+// report to an uninterrupted one by construction, and both executors write
+// the same bytes — there is no separate in-memory fast path to diverge
+// from.
 #pragma once
 
 #include <stdexcept>
@@ -38,8 +43,9 @@ struct RunOptions {
   double stage_deadline_seconds = 0.0;
 
   /// Test hook: terminate the process (exit 137, as if SIGKILLed) right
-  /// after the named artifact file is committed — deterministic mid-stage
-  /// crash for the crash-recovery suite. Empty = disabled.
+  /// after the named artifact file is committed, i.e. once the task that
+  /// wrote it has finished — deterministic mid-stage crash for the
+  /// crash-recovery suite. Empty = disabled.
   std::string crash_after_artifact;
 
   /// Test hook: force the stage deadline to expire right after the named
@@ -47,11 +53,12 @@ struct RunOptions {
   /// for the resumability regression test. Empty = disabled.
   std::string expire_deadline_after_artifact;
 
-  /// Multi-process orchestration. supervise.workers == 0 (default) keeps
-  /// the single-process path; >= 1 forks stage work out to supervised
-  /// worker processes (projection pair-shards, per-channel LINE training)
-  /// that exchange results only through checksummed artifacts, so the
-  /// report is bit-identical to a single-process run at any worker count.
+  /// Multi-process orchestration. supervise.workers == 0 (default) runs
+  /// every stage task inline, in this process; >= 1 forks the same tasks
+  /// out to supervised worker processes (projection pair-shards,
+  /// per-channel LINE training, ...) that exchange results only through
+  /// checksummed artifacts, so the report is bit-identical to an inline
+  /// run at any worker count.
   /// Workers also write telemetry sidecars (obs/sidecar.hpp) that the
   /// supervisor merges, so --metrics-out/--trace-out see the whole process
   /// tree, and supervise.status_path enables the live --status-out file.

@@ -5,11 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -119,13 +120,18 @@ int run_child(const WorkerTask& task, std::size_t attempt, const SupervisorOptio
     for (;;) std::this_thread::sleep_for(std::chrono::hours{1});
   }
 
-  std::atomic<bool> stop{false};
+  // The beat thread waits out each interval on a condition variable, so
+  // the body's return wakes it at once and the worker exits without
+  // sleeping off the rest of an interval.
+  std::mutex stop_mutex;
+  std::condition_variable stop_cv;
+  bool stop = false;
   const auto interval = std::chrono::duration<double>{options.heartbeat_interval_seconds};
   std::thread beat{[&] {
     std::uint64_t n = 1;
-    while (!stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(interval);
-      if (stop.load(std::memory_order_relaxed)) break;
+    std::unique_lock lock{stop_mutex};
+    while (!stop_cv.wait_for(lock, interval, [&] { return stop; })) {
+      lock.unlock();
       write_heartbeat(heartbeat_path, n++);
       if (telemetry) {
         // Periodic metrics-only flush so the on-disk sidecar is at most one
@@ -139,6 +145,7 @@ int run_child(const WorkerTask& task, std::size_t attempt, const SupervisorOptio
           // Best effort: a failed advisory flush must not kill the attempt.
         }
       }
+      lock.lock();
     }
   }};
 
@@ -157,13 +164,17 @@ int run_child(const WorkerTask& task, std::size_t attempt, const SupervisorOptio
                                       "garbage-output " + task.name + "\n");
       }
     } else {
-      task.body();
+      task.body([] {});
     }
   } catch (const std::exception& e) {
     util::log_error() << "worker " << task.name << ": " << e.what();
     rc = 1;
   }
-  stop.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard lock{stop_mutex};
+    stop = true;
+  }
+  stop_cv.notify_one();
   beat.join();
   if (telemetry) {
     try {

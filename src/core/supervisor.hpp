@@ -37,7 +37,7 @@ namespace dnsembed::core {
 
 struct SupervisorOptions {
   /// Worker processes to run concurrently. 0 disables the supervisor: the
-  /// runner executes every stage in-process exactly as before.
+  /// runner executes the same tasks in-process, one after another.
   std::size_t workers = 0;
 
   /// Retries per task after its first attempt; a task failing
@@ -117,8 +117,11 @@ struct WorkerTask {
   };
   std::vector<Output> outputs;
 
-  /// Runs in the forked child. Throwing makes the attempt a failure.
-  std::function<void()> body;
+  /// The task's work. Throwing makes the attempt a failure. `checkpoint`
+  /// is a cooperative deadline check for long bodies: the runner's inline
+  /// executor passes its stage watchdog; in a forked child it does nothing
+  /// (the supervisor enforces deadlines from the parent by SIGKILL).
+  std::function<void(const std::function<void()>& checkpoint)> body;
 };
 
 /// A non-quarantinable task exhausted its retry budget (or could not be

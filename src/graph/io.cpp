@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "util/artifact.hpp"
-#include "util/bithex.hpp"
 #include "util/csv.hpp"
 
 namespace dnsembed::graph {
@@ -81,7 +80,6 @@ WeightedGraph load_weighted_csv(std::istream& in) {
 
 namespace {
 
-constexpr std::string_view kWeightedKind = "weighted-graph";
 constexpr std::string_view kBipartiteKind = "bipartite-graph";
 
 [[noreturn]] void bad_payload(const std::string& context, std::string reason) {
@@ -89,96 +87,7 @@ constexpr std::string_view kBipartiteKind = "bipartite-graph";
   throw util::CorruptArtifact{context, std::move(reason)};
 }
 
-bool parse_size(std::string_view text, std::size_t& out) {
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-/// Pull the next '\n'-terminated line out of `payload` starting at `pos`.
-bool next_line(std::string_view payload, std::size_t& pos, std::string_view& line) {
-  if (pos >= payload.size()) return false;
-  const auto nl = payload.find('\n', pos);
-  if (nl == std::string_view::npos) {
-    line = payload.substr(pos);
-    pos = payload.size();
-  } else {
-    line = payload.substr(pos, nl - pos);
-    pos = nl + 1;
-  }
-  return true;
-}
-
 }  // namespace
-
-std::string weighted_payload(const WeightedGraph& g) {
-  std::string out;
-  out += "vertices " + std::to_string(g.vertex_count()) + "\n";
-  for (VertexId v = 0; v < g.vertex_count(); ++v) {
-    out += g.names().name(v);
-    out += '\n';
-  }
-  out += "edges " + std::to_string(g.edge_count()) + "\n";
-  for (const auto& e : g.edges()) {
-    out += std::to_string(e.u) + " " + std::to_string(e.v) + " " +
-           util::double_to_hex(e.weight) + "\n";
-  }
-  return out;
-}
-
-WeightedGraph parse_weighted_payload(std::string_view payload, const std::string& context) {
-  std::size_t pos = 0;
-  std::string_view line;
-  if (!next_line(payload, pos, line) || line.substr(0, 9) != "vertices ") {
-    bad_payload(context, "weighted payload: missing vertices header");
-  }
-  std::size_t vertex_count = 0;
-  if (!parse_size(line.substr(9), vertex_count)) {
-    bad_payload(context, "weighted payload: bad vertex count");
-  }
-  WeightedGraph g;
-  for (std::size_t v = 0; v < vertex_count; ++v) {
-    if (!next_line(payload, pos, line) || line.empty()) {
-      bad_payload(context, "weighted payload: truncated vertex list");
-    }
-    g.add_vertex(line);
-  }
-  if (!next_line(payload, pos, line) || line.substr(0, 6) != "edges ") {
-    bad_payload(context, "weighted payload: missing edges header");
-  }
-  std::size_t edge_count = 0;
-  if (!parse_size(line.substr(6), edge_count)) {
-    bad_payload(context, "weighted payload: bad edge count");
-  }
-  for (std::size_t i = 0; i < edge_count; ++i) {
-    if (!next_line(payload, pos, line)) {
-      bad_payload(context, "weighted payload: truncated edge list");
-    }
-    const auto sp1 = line.find(' ');
-    const auto sp2 = sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
-    std::size_t u = 0;
-    std::size_t v = 0;
-    double weight = 0.0;
-    if (sp2 == std::string_view::npos || !parse_size(line.substr(0, sp1), u) ||
-        !parse_size(line.substr(sp1 + 1, sp2 - sp1 - 1), v) ||
-        !util::hex_to_double(line.substr(sp2 + 1), weight) || u >= vertex_count ||
-        v >= vertex_count || u == v || !(weight > 0.0)) {
-      bad_payload(context, "weighted payload: bad edge at row " + std::to_string(i));
-    }
-    g.add_edge_unchecked(static_cast<VertexId>(u), static_cast<VertexId>(v), weight);
-  }
-  if (pos != payload.size()) {
-    bad_payload(context, "weighted payload: trailing bytes after edge list");
-  }
-  return g;
-}
-
-void save_weighted_file(const std::string& path, const WeightedGraph& g) {
-  util::save_artifact(path, kWeightedKind, weighted_payload(g));
-}
-
-WeightedGraph load_weighted_file(const std::string& path) {
-  return parse_weighted_payload(util::load_artifact(path, kWeightedKind), path);
-}
 
 void save_bipartite_file(const std::string& path, const BipartiteGraph& g) {
   std::ostringstream payload;

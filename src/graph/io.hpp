@@ -27,30 +27,18 @@ WeightedGraph load_weighted_csv(std::istream& in);
 // --- Durable artifact forms (crash-safe file persistence). The CSV
 // stream forms above are the human/interop format (gephi, spreadsheets);
 // the artifact forms below are the pipeline's durable intermediates:
-// checksummed containers written atomically, with weights stored by bit
-// pattern so a reloaded graph reproduces embeddings bit-identically.
+// checksummed containers written atomically.
 
-/// Artifact payload for a weighted graph: vertex names in id order, then
-/// edges as index pairs with IEEE-754 bit-pattern weights (exact
-/// round-trip, unlike decimal CSV).
-std::string weighted_payload(const WeightedGraph& g);
-/// Inverse of weighted_payload; throws util::CorruptArtifact (with
-/// `context` as the path) on any malformed row.
-WeightedGraph parse_weighted_payload(std::string_view payload, const std::string& context);
-
-/// Atomic, checksummed file forms. load_* throw util::CorruptArtifact on a
-/// damaged container and util::fsio::IoError on unreadable paths.
-void save_weighted_file(const std::string& path, const WeightedGraph& g);
-WeightedGraph load_weighted_file(const std::string& path);
-
+/// The bipartite CSV form inside a checksummed container. load throws
+/// util::CorruptArtifact on a damaged container or payload and
+/// util::fsio::IoError on an unreadable path.
 void save_bipartite_file(const std::string& path, const BipartiteGraph& g);
 BipartiteGraph load_bipartite_file(const std::string& path);
 
 // --- CSR arena forms (util/csr.hpp). Binary struct-of-arrays payloads
 // with a memory-mapped zero-copy load path: the durable similarity-graph
 // format at million-domain scale. Weights round-trip by bit pattern (raw
-// f64 sections), so a reloaded graph reproduces embeddings bit-identically
-// just like the text artifact form.
+// f64 sections), so a reloaded graph reproduces embeddings bit-identically.
 
 /// Convert to the CSR arena form. Edge order is preserved (LINE's edge
 /// sampler addresses edges positionally).

@@ -76,17 +76,6 @@ std::string artifact_bytes_of(const std::function<void(const std::string&)>& sav
   return bytes;
 }
 
-TEST(ArtifactFuzz, WeightedGraph) {
-  graph::WeightedGraph g;
-  g.add_edge("alpha.test", "beta.test", 0.75);
-  g.add_edge("beta.test", "gamma.test", 0.125);
-  g.add_edge("alpha.test", "gamma.test", 1.0 / 3.0);
-  const auto pristine =
-      artifact_bytes_of([&](const std::string& p) { graph::save_weighted_file(p, g); });
-  fuzz_loader("weighted", pristine,
-              [](const std::string& p) { (void)graph::load_weighted_file(p); });
-}
-
 TEST(ArtifactFuzz, BipartiteGraph) {
   graph::BipartiteGraph g;
   g.add_edge("host-1", "alpha.test");

@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Assertions for the cli_run_metrics ctest case.
+
+Usage: check_run_metrics.py DNSEMBED
+
+Pins the part of the `dnsembed run` interface that outside readers take
+layer timings from. A run with --metrics-out must record one histogram per
+run stage plus the SVM span, each observed at least once, and count LINE
+samples and projected pairs. A renamed span would otherwise read as zero
+seconds without failing anything. A following `run --resume` over the same
+workdir must report all five stages resumed.
+"""
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# The cli_crash_recovery sizes.
+OPTIONS = ["--hosts", "40", "--days", "2", "--sites", "150", "--families", "4",
+           "--samples", "100000", "--kfold", "3", "--line-threads", "4",
+           "--log-level", "warn"]
+HISTOGRAMS = [f"run.{stage}.seconds"
+              for stage in ("pipeline", "trace", "behavior", "embed", "labels", "report")]
+HISTOGRAMS.append("pipeline.svm.seconds")
+COUNTERS = ["embed.line.samples", "graph.projection.pairs"]
+
+
+def fail(message):
+    print(f"check_run_metrics: {message}", file=sys.stderr)
+    sys.exit(1)
+
+
+def main():
+    cli = sys.argv[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp) / "run"
+        metrics_path = Path(tmp) / "metrics.json"
+        subprocess.run([cli, "run", "--workdir", str(workdir),
+                        "--metrics-out", str(metrics_path), *OPTIONS],
+                       check=True, stdout=subprocess.DEVNULL)
+        metrics = json.loads(metrics_path.read_text())
+        for name in HISTOGRAMS:
+            count = metrics.get("histograms", {}).get(name, {}).get("count", 0)
+            if count < 1:
+                fail(f"histogram '{name}' missing or empty (count {count})")
+        for name in COUNTERS:
+            value = metrics.get("counters", {}).get(name, 0)
+            if value <= 0:
+                fail(f"counter '{name}' missing or zero ({value})")
+
+        resumed = subprocess.run([cli, "run", "--workdir", str(workdir), "--resume",
+                                  *OPTIONS],
+                                 check=True, capture_output=True, text=True)
+        if "5/5 stages resumed" not in resumed.stdout:
+            fail(f"`run --resume` did not resume every stage:\n{resumed.stdout}")
+    print(f"ok: {len(HISTOGRAMS)} histograms, {len(COUNTERS)} counters, resume 5/5")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,10 +1,12 @@
-// Supervised (multi-process) runner: at any worker count the report must be
-// byte-identical to the single-process run; injected worker crashes, hangs,
+// Supervised (multi-process) runner: at any worker count the report and
+// every stage artifact (the digests in manifest.run) must be byte-identical
+// to the inline run, exact and sketched; injected worker crashes, hangs,
 // and garbage outputs must be detected, retried, and still converge on the
 // same bytes; a shard task that exhausts its retry budget must be
 // quarantined (degraded report + manifest row) and the quarantine must
 // survive --resume; a mid-stage deadline hit must leave the workdir
-// resumable to an identical report.
+// resumable to an identical report; a worker must exit as soon as its body
+// returns, not a heartbeat interval later.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,6 +86,12 @@ class RunSupervisorTest : public ::testing::Test {
     return util::fsio::read_file(summary.report_path);
   }
 
+  /// Manifest of the reference run: the config hash plus the digest of
+  /// every stage artifact.
+  std::string reference_manifest() const {
+    return util::fsio::read_file(dir_ + "_ref/manifest.run");
+  }
+
   std::string dir_;
 };
 
@@ -92,6 +100,7 @@ TEST_F(RunSupervisorTest, SupervisedReportMatchesSingleProcess) {
 
   const auto summary = run_resumable(supervised_options(dir_));
   EXPECT_EQ(util::fsio::read_file(summary.report_path), reference);
+  EXPECT_EQ(util::fsio::read_file(dir_ + "/manifest.run"), reference_manifest());
   EXPECT_EQ(summary.supervision.tasks_run, kTaskCount);
   EXPECT_EQ(summary.supervision.restarts, 0u);
   EXPECT_EQ(summary.supervision.crashes, 0u);
@@ -105,6 +114,44 @@ TEST_F(RunSupervisorTest, SupervisedReportMatchesSingleProcess) {
   EXPECT_EQ(second.resumed_stages, second.stages.size());
   EXPECT_EQ(second.supervision.tasks_run, 0u);
   EXPECT_EQ(util::fsio::read_file(second.report_path), reference);
+}
+
+TEST_F(RunSupervisorTest, SketchedSupervisedRunMatchesSingleProcess) {
+  // The sketched backend is not pair-shardable, so each channel projects in
+  // one task that writes the channel's CSR itself.
+  auto reference_options = small_options(dir_ + "_ref");
+  reference_options.config.projection_mode = graph::ProjectionMode::kSketched;
+  const auto reference = run_resumable(reference_options);
+
+  auto options = supervised_options(dir_);
+  options.config.projection_mode = graph::ProjectionMode::kSketched;
+  const auto summary = run_resumable(options);
+  EXPECT_EQ(util::fsio::read_file(summary.report_path),
+            util::fsio::read_file(reference.report_path));
+  EXPECT_EQ(util::fsio::read_file(dir_ + "/manifest.run"), reference_manifest());
+  // trace, behavior.prune, 3 channel projections, 3 embeds, labels, report.
+  EXPECT_EQ(summary.supervision.tasks_run, 10u);
+  EXPECT_TRUE(summary.quarantined.empty());
+}
+
+TEST_F(RunSupervisorTest, WorkerExitsWhenItsBodyReturns) {
+  // The heartbeat thread must wake when the body returns. If it slept out
+  // its interval instead, every task would hold the run for up to one
+  // interval after its work was done.
+  SupervisorOptions options;
+  options.workers = 1;
+  options.heartbeat_interval_seconds = 5.0;
+  Supervisor supervisor{dir_, options};
+  supervisor.reset_scratch("worker-exit", false);
+  WorkerTask task;
+  task.name = "noop";
+  task.body = [](const auto&) {};
+
+  const auto start = std::chrono::steady_clock::now();
+  supervisor.run_tasks({task}, [] {});
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 2.5);
+  EXPECT_EQ(supervisor.stats().tasks_run, 1u);
 }
 
 TEST_F(RunSupervisorTest, CrashedWorkersAreRetriedToIdenticalReport) {
@@ -185,6 +232,31 @@ TEST_F(RunSupervisorTest, ExhaustedShardIsQuarantinedAndSurvivesResume) {
   // --resume over the degraded workdir carries the quarantine forward
   // without re-running anything, byte-identically.
   auto resume = supervised_options(dir_);
+  resume.resume = true;
+  const auto second = run_resumable(resume);
+  EXPECT_EQ(second.resumed_stages, second.stages.size());
+  EXPECT_EQ(second.quarantined, expected);
+  EXPECT_EQ(util::fsio::read_file(second.report_path), report);
+}
+
+TEST_F(RunSupervisorTest, QuarantinedSingleShardChannelSurvivesResume) {
+  // A sketched channel projects in one task that writes the channel's CSR
+  // itself. When that task is quarantined the parent writes an edgeless
+  // graph in its place, after the other channels committed theirs; the
+  // stage must still record its artifacts in spec order, or --resume would
+  // recompute it.
+  auto options = supervised_options(dir_);
+  options.config.projection_mode = graph::ProjectionMode::kSketched;
+  options.supervise.max_retries = 1;
+  options.supervise.process_faults.proc_crash_rate = 1.0;
+  options.supervise.process_faults.proc_target = "behavior.query.s0";
+  const auto summary = run_resumable(options);
+  const std::vector<std::string> expected{"behavior.query.s0"};
+  EXPECT_EQ(summary.quarantined, expected);
+  const auto report = util::fsio::read_file(summary.report_path);
+  EXPECT_NE(report.find("Degraded run"), std::string::npos);
+
+  auto resume = options;
   resume.resume = true;
   const auto second = run_resumable(resume);
   EXPECT_EQ(second.resumed_stages, second.stages.size());

@@ -13,8 +13,9 @@
 #      scalar and the widest rung (no timing gate at smoke scale)
 #   5. distributed label (multi-process supervisor: worker crash/hang/
 #      garbage recovery, quarantine, worker-count determinism), then the
-#      micro_run smoke: supervised reports at workers=1 and workers=4 with
-#      an injected crash must be byte-identical to the single-process run
+#      micro_run smoke: the report and manifest.run (every stage artifact's
+#      digest) at workers=1 and workers=4 with an injected crash must be
+#      byte-identical to the single-process run
 #   5b. observability label — which now includes the distributed supervisor
 #      suite, so the sidecar-merge parity and live-status tests run in the
 #      multi-worker configuration — then the micro_obs smoke: merged worker

@@ -1253,7 +1253,7 @@ int cmd_run(const util::ArgParser& args) {
     options.expire_deadline_after_artifact = *expire;
   }
 
-  // Supervision: --workers 0 (default) keeps the single-process path.
+  // Supervision: --workers 0 (default) runs every stage task in this process.
   options.supervise.workers = static_cast<std::size_t>(args.get_int_or("--workers", 0));
   options.supervise.max_retries =
       static_cast<std::size_t>(args.get_int_or("--max-retries", 2));
