@@ -41,7 +41,6 @@ inline core::PipelineConfig bench_pipeline_config() {
     config.embedding.line.total_samples = 4'000'000;
   }
   config.embedding_dimension = 32;
-  config.embedding.line.threads = 4;
   config.kfold = 10;
   // Similarity edges below 0.1 are incidental co-occurrence; dropping them
   // sparsifies the graphs ~5x and concentrates the LINE sampling budget.

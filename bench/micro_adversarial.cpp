@@ -49,7 +49,6 @@ core::PipelineConfig point_config(bool smoke, bool adversarial, double mimicry) 
   config.trace.malware_families = smoke ? 5 : 8;
   config.embedding_dimension = smoke ? 16 : 32;
   config.embedding.line.total_samples = smoke ? 300'000 : 2'000'000;
-  config.embedding.line.threads = 2;
   config.kfold = smoke ? 3 : 5;
   config.behavior.query_projection.min_similarity = 0.1;
   config.behavior.ip_projection.min_similarity = 0.1;

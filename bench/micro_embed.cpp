@@ -49,18 +49,6 @@ void BM_LineSamplesPerSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_LineSamplesPerSecond)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-void BM_LineMultithreaded(benchmark::State& state) {
-  const auto g = random_weighted(2000, 20000, 7);
-  embed::LineConfig config;
-  config.dimension = 32;
-  config.total_samples = 200000;
-  config.threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(embed::train_line(g, config));
-  }
-}
-BENCHMARK(BM_LineMultithreaded)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -171,7 +171,6 @@ double combined_auc(graph::ProjectionMode mode) {
   config.trace.malware_families = 6;
   config.embedding_dimension = 8;
   config.embedding.line.total_samples = 150'000;
-  config.embedding.line.threads = 1;
   config.kfold = 3;
   config.keep_flows = false;
   config.projection_mode = mode;

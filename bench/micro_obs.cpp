@@ -156,7 +156,6 @@ core::RunOptions mini_run_options(const std::string& workdir) {
   config.trace.max_victims = 8;
   config.embedding_dimension = 8;
   config.embedding.line.total_samples = 20'000;
-  config.embedding.line.threads = 1;
   config.kfold = 3;
   return options;
 }

@@ -37,7 +37,6 @@ core::RunOptions base_options(const std::string& workdir, bool smoke) {
   config.trace.max_victims = 8;
   config.embedding_dimension = 8;
   config.embedding.line.total_samples = smoke ? 50'000 : 200'000;
-  config.embedding.line.threads = 2;
   config.kfold = 3;
   config.xmeans.k_min = 4;
   config.xmeans.k_max = 16;

@@ -65,7 +65,6 @@ struct PipelineConfig {
     // Budget LINE by total samples, not per-edge: similarity graphs can
     // have millions of edges.
     embedding.line.total_samples = 6'000'000;
-    embedding.line.threads = 4;
     // Kernel fill / batch scoring parallelism (deterministic; see SvmConfig).
     svm.threads = 0;
     xmeans.k_min = 4;

@@ -372,6 +372,10 @@ class StageDriver {
             quarantined_.push_back(task);
           }
         }
+        // Once this run has rewritten the manifest, it must keep listing
+        // every stage, resumed ones included, or the next --resume loses
+        // them. A run that resumes every stage writes nothing.
+        if (manifest_written_) save_manifest_now();
         return;
       }
     }
@@ -391,7 +395,7 @@ class StageDriver {
       // recomputes only the stage that was in flight. Best-effort: if even
       // the manifest cannot be written, the original error wins.
       try {
-        save_manifest(options_.workdir, {config_hash(), quarantined_, completed_});
+        save_manifest_now();
       } catch (...) {
       }
       throw;
@@ -400,7 +404,7 @@ class StageDriver {
     pending_ = {};
     // Rewrite the manifest after every stage: a crash between stages loses
     // at most the stage in flight.
-    save_manifest(options_.workdir, {config_hash(), quarantined_, completed_});
+    save_manifest_now();
     summary.stages.push_back({spec.name, false, watch.seconds()});
     util::log_info() << "run: stage '" << spec.name << "' completed in " << watch.seconds()
                      << "s";
@@ -418,6 +422,11 @@ class StageDriver {
   const std::vector<std::string>& quarantined() const noexcept { return quarantined_; }
 
  private:
+  void save_manifest_now() {
+    save_manifest(options_.workdir, {config_hash(), quarantined_, completed_});
+    manifest_written_ = true;
+  }
+
   /// The stage's manifest record: its artifacts in spec order, whatever
   /// order the executor committed them in.
   std::vector<ManifestEntry> committed_in_spec_order(const StageSpec& spec) const {
@@ -470,6 +479,7 @@ class StageDriver {
   std::vector<std::string> quarantined_;  // sorted quarantined task names
   const StageSpec* spec_ = nullptr;       // the stage in flight
   StageWatchdog* watchdog_ = nullptr;     // its deadline
+  bool manifest_written_ = false;         // by this run
 };
 
 // ------------------------------------------------------------- executors

@@ -62,7 +62,6 @@ struct StreamingConfig {
     behavior.ip_projection.min_similarity = 0.1;
     behavior.temporal_projection.min_similarity = 0.1;
     embedding.line.total_samples = 1'500'000;
-    embedding.line.threads = 2;
     svm.c = 1.0;
     svm.gamma = 0.5;
   }

@@ -15,8 +15,7 @@ AliasTable::AliasTable(std::span<const double> weights) {
 
   const std::size_t n = weights.size();
   pmf_.resize(n);
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
+  buckets_.assign(n, Bucket{0.0, 0});
 
   // Scaled probabilities; buckets with mass < 1 are "small", >= 1 "large".
   std::vector<double> scaled(n);
@@ -31,8 +30,7 @@ AliasTable::AliasTable(std::span<const double> weights) {
     const std::size_t s = small.back();
     small.pop_back();
     const std::size_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    buckets_[s] = {scaled[s], l};
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     if (scaled[l] < 1.0) {
       large.pop_back();
@@ -40,13 +38,8 @@ AliasTable::AliasTable(std::span<const double> weights) {
     }
   }
   // Leftovers (numerical residue) get probability 1.
-  for (const std::size_t i : small) prob_[i] = 1.0;
-  for (const std::size_t i : large) prob_[i] = 1.0;
-}
-
-std::size_t AliasTable::sample(util::Rng& rng) const noexcept {
-  const std::size_t bucket = rng.uniform_index(prob_.size());
-  return rng.uniform() < prob_[bucket] ? bucket : alias_[bucket];
+  for (const std::size_t i : small) buckets_[i].prob = 1.0;
+  for (const std::size_t i : large) buckets_[i].prob = 1.0;
 }
 
 double AliasTable::probability(std::size_t i) const noexcept {

@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dnsembed::embed {
 
@@ -57,102 +56,122 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
 }
 
 /// Seed for SGD step `step`: a pure function of (base seed, step index), so
-/// the sample sequence is identical for every thread count and partition.
+/// a step's draws can be made ahead of its turn without changing them.
 constexpr std::uint64_t sample_seed(std::uint64_t base, std::uint64_t step) noexcept {
   return mix64(base ^ mix64(step + 0x9e3779b97f4a7c15ULL));
 }
 
-/// Everything run_sgd reads about the graph: the edge endpoints as
-/// struct-of-arrays (for a CSR arena these spans alias the mapped file —
-/// the sampler touches no deserialized copy) plus the samplers built over
-/// edge weights and noise degrees.
+/// One bucket of the edge sampler: the Walker coin of `embed/alias` plus the
+/// endpoints of both edges the bucket can return. An edge draw reads this
+/// one 32-byte entry — one cache line — instead of the alias table, edge_u
+/// and edge_v, which on a 700k-edge graph are three misses.
+struct alignas(32) EdgeBucket {
+  double prob;
+  std::uint32_t u, v;              // the bucket's own edge
+  std::uint32_t alias_u, alias_v;  // the edge taken when the coin fails
+};
+static_assert(sizeof(EdgeBucket) == 32);
+
+std::vector<EdgeBucket> pack_edge_sampler(const util::CsrGraph& g) {
+  const AliasTable alias{g.edge_w()};
+  const auto eu = g.edge_u();
+  const auto ev = g.edge_v();
+  std::vector<EdgeBucket> packed(alias.size());
+  for (std::size_t i = 0; i < packed.size(); ++i) {
+    const AliasTable::Bucket& b = alias.buckets()[i];
+    packed[i] = {b.prob, eu[i], ev[i], eu[b.alias], ev[b.alias]};
+  }
+  return packed;
+}
+
+/// Everything run_sgd reads about the graph: the packed edge sampler and
+/// the noise sampler over weighted degrees.
 struct TrainContext {
-  std::span<const std::uint32_t> edge_u;
-  std::span<const std::uint32_t> edge_v;
+  std::vector<EdgeBucket> edges;
+  AliasTable noise_sampler;
   std::size_t vertex_count = 0;
   const LineConfig& config;
-  AliasTable edge_sampler;
-  AliasTable noise_sampler;
   std::size_t steps = 0;
 };
 
-/// Pending updates routed to one destination shard by one logical lane:
-/// keys[i] = (vertex << 1) | is_context, deltas holds dim floats per key in
-/// the order the steps emitted them.
-struct DeltaShard {
-  std::vector<std::uint32_t> keys;
-  std::vector<float> deltas;
+/// Steps between drawing a step's edge bucket and training on it: enough
+/// for the prefetch of a bucket entry to land before its step runs.
+constexpr std::size_t kDrawAhead = 8;
 
-  void clear() noexcept {
-    keys.clear();
-    deltas.clear();
-  }
+/// A step's generator just after its first draw (the edge bucket).
+struct PendingDraw {
+  util::Rng rng;
+  std::size_t bucket = 0;
 };
 
 /// One SGD objective pass (first- or second-order) writing `dim`-wide rows
 /// into `vertex` (and using `context` when second_order).
 ///
-/// Deterministically parallel: steps run in fixed-size batches. Within a
-/// batch every step draws from its own counter-based Rng (sample_seed), reads
-/// the embedding state frozen at the last barrier, and emits its updates as
-/// delta entries routed to destination shards (shard = vertex % lanes). At
-/// the barrier, shard s is applied by walking lanes in order and each lane's
-/// entries in emission order — i.e. ascending global step order per
-/// destination row. Every float add therefore lands in the same order no
-/// matter how many OS threads ran the batch, how the batch was partitioned,
-/// or how many shards exist: the result is bit-identical for any
-/// config.threads, which is what lets run --resume train LINE multi-threaded
-/// and still byte-match an uninterrupted run.
-void run_sgd(TrainContext& ctx, std::vector<float>& vertex, std::vector<float>& context,
-             std::size_t dim, bool second_order) {
+/// Batch-synchronous: steps run in batches, and every step of a batch reads
+/// the embedding as of the last barrier. A step emits its updates into the
+/// batch's delta arena — key (vertex << 1) | is_context plus `dim` floats —
+/// and the barrier applies the arena in emission order. Each step draws from
+/// its own counter-based Rng (sample_seed), so step s + kDrawAhead's
+/// generator is seeded, and its bucket drawn and prefetched, while step s
+/// trains; every generator still makes the same draws in the same order.
+void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
+             std::vector<float>& context, std::size_t dim, bool second_order) {
   const auto& config = ctx.config;
+  const auto& edges = ctx.edges;
+  const auto& noise = ctx.noise_sampler;
+  const auto& sig = sigmoid();
   const std::size_t total = ctx.steps;
   const double lr_floor = config.initial_lr * config.min_lr_fraction;
   const std::uint64_t base_seed =
       config.seed ^ (second_order ? 0xA5A5A5A5ULL : 0x5A5A5A5AULL);
+  const std::uint32_t target_tag = second_order ? 1u : 0u;
 
-  // One relaxed add per SGD sample: an LINE step does O(dim * negatives)
-  // flops, so the sharded counter disappears into it; disabled runs pay a
-  // predicted branch.
+  // Published once per batch (hot-loop counters count into locals).
   static obs::Counter& samples_counter = obs::metrics().counter("embed.line.samples");
 
-  // Logical lanes come from the config knob, not the pool size: a 4-lane run
-  // on a 1-core box exercises the same buffers, shard routing, and apply
-  // order as on a 4-core box, so determinism tests are never vacuous. 0
-  // means one lane per hardware thread (output is identical either way).
-  const std::size_t lanes =
-      config.threads != 0 ? config.threads : util::resolve_threads(0);
   // Updates within a batch read the last barrier's state, so per-row
   // staleness is roughly batch_size * (negatives + 2) / vertex_count
   // accumulated stale steps. Tying the batch to the vertex count keeps that
   // ratio constant: small dense test graphs take many cheap barriers while
   // big graphs amortize barriers over 4096-step batches.
   const std::size_t batch_size =
-      std::clamp<std::size_t>(ctx.vertex_count / 4, 64, 4096);
+      std::min(total, std::clamp<std::size_t>(ctx.vertex_count / 4, 64, 4096));
 
-  std::vector<std::vector<DeltaShard>> buffers(lanes, std::vector<DeltaShard>(lanes));
-  std::vector<std::vector<float>> grads(lanes, std::vector<float>(dim));
+  // A step emits at most one delta per target plus one for its source.
+  const std::size_t slots = batch_size * (config.negatives + 2);
+  std::vector<std::uint32_t> keys(slots);
+  std::vector<float> deltas(slots * dim);
+  std::vector<float> grad_buffer(dim);
+  float* const grad = grad_buffer.data();
+  const float* const tgt_base = second_order ? context.data() : vertex.data();
 
-  const auto compute_lane = [&](std::size_t lane, std::size_t b0, std::size_t b1) {
-    const std::size_t n = b1 - b0;
-    const std::size_t chunk = (n + lanes - 1) / lanes;
-    const std::size_t lo = b0 + lane * chunk;
-    const std::size_t hi = std::min(b1, lo + chunk);
-    if (lo >= hi) return;
-    auto& shards = buffers[lane];
-    float* const grad = grads[lane].data();
-    const float* const tgt_base = second_order ? context.data() : vertex.data();
-    for (std::size_t step = lo; step < hi; ++step) {
-      samples_counter.add(1);
-      util::Rng rng{sample_seed(base_seed, step)};
+  PendingDraw ring[kDrawAhead];
+  const auto draw_ahead = [&](std::size_t step) {
+    PendingDraw& d = ring[step % kDrawAhead];
+    d.rng.reseed(sample_seed(base_seed, step));
+    d.bucket = d.rng.uniform_index(edges.size());
+    __builtin_prefetch(&edges[d.bucket]);
+  };
+  for (std::size_t step = 0; step < std::min(total, kDrawAhead); ++step) draw_ahead(step);
+
+  OBS_SPAN(second_order ? "embed.line.worker.order2" : "embed.line.worker.order1");
+  for (std::size_t b0 = 0; b0 < total; b0 += batch_size) {
+    const std::size_t b1 = std::min(total, b0 + batch_size);
+    std::size_t used = 0;
+    for (std::size_t step = b0; step < b1; ++step) {
+      util::Rng rng = ring[step % kDrawAhead].rng;
+      const EdgeBucket& e = edges[ring[step % kDrawAhead].bucket];
+      if (step + kDrawAhead < total) draw_ahead(step + kDrawAhead);
       const double progress = static_cast<double>(step) / static_cast<double>(total);
       const double lr = std::max(lr_floor, config.initial_lr * (1.0 - progress));
 
-      const std::size_t ei = ctx.edge_sampler.sample(rng);
+      const bool own = rng.uniform() < e.prob;
       // Random orientation: the graph is undirected, LINE's updates are not.
       const bool flip = rng.bernoulli(0.5);
-      const graph::VertexId src = flip ? ctx.edge_v[ei] : ctx.edge_u[ei];
-      const graph::VertexId dst = flip ? ctx.edge_u[ei] : ctx.edge_v[ei];
+      const graph::VertexId u = own ? e.u : e.alias_u;
+      const graph::VertexId v = own ? e.v : e.alias_v;
+      const graph::VertexId src = flip ? v : u;
+      const graph::VertexId dst = flip ? u : v;
 
       const float* const src_vec = vertex.data() + static_cast<std::size_t>(src) * dim;
       std::fill_n(grad, dim, 0.0f);
@@ -164,66 +183,34 @@ void run_sgd(TrainContext& ctx, std::vector<float>& vertex, std::vector<float>& 
           target = dst;
           label = 1.0;
         } else {
-          target = static_cast<graph::VertexId>(ctx.noise_sampler.sample(rng));
+          target = static_cast<graph::VertexId>(noise.sample(rng));
           if (target == dst || target == src) continue;
         }
         const float* const tgt_vec = tgt_base + static_cast<std::size_t>(target) * dim;
         const double dot = util::simd::dot(src_vec, tgt_vec, dim);
-        const auto coeff = static_cast<float>((label - sigmoid()(dot)) * lr);
+        const auto coeff = static_cast<float>((label - sig(dot)) * lr);
         util::simd::axpy(coeff, tgt_vec, grad, dim);
-        DeltaShard& ds = shards[target % lanes];
-        ds.keys.push_back((static_cast<std::uint32_t>(target) << 1) |
-                          (second_order ? 1u : 0u));
-        ds.deltas.resize(ds.deltas.size() + dim);
-        util::simd::scale(coeff, src_vec, ds.deltas.data() + ds.deltas.size() - dim, dim);
+        keys[used] = (static_cast<std::uint32_t>(target) << 1) | target_tag;
+        util::simd::scale(coeff, src_vec, deltas.data() + used * dim, dim);
+        ++used;
       }
-      DeltaShard& ds = shards[src % lanes];
-      ds.keys.push_back(static_cast<std::uint32_t>(src) << 1);
-      ds.deltas.insert(ds.deltas.end(), grad, grad + dim);
+      keys[used] = static_cast<std::uint32_t>(src) << 1;
+      std::copy_n(grad, dim, deltas.data() + used * dim);
+      ++used;
     }
-  };
+    samples_counter.add(b1 - b0);
 
-  const auto apply_shard = [&](std::size_t shard) {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      DeltaShard& ds = buffers[lane][shard];
-      for (std::size_t i = 0; i < ds.keys.size(); ++i) {
-        const std::uint32_t key = ds.keys[i];
-        float* const dst = ((key & 1u) ? context.data() : vertex.data()) +
-                           static_cast<std::size_t>(key >> 1) * dim;
-        util::simd::axpy(1.0f, ds.deltas.data() + i * dim, dst, dim);
-      }
-      ds.clear();
+    // Barrier: apply the batch's deltas in emission order.
+    for (std::size_t i = 0; i < used; ++i) {
+      float* const row = ((keys[i] & 1u) ? context.data() : vertex.data()) +
+                         static_cast<std::size_t>(keys[i] >> 1) * dim;
+      util::simd::axpy(1.0f, deltas.data() + i * dim, row, dim);
     }
-  };
-
-  const char* const span_name =
-      second_order ? "embed.line.worker.order2" : "embed.line.worker.order1";
-
-  if (lanes == 1) {
-    OBS_SPAN(span_name);
-    for (std::size_t b0 = 0; b0 < total; b0 += batch_size) {
-      compute_lane(0, b0, std::min(total, b0 + batch_size));
-      apply_shard(0);
-    }
-    return;
-  }
-
-  util::ThreadPool pool{config.threads};  // OS workers capped at hardware
-  for (std::size_t b0 = 0; b0 < total; b0 += batch_size) {
-    const std::size_t b1 = std::min(total, b0 + batch_size);
-    pool.parallel_for(0, lanes, [&](std::size_t wlo, std::size_t whi, std::size_t) {
-      OBS_SPAN(span_name);
-      for (std::size_t lane = wlo; lane < whi; ++lane) compute_lane(lane, b0, b1);
-    });
-    // Barrier: parallel_for joined, every lane's deltas are complete.
-    pool.parallel_for(0, lanes, [&](std::size_t slo, std::size_t shi, std::size_t) {
-      for (std::size_t shard = slo; shard < shi; ++shard) apply_shard(shard);
-    });
   }
 }
 
 /// Train one objective and return the raw (unnormalized) embedding block.
-std::vector<float> train_order(TrainContext& ctx, std::size_t dim, bool second_order) {
+std::vector<float> train_order(const TrainContext& ctx, std::size_t dim, bool second_order) {
   const std::size_t n = ctx.vertex_count;
   std::vector<float> vertex(n * dim);
   std::vector<float> context;
@@ -284,8 +271,7 @@ EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config) {
     noise[v] = std::pow(g.weighted_degree(static_cast<std::uint32_t>(v)),
                         config.noise_power);
   }
-  TrainContext ctx{g.edge_u(),           g.edge_v(),        g.vertex_count(), config,
-                   AliasTable{g.edge_w()}, AliasTable{noise}, 0};
+  TrainContext ctx{pack_edge_sampler(g), AliasTable{noise}, g.vertex_count(), config, 0};
   ctx.steps = config.total_samples != 0 ? config.total_samples
                                         : config.samples_per_edge * g.edge_count();
   ctx.steps = std::max<std::size_t>(ctx.steps, 1);

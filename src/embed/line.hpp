@@ -46,13 +46,6 @@ struct LineConfig {
   /// vertex degrees (0.75 from word2vec/LINE).
   double noise_power = 0.75;
 
-  /// Logical SGD lanes (deterministic batch-synchronous parallelism). The
-  /// trained embedding is bit-identical for every value: samples draw from
-  /// counter-based per-step seeds and batched updates are applied at
-  /// barriers in global step order per destination row, so this knob only
-  /// changes throughput. OS workers are capped at the hardware thread count.
-  std::size_t threads = 1;
-
   std::uint64_t seed = 1;
 
   /// L2-normalize rows after training (LINE normalizes embeddings before
@@ -69,10 +62,10 @@ struct LineConfig {
 EmbeddingMatrix train_line(const graph::WeightedGraph& g, const LineConfig& config);
 
 /// Train LINE directly on a CSR arena graph — the zero-copy pipeline path:
-/// the edge sampler indexes the contiguous edge struct-of-arrays straight
-/// out of the mapped artifact, and the noise distribution reads the
-/// precomputed weighted-degree section, so no per-vertex allocations or
-/// re-parse happen between artifact load and the first SGD step.
+/// the edge sampler is built straight from the mapped edge sections, and
+/// the noise distribution reads the precomputed weighted-degree section, so
+/// no per-vertex allocations or re-parse happen between artifact load and
+/// the first SGD step.
 EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config);
 
 }  // namespace dnsembed::embed

@@ -1,8 +1,33 @@
 #include "util/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace dnsembed::util {
+
+namespace {
+
+/// CPUs in the calling thread's affinity mask; hardware_concurrency() when
+/// the mask cannot be read.
+std::size_t usable_cpus() noexcept {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+}  // namespace
+
+std::size_t resolve_threads(std::size_t requested) noexcept {
+  const std::size_t cpus = usable_cpus();
+  if (requested == 0) return cpus;
+  return std::min(requested, cpus);
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   threads = resolve_threads(threads);

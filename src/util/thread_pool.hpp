@@ -1,7 +1,7 @@
-// Fixed-size thread pool with a parallel_for helper, used by the LINE
-// trainer (per-worker RNG streams), the sharded one-mode projection engine
-// (graph/projection.cpp), and the SVM kernel-fill / batch-scoring paths
-// (ml/svm.cpp) to spread work across cores.
+// Fixed-size thread pool with a parallel_for helper, used by the sharded
+// one-mode projection engine (graph/projection.cpp, graph/sketch.cpp) and
+// the SVM kernel-fill / batch-scoring paths (ml/svm.cpp) to spread work
+// across cores.
 //
 // Determinism contract: parallel_for splits [begin, end) into at most
 // size() contiguous chunks and calls fn(chunk_begin, chunk_end, chunk_index).
@@ -24,22 +24,18 @@
 
 namespace dnsembed::util {
 
-/// Resolve a user-facing thread-count knob: 0 = one per hardware thread
-/// (at least 1); explicit requests are capped at the hardware thread count.
-/// Oversubscribing a CPU-bound pool only adds context-switch overhead —
-/// BENCH_projection.json measured T=8 running 2x slower than T=1 on a
-/// single-core container before the cap.
-inline std::size_t resolve_threads(std::size_t requested) noexcept {
-  const unsigned hw_raw = std::thread::hardware_concurrency();
-  const std::size_t hw = hw_raw == 0 ? 1 : hw_raw;
-  if (requested == 0) return hw;
-  return std::min(requested, hw);
-}
+/// Resolve a user-facing thread-count knob: 0 = one per CPU the calling
+/// thread may run on (its affinity mask, so taskset and cpusets count; at
+/// least 1); explicit requests are capped at that count. Oversubscribing a
+/// CPU-bound pool only adds context-switch overhead — BENCH_projection.json
+/// measured T=8 running 2x slower than T=1 on a single-core container
+/// before the cap.
+std::size_t resolve_threads(std::size_t requested) noexcept;
 
 class ThreadPool {
  public:
-  /// Worker count goes through resolve_threads(): 0 means one per hardware
-  /// thread, explicit values are capped at the hardware thread count.
+  /// Worker count goes through resolve_threads(): 0 means one per usable
+  /// CPU, explicit values are capped at that count.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

@@ -256,7 +256,6 @@ TEST(ArtifactFuzz, StreamingCheckpoint) {
   core::StreamingConfig config;
   config.window_days = 2;
   config.embedding.line.total_samples = 50'000;
-  config.embedding.line.threads = 1;
   core::StreamingDetector detector{config, result.truth, vt};
   detector.advance_day(sink.dns());
 

@@ -105,7 +105,7 @@ def main():
         if not (run["ts"] <= child["ts"] and child["ts"] + child["dur"] <= run_end + 0.001):
             fail(f"span '{name}' not nested inside pipeline.run")
 
-    # LINE worker spans run on pool threads -> distinct tids in the trace.
+    # LINE records one worker span per objective pass.
     worker_tids = {e["tid"] for e in events if e["name"].startswith("embed.line.worker")}
     if not worker_tids:
         fail("no LINE worker spans recorded")

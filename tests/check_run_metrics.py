@@ -5,10 +5,12 @@ Usage: check_run_metrics.py DNSEMBED
 
 Pins the part of the `dnsembed run` interface that outside readers take
 layer timings from. A run with --metrics-out must record one histogram per
-run stage plus the SVM span, each observed at least once, and count LINE
-samples and projected pairs. A renamed span would otherwise read as zero
+run stage plus the SVM span, each observed at least once, count projected
+pairs, and count exactly one LINE sample per SGD step: three channels times
+two objectives times --samples. A renamed span would otherwise read as zero
 seconds without failing anything. A following `run --resume` over the same
-workdir must report all five stages resumed.
+workdir must report all five stages resumed. --line-threads stays in the
+options to show the ignored flag is still accepted.
 """
 import json
 import subprocess
@@ -17,13 +19,16 @@ import tempfile
 from pathlib import Path
 
 # The cli_crash_recovery sizes.
+SAMPLES = 100000
 OPTIONS = ["--hosts", "40", "--days", "2", "--sites", "150", "--families", "4",
-           "--samples", "100000", "--kfold", "3", "--line-threads", "4",
+           "--samples", str(SAMPLES), "--kfold", "3", "--line-threads", "4",
            "--log-level", "warn"]
 HISTOGRAMS = [f"run.{stage}.seconds"
               for stage in ("pipeline", "trace", "behavior", "embed", "labels", "report")]
 HISTOGRAMS.append("pipeline.svm.seconds")
-COUNTERS = ["embed.line.samples", "graph.projection.pairs"]
+COUNTERS = ["graph.projection.pairs"]
+# Three similarity channels, each trained for both LINE objectives.
+LINE_SAMPLES = 3 * 2 * SAMPLES
 
 
 def fail(message):
@@ -48,13 +53,16 @@ def main():
             value = metrics.get("counters", {}).get(name, 0)
             if value <= 0:
                 fail(f"counter '{name}' missing or zero ({value})")
+        line_samples = metrics.get("counters", {}).get("embed.line.samples", 0)
+        if line_samples != LINE_SAMPLES:
+            fail(f"counter 'embed.line.samples' is {line_samples}, expected {LINE_SAMPLES}")
 
         resumed = subprocess.run([cli, "run", "--workdir", str(workdir), "--resume",
                                   *OPTIONS],
                                  check=True, capture_output=True, text=True)
         if "5/5 stages resumed" not in resumed.stdout:
             fail(f"`run --resume` did not resume every stage:\n{resumed.stdout}")
-    print(f"ok: {len(HISTOGRAMS)} histograms, {len(COUNTERS)} counters, resume 5/5")
+    print(f"ok: {len(HISTOGRAMS)} histograms, {len(COUNTERS) + 1} counters, resume 5/5")
 
 
 if __name__ == "__main__":

@@ -133,7 +133,6 @@ class SmallPipeline : public ::testing::Test {
     cfg.trace.spam_domains_per_family = 20;
     cfg.embedding_dimension = 16;
     cfg.embedding.line.total_samples = 800'000;
-    cfg.embedding.line.threads = 2;
     cfg.kfold = 5;
     cfg.svm.c = 1.0;       // small data: the paper's tiny C underfits here
     cfg.svm.gamma = 0.5;

@@ -286,12 +286,13 @@ TEST(Line, RejectsBadConfig) {
   EXPECT_THROW(train_line(g, config), std::invalid_argument);
 }
 
+// The name predates single-lane LINE; the case checks separation at the
+// default seed.
 TEST(Line, MultithreadedTrainingStillSeparates) {
   const auto g = two_communities(8);
   LineConfig config;
   config.dimension = 16;
   config.samples_per_edge = 400;
-  config.threads = 4;
   const auto m = train_line(g, config);
   const auto sep = community_separation(m, 8);
   EXPECT_GT(sep.intra, sep.inter + 0.3);

@@ -1,18 +1,28 @@
-// Deterministic-parallel LINE: the trained embedding must be bit-identical
-// for every thread/lane count. Sample draws come from counter-based
-// per-step seeds and batched updates are applied at barriers in global step
-// order per destination row, so config.threads may only change throughput —
-// never a single output bit. Labeled "simd;concurrency" so the TSan preset
-// exercises the batch-barrier machinery for races.
+// LINE against a plain reference trainer. The shipped trainer runs one
+// batch-synchronous lane with a preallocated delta arena, a packed edge
+// sampler and each step's edge bucket drawn several steps ahead; the
+// reference below is the same algorithm written plainly — every draw made
+// when its step runs, through AliasTable::sample, and push_back'd deltas
+// applied at each barrier. The two must agree bit for bit across orders,
+// dimensions that reach every SIMD remainder path, sample budgets around
+// the draw-ahead distance and the batch edges, and a graph with an isolated
+// vertex. Labeled "simd" so the scalar-forced pass reruns it on that rung.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "embed/alias.hpp"
 #include "embed/embedding.hpp"
 #include "embed/line.hpp"
 #include "graph/weighted_graph.hpp"
+#include "util/csr.hpp"
+#include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace dnsembed::embed {
 namespace {
@@ -41,6 +51,152 @@ graph::WeightedGraph community_graph(std::size_t communities, std::size_t size_e
   return g;
 }
 
+util::CsrGraph to_csr(const graph::WeightedGraph& g) {
+  std::vector<std::uint32_t> eu;
+  std::vector<std::uint32_t> ev;
+  std::vector<double> ew;
+  for (const auto& e : g.edges()) {
+    eu.push_back(e.u);
+    ev.push_back(e.v);
+    ew.push_back(e.weight);
+  }
+  return util::CsrGraph::build(g.vertex_count(), eu, ev, ew, g.names().names());
+}
+
+// ------------------------------------------------------------- reference
+
+class Sigmoid {
+ public:
+  Sigmoid() {
+    for (std::size_t i = 0; i < kSize; ++i) {
+      const double x = (static_cast<double>(i) / (kSize - 1) * 2.0 - 1.0) * kBound;
+      table_[i] = 1.0 / (1.0 + std::exp(-x));
+    }
+  }
+  double operator()(double x) const {
+    if (x >= kBound) return 1.0;
+    if (x <= -kBound) return 0.0;
+    return table_[static_cast<std::size_t>((x + kBound) / (2.0 * kBound) * (kSize - 1) + 0.5)];
+  }
+
+ private:
+  static constexpr std::size_t kSize = 2048;
+  static constexpr double kBound = 6.0;
+  double table_[kSize];
+};
+
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+std::uint64_t sample_seed(std::uint64_t base, std::uint64_t step) {
+  return mix64(base ^ mix64(step + 0x9e3779b97f4a7c15ULL));
+}
+
+std::vector<float> reference_order(const util::CsrGraph& g, const LineConfig& config,
+                                   const AliasTable& edge_sampler,
+                                   const AliasTable& noise_sampler, std::size_t steps,
+                                   std::size_t dim, bool second_order) {
+  static const Sigmoid sigmoid;
+  const std::size_t n = g.vertex_count();
+  std::vector<float> vertex(n * dim);
+  std::vector<float> context;
+  util::Rng init{config.seed * 7919 + (second_order ? 1 : 0)};
+  for (auto& x : vertex) {
+    x = static_cast<float>((init.uniform() - 0.5) / static_cast<double>(dim));
+  }
+  if (second_order) context.assign(n * dim, 0.0f);
+
+  const double lr_floor = config.initial_lr * config.min_lr_fraction;
+  const std::uint64_t base_seed =
+      config.seed ^ (second_order ? 0xA5A5A5A5ULL : 0x5A5A5A5AULL);
+  const std::size_t batch = std::clamp<std::size_t>(n / 4, 64, 4096);
+  const float* const tgt_base = second_order ? context.data() : vertex.data();
+  std::vector<std::uint32_t> keys;
+  std::vector<float> deltas;
+  std::vector<float> grad(dim);
+
+  for (std::size_t b0 = 0; b0 < steps; b0 += batch) {
+    for (std::size_t step = b0; step < std::min(steps, b0 + batch); ++step) {
+      util::Rng rng{sample_seed(base_seed, step)};
+      const double progress = static_cast<double>(step) / static_cast<double>(steps);
+      const double lr = std::max(lr_floor, config.initial_lr * (1.0 - progress));
+      const std::size_t edge = edge_sampler.sample(rng);
+      const bool flip = rng.bernoulli(0.5);
+      const std::uint32_t src = flip ? g.edge_v()[edge] : g.edge_u()[edge];
+      const std::uint32_t dst = flip ? g.edge_u()[edge] : g.edge_v()[edge];
+      const float* const src_vec = vertex.data() + std::size_t{src} * dim;
+      std::fill(grad.begin(), grad.end(), 0.0f);
+      for (std::size_t k = 0; k <= config.negatives; ++k) {
+        std::uint32_t target = dst;
+        const double label = k == 0 ? 1.0 : 0.0;
+        if (k > 0) {
+          target = static_cast<std::uint32_t>(noise_sampler.sample(rng));
+          if (target == dst || target == src) continue;
+        }
+        const float* const tgt_vec = tgt_base + std::size_t{target} * dim;
+        const double dot = util::simd::dot(src_vec, tgt_vec, dim);
+        const auto coeff = static_cast<float>((label - sigmoid(dot)) * lr);
+        util::simd::axpy(coeff, tgt_vec, grad.data(), dim);
+        keys.push_back((target << 1) | (second_order ? 1u : 0u));
+        deltas.resize(deltas.size() + dim);
+        util::simd::scale(coeff, src_vec, deltas.data() + deltas.size() - dim, dim);
+      }
+      keys.push_back(src << 1);
+      deltas.insert(deltas.end(), grad.begin(), grad.end());
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      float* const row = ((keys[i] & 1u) ? context.data() : vertex.data()) +
+                         std::size_t{keys[i] >> 1} * dim;
+      util::simd::axpy(1.0f, deltas.data() + i * dim, row, dim);
+    }
+    keys.clear();
+    deltas.clear();
+  }
+  return vertex;
+}
+
+EmbeddingMatrix reference_line(const util::CsrGraph& g, const LineConfig& config) {
+  EmbeddingMatrix out{g.names_copy(), config.dimension};
+  if (g.edge_count() == 0) return out;
+  std::vector<double> noise(g.vertex_count());
+  for (std::size_t v = 0; v < g.vertex_count(); ++v) {
+    noise[v] = std::pow(g.weighted_degree(static_cast<std::uint32_t>(v)), config.noise_power);
+  }
+  const AliasTable edge_sampler{g.edge_w()};
+  const AliasTable noise_sampler{noise};
+  const std::size_t steps = std::max<std::size_t>(
+      1, config.total_samples != 0 ? config.total_samples
+                                   : config.samples_per_edge * g.edge_count());
+
+  const auto train = [&](std::size_t dim, bool second_order, std::size_t offset) {
+    const auto block =
+        reference_order(g, config, edge_sampler, noise_sampler, steps, dim, second_order);
+    for (std::size_t v = 0; v < g.vertex_count(); ++v) {
+      if (g.degree(static_cast<std::uint32_t>(v)) == 0) continue;
+      std::copy_n(block.data() + v * dim, dim, out.row(v).data() + offset);
+    }
+  };
+  if (config.order == LineOrder::kFirst) {
+    train(config.dimension, false, 0);
+  } else if (config.order == LineOrder::kSecond) {
+    train(config.dimension, true, 0);
+  } else {
+    const std::size_t first = config.dimension / 2;
+    train(first, false, 0);
+    train(config.dimension - first, true, first);
+  }
+  if (config.normalize_output) out.l2_normalize();
+  return out;
+}
+
+// ----------------------------------------------------------------- tests
+
 /// Bitwise embedding comparison: float-exact, no tolerance.
 void expect_bit_identical(const EmbeddingMatrix& a, const EmbeddingMatrix& b,
                           const std::string& what) {
@@ -54,60 +210,56 @@ void expect_bit_identical(const EmbeddingMatrix& a, const EmbeddingMatrix& b,
   }
 }
 
-TEST(LineDeterminism, BitIdenticalAcrossThreadCounts) {
-  const auto g = community_graph(3, 8);
-  LineConfig config;
-  config.dimension = 16;
-  config.samples_per_edge = 120;
-  config.seed = 1234;
+const char* order_name(LineOrder order) {
+  switch (order) {
+    case LineOrder::kFirst: return "first";
+    case LineOrder::kSecond: return "second";
+    case LineOrder::kBoth: return "both";
+  }
+  return "?";
+}
 
-  config.threads = 1;
-  const auto base = train_line(g, config);
-  for (const std::size_t threads : {2u, 4u}) {
-    config.threads = threads;
-    const auto m = train_line(g, config);
-    expect_bit_identical(base, m, "threads=" + std::to_string(threads));
+void expect_matches_reference(const util::CsrGraph& g, const std::string& graph_name) {
+  // 24 and 25 vertices: batches of 64 steps.
+  constexpr std::size_t kBatch = 64;
+  for (const LineOrder order : {LineOrder::kFirst, LineOrder::kSecond, LineOrder::kBoth}) {
+    for (const std::size_t dim : {8u, 12u, 13u, 128u}) {
+      for (const std::size_t samples :
+           {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9}, kBatch - 1,
+            kBatch, kBatch + 1, 20 * kBatch + 3}) {
+        LineConfig config;
+        config.dimension = dim;
+        config.order = order;
+        config.total_samples = samples;
+        config.seed = 1234 + samples;
+        const std::string what = graph_name + " order=" + order_name(order) +
+                                 " dim=" + std::to_string(dim) +
+                                 " samples=" + std::to_string(samples);
+        expect_bit_identical(reference_line(g, config), train_line(g, config), what);
+      }
+    }
   }
 }
 
-TEST(LineDeterminism, HoldsForEverySingleOrder) {
-  const auto g = community_graph(2, 6);
-  for (const LineOrder order : {LineOrder::kFirst, LineOrder::kSecond}) {
-    LineConfig config;
-    config.dimension = 8;
-    config.order = order;
-    config.samples_per_edge = 100;
-    config.seed = 77;
-
-    config.threads = 1;
-    const auto base = train_line(g, config);
-    config.threads = 4;
-    const auto m = train_line(g, config);
-    expect_bit_identical(base, m, "order=" + std::to_string(static_cast<int>(order)));
-  }
+TEST(LineDeterminism, MatchesReferenceTrainer) {
+  expect_matches_reference(to_csr(community_graph(3, 8)), "communities");
 }
 
-TEST(LineDeterminism, ZeroThreadsMeansAutoAndStaysBitIdentical) {
-  const auto g = community_graph(2, 6);
-  LineConfig config;
-  config.dimension = 8;
-  config.samples_per_edge = 80;
-  config.seed = 5;
-
-  config.threads = 1;
-  const auto base = train_line(g, config);
-  config.threads = 0;  // one lane per hardware thread
-  const auto m = train_line(g, config);
-  expect_bit_identical(base, m, "threads=0");
+TEST(LineDeterminism, MatchesReferenceTrainerWithIsolatedVertex) {
+  auto g = community_graph(3, 8);
+  g.add_vertex("isolated");
+  const auto csr = to_csr(g);
+  ASSERT_EQ(csr.degree(static_cast<std::uint32_t>(csr.vertex_count() - 1)), 0u);
+  expect_matches_reference(csr, "isolated");
 }
 
+// The name predates single-lane LINE; the case checks plain repeatability.
 TEST(LineDeterminism, RepeatedMultithreadedRunsAgree) {
   const auto g = community_graph(3, 8);
   LineConfig config;
   config.dimension = 16;
   config.samples_per_edge = 120;
   config.seed = 9;
-  config.threads = 4;
   const auto a = train_line(g, config);
   const auto b = train_line(g, config);
   expect_bit_identical(a, b, "repeat");
@@ -118,7 +270,6 @@ TEST(LineDeterminism, SeedStillChangesTheEmbedding) {
   LineConfig config;
   config.dimension = 8;
   config.samples_per_edge = 80;
-  config.threads = 4;
   config.seed = 1;
   const auto a = train_line(g, config);
   config.seed = 2;

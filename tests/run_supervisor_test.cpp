@@ -41,7 +41,6 @@ RunOptions small_options(const std::string& workdir) {
   config.trace.max_victims = 8;
   config.embedding_dimension = 8;
   config.embedding.line.total_samples = 50'000;
-  config.embedding.line.threads = 2;
   config.kfold = 3;
   config.xmeans.k_min = 4;
   config.xmeans.k_max = 16;

@@ -40,9 +40,6 @@ StreamingConfig detector_config() {
   config.window_days = 2;
   config.label_delay_days = 2;
   config.embedding.line.total_samples = 300'000;
-  // Multi-lane on purpose: bit-identical resume must hold while LINE trains
-  // in parallel (deterministic batch-synchronous SGD).
-  config.embedding.line.threads = 4;
   return config;
 }
 

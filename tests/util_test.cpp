@@ -1,6 +1,7 @@
 // Unit tests for the util module: RNG determinism and distributions, Zipf
 // sampling, string helpers, CSV round-trips, stats, interner, thread pool.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cmath>
@@ -270,6 +271,22 @@ TEST(Interner, AssignsDenseStableIds) {
   EXPECT_EQ(interner.find("b.com"), b);
   EXPECT_FALSE(interner.find("c.com").has_value());
   EXPECT_THROW(interner.name(99), std::out_of_range);
+}
+
+TEST(ThreadPool, ResolveThreadsFollowsTheAffinityMask) {
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE - 1 && !CPU_ISSET(cpu, &original)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t automatic = resolve_threads(0);
+  const std::size_t capped = resolve_threads(8);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(automatic, 1u);
+  EXPECT_EQ(capped, 1u);
 }
 
 TEST(ThreadPool, RunsAllSubmittedTasks) {

@@ -2,7 +2,7 @@
 # One-shot local CI: the checks a change must pass before it lands.
 #
 #   1. tier-1: default preset build + full ctest suite
-#   2. simd label (kernel parity fuzz + LINE determinism) on the native
+#   2. simd label (kernel parity fuzz + LINE vs its reference trainer) on the native
 #      dispatch rung, then the full tier-1 suite again with
 #      DNSEMBED_FORCE_SCALAR=1 so the scalar fallback stays correct
 #   3. projection label (exact sharded engine, sketched backend, CSR
@@ -10,7 +10,9 @@
 #      the sketched path must emit a non-trivial similarity graph end to
 #      end at smoke scale (no timing gate)
 #   4. micro_line smoke: dispatch must train finite embeddings on both the
-#      scalar and the widest rung (no timing gate at smoke scale)
+#      scalar and the widest rung, the dense ~700k-edge row included, so the
+#      packed edge sampler runs on a table larger than L2 (no timing gate at
+#      smoke scale)
 #   5. distributed label (multi-process supervisor: worker crash/hang/
 #      garbage recovery, quarantine, worker-count determinism), then the
 #      micro_run smoke: the report and manifest.run (every stage artifact's
@@ -39,8 +41,8 @@
 #      distributed-label pass under ASan so the fork/waitpid/heartbeat
 #      paths run sanitized, and one serving-label pass under ASan so the
 #      daemon's stdin parsing into stack buffers runs sanitized
-#   7. concurrency label (parallel projection, deterministic LINE barriers,
-#      sharded metrics) under ThreadSanitizer
+#   7. concurrency label (parallel projection, SVM kernel fill, sharded
+#      metrics, loader fuzzers, serve engine) under ThreadSanitizer
 #
 # Usage: tools/ci_check.sh [--skip-sanitizers]
 # Runs from any directory; build trees land in <repo>/build[-asan|-tsan].
@@ -62,7 +64,7 @@ cmake --build --preset default -j "$jobs"
 step "tier-1: full test suite"
 ctest --preset default -j "$jobs"
 
-step "simd label (kernel parity + LINE determinism)"
+step "simd label (kernel parity + LINE vs reference trainer)"
 ctest --preset default -j "$jobs" -L simd
 
 step "tier-1 suite again with the scalar rung forced"
@@ -74,7 +76,7 @@ ctest --preset default -j "$jobs" -L projection
 step "micro_graph --sketched smoke (sketched projection end to end)"
 DNSEMBED_BENCH_SMOKE=1 DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_graph --sketched
 
-step "micro_line smoke (dispatch sanity, no timing gate)"
+step "micro_line smoke (dispatch sanity incl. the dense row, no timing gate)"
 DNSEMBED_BENCH_SMOKE=1 DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_line
 
 step "distributed label (supervised runner: crash/hang/garbage, quarantine)"

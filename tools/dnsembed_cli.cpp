@@ -98,9 +98,10 @@ commands:
             [--projection-mode exact|sketched] [--sketch-signature N]
             [--sketch-bands N] [--sketch-bits N] [--sketch-top-k N]
   embed     --log FILE --out FILE [--dim N] [--method line|deepwalk|node2vec]
-            [--samples N] [--min-similarity X] [--threads N] [--seed N]
+            [--samples N] [--min-similarity X] [--seed N]
             [--projection-mode exact|sketched] [--sketch-signature N]
             [--sketch-bands N] [--sketch-bits N] [--sketch-top-k N]
+            (--threads is accepted and ignored: LINE trains on one thread)
   detect    --embeddings FILE --labels FILE [--kfold N] [--svm-c X]
             [--svm-gamma X] [--roc FILE]
   train     --embeddings FILE --labels FILE --out MODEL [--svm-c X]
@@ -115,7 +116,6 @@ commands:
   run       --workdir DIR [--resume] [--stage-deadline SECONDS] [--hosts N]
             [--days N] [--sites N] [--families N] [--seed N] [--dim N]
             [--samples N] [--kfold N] [--svm-c X] [--svm-gamma X]
-            [--line-threads N]
             [--projection-mode exact|sketched] [--sketch-signature N]
             [--sketch-bands N] [--sketch-bits N] [--sketch-top-k N]
             [--workers N] [--max-retries N] [--shards N]
@@ -128,9 +128,8 @@ commands:
              artifacts still validate and recomputes anything missing,
              corrupt, or built under a different config; final output is
              DIR/report.md. exit 4 = a stage exceeded --stage-deadline.
-             LINE SGD is bit-identical for every --line-threads value
-             [0 = one per core], so parallel embedding keeps resumed
-             reports byte-identical.
+             --line-threads is accepted and ignored: LINE trains on one
+             thread.
              --workers N >= 1 forks supervised worker processes: projection
              pair-shards and per-channel LINE training run in children that
              exchange results only through checksummed artifacts, with
@@ -429,7 +428,6 @@ int cmd_embed(const util::ArgParser& args) {
   config.seed = static_cast<std::uint64_t>(args.get_int_or("--seed", 1));
   config.line.total_samples =
       static_cast<std::size_t>(args.get_int_or("--samples", 4'000'000));
-  config.line.threads = static_cast<std::size_t>(args.get_int_or("--threads", 4));
 
   util::Stopwatch watch;
   const auto q = embed::embed_graph(model.query_similarity, config);
@@ -852,7 +850,6 @@ int cmd_faultsim(const util::ArgParser& args) {
       ec.dimension = 16;
       ec.seed = trace_config.seed + 1;
       ec.line.total_samples = samples;
-      ec.line.threads = 1;
       const auto q = embed::embed_graph(model.query_similarity, ec);
       ec.seed += 1;
       const auto i = embed::embed_graph(model.ip_similarity, ec);
@@ -883,7 +880,6 @@ int cmd_faultsim(const util::ArgParser& args) {
       sc.window_days = window_days;
       sc.label_delay_days = label_delay;
       sc.embedding.line.total_samples = samples;
-      sc.embedding.line.threads = 1;
       sc.label_feed = fault::make_faulty_label_feed(vt, label_delay, plan);
       core::StreamingDetector detector{sc, trace_result.truth, vt};
       for (const auto& day : by_day) detector.advance_day(day);
@@ -956,7 +952,6 @@ int cmd_faultsim(const util::ArgParser& args) {
       run_config.trace.seed = trace_config.seed;
       run_config.embedding_dimension = 8;
       run_config.embedding.line.total_samples = 20'000;
-      run_config.embedding.line.threads = 1;
       run_config.kfold = 3;
       point.supervisor_workers = run_options.supervise.workers;
       try {
@@ -1105,7 +1100,6 @@ int cmd_advsim(const util::ArgParser& args) {
     config.trace = trace;
     config.embedding_dimension = dim;
     config.embedding.line.total_samples = samples;
-    config.embedding.line.threads = 1;
     config.svm = svm_from_args(args);
     config.kfold = kfold;
     config.xmeans.k_min = 4;
@@ -1285,12 +1279,6 @@ int cmd_run(const util::ArgParser& args) {
   config.embedding_dimension = static_cast<std::size_t>(args.get_int_or("--dim", 24));
   config.embedding.line.total_samples =
       static_cast<std::size_t>(args.get_int_or("--samples", 2'000'000));
-  // LINE's batch-synchronous SGD is bit-identical for every lane count
-  // (counter-based per-sample seeds + fixed-order barrier application), so
-  // the resumable runner's byte-identical-report promise no longer requires
-  // a single-threaded embedding stage.
-  config.embedding.line.threads =
-      static_cast<std::size_t>(args.get_int_or("--line-threads", 0));
   if (const int rc =
           projection_from_args(args, "run", config.projection_mode, config.sketch)) {
     return rc;
