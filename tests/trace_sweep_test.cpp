@@ -2,6 +2,7 @@
 // invariants must hold across the config space, not just at defaults.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -15,6 +16,12 @@ struct SweepCase {
   const char* name;
   TraceConfig config;
 };
+
+// Print a case as its name. Without this, gtest prints the raw bytes of the
+// struct, which include the address of `name`; that address moves with ASLR,
+// so the test list (and every CTest name discovered from it) would differ on
+// each run of the binary.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 TraceConfig base() {
   TraceConfig c;
