@@ -15,11 +15,28 @@ GraphBuilderSink::GraphBuilderSink(std::int64_t bucket_seconds, const dns::Publi
 }
 
 void GraphBuilderSink::on_dns(const dns::LogEntry& entry) {
-  const std::string e2ld = psl_->e2ld_or_self(entry.qname);
-  hdbg_.add_edge(entry.host, e2ld);
-  dtbg_.add_edge("m" + std::to_string(entry.timestamp / bucket_seconds_), e2ld);
-  for (const auto& ip : entry.addresses) {
-    dibg_.add_edge(ip.to_string(), e2ld);
+  auto qname = qnames_.find(entry.qname);
+  if (qname == qnames_.end()) {
+    const std::string e2ld = psl_->e2ld_or_self(entry.qname);
+    qname = qnames_
+                .emplace(entry.qname,
+                         QnameIds{hdbg_.add_right(e2ld), dtbg_.add_right(e2ld), kNoVertex})
+                .first;
+  }
+  QnameIds& ids = qname->second;
+  hdbg_.add_edge(hdbg_.add_left(entry.host), ids.hdbg);
+
+  const std::int64_t bucket = entry.timestamp / bucket_seconds_;
+  auto [minute, new_minute] = minutes_.try_emplace(bucket);
+  if (new_minute) minute->second = dtbg_.add_left("m" + std::to_string(bucket));
+  dtbg_.add_edge(minute->second, ids.dtbg);
+
+  if (entry.addresses.empty()) return;
+  if (ids.dibg == kNoVertex) ids.dibg = dibg_.add_right(hdbg_.right_names().name(ids.hdbg));
+  for (const auto& address : entry.addresses) {
+    auto [ip, new_ip] = ips_.try_emplace(address.value());
+    if (new_ip) ip->second = dibg_.add_left(address.to_string());
+    dibg_.add_edge(ip->second, ids.dibg);
   }
 }
 
@@ -50,6 +67,7 @@ std::vector<std::string> kept_domains(const graph::BipartiteGraph& hdbg,
 
 graph::BipartiteGraph restrict_domains(const graph::BipartiteGraph& g,
                                        const std::vector<std::string>& kept) {
+  OBS_SPAN("behavior.restrict");
   const std::unordered_set<std::string_view> keep(kept.begin(), kept.end());
   std::vector<bool> mask(g.right_count(), false);
   for (graph::VertexId r = 0; r < g.right_count(); ++r) {

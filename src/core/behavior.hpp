@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/log_record.hpp"
@@ -19,10 +21,17 @@
 #include "graph/stats.hpp"
 #include "graph/weighted_graph.hpp"
 #include "trace/sink.hpp"
+#include "util/interner.hpp"
 
 namespace dnsembed::core {
 
-/// Streaming sink that accumulates the three bipartite graphs.
+/// Streaming sink that accumulates the three bipartite graphs. Each event
+/// adds its edges by vertex id: the e2LD is derived once per distinct raw
+/// qname, and a minute bucket, an IPv4 address or an e2LD is named and
+/// interned only the first time a graph sees it, in the order the by-name
+/// build (`add_edge(host, e2ld)`, `add_edge("m<bucket>", e2ld)`, then
+/// `add_edge(ip, e2ld)` per address) interns it — so every id, name and
+/// adjacency list is that build's.
 class GraphBuilderSink final : public trace::TraceSink {
  public:
   /// Time-bucket width for the DTBG (paper: one minute).
@@ -37,11 +46,24 @@ class GraphBuilderSink final : public trace::TraceSink {
   graph::BipartiteGraph take_dtbg();
 
  private:
+  /// A raw qname's e2LD as a right vertex of each graph. The DIBG id stays
+  /// kNoVertex until an event of the qname has addresses: the DIBG interns
+  /// an e2LD at its first event that has addresses.
+  struct QnameIds {
+    graph::VertexId hdbg;
+    graph::VertexId dtbg;
+    graph::VertexId dibg;
+  };
+  static constexpr graph::VertexId kNoVertex = ~graph::VertexId{0};
+
   std::int64_t bucket_seconds_;
   const dns::PublicSuffixList* psl_;
   graph::BipartiteGraph hdbg_;  // host x e2LD
   graph::BipartiteGraph dibg_;  // IP x e2LD
   graph::BipartiteGraph dtbg_;  // minute-bucket x e2LD
+  std::unordered_map<std::string, QnameIds, util::StringViewHash, std::equal_to<>> qnames_;
+  std::unordered_map<std::int64_t, graph::VertexId> minutes_;  // bucket -> DTBG left id
+  std::unordered_map<std::uint32_t, graph::VertexId> ips_;     // IPv4 -> DIBG left id
 };
 
 struct BehaviorModelConfig {

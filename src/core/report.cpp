@@ -53,7 +53,23 @@ void write_scenario_section(std::ostream& out, const PipelineResult& result,
 
 }  // namespace
 
+SimilarityEdgeCounts similarity_edge_counts(const BehaviorModel& model) {
+  SimilarityEdgeCounts counts{};
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = (model.*kChannels[i].projected).edge_count();
+  }
+  return counts;
+}
+
 void write_detection_report(std::ostream& out, const PipelineResult& result,
+                            const ChannelEvaluations& evals,
+                            const ClusteringResult& clusters, const ReportOptions& options) {
+  write_detection_report(out, result, similarity_edge_counts(result.model), evals, clusters,
+                         options);
+}
+
+void write_detection_report(std::ostream& out, const PipelineResult& result,
+                            const SimilarityEdgeCounts& similarity_edges,
                             const ChannelEvaluations& evals,
                             const ClusteringResult& clusters, const ReportOptions& options) {
   out << "# dnsembed detection report\n\n";
@@ -64,10 +80,9 @@ void write_detection_report(std::ostream& out, const PipelineResult& result,
   out << "| NXDOMAIN events | " << result.trace.nxdomain_events << " |\n";
   out << "| netflow records | " << result.flows.size() << " |\n";
   out << "| domains after pruning | " << result.model.kept_domains.size() << " |\n";
-  out << "| query-similarity edges | " << result.model.query_similarity.edge_count() << " |\n";
-  out << "| IP-similarity edges | " << result.model.ip_similarity.edge_count() << " |\n";
-  out << "| temporal-similarity edges | " << result.model.temporal_similarity.edge_count()
-      << " |\n";
+  out << "| query-similarity edges | " << similarity_edges[0] << " |\n";
+  out << "| IP-similarity edges | " << similarity_edges[1] << " |\n";
+  out << "| temporal-similarity edges | " << similarity_edges[2] << " |\n";
   out << "| labeled domains | " << result.labels.size() << " ("
       << result.labels.malicious_count() << " malicious) |\n\n";
 

@@ -5,7 +5,10 @@
 // library call.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <iosfwd>
+#include <iterator>
 
 #include "core/clustering.hpp"
 #include "core/pipeline.hpp"
@@ -20,9 +23,25 @@ struct ReportOptions {
   double score_threshold = 0.0;
 };
 
+/// Edge counts of the similarity graphs, in kChannels order: all the
+/// report reads of them.
+using SimilarityEdgeCounts = std::array<std::size_t, std::size(kChannels)>;
+
+SimilarityEdgeCounts similarity_edge_counts(const BehaviorModel& model);
+
 /// Write the report as markdown. `evals` and `clusters` may be partial
 /// results of the same pipeline run; ground-truth columns are included
 /// only when the trace carries a truth registry (simulation runs).
+/// `similarity_edges` stands in for result.model's similarity graphs, so a
+/// caller holding them as arenas (the resumable runner) need not convert
+/// them.
+void write_detection_report(std::ostream& out, const PipelineResult& result,
+                            const SimilarityEdgeCounts& similarity_edges,
+                            const ChannelEvaluations& evals,
+                            const ClusteringResult& clusters,
+                            const ReportOptions& options = {});
+
+/// The same, with the edge counts of result.model.
 void write_detection_report(std::ostream& out, const PipelineResult& result,
                             const ChannelEvaluations& evals,
                             const ClusteringResult& clusters,

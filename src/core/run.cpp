@@ -49,9 +49,9 @@ struct StageSpec {
 const std::vector<StageSpec>& stage_specs() {
   static const std::vector<StageSpec> specs{
       {"trace",
-       {{"hdbg.bg", "bipartite-graph"},
-        {"dibg.bg", "bipartite-graph"},
-        {"dtbg.bg", "bipartite-graph"},
+       {{"hdbg.bg", "bipartite-arena"},
+        {"dibg.bg", "bipartite-arena"},
+        {"dtbg.bg", "bipartite-arena"},
         {"truth.gt", "ground-truth"},
         {"trace.stats", "trace-stats"}}},
       {"behavior",
@@ -602,7 +602,7 @@ void merge_channel_shards(const std::string& workdir, const Channel& channel,
     }
   }
   for (const auto& e : edges) merged.add_edge_unchecked(e.u, e.v, e.weight);
-  graph::save_csr_file(join(workdir, channel.similarity), merged);
+  graph::save_csr_file(join(workdir, channel.similarity), std::move(merged));
 }
 
 void write_labels_file(const std::string& workdir, const PipelineConfig& config,
@@ -622,22 +622,27 @@ void write_report_file(const std::string& workdir, const PipelineConfig& config,
                        const std::function<void()>& checkpoint) {
   const auto path = [&](const char* file) { return join(workdir, file); };
   PipelineResult result;
-  result.trace.truth = trace::load_ground_truth_file(path("truth.gt"));
-  const auto stats = parse_trace_stats(
-      util::load_artifact(path("trace.stats"), "trace-stats"), path("trace.stats"));
-  result.trace.dns_events = stats.dns_events;
-  result.trace.nxdomain_events = stats.nxdomain_events;
-  result.trace.flow_events = stats.flow_events;
-  result.model.kept_domains = load_kept_domains(workdir);
-  for (const auto& channel : kChannels) {
-    result.model.*channel.projected =
-        graph::from_csr(graph::load_csr_file(path(channel.similarity)));
+  SimilarityEdgeCounts similarity_edges{};
+  {
+    OBS_SPAN("run.report.load");
+    result.trace.truth = trace::load_ground_truth_file(path("truth.gt"));
+    const auto stats = parse_trace_stats(
+        util::load_artifact(path("trace.stats"), "trace-stats"), path("trace.stats"));
+    result.trace.dns_events = stats.dns_events;
+    result.trace.nxdomain_events = stats.nxdomain_events;
+    result.trace.flow_events = stats.flow_events;
+    result.model.kept_domains = load_kept_domains(workdir);
+    // The report reads only the similarity graphs' edge counts: map each
+    // arena, no adjacency lists.
+    for (std::size_t i = 0; i < std::size(kChannels); ++i) {
+      similarity_edges[i] = graph::load_csr_file(path(kChannels[i].similarity)).edge_count();
+    }
+    result.query_embedding = embed::EmbeddingMatrix::load_arena_file(path("query.emb"));
+    result.ip_embedding = embed::EmbeddingMatrix::load_arena_file(path("ip.emb"));
+    result.temporal_embedding = embed::EmbeddingMatrix::load_arena_file(path("temporal.emb"));
+    result.combined_embedding = embed::EmbeddingMatrix::load_arena_file(path("combined.emb"));
+    result.labels = intel::load_labeled_file(path("labeled.set"));
   }
-  result.query_embedding = embed::EmbeddingMatrix::load_arena_file(path("query.emb"));
-  result.ip_embedding = embed::EmbeddingMatrix::load_arena_file(path("ip.emb"));
-  result.temporal_embedding = embed::EmbeddingMatrix::load_arena_file(path("temporal.emb"));
-  result.combined_embedding = embed::EmbeddingMatrix::load_arena_file(path("combined.emb"));
-  result.labels = intel::load_labeled_file(path("labeled.set"));
   checkpoint();
 
   const auto evals = evaluate_channels(result, config);
@@ -646,7 +651,7 @@ void write_report_file(const std::string& workdir, const PipelineConfig& config,
                                         result.trace.truth, config.xmeans);
   checkpoint();
   std::ostringstream report;
-  write_detection_report(report, result, evals, clusters);
+  write_detection_report(report, result, similarity_edges, evals, clusters);
   if (!quarantined.empty()) {
     report << "\n## Degraded run\n\n"
            << quarantined.size()
@@ -728,10 +733,19 @@ RunSummary run_resumable(const RunOptions& options) {
     }
     task.body = [&](const auto&) {
       GraphBuilderSink graphs;
-      const auto trace_result = trace::generate_trace(config.trace, graphs);
-      graph::save_bipartite_file(path("hdbg.bg"), graphs.take_hdbg());
-      graph::save_bipartite_file(path("dibg.bg"), graphs.take_dibg());
-      graph::save_bipartite_file(path("dtbg.bg"), graphs.take_dtbg());
+      trace::TraceResult trace_result;
+      graph::BipartiteGraph hdbg, dibg, dtbg;
+      {
+        // Trace synthesis with the graph sink inline, then finalization.
+        OBS_SPAN("trace.graph_build");
+        trace_result = trace::generate_trace(config.trace, graphs);
+        hdbg = graphs.take_hdbg();
+        dibg = graphs.take_dibg();
+        dtbg = graphs.take_dtbg();
+      }
+      graph::save_bipartite_file(path("hdbg.bg"), hdbg);
+      graph::save_bipartite_file(path("dibg.bg"), dibg);
+      graph::save_bipartite_file(path("dtbg.bg"), dtbg);
       trace::save_ground_truth_file(path("truth.gt"), trace_result.truth);
       util::save_artifact(path("trace.stats"), "trace-stats",
                           trace_stats_payload({trace_result.dns_events,

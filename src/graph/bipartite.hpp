@@ -3,7 +3,10 @@
 //
 // Build phase: add_edge() accumulates (duplicates allowed — a host may query
 // the same domain many times). finalize() deduplicates and sorts adjacency;
-// queries require a finalized graph.
+// queries require a finalized graph. Builders that already hold vertex ids
+// (core::GraphBuilderSink caches them per raw name) intern each name once
+// with add_left()/add_right() and add edges by id; the string add_edge() is
+// the same thing in one call.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +22,16 @@ using VertexId = util::StringInterner::Id;
 
 class BipartiteGraph {
  public:
-  /// Record one left-right interaction (idempotent after finalize()).
+  /// Intern a vertex, with or without edges; returns its id (ids are dense
+  /// and assigned in first-seen order on each side).
+  VertexId add_left(std::string_view name);
+  VertexId add_right(std::string_view name);
+
+  /// Record one left-right interaction between interned ids. Un-finalizes
+  /// the graph; a repeated edge collapses at finalize().
+  void add_edge(VertexId left, VertexId right);
+
+  /// add_edge(add_left(left), add_right(right)).
   void add_edge(std::string_view left, std::string_view right);
 
   /// Deduplicate and sort adjacency lists. Idempotent; called automatically
@@ -46,7 +58,9 @@ class BipartiteGraph {
 
   /// A copy containing only the right vertices for which keep() is true
   /// (and the left vertices still touching them). Used for the paper's
-  /// domain-pruning rules. The result is finalized.
+  /// domain-pruning rules. Ids are those a by-name re-add of the kept edges
+  /// (right-major, in id order) would assign: a kept right vertex without
+  /// edges is dropped. The result is finalized.
   BipartiteGraph filter_right(const std::vector<bool>& keep) const;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -58,8 +59,9 @@ std::size_t shard_of(VertexId u, std::size_t shards) noexcept {
 /// FlatCounter shards — no two workers ever touch the same table, so the
 /// count phase is lock- and atomic-free. Pass 2: each shard index is merged
 /// across workers and filtered into per-shard edge vectors, again with
-/// disjoint ownership. A final sort by (u, v) makes the output independent
-/// of the partition, so any thread count yields the identical graph.
+/// disjoint ownership. A final sort by (u, v) — two stable counting passes,
+/// by v then by u — makes the output independent of the partition, so any
+/// thread count yields the identical graph.
 template <typename NameFn, typename DegreeFn, typename PivotNeighborsFn>
 WeightedGraph project_impl(std::size_t side_count, NameFn&& side_name, DegreeFn&& side_degree,
                            std::size_t pivot_count, PivotNeighborsFn&& pivot_neighbors,
@@ -171,17 +173,36 @@ WeightedGraph project_impl(std::size_t side_count, NameFn&& side_name, DegreeFn&
     pool.parallel_for(0, shards, emit_shards);
   }
 
+  // Emit in packed-key (u << 32 | v) order: two stable counting passes,
+  // by v and then by u. Keys are unique, so this is exactly the order a
+  // comparison sort on (u, v) gives.
   OBS_SPAN("graph.projection.sort");
-  std::size_t total = 0;
-  for (const auto& edges : shard_edges) total += edges.size();
-  std::vector<WeightedEdge> all;
-  all.reserve(total);
-  for (auto& edges : shard_edges) all.insert(all.end(), edges.begin(), edges.end());
-  std::sort(all.begin(), all.end(), [](const WeightedEdge& a, const WeightedEdge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  for (const auto& e : all) out.add_edge_unchecked(e.u, e.v, e.weight);
-  edges_counter.add(all.size());
+  const auto scatter_by = [side_count](auto key, std::span<const std::vector<WeightedEdge>> in,
+                                       std::vector<WeightedEdge>& dst) {
+    std::vector<std::size_t> next(side_count + 1, 0);
+    for (const auto& edges : in) {
+      for (const auto& e : edges) ++next[key(e) + 1];
+    }
+    for (std::size_t x = 0; x < side_count; ++x) next[x + 1] += next[x];
+    dst.resize(next[side_count]);
+    for (const auto& edges : in) {
+      for (const auto& e : edges) dst[next[key(e)]++] = e;
+    }
+  };
+  std::vector<WeightedEdge> by_v;
+  scatter_by([](const WeightedEdge& e) { return e.v; }, shard_edges, by_v);
+  shard_edges = {};
+  std::vector<WeightedEdge> sorted;
+  scatter_by([](const WeightedEdge& e) { return e.u; }, {&by_v, 1}, sorted);
+  by_v = {};
+  std::vector<std::size_t> degrees(side_count, 0);
+  for (const auto& e : sorted) {
+    ++degrees[e.u];
+    ++degrees[e.v];
+  }
+  out.reserve(degrees, sorted.size());
+  for (const auto& e : sorted) out.add_edge_unchecked(e.u, e.v, e.weight);
+  edges_counter.add(sorted.size());
   return out;
 }
 

@@ -41,6 +41,14 @@ void WeightedGraph::add_edge_unchecked(VertexId u, VertexId v, double weight) {
   total_weight_ += weight;
 }
 
+void WeightedGraph::reserve(std::span<const std::size_t> degrees, std::size_t edges) {
+  if (degrees.size() > adj_.size()) {
+    throw std::out_of_range{"WeightedGraph::reserve: more degrees than vertices"};
+  }
+  for (std::size_t v = 0; v < degrees.size(); ++v) adj_[v].reserve(degrees[v]);
+  edges_.reserve(edges);
+}
+
 std::span<const Neighbor> WeightedGraph::neighbors(VertexId v) const {
   if (v >= adj_.size()) throw std::out_of_range{"WeightedGraph::neighbors: bad id"};
   return adj_[v];

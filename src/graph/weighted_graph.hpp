@@ -46,6 +46,11 @@ class WeightedGraph {
   /// Self-loops and non-positive weights are still rejected.
   void add_edge_unchecked(VertexId u, VertexId v, double weight);
 
+  /// Room for `edges` edges and for degrees[v] neighbors of each vertex v,
+  /// so a builder that knows the final graph (the projection) adds its
+  /// edges without regrowing a list.
+  void reserve(std::span<const std::size_t> degrees, std::size_t edges);
+
   std::size_t vertex_count() const noexcept { return names_.size(); }
   std::size_t edge_count() const noexcept { return edges_.size(); }
 

@@ -1,6 +1,7 @@
 #include "util/artifact.hpp"
 
 #include <charconv>
+#include <cstring>
 
 #include "util/hash.hpp"
 
@@ -23,19 +24,30 @@ CorruptArtifact::CorruptArtifact(std::string path, std::string reason)
 std::string payload_digest(std::string_view payload) { return hex64(xxhash64(payload)); }
 
 std::string make_artifact(std::string_view kind, std::string_view payload) {
-  std::string out;
-  out.reserve(payload.size() + 64);
-  out.append(kArtifactMagic);
-  out.push_back(' ');
-  out.append(std::to_string(kArtifactVersion));
-  out.push_back(' ');
-  out.append(kind);
-  out.push_back(' ');
-  out.append(std::to_string(payload.size()));
-  out.push_back(' ');
-  out.append(payload_digest(payload));
-  out.push_back('\n');
-  out.append(payload);
+  return make_artifact(kind, payload.size(), [&](char* out) {
+    if (!payload.empty()) std::memcpy(out, payload.data(), payload.size());
+  });
+}
+
+std::string make_artifact(std::string_view kind, std::size_t payload_size,
+                          const std::function<void(char*)>& write_payload) {
+  const std::size_t offset = artifact_payload_offset(kind, payload_size);
+  std::string out(offset + payload_size, '\0');
+  write_payload(out.data() + offset);
+  std::string header;
+  header.reserve(offset);
+  header.append(kArtifactMagic);
+  header.push_back(' ');
+  header.append(std::to_string(kArtifactVersion));
+  header.push_back(' ');
+  header.append(kind);
+  header.push_back(' ');
+  header.append(std::to_string(payload_size));
+  header.push_back(' ');
+  header.append(payload_digest(std::string_view{out}.substr(offset)));
+  header.push_back('\n');
+  if (header.size() != offset) throw std::logic_error{"make_artifact: header size mismatch"};
+  std::memcpy(out.data(), header.data(), offset);
   return out;
 }
 

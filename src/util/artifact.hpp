@@ -16,6 +16,8 @@
 // destroys the previous good artifact.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -48,6 +50,15 @@ std::string payload_digest(std::string_view payload);
 /// Serialize header + payload (for callers that need the raw container
 /// bytes, e.g. the loader fuzz tests).
 std::string make_artifact(std::string_view kind, std::string_view payload);
+
+/// The same container for a payload written in place: `write_payload`
+/// fills the `payload_size` payload bytes at their final offset in the one
+/// container buffer, then the header line (with the payload's digest) is
+/// written in front of them. make_artifact(kind, payload) is this with a
+/// copy as the writer; arena writers (util/csr.hpp) serialize straight
+/// into the container.
+std::string make_artifact(std::string_view kind, std::size_t payload_size,
+                          const std::function<void(char*)>& write_payload);
 
 /// Atomically write `payload` wrapped in a validated container.
 void save_artifact(const std::string& path, std::string_view kind, std::string_view payload,

@@ -28,11 +28,7 @@ constexpr std::uint64_t kTagData = arena_tag("DATA");
   throw CorruptArtifact{context, std::move(reason)};
 }
 
-void append_u64(std::string& out, std::uint64_t value) {
-  char buf[8];
-  std::memcpy(buf, &value, 8);
-  out.append(buf, 8);
-}
+void store_u64(char* out, std::uint64_t value) { std::memcpy(out, &value, 8); }
 
 std::uint64_t read_u64(std::string_view bytes, std::size_t offset) {
   std::uint64_t value = 0;
@@ -42,38 +38,11 @@ std::uint64_t read_u64(std::string_view bytes, std::size_t offset) {
 
 constexpr std::size_t align8(std::size_t n) noexcept { return (n + 7) & ~std::size_t{7}; }
 
-/// Name-table sections shared by CsrGraph and DenseMatrix: a contiguous
-/// blob plus count+1 offsets into it.
+/// Name-table sections shared by CsrGraph and DenseMatrix.
 void append_name_sections(ArenaWriter& writer, std::string_view blob,
                           std::span<const std::uint64_t> offsets) {
   writer.add(kTagNameBlob, blob.data(), blob.size());
   writer.add_typed<std::uint64_t>(kTagNameOffsets, offsets);
-}
-
-void build_name_table(std::span<const std::string> names, std::string& blob,
-                      std::vector<std::uint64_t>& offsets) {
-  std::size_t total = 0;
-  for (const std::string& n : names) total += n.size();
-  blob.reserve(total);
-  offsets.reserve(names.size() + 1);
-  offsets.push_back(0);
-  for (const std::string& n : names) {
-    blob += n;
-    offsets.push_back(blob.size());
-  }
-}
-
-/// Validate NAMO against NAMB: count+1 monotone offsets ending at the blob
-/// size (so every name(i) substr is in bounds).
-void check_name_table(std::string_view blob, std::span<const std::uint64_t> offsets,
-                      std::size_t count, const std::string& context) {
-  if (offsets.size() != count + 1) corrupt(context, "arena: name offset count mismatch");
-  if (offsets[0] != 0 || offsets[count] != blob.size()) {
-    corrupt(context, "arena: name offsets do not cover blob");
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (offsets[i] > offsets[i + 1]) corrupt(context, "arena: name offsets not monotone");
-  }
 }
 
 }  // namespace
@@ -81,51 +50,90 @@ void check_name_table(std::string_view blob, std::span<const std::uint64_t> offs
 // ------------------------------------------------------------- ArenaWriter
 
 void ArenaWriter::add(std::uint64_t tag, const void* data, std::size_t size) {
-  Section s;
-  s.tag = tag;
-  s.bytes.assign(static_cast<const char*>(data), size);
-  sections_.push_back(std::move(s));
+  sections_.push_back({tag, static_cast<const char*>(data), size});
 }
 
-std::string ArenaWriter::payload(std::string_view kind) const {
-  const std::size_t n = sections_.size();
-  std::string body;
-  std::size_t body_size = 16 + n * 24;
-  std::vector<std::uint64_t> offsets(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    offsets[i] = body_size;
-    body_size = align8(body_size + sections_[i].bytes.size());
-  }
-  body.reserve(body_size);
-  append_u64(body, kArenaMagic);
-  append_u64(body, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    append_u64(body, sections_[i].tag);
-    append_u64(body, offsets[i]);
-    append_u64(body, sections_[i].bytes.size());
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    body += sections_[i].bytes;
-    body.append(align8(body.size()) - body.size(), '\0');
-  }
+std::size_t ArenaWriter::body_size() const noexcept {
+  std::size_t size = 16 + sections_.size() * 24;
+  for (const Section& s : sections_) size = align8(size + s.size);
+  return size;
+}
 
+std::size_t ArenaWriter::pad_for(std::string_view kind) const noexcept {
   // Pick the pad so the body starts at a file offset divisible by 8 once
   // the artifact header line is prepended. The header's length depends on
   // the payload size, whose digit count depends on the pad — iterate; for
   // any fixed digit count 8 consecutive pads cover every residue, so a
   // solution under 24 always exists.
+  const std::size_t body = body_size();
   std::size_t pad = 0;
   while (pad < 24) {
-    const std::size_t payload_size = 1 + pad + body.size();
+    const std::size_t payload_size = 1 + pad + body;
     if ((artifact_payload_offset(kind, payload_size) + 1 + pad) % 8 == 0) break;
     ++pad;
   }
-  std::string out;
-  out.reserve(1 + pad + body.size());
-  out.push_back(static_cast<char>(pad));
-  out.append(pad, '\0');
-  out += body;
+  return pad;
+}
+
+void ArenaWriter::write_payload(char* out, std::size_t pad) const {
+  out[0] = static_cast<char>(pad);
+  std::memset(out + 1, 0, pad);
+  char* body = out + 1 + pad;
+  store_u64(body, kArenaMagic);
+  store_u64(body + 8, sections_.size());
+  std::size_t offset = 16 + sections_.size() * 24;
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    const Section& s = sections_[i];
+    store_u64(body + 16 + i * 24, s.tag);
+    store_u64(body + 16 + i * 24 + 8, offset);
+    store_u64(body + 16 + i * 24 + 16, s.size);
+    if (s.size != 0) std::memcpy(body + offset, s.data, s.size);
+    const std::size_t end = align8(offset + s.size);
+    std::memset(body + offset + s.size, 0, end - offset - s.size);
+    offset = end;
+  }
+}
+
+std::string ArenaWriter::payload(std::string_view kind) const {
+  const std::size_t pad = pad_for(kind);
+  std::string out(1 + pad + body_size(), '\0');
+  write_payload(out.data(), pad);
   return out;
+}
+
+std::string ArenaWriter::container(std::string_view kind) const {
+  const std::size_t pad = pad_for(kind);
+  return make_artifact(kind, 1 + pad + body_size(),
+                       [&](char* out) { write_payload(out, pad); });
+}
+
+void ArenaWriter::save_file(const std::string& path, std::string_view kind) const {
+  fsio::atomic_write_file(path, container(kind));
+}
+
+// -------------------------------------------------------------- name tables
+
+NameTable build_name_table(std::span<const std::string> names) {
+  NameTable table;
+  std::size_t total = 0;
+  for (const std::string& n : names) total += n.size();
+  table.blob.reserve(total);
+  table.offsets.reserve(names.size() + 1);
+  for (const std::string& n : names) table.add(n);
+  return table;
+}
+
+void check_name_table(std::string_view blob, std::span<const std::uint64_t> offsets,
+                      std::size_t count, const std::string& context) {
+  if (offsets.empty() || offsets.size() - 1 != count) {
+    corrupt(context, "arena: name offset count mismatch");
+  }
+  if (offsets[0] != 0 || offsets[count] != blob.size()) {
+    corrupt(context, "arena: name offsets do not cover blob");
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (offsets[i] > offsets[i + 1]) corrupt(context, "arena: name offsets not monotone");
+  }
 }
 
 // --------------------------------------------------------------- ArenaView
@@ -191,6 +199,14 @@ CsrGraph CsrGraph::build(std::size_t vertex_count, std::span<const std::uint32_t
                          std::span<const std::uint32_t> edge_v,
                          std::span<const double> edge_w,
                          std::span<const std::string> names) {
+  return build(vertex_count, std::vector<std::uint32_t>(edge_u.begin(), edge_u.end()),
+               std::vector<std::uint32_t>(edge_v.begin(), edge_v.end()),
+               std::vector<double>(edge_w.begin(), edge_w.end()), names);
+}
+
+CsrGraph CsrGraph::build(std::size_t vertex_count, std::vector<std::uint32_t>&& edge_u,
+                         std::vector<std::uint32_t>&& edge_v, std::vector<double>&& edge_w,
+                         std::span<const std::string> names) {
   if (edge_u.size() != edge_v.size() || edge_u.size() != edge_w.size()) {
     throw std::invalid_argument{"CsrGraph: edge array length mismatch"};
   }
@@ -230,30 +246,42 @@ CsrGraph CsrGraph::build(std::size_t vertex_count, std::span<const std::uint32_t
   }
 
   // Canonical form: each adjacency run ascending by neighbor id (weights in
-  // tandem), weighted degree summed in that order.
+  // tandem), weighted degree summed in that order. A strictly ascending run
+  // is already canonical (true of every row of a (u, v)-sorted edge list),
+  // so only the other runs take the copy-and-sort.
   g.own_weighted_deg_.assign(vertex_count, 0.0);
   std::vector<std::pair<std::uint32_t, double>> scratch;
   for (std::size_t v = 0; v < vertex_count; ++v) {
     const std::uint64_t lo = g.own_offsets_[v];
     const std::uint64_t hi = g.own_offsets_[v + 1];
-    scratch.clear();
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      scratch.emplace_back(g.own_cols_[i], g.own_adj_weights_[i]);
+    bool ascending = true;
+    for (std::uint64_t i = lo + 1; i < hi && ascending; ++i) {
+      ascending = g.own_cols_[i - 1] < g.own_cols_[i];
     }
-    std::sort(scratch.begin(), scratch.end());
+    if (!ascending) {
+      scratch.clear();
+      for (std::uint64_t i = lo; i < hi; ++i) {
+        scratch.emplace_back(g.own_cols_[i], g.own_adj_weights_[i]);
+      }
+      std::sort(scratch.begin(), scratch.end());
+      for (std::uint64_t i = lo; i < hi; ++i) {
+        g.own_cols_[i] = scratch[i - lo].first;
+        g.own_adj_weights_[i] = scratch[i - lo].second;
+      }
+    }
     double wdeg = 0.0;
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      g.own_cols_[i] = scratch[i - lo].first;
-      g.own_adj_weights_[i] = scratch[i - lo].second;
-      wdeg += scratch[i - lo].second;
-    }
+    for (std::uint64_t i = lo; i < hi; ++i) wdeg += g.own_adj_weights_[i];
     g.own_weighted_deg_[v] = wdeg;
   }
 
-  g.own_edge_u_.assign(edge_u.begin(), edge_u.end());
-  g.own_edge_v_.assign(edge_v.begin(), edge_v.end());
-  g.own_edge_w_.assign(edge_w.begin(), edge_w.end());
-  if (!names.empty()) build_name_table(names, g.own_name_blob_, g.own_name_offsets_);
+  g.own_edge_u_ = std::move(edge_u);
+  g.own_edge_v_ = std::move(edge_v);
+  g.own_edge_w_ = std::move(edge_w);
+  if (!names.empty()) {
+    NameTable table = build_name_table(names);
+    g.own_name_blob_ = std::move(table.blob);
+    g.own_name_offsets_ = std::move(table.offsets);
+  }
 
   g.offsets_ = g.own_offsets_;
   g.cols_ = g.own_cols_;
@@ -274,9 +302,8 @@ std::vector<std::string> CsrGraph::names_copy() const {
   return out;
 }
 
-std::string CsrGraph::payload() const {
+ArenaWriter CsrGraph::writer(const std::uint64_t (&head)[2]) const {
   ArenaWriter w;
-  const std::uint64_t head[2] = {vertex_count_, edge_count()};
   w.add(kTagHead, head, sizeof(head));
   w.add_typed<std::uint64_t>(kTagOffsets, offsets_);
   w.add_typed<std::uint32_t>(kTagCols, cols_);
@@ -287,7 +314,12 @@ std::string CsrGraph::payload() const {
   w.add_typed<double>(kTagWeightedDeg, weighted_deg_);
   w.add(kTagTotalWeight, &total_weight_, sizeof(total_weight_));
   if (has_names()) append_name_sections(w, name_blob_, name_offsets_);
-  return w.payload(kCsrGraphKind);
+  return w;
+}
+
+std::string CsrGraph::payload() const {
+  const std::uint64_t head[2] = {vertex_count_, edge_count()};
+  return writer(head).payload(kCsrGraphKind);
 }
 
 CsrGraph CsrGraph::from_arena(ArenaView arena, const std::string& context) {
@@ -353,7 +385,8 @@ CsrGraph CsrGraph::from_payload(std::string_view payload_bytes, const std::strin
 }
 
 void CsrGraph::save_file(const std::string& path) const {
-  save_artifact(path, kCsrGraphKind, payload());
+  const std::uint64_t head[2] = {vertex_count_, edge_count()};
+  writer(head).save_file(path, kCsrGraphKind);
 }
 
 CsrGraph CsrGraph::load_file(const std::string& path) {
@@ -374,7 +407,9 @@ DenseMatrix DenseMatrix::build(std::span<const std::string> names, std::size_t c
   m.rows_ = names.size();
   m.cols_ = cols;
   m.own_data_.assign(data.begin(), data.end());
-  build_name_table(names, m.own_name_blob_, m.own_name_offsets_);
+  NameTable table = build_name_table(names);
+  m.own_name_blob_ = std::move(table.blob);
+  m.own_name_offsets_ = std::move(table.offsets);
   m.data_ = m.own_data_;
   m.name_blob_ = m.own_name_blob_;
   m.name_offsets_ = m.own_name_offsets_;
@@ -388,13 +423,17 @@ std::vector<std::string> DenseMatrix::names_copy() const {
   return out;
 }
 
-std::string DenseMatrix::payload() const {
+ArenaWriter DenseMatrix::writer(const std::uint64_t (&head)[2]) const {
   ArenaWriter w;
-  const std::uint64_t head[2] = {rows_, cols_};
   w.add(kTagHead, head, sizeof(head));
   w.add_typed<float>(kTagData, data_);
   append_name_sections(w, name_blob_, name_offsets_);
-  return w.payload(kDenseMatrixKind);
+  return w;
+}
+
+std::string DenseMatrix::payload() const {
+  const std::uint64_t head[2] = {rows_, cols_};
+  return writer(head).payload(kDenseMatrixKind);
 }
 
 DenseMatrix DenseMatrix::from_arena(ArenaView arena, const std::string& context) {
@@ -427,7 +466,8 @@ DenseMatrix DenseMatrix::from_payload(std::string_view payload_bytes,
 }
 
 void DenseMatrix::save_file(const std::string& path) const {
-  save_artifact(path, kDenseMatrixKind, payload());
+  const std::uint64_t head[2] = {rows_, cols_};
+  writer(head).save_file(path, kDenseMatrixKind);
 }
 
 DenseMatrix DenseMatrix::load_file(const std::string& path) {

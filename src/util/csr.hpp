@@ -54,8 +54,11 @@ constexpr std::uint64_t arena_tag(std::string_view name) noexcept {
 
 inline constexpr std::uint64_t kArenaMagic = arena_tag("dnsemArn");
 
-/// Builds an arena payload section by section. Sections are emitted in add
-/// order; each begins 8-aligned within the body.
+/// Builds an arena section by section. Sections are emitted in add order;
+/// each begins 8-aligned within the body. The writer keeps views, not
+/// copies: every added range must stay alive and unchanged until the arena
+/// is serialized, which then copies each section once, straight to its
+/// final offset.
 class ArenaWriter {
  public:
   void add(std::uint64_t tag, const void* data, std::size_t size);
@@ -70,13 +73,48 @@ class ArenaWriter {
   /// the body starts 8-aligned inside the final container file.
   std::string payload(std::string_view kind) const;
 
+  /// make_artifact(kind, payload(kind)), built in one buffer.
+  std::string container(std::string_view kind) const;
+
+  /// Atomically write container(kind) to `path` (util::save_artifact
+  /// without the intermediate payload string).
+  void save_file(const std::string& path, std::string_view kind) const;
+
  private:
   struct Section {
     std::uint64_t tag = 0;
-    std::string bytes;
+    const char* data = nullptr;
+    std::size_t size = 0;
   };
+
+  std::size_t body_size() const noexcept;
+  std::size_t pad_for(std::string_view kind) const noexcept;
+  /// The one payload layout routine: prologue, section table and sections
+  /// into out[0, 1 + pad + body_size()).
+  void write_payload(char* out, std::size_t pad) const;
+
   std::vector<Section> sections_;
 };
+
+/// A vertex- or row-name table as two arena sections: the names
+/// concatenated into one blob, and count+1 offsets into it.
+struct NameTable {
+  std::string blob;
+  std::vector<std::uint64_t> offsets{0};
+
+  void add(std::string_view name) {
+    blob += name;
+    offsets.push_back(blob.size());
+  }
+};
+
+NameTable build_name_table(std::span<const std::string> names);
+
+/// Throws CorruptArtifact (via `context`) unless `offsets` holds count+1
+/// monotone offsets from 0 to the blob size, so every name substr is in
+/// bounds.
+void check_name_table(std::string_view blob, std::span<const std::uint64_t> offsets,
+                      std::size_t count, const std::string& context);
 
 /// Parsed arena: resolves tags to section byte ranges with full structural
 /// validation (magic, table bounds, alignment). Zero-copy when the body is
@@ -140,10 +178,17 @@ class CsrGraph {
   /// Build from an undirected edge list over ids in [0, vertex_count).
   /// Edge order is preserved verbatim in edge_u/v/w (samplers address
   /// edges by position). Self-loops, out-of-range ids, and non-positive
-  /// weights are rejected with std::invalid_argument.
+  /// weights are rejected with std::invalid_argument. A (u, v)-sorted edge
+  /// list, which is what the projection emits, yields rows that are
+  /// already ascending and skip the per-row sort.
   static CsrGraph build(std::size_t vertex_count, std::span<const std::uint32_t> edge_u,
                         std::span<const std::uint32_t> edge_v,
                         std::span<const double> edge_w,
+                        std::span<const std::string> names = {});
+
+  /// The same, taking ownership of the edge arrays instead of copying them.
+  static CsrGraph build(std::size_t vertex_count, std::vector<std::uint32_t>&& edge_u,
+                        std::vector<std::uint32_t>&& edge_v, std::vector<double>&& edge_w,
                         std::span<const std::string> names = {});
 
   std::size_t vertex_count() const noexcept { return vertex_count_; }
@@ -193,6 +238,9 @@ class CsrGraph {
   bool zero_copy() const noexcept { return zero_copy_; }
 
  private:
+  /// The arena's sections; `head` (vertex and edge count) must outlive
+  /// the writer.
+  ArenaWriter writer(const std::uint64_t (&head)[2]) const;
   static CsrGraph from_arena(ArenaView arena, const std::string& context);
 
   MappedArtifact artifact_;
@@ -258,6 +306,7 @@ class DenseMatrix {
   bool zero_copy() const noexcept { return zero_copy_; }
 
  private:
+  ArenaWriter writer(const std::uint64_t (&head)[2]) const;
   static DenseMatrix from_arena(ArenaView arena, const std::string& context);
 
   MappedArtifact artifact_;

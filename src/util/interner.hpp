@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -13,13 +14,23 @@
 
 namespace dnsembed::util {
 
+/// Transparent string hash: with std::equal_to<> it lets a map keyed by
+/// std::string be searched with a string_view, without building a
+/// temporary std::string per lookup.
+struct StringViewHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view key) const noexcept {
+    return std::hash<std::string_view>{}(key);
+  }
+};
+
 class StringInterner {
  public:
   using Id = std::uint32_t;
 
   /// Return the id for key, inserting it if new.
   Id intern(std::string_view key) {
-    const auto it = index_.find(std::string{key});
+    const auto it = index_.find(key);
     if (it != index_.end()) return it->second;
     const Id id = static_cast<Id>(strings_.size());
     strings_.emplace_back(key);
@@ -29,7 +40,7 @@ class StringInterner {
 
   /// Lookup without inserting.
   std::optional<Id> find(std::string_view key) const {
-    const auto it = index_.find(std::string{key});
+    const auto it = index_.find(key);
     if (it == index_.end()) return std::nullopt;
     return it->second;
   }
@@ -48,7 +59,7 @@ class StringInterner {
 
  private:
   std::vector<std::string> strings_;
-  std::unordered_map<std::string, Id> index_;
+  std::unordered_map<std::string, Id, StringViewHash, std::equal_to<>> index_;
 };
 
 }  // namespace dnsembed::util

@@ -26,6 +26,7 @@
 #include "trace/generator.hpp"
 #include "trace/ground_truth.hpp"
 #include "util/artifact.hpp"
+#include "util/csr.hpp"
 #include "util/fsio.hpp"
 #include "util/rng.hpp"
 
@@ -69,7 +70,12 @@ void fuzz_loader(const std::string& name, const std::string& pristine,
 }
 
 std::string artifact_bytes_of(const std::function<void(const std::string&)>& save) {
-  const auto path = (fs::temp_directory_path() / "dnsembed_fuzz_seed.art").string();
+  // One seed file per test case: ctest runs the cases as parallel
+  // processes, and a shared path let one case read or delete another's.
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  const auto path =
+      (fs::temp_directory_path() / ("dnsembed_fuzz_seed_" + std::string{test->name()} + ".art"))
+          .string();
   save(path);
   auto bytes = util::fsio::read_file(path);
   fs::remove(path);
@@ -77,6 +83,7 @@ std::string artifact_bytes_of(const std::function<void(const std::string&)>& sav
 }
 
 TEST(ArtifactFuzz, BipartiteGraph) {
+  // The bipartite arena ("bipartite-arena").
   graph::BipartiteGraph g;
   g.add_edge("host-1", "alpha.test");
   g.add_edge("host-1", "beta.test");
@@ -86,6 +93,103 @@ TEST(ArtifactFuzz, BipartiteGraph) {
       artifact_bytes_of([&](const std::string& p) { graph::save_bipartite_file(p, g); });
   fuzz_loader("bipartite", pristine,
               [](const std::string& p) { (void)graph::load_bipartite_file(p); });
+}
+
+// Bipartite arenas with a valid checksum but a structural defect: only the
+// arena's own validation stands between these bytes and the graph, so each
+// must raise CorruptArtifact (and, under ASan, read nothing out of bounds).
+struct BipartiteSections {
+  std::vector<std::uint64_t> head{3, 2, 4};  // left, right, edges
+  std::vector<std::string> left{"h1", "h2", "h3"};
+  std::vector<std::string> right{"a.test", "b.test"};
+  std::vector<std::uint64_t> rows{0, 2, 3, 4};
+  std::vector<std::uint32_t> right_ids{0, 1, 1, 0};
+  /// When non-empty, replaces the left name offsets.
+  std::vector<std::uint64_t> left_offsets;
+};
+
+std::string bipartite_arena(const BipartiteSections& s) {
+  const util::NameTable left = util::build_name_table(s.left);
+  const util::NameTable right = util::build_name_table(s.right);
+  const auto& left_offsets = s.left_offsets.empty() ? left.offsets : s.left_offsets;
+  util::ArenaWriter w;
+  w.add_typed<std::uint64_t>(util::arena_tag("HEAD"), s.head);
+  w.add(util::arena_tag("LNAMB"), left.blob.data(), left.blob.size());
+  w.add_typed<std::uint64_t>(util::arena_tag("LNAMO"), left_offsets);
+  w.add(util::arena_tag("RNAMB"), right.blob.data(), right.blob.size());
+  w.add_typed<std::uint64_t>(util::arena_tag("RNAMO"), right.offsets);
+  w.add_typed<std::uint64_t>(util::arena_tag("OFFS"), s.rows);
+  w.add_typed<std::uint32_t>(util::arena_tag("RGHT"), s.right_ids);
+  return w.container(graph::kBipartiteArenaKind);
+}
+
+graph::BipartiteGraph load_bipartite_bytes(const std::string& bytes) {
+  const auto path = (fs::temp_directory_path() / "dnsembed_fuzz_bipartite_defect.bg").string();
+  util::fsio::atomic_write_file(path, bytes);
+  struct Remove {
+    std::string path;
+    ~Remove() { fs::remove(path); }
+  } remove{path};
+  return graph::load_bipartite_file(path);
+}
+
+TEST(ArtifactFuzz, BipartiteArenaStructuralDefects) {
+  const auto pristine = load_bipartite_bytes(bipartite_arena({}));
+  EXPECT_EQ(pristine.edge_count(), 4u);
+  EXPECT_EQ(pristine.left_degree(0), 2u);
+
+  const auto rejects = [](const std::string& what, const BipartiteSections& s) {
+    EXPECT_THROW(load_bipartite_bytes(bipartite_arena(s)), util::CorruptArtifact) << what;
+  };
+  BipartiteSections s;
+  s.left = {"h1", "h2", "h1"};
+  rejects("duplicate left name", s);
+  s = {};
+  s.right = {"a.test", "a.test"};
+  rejects("duplicate right name", s);
+  s = {};
+  s.right_ids = {0, 2, 1, 0};
+  rejects("right id out of range", s);
+  s = {};
+  s.right_ids = {1, 0, 1, 0};
+  rejects("unsorted row", s);
+  s = {};
+  s.right_ids = {1, 1, 1, 0};
+  rejects("duplicate row entry", s);
+  s = {};
+  // Four right vertices, so each row read on its own would be valid.
+  s.head = {3, 4, 4};
+  s.right = {"a.test", "b.test", "c.test", "d.test"};
+  s.rows = {0, 3, 2, 4};
+  s.right_ids = {0, 1, 2, 3};
+  rejects("non-monotone row offsets", s);
+  s = {};
+  s.rows = {0, 5, 3, 4};
+  rejects("row offsets overrunning the right ids", s);
+  s = {};
+  s.rows = {0, 2, 3, 3};
+  rejects("row offsets short of the edge count", s);
+  s = {};
+  s.left_offsets = {0, 2, 4, 5};
+  rejects("left name table short of the blob", s);
+  s = {};
+  s.left_offsets = {0, 4, 2, 6};
+  rejects("non-monotone left name offsets", s);
+  s = {};
+  s.head = {4, 2, 4};
+  rejects("left count disagrees with the sections", s);
+  s = {};
+  s.head = {3, 3, 4};
+  rejects("right count disagrees with the sections", s);
+  s = {};
+  s.head = {3, 2, 5};
+  rejects("edge count disagrees with the sections", s);
+  s = {};
+  s.head = {3, 2};
+  rejects("short header section", s);
+  s = {};
+  s.head = {~std::uint64_t{0}, 2, 4};
+  rejects("implausible left count", s);
 }
 
 TEST(ArtifactFuzz, Embedding) {

@@ -7,10 +7,12 @@ Pins the part of the `dnsembed run` interface that outside readers take
 layer timings from. A run with --metrics-out must record one histogram per
 run stage plus the SVM span, each observed at least once, count projected
 pairs, and count exactly one LINE sample per SGD step: three channels times
-two objectives times --samples. A renamed span would otherwise read as zero
-seconds without failing anything. A following `run --resume` over the same
-workdir must report all five stages resumed. --line-threads stays in the
-options to show the ignored flag is still accepted.
+two objectives times --samples. The same run's --trace-out must hold the
+spans that split the graph build and artifact I/O out of the stages. A
+renamed span would otherwise read as zero seconds without failing anything.
+A following `run --resume` over the same workdir must report all five
+stages resumed. --line-threads stays in the options to show the ignored flag
+is still accepted.
 """
 import json
 import subprocess
@@ -27,6 +29,9 @@ HISTOGRAMS = [f"run.{stage}.seconds"
               for stage in ("pipeline", "trace", "behavior", "embed", "labels", "report")]
 HISTOGRAMS.append("pipeline.svm.seconds")
 COUNTERS = ["graph.projection.pairs"]
+# Graph build and artifact I/O (DESIGN §7).
+SPANS = ["trace.graph_build", "graph.bipartite.save", "graph.bipartite.load",
+         "behavior.restrict", "graph.csr.save", "run.report.load"]
 # Three similarity channels, each trained for both LINE objectives.
 LINE_SAMPLES = 3 * 2 * SAMPLES
 
@@ -41,10 +46,16 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp) / "run"
         metrics_path = Path(tmp) / "metrics.json"
+        trace_path = Path(tmp) / "trace.json"
         subprocess.run([cli, "run", "--workdir", str(workdir),
-                        "--metrics-out", str(metrics_path), *OPTIONS],
+                        "--metrics-out", str(metrics_path), "--trace-out", str(trace_path),
+                        *OPTIONS],
                        check=True, stdout=subprocess.DEVNULL)
         metrics = json.loads(metrics_path.read_text())
+        spans = {event["name"] for event in json.loads(trace_path.read_text())["traceEvents"]}
+        for name in SPANS:
+            if name not in spans:
+                fail(f"trace span '{name}' missing")
         for name in HISTOGRAMS:
             count = metrics.get("histograms", {}).get(name, {}).get("count", 0)
             if count < 1:
@@ -62,7 +73,8 @@ def main():
                                  check=True, capture_output=True, text=True)
         if "5/5 stages resumed" not in resumed.stdout:
             fail(f"`run --resume` did not resume every stage:\n{resumed.stdout}")
-    print(f"ok: {len(HISTOGRAMS)} histograms, {len(COUNTERS) + 1} counters, resume 5/5")
+    print(f"ok: {len(HISTOGRAMS)} histograms, {len(COUNTERS) + 1} counters, "
+          f"{len(SPANS)} spans, resume 5/5")
 
 
 if __name__ == "__main__":

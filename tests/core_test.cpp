@@ -10,6 +10,8 @@
 #include "core/detector.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "graph_compare.hpp"
+#include "trace/generator.hpp"
 
 #include <sstream>
 
@@ -59,6 +61,106 @@ TEST(GraphBuilder, NxdomainContributesNoIpEdges) {
 
 TEST(GraphBuilder, RejectsBadBucket) {
   EXPECT_THROW(GraphBuilderSink(0), std::invalid_argument);
+}
+
+struct Graphs {
+  graph::BipartiteGraph hdbg;
+  graph::BipartiteGraph dibg;
+  graph::BipartiteGraph dtbg;
+};
+
+Graphs sink_build(const std::vector<dns::LogEntry>& events) {
+  GraphBuilderSink sink;
+  for (const auto& e : events) sink.on_dns(e);
+  return {sink.take_hdbg(), sink.take_dibg(), sink.take_dtbg()};
+}
+
+/// The by-name build the id-keyed sink replaced: every event re-derives
+/// its e2LD and adds each edge by name.
+Graphs by_name_build(const std::vector<dns::LogEntry>& events) {
+  const auto& psl = dns::PublicSuffixList::builtin();
+  Graphs g;
+  for (const auto& e : events) {
+    const std::string e2ld = psl.e2ld_or_self(e.qname);
+    g.hdbg.add_edge(e.host, e2ld);
+    g.dtbg.add_edge("m" + std::to_string(e.timestamp / 60), e2ld);
+    for (const auto& ip : e.addresses) g.dibg.add_edge(ip.to_string(), e2ld);
+  }
+  g.hdbg.finalize();
+  g.dibg.finalize();
+  g.dtbg.finalize();
+  return g;
+}
+
+/// The DIBG trap: interning each event's e2LD into the DIBG before (and
+/// whether or not) it has an IP, instead of at its first event with
+/// addresses. The comparison below must tell it apart.
+graph::BipartiteGraph eager_dibg_build(const std::vector<dns::LogEntry>& events) {
+  const auto& psl = dns::PublicSuffixList::builtin();
+  graph::BipartiteGraph dibg;
+  for (const auto& e : events) {
+    const auto right = dibg.add_right(psl.e2ld_or_self(e.qname));
+    for (const auto& ip : e.addresses) dibg.add_edge(dibg.add_left(ip.to_string()), right);
+  }
+  dibg.finalize();
+  return dibg;
+}
+
+std::vector<dns::LogEntry> id_trap_events() {
+  const dns::Ipv4 a{10, 0, 0, 1};
+  const dns::Ipv4 b{10, 0, 0, 2};
+  const dns::Ipv4 c{10, 0, 0, 3};
+  return {
+      // shop.test first appears without addresses; other.test has one.
+      entry(0, "h1", "www.shop.test"),
+      entry(10, "h2", "cdn.other.test", {c}),
+      // Same e2LD, new qname, now with three addresses: the DIBG must
+      // intern shop.test here, after other.test.
+      entry(20, "h1", "img.shop.test", {a, b, c}),
+      // Mixed case and a trailing dot normalize to the same e2LD.
+      entry(30, "H3", "WWW.Shop.TEST."),
+      entry(61, "h2", "www.shop.test", {b}),
+      // A public suffix has no registrable e2LD: e2ld_or_self keeps it.
+      entry(62, "h3", "co.uk", {a}),
+      // Repeated minute buckets and a negative timestamp.
+      entry(65, "h1", "cdn.other.test"),
+      entry(-5, "h2", "late.example.org", {a, b}),
+      entry(119, "h3", "cdn.other.test", {}),
+  };
+}
+
+TEST(GraphBuilder, IdBuildMatchesByNameBuild) {
+  const auto events = id_trap_events();
+  const auto ids = sink_build(events);
+  const auto names = by_name_build(events);
+  EXPECT_TRUE(graph::same_bipartite(ids.hdbg, names.hdbg));
+  EXPECT_TRUE(graph::same_bipartite(ids.dibg, names.dibg));
+  EXPECT_TRUE(graph::same_bipartite(ids.dtbg, names.dtbg));
+  // The trap input does exercise the fallback and separate the orders.
+  EXPECT_FALSE(dns::PublicSuffixList::builtin().e2ld("co.uk").has_value());
+  EXPECT_TRUE(ids.hdbg.right_names().find("co.uk").has_value());
+  EXPECT_EQ(names.dibg.right_names().name(0), "other.test");
+  EXPECT_FALSE(graph::same_bipartite(eager_dibg_build(events), names.dibg));
+}
+
+TEST(GraphBuilder, IdBuildMatchesByNameBuildOnSimulatedTrace) {
+  trace::TraceConfig config;
+  config.seed = 17;
+  config.hosts = 40;
+  config.days = 1;
+  config.benign_sites = 150;
+  config.malware_families = 4;
+  config.min_victims = 3;
+  config.max_victims = 8;
+  trace::CollectingSink collected;
+  trace::generate_trace(config, collected);
+  const auto& events = collected.dns();
+  ASSERT_GT(events.size(), 1000u);
+  const auto ids = sink_build(events);
+  const auto names = by_name_build(events);
+  EXPECT_TRUE(graph::same_bipartite(ids.hdbg, names.hdbg));
+  EXPECT_TRUE(graph::same_bipartite(ids.dibg, names.dibg));
+  EXPECT_TRUE(graph::same_bipartite(ids.dtbg, names.dtbg));
 }
 
 TEST(BehaviorModelTest, PruningAppliesAcrossAllGraphs) {

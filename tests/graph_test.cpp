@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "graph/bipartite.hpp"
 #include "graph/projection.hpp"
 #include "graph/stats.hpp"
 #include "graph/weighted_graph.hpp"
+#include "graph_compare.hpp"
 
 namespace dnsembed::graph {
 namespace {
@@ -83,6 +87,58 @@ TEST(Bipartite, FilterRightKeepsSelectedDomains) {
   // h1 still touches a.com; h4 still touches c.com.
   EXPECT_EQ(filtered.edge_count(), 4u);
   EXPECT_THROW(g.filter_right(std::vector<bool>(2, true)), std::invalid_argument);
+}
+
+/// The by-name restriction filter_right replaced: re-add every kept edge by
+/// name, right-major.
+BipartiteGraph filter_right_by_name(const BipartiteGraph& g, const std::vector<bool>& keep) {
+  BipartiteGraph out;
+  for (VertexId r = 0; r < g.right_count(); ++r) {
+    if (!keep[r]) continue;
+    for (const VertexId l : g.right_neighbors(r)) {
+      out.add_edge(g.left_names().name(l), g.right_names().name(r));
+    }
+  }
+  out.finalize();
+  return out;
+}
+
+TEST(Bipartite, FilterRightMatchesByNameReAdd) {
+  std::mt19937 rng{20261017};
+  BipartiteGraph g;
+  for (int i = 0; i < 3000; ++i) {
+    g.add_edge("h" + std::to_string(rng() % 60), "d" + std::to_string(rng() % 400) + ".test");
+  }
+  g.add_right("isolated.test");  // kept but edgeless: dropped by both
+  g.finalize();
+  for (int round = 0; round < 4; ++round) {
+    std::vector<bool> keep(g.right_count());
+    for (std::size_t r = 0; r < keep.size(); ++r) keep[r] = rng() % 3 != 0;
+    keep.back() = true;
+    EXPECT_TRUE(same_bipartite(g.filter_right(keep), filter_right_by_name(g, keep)))
+        << "round " << round;
+  }
+}
+
+TEST(Bipartite, IdBuildMatchesNameBuild) {
+  BipartiteGraph by_name;
+  by_name.add_edge("h1", "a.com");
+  by_name.add_edge("h2", "b.com");
+  by_name.add_edge("h1", "b.com");
+  by_name.finalize();
+  BipartiteGraph by_id;
+  const VertexId h1 = by_id.add_left("h1");
+  const VertexId a = by_id.add_right("a.com");
+  by_id.add_edge(h1, a);
+  const VertexId h2 = by_id.add_left("h2");
+  const VertexId b = by_id.add_right("b.com");
+  by_id.add_edge(h2, b);
+  by_id.add_edge(h1, b);
+  by_id.add_edge(h1, b);  // duplicate collapses
+  by_id.finalize();
+  EXPECT_TRUE(same_bipartite(by_id, by_name));
+  EXPECT_EQ(by_id.add_left("h2"), h2);  // interning is idempotent
+  EXPECT_THROW(by_id.add_edge(h1, VertexId{7}), std::out_of_range);
 }
 
 TEST(Bipartite, OutOfRangeIdsThrow) {

@@ -2,15 +2,20 @@
 // every stage and reproduce the report byte-for-byte; corrupting one
 // artifact must recompute exactly the owning stage (and still converge on
 // the same bytes, with a manifest the next --resume skips whole); a config
-// change must invalidate everything; a blown
+// change must invalidate everything; a workdir whose bipartite graphs are
+// text-era containers must recompute the trace stage; a blown
 // stage deadline must throw but leave committed artifacts resumable.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 #include <string>
 
 #include "core/run.hpp"
+#include "graph/io.hpp"
+#include "util/artifact.hpp"
 #include "util/fsio.hpp"
+#include "util/hash.hpp"
 
 namespace dnsembed::core {
 namespace {
@@ -106,6 +111,42 @@ TEST_F(RunResumeTest, MissingArtifactRecomputesOwningStage) {
   }
 
   // The partly resumed run rewrote the manifest with every stage.
+  const auto third = run_resumable(options);
+  EXPECT_EQ(third.resumed_stages, 5u);
+}
+
+TEST_F(RunResumeTest, TextEraBipartiteGraphsRecomputeTraceStage) {
+  auto options = small_options(dir_);
+  const auto first = run_resumable(options);
+  const auto report = util::fsio::read_file(first.report_path);
+
+  // Turn the finished workdir into one written before the bipartite arena:
+  // each .bg becomes a text container (kind "bipartite-graph", CSV payload)
+  // and manifest.run records those files' digests, so only the kind check
+  // can tell them apart.
+  const auto manifest_path = dir_ + "/manifest.run";
+  auto manifest = util::load_artifact(manifest_path, "run-manifest");
+  for (const char* file : {"hdbg.bg", "dibg.bg", "dtbg.bg"}) {
+    const auto path = dir_ + "/" + file;
+    std::ostringstream csv;
+    graph::save_bipartite_csv(csv, graph::load_bipartite_file(path));
+    const auto old_digest = util::hex64(util::xxhash64(util::fsio::read_file(path)));
+    util::save_artifact(path, "bipartite-graph", csv.str());
+    const auto new_digest = util::hex64(util::xxhash64(util::fsio::read_file(path)));
+    const auto row = std::string{"artifact "} + file + " " + old_digest;
+    const auto at = manifest.find(row);
+    ASSERT_NE(at, std::string::npos) << file;
+    manifest.replace(at, row.size(), std::string{"artifact "} + file + " " + new_digest);
+  }
+  util::save_artifact(manifest_path, "run-manifest", manifest);
+
+  options.resume = true;
+  const auto second = run_resumable(options);
+  ASSERT_EQ(second.stages.size(), 5u);
+  EXPECT_EQ(second.stages[0].name, "trace");
+  EXPECT_FALSE(second.stages[0].resumed);
+  EXPECT_EQ(util::fsio::read_file(second.report_path), report);
+
   const auto third = run_resumable(options);
   EXPECT_EQ(third.resumed_stages, 5u);
 }

@@ -5,6 +5,7 @@
 // fallback copy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/bipartite.hpp"
 #include "graph/io.hpp"
 #include "graph/weighted_graph.hpp"
 #include "util/artifact.hpp"
@@ -256,6 +258,100 @@ TEST(Arena, TruncatedBodyIsRejected) {
     EXPECT_THROW(ArenaView::parse(std::string_view{payload}.substr(0, keep), "test"),
                  CorruptArtifact)
         << "kept " << keep << " bytes";
+  }
+}
+
+// ---------------------------------------------------------------------
+// One-buffer containers: the bytes a writer saves must be exactly
+// make_artifact(kind, payload(kind)).
+
+/// Expects the file at `path` to be the container make_artifact builds
+/// around its own payload, with the payload's arena body 8-aligned in the
+/// file.
+void expect_canonical_container(const std::string& path, std::string_view kind) {
+  const auto bytes = fsio::read_file(path);
+  const auto payload = validate_artifact_view(bytes, kind, path);
+  EXPECT_EQ(make_artifact(kind, payload), bytes) << kind;
+  const auto pad = static_cast<unsigned char>(payload[0]);
+  EXPECT_EQ((bytes.size() - payload.size() + 1 + pad) % 8, 0u) << kind;
+}
+
+TEST(Arena, SavedContainersEqualMakeArtifactOfPayload) {
+  const auto csr = triangle_graph();
+  const auto csr_path = temp_path("one_buffer.csr");
+  csr.save_file(csr_path);
+  EXPECT_EQ(fsio::read_file(csr_path), make_artifact(kCsrGraphKind, csr.payload()));
+  expect_canonical_container(csr_path, kCsrGraphKind);
+  fs::remove(csr_path);
+
+  const std::vector<std::string> names = {"x.test", "y.test"};
+  const std::vector<float> data = {1.0f, -2.0f, 0.5f, 4.0f, 8.0f, -0.25f};
+  const auto matrix = DenseMatrix::build(names, 3, data);
+  const auto matrix_path = temp_path("one_buffer.emb");
+  matrix.save_file(matrix_path);
+  EXPECT_EQ(fsio::read_file(matrix_path), make_artifact(kDenseMatrixKind, matrix.payload()));
+  expect_canonical_container(matrix_path, kDenseMatrixKind);
+  fs::remove(matrix_path);
+
+  graph::BipartiteGraph bipartite;
+  bipartite.add_edge("h1", "a.test");
+  bipartite.add_edge("h2", "b.test");
+  bipartite.add_edge("h1", "c.test");
+  bipartite.finalize();
+  const auto bipartite_path = temp_path("one_buffer.bg");
+  graph::save_bipartite_file(bipartite_path, bipartite);
+  expect_canonical_container(bipartite_path, graph::kBipartiteArenaKind);
+  fs::remove(bipartite_path);
+}
+
+TEST(Arena, ContainerEqualsMakeArtifactAcrossPadAndDigitBoundaries) {
+  // One growing section carries the payload size across 1000 bytes, where
+  // the header's size field gains a digit and the pad must change; an empty
+  // section rides along.
+  const std::string kind = "csr-graph";
+  const std::string filler(1100, 'q');
+  std::size_t below = 0;
+  std::size_t above = 0;
+  std::vector<std::size_t> pads;
+  for (std::size_t size = 880; size <= 1000; ++size) {
+    ArenaWriter writer;
+    writer.add(arena_tag("EMPTY"), nullptr, 0);
+    writer.add(arena_tag("FILL"), filler.data(), size);
+    const auto payload = writer.payload(kind);
+    const auto container = writer.container(kind);
+    ASSERT_EQ(container, make_artifact(kind, payload)) << "section size " << size;
+    const std::size_t pad = static_cast<unsigned char>(payload[0]);
+    ASSERT_EQ((container.size() - payload.size() + 1 + pad) % 8, 0u) << "section size " << size;
+    (payload.size() < 1000 ? below : above) += 1;
+    if (std::find(pads.begin(), pads.end(), pad) == pads.end()) pads.push_back(pad);
+    const auto view = ArenaView::parse(payload, "test");
+    EXPECT_EQ(view.section(arena_tag("EMPTY"), "test").size(), 0u);
+    EXPECT_EQ(view.section(arena_tag("FILL"), "test"), std::string_view(filler).substr(0, size));
+  }
+  EXPECT_GT(below, 0u);
+  EXPECT_GT(above, 0u);
+  EXPECT_GT(pads.size(), 1u);
+}
+
+TEST(CsrGraph, SortedEdgeListMatchesShuffledBuild) {
+  // A (u, v)-sorted edge list takes the already-ascending path; the same
+  // edges in scrambled order take the sort. Both must give the same arena.
+  const std::vector<std::uint32_t> u = {0, 0, 1, 1, 2};
+  const std::vector<std::uint32_t> v = {1, 3, 2, 3, 3};
+  const std::vector<double> w = {0.5, 0.25, 1.0 / 3.0, 0.125, 0.75};
+  const auto sorted = CsrGraph::build(4, u, v, w);
+  const std::vector<std::uint32_t> su = {2, 0, 1, 0, 1};
+  const std::vector<std::uint32_t> sv = {3, 3, 3, 1, 2};
+  const std::vector<double> sw = {0.75, 0.25, 0.125, 0.5, 1.0 / 3.0};
+  const auto shuffled = CsrGraph::build(4, su, sv, sw);
+  for (std::uint32_t x = 0; x < 4; ++x) {
+    const auto a = sorted.neighbors(x);
+    const auto b = shuffled.neighbors(x);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << x;
+    const auto aw = sorted.neighbor_weights(x);
+    const auto bw = shuffled.neighbor_weights(x);
+    ASSERT_TRUE(std::equal(aw.begin(), aw.end(), bw.begin(), bw.end())) << x;
+    EXPECT_EQ(sorted.weighted_degree(x), shuffled.weighted_degree(x)) << x;
   }
 }
 
