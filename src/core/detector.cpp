@@ -24,11 +24,7 @@ DetectionEvaluation evaluate_svm(const ml::Dataset& data, const ml::SvmConfig& s
                                  std::size_t folds, std::uint64_t seed) {
   DetectionEvaluation eval;
   eval.folds = folds;
-  eval.scores = ml::cross_validate(
-      data, folds, seed, [&svm](const ml::Dataset& train, const ml::Dataset& test) {
-        const ml::SvmModel model = ml::train_svm(train, svm);
-        return model.decision_values(test.x);
-      });
+  eval.scores = ml::cross_validate_svm(data, folds, seed, svm);
   eval.roc = ml::roc_curve(eval.scores.scores, eval.scores.labels);
   eval.auc = ml::roc_auc(eval.scores.scores, eval.scores.labels);
   eval.confusion_at_zero = ml::confusion_at(eval.scores.scores, eval.scores.labels, 0.0);
@@ -61,12 +57,8 @@ void DomainDetector::calibrate(const intel::LabeledSet& labels, std::size_t fold
                                std::uint64_t seed) {
   // Out-of-fold decision values avoid the optimistic bias of calibrating
   // on the same data the deployed model was trained on.
-  const auto data = make_dataset(*embedding_, labels);
-  const auto& svm = svm_config_;
-  const auto cv = ml::cross_validate(
-      data, folds, seed, [&svm](const ml::Dataset& train, const ml::Dataset& test) {
-        return ml::train_svm(train, svm).decision_values(test.x);
-      });
+  const auto cv = ml::cross_validate_svm(make_dataset(*embedding_, labels), folds, seed,
+                                         svm_config_);
   scaler_.fit(cv.scores, cv.labels);
 }
 

@@ -31,29 +31,34 @@ std::vector<std::vector<std::size_t>> stratified_kfold(const std::vector<int>& l
   return folds;
 }
 
+void for_each_fold(const std::vector<int>& labels, std::size_t k, std::uint64_t seed,
+                   const FoldVisitor& visit) {
+  const auto folds = stratified_kfold(labels, k, seed);
+  for (const auto& test_idx : folds) {
+    std::vector<std::size_t> train_idx;
+    train_idx.reserve(labels.size() - test_idx.size());
+    std::vector<bool> held(labels.size(), false);
+    for (const std::size_t i : test_idx) held[i] = true;
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      if (!held[i]) train_idx.push_back(i);
+    }
+    visit(train_idx, test_idx);
+  }
+}
+
 CrossValScores cross_validate(const Dataset& data, std::size_t k, std::uint64_t seed,
                               const FoldScorer& scorer) {
   data.validate();
-  const auto folds = stratified_kfold(data.y, k, seed);
   CrossValScores out;
   out.scores.assign(data.size(), 0.0);
   out.labels = data.y;
-  for (const auto& test_idx : folds) {
-    std::vector<std::size_t> train_idx;
-    train_idx.reserve(data.size() - test_idx.size());
-    std::vector<bool> held(data.size(), false);
-    for (const std::size_t i : test_idx) held[i] = true;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      if (!held[i]) train_idx.push_back(i);
-    }
-    const Dataset train = data.select(train_idx);
-    const Dataset test = data.select(test_idx);
-    const auto fold_scores = scorer(train, test);
+  for_each_fold(data.y, k, seed, [&](const auto& train_idx, const auto& test_idx) {
+    const auto fold_scores = scorer(data.select(train_idx), data.select(test_idx));
     if (fold_scores.size() != test_idx.size()) {
       throw std::runtime_error{"cross_validate: scorer returned wrong count"};
     }
     for (std::size_t j = 0; j < test_idx.size(); ++j) out.scores[test_idx[j]] = fold_scores[j];
-  }
+  });
   return out;
 }
 

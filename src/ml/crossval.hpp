@@ -27,6 +27,15 @@ struct CrossValScores {
 /// `test.x` (higher = more malicious).
 using FoldScorer = std::function<std::vector<double>(const Dataset& train, const Dataset& test)>;
 
+/// Visits the stratified folds in order: `train` lists every row outside
+/// `test`, ascending.
+using FoldVisitor = std::function<void(const std::vector<std::size_t>& train,
+                                       const std::vector<std::size_t>& test)>;
+
+/// The index-level fold loop under cross_validate and cross_validate_svm.
+void for_each_fold(const std::vector<int>& labels, std::size_t k, std::uint64_t seed,
+                   const FoldVisitor& visit);
+
 /// Run stratified k-fold CV and collect out-of-fold scores.
 CrossValScores cross_validate(const Dataset& data, std::size_t k, std::uint64_t seed,
                               const FoldScorer& scorer);

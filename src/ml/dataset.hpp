@@ -24,6 +24,9 @@ class Matrix {
   double& at(std::size_t i, std::size_t j);
   double at(std::size_t i, std::size_t j) const;
 
+  /// All rows, contiguous: row i starts at data() + i * cols().
+  const double* data() const noexcept { return data_.data(); }
+
   /// New matrix containing the selected rows, in order.
   Matrix select_rows(std::span<const std::size_t> indices) const;
 

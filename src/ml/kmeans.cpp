@@ -1,9 +1,11 @@
 #include "ml/kmeans.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -15,17 +17,35 @@ double squared_l2(std::span<const double> a, std::span<const double> b) noexcept
 
 namespace {
 
-Matrix kmeanspp_init(const Matrix& x, std::size_t k, util::Rng& rng) {
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+// Relative margin of the Elkan bounds (DESIGN §11). A computed squared
+// distance of d-dimensional rows is within about (d + 2) * 2^-53 of the
+// exact one, far inside this margin.
+constexpr double kMargin = 1e-9;
+
+// Stored bounds carry the margin: an upper bound holds (1 + kMargin) times
+// the true distance, a lower bound (1 - kMargin) times, so a bare `upper <
+// lower` proves u * (1 + kMargin) < l * (1 - kMargin). Each is set from a
+// computed distance widened by twice the margin, and updates round outward.
+double upper_of(double squared) noexcept { return std::sqrt(squared) * (1.0 + 2.0 * kMargin); }
+double lower_of(double squared) noexcept { return std::sqrt(squared) * (1.0 - 2.0 * kMargin); }
+
+Matrix kmeanspp_init(const Matrix& x, std::size_t k, util::Rng& rng, std::uint64_t& distances) {
   const std::size_t n = x.rows();
   Matrix centroids{k, x.cols()};
-  std::vector<double> min_dist(n, std::numeric_limits<double>::infinity());
+  std::vector<double> min_dist(n, kInfinity);
+  std::vector<double> dist(n);
 
   std::size_t first = rng.uniform_index(n);
   std::copy(x.row(first).begin(), x.row(first).end(), centroids.row(0).begin());
   for (std::size_t c = 1; c < k; ++c) {
+    util::simd::squared_l2_rows(centroids.row(c - 1).data(), x.data(), n, x.cols(),
+                                dist.data());
+    distances += n;
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      min_dist[i] = std::min(min_dist[i], squared_l2(x.row(i), centroids.row(c - 1)));
+      min_dist[i] = std::min(min_dist[i], dist[i]);
       total += min_dist[i];
     }
     std::size_t chosen = 0;
@@ -46,32 +66,112 @@ Matrix kmeanspp_init(const Matrix& x, std::size_t k, util::Rng& rng) {
   return centroids;
 }
 
+/// half[a * k + c] <= (1 - kMargin) |c_a - c_c| / 2, with an infinite
+/// diagonal so a point never tests its own centroid; reach[a] is the
+/// smallest of half[a * k + c] over c != a (infinite when k = 1).
+void centroid_halves(const Matrix& centroids, std::vector<double>& half,
+                     std::vector<double>& reach, std::uint64_t& distances) {
+  const std::size_t k = centroids.rows();
+  const std::size_t d = centroids.cols();
+  std::vector<double> dist(k);
+  std::fill(reach.begin(), reach.end(), kInfinity);
+  for (std::size_t a = 0; a < k; ++a) half[a * k + a] = kInfinity;
+  for (std::size_t a = 0; a + 1 < k; ++a) {
+    util::simd::squared_l2_rows(centroids.data() + a * d, centroids.data() + (a + 1) * d,
+                                k - a - 1, d, dist.data());
+    for (std::size_t c = a + 1; c < k; ++c) {
+      const double h = 0.5 * lower_of(dist[c - a - 1]);
+      half[a * k + c] = h;
+      half[c * k + a] = h;
+      reach[a] = std::min(reach[a], h);
+      reach[c] = std::min(reach[c], h);
+    }
+  }
+  distances += k * (k - 1) / 2;
+}
+
+/// Lloyd's iterations. The first pass computes every point-centroid
+/// distance; later passes skip the candidates that Elkan's triangle-
+/// inequality bounds (ICML 2003) rule out, with a margin wide enough that
+/// each assignment is the plain scan's lowest-index argmin, bit for bit.
 KMeansResult lloyd(const Matrix& x, Matrix centroids, std::size_t max_iterations,
-                   util::Rng& rng) {
+                   util::Rng& rng, std::uint64_t& distances) {
   const std::size_t n = x.rows();
   const std::size_t k = centroids.rows();
   const std::size_t d = x.cols();
   KMeansResult result;
   result.assignment.assign(n, 0);
 
+  // upper[i] >= (1 + kMargin) |x_i - c_assignment[i]| and
+  // lower[i * k + c] <= (1 - kMargin) |x_i - c|.
+  std::vector<double> upper(n);
+  std::vector<double> lower(n * k);
+  std::vector<double> half(k * k);
+  std::vector<double> reach(k);
+  std::vector<double> drift(k);
+
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
     bool changed = iter == 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      std::size_t best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        const double dist = squared_l2(x.row(i), centroids.row(c));
-        if (dist < best) {
-          best = dist;
-          best_c = c;
+    const double* const cs = centroids.data();
+    if (iter == 0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        double* const li = lower.data() + i * k;
+        util::simd::squared_l2_rows(x.data() + i * d, cs, k, d, li);
+        double best = kInfinity;
+        std::size_t best_c = 0;
+        for (std::size_t c = 0; c < k; ++c) {
+          if (li[c] < best) {
+            best = li[c];
+            best_c = c;
+          }
+          li[c] = lower_of(li[c]);
         }
+        upper[i] = upper_of(best);
+        result.assignment[i] = best_c;
       }
-      if (result.assignment[i] != best_c) changed = true;
-      result.assignment[i] = best_c;
+      distances += n * k;
+    } else {
+      centroid_halves(centroids, half, reach, distances);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::size_t a = result.assignment[i];
+        double u = upper[i];
+        if (u < reach[a]) continue;
+        const double* const xi = x.data() + i * d;
+        double* const li = lower.data() + i * k;
+        const double* half_a = half.data() + a * k;
+        bool tight = false;
+        double da = 0.0;
+        for (std::size_t c = 0; c < k; ++c) {
+          // c is strictly farther than a by its own bound or, by the
+          // triangle inequality, by half its distance to a.
+          if (u < li[c] || u < half_a[c]) continue;
+          if (!tight) {
+            da = util::simd::squared_l2(xi, cs + a * d, d);
+            ++distances;
+            u = upper_of(da);
+            li[a] = lower_of(da);
+            tight = true;
+            if (u < li[c] || u < half_a[c]) continue;
+          }
+          const double dc = util::simd::squared_l2(xi, cs + c * d, d);
+          ++distances;
+          li[c] = lower_of(dc);
+          if (dc < da || (dc == da && c < a)) {
+            a = c;
+            da = dc;
+            u = upper_of(dc);
+            half_a = half.data() + a * k;
+          }
+        }
+        upper[i] = u;
+        if (result.assignment[i] != a) changed = true;
+        result.assignment[i] = a;
+      }
     }
     result.iterations = iter + 1;
     if (!changed && iter > 0) break;
 
+    const Matrix previous = centroids;
     Matrix sums{k, d};
     std::vector<std::size_t> counts(k, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -91,12 +191,27 @@ KMeansResult lloyd(const Matrix& x, Matrix centroids, std::size_t max_iterations
       const auto sum = sums.row(c);
       for (std::size_t j = 0; j < d; ++j) row[j] = sum[j] / static_cast<double>(counts[c]);
     }
+
+    // Each centroid's move loosens the bounds that name it; rounding the
+    // updates outward keeps them bounds.
+    for (std::size_t c = 0; c < k; ++c) {
+      drift[c] = upper_of(squared_l2(previous.row(c), centroids.row(c)));
+    }
+    distances += k;
+    for (std::size_t i = 0; i < n; ++i) {
+      upper[i] = (upper[i] + drift[result.assignment[i]]) * (1.0 + kMargin);
+      double* const li = lower.data() + i * k;
+      for (std::size_t c = 0; c < k; ++c) {
+        li[c] = std::max(0.0, (li[c] - drift[c]) * (1.0 - kMargin));
+      }
+    }
   }
 
   result.inertia = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     result.inertia += squared_l2(x.row(i), centroids.row(result.assignment[i]));
   }
+  distances += n;
   result.centroids = std::move(centroids);
   return result;
 }
@@ -108,12 +223,15 @@ KMeansResult kmeans(const Matrix& x, const KMeansConfig& config) {
   if (x.rows() < config.k) throw std::invalid_argument{"kmeans: fewer rows than clusters"};
   if (config.restarts == 0) throw std::invalid_argument{"kmeans: restarts must be >= 1"};
 
+  static obs::Counter& distance_counter = obs::metrics().counter("ml.kmeans.distances");
   KMeansResult best;
   best.inertia = std::numeric_limits<double>::infinity();
   for (std::size_t r = 0; r < config.restarts; ++r) {
     util::Rng rng{config.seed + r * 0x9e3779b97f4a7c15ULL};
-    auto centroids = kmeanspp_init(x, config.k, rng);
-    auto result = lloyd(x, std::move(centroids), config.max_iterations, rng);
+    std::uint64_t distances = 0;
+    auto centroids = kmeanspp_init(x, config.k, rng, distances);
+    auto result = lloyd(x, std::move(centroids), config.max_iterations, rng, distances);
+    distance_counter.add(distances);
     if (result.inertia < best.inertia) best = std::move(result);
   }
   return best;

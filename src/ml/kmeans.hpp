@@ -1,5 +1,7 @@
 // Lloyd's k-means with k-means++ seeding — the workhorse under X-Means
 // (paper §7.1 clusters domain embeddings to surface malware families).
+// Passes after the first skip the distances that Elkan's triangle-inequality
+// bounds rule out; the result is the plain scan's, bit for bit (DESIGN §11).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +26,9 @@ struct KMeansResult {
   std::size_t iterations = 0;           // of the winning restart
 };
 
-/// Cluster rows of x into k groups. Requires k >= 1 and k <= rows.
+/// Cluster rows of x into k groups. Requires k >= 1, k <= rows and finite
+/// entries. Publishes the squared distances it evaluates as the
+/// `ml.kmeans.distances` counter, once per restart.
 KMeansResult kmeans(const Matrix& x, const KMeansConfig& config);
 
 /// Squared Euclidean distance between two equal-length vectors.

@@ -5,6 +5,7 @@
 #include <istream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -30,10 +31,12 @@ double kernel_value(const SvmConfig& config, std::span<const double> a,
   return 0.0;
 }
 
-/// LRU cache of kernel matrix rows: K(i, *) for training points. Row fill
+/// LRU cache of kernel matrix rows: K(i, *) over every row of x. Row fill
 /// is O(n · dim) per miss — the training hot path — so misses are filled
 /// in parallel when a pool is supplied (each column independent, so the
-/// result is identical to the serial fill).
+/// result is identical to the serial fill). An RBF row takes its squared
+/// distances from one util::simd::squared_l2_rows call per chunk, each
+/// bit-identical to the pairwise call kernel_value makes.
 ///
 /// Storage is ONE contiguous arena of capacity x n doubles plus two flat
 /// index arrays (row -> slot, slot -> row). The previous
@@ -48,7 +51,7 @@ class KernelCache {
       : x_{x}, config_{config}, pool_{pool},
         capacity_{std::min(std::max<std::size_t>(2, config.cache_rows),
                            std::max<std::size_t>(x.rows(), 2))},
-        arena_(capacity_ * x.rows()),
+        arena_{std::make_unique_for_overwrite<double[]>(capacity_ * x.rows())},
         slot_row_(capacity_, kNone),
         slot_tick_(capacity_, 0),
         row_slot_(x.rows(), kNone) {}
@@ -63,7 +66,7 @@ class KernelCache {
       hits.add(1);
       const std::size_t slot = row_slot_[i];
       slot_tick_[slot] = ++tick_;
-      return {arena_.data() + slot * n, n};
+      return {arena_.get() + slot * n, n};
     }
     fills.add(1);
     // Victim: first free slot, else the least recently used one.
@@ -80,11 +83,15 @@ class KernelCache {
       }
     }
     if (slot_row_[slot] != kNone) row_slot_[slot_row_[slot]] = kNone;
-    double* const dst = arena_.data() + slot * n;
+    double* const dst = arena_.get() + slot * n;
     const auto xi = x_.row(i);
+    const std::size_t dim = x_.cols();
     const auto fill = [&](std::size_t lo, std::size_t hi, std::size_t) {
-      for (std::size_t j = lo; j < hi; ++j) {
-        dst[j] = kernel_value(config_, xi, x_.row(j));
+      if (config_.kernel == SvmKernel::kRbf) {
+        util::simd::squared_l2_rows(xi.data(), x_.data() + lo * dim, hi - lo, dim, dst + lo);
+        for (std::size_t j = lo; j < hi; ++j) dst[j] = std::exp(-config_.gamma * dst[j]);
+      } else {
+        for (std::size_t j = lo; j < hi; ++j) dst[j] = kernel_value(config_, xi, x_.row(j));
       }
     };
     if (pool_ != nullptr) {
@@ -105,19 +112,35 @@ class KernelCache {
   const SvmConfig& config_;
   util::ThreadPool* pool_;
   std::size_t capacity_;
-  std::vector<double> arena_;            // capacity_ rows of n kernel values
+  std::unique_ptr<double[]> arena_;      // capacity_ rows of n kernel values, unset until filled
   std::vector<std::size_t> slot_row_;    // slot -> cached row id (kNone = free)
   std::vector<std::uint64_t> slot_tick_; // slot -> last-use tick
   std::vector<std::size_t> row_slot_;    // row id -> slot (kNone = not cached)
   std::uint64_t tick_ = 0;
 };
 
-}  // namespace
+std::unique_ptr<util::ThreadPool> fill_pool(const SvmConfig& config, std::size_t rows) {
+  const std::size_t threads = std::min(util::resolve_threads(config.threads), rows);
+  if (threads <= 1) return nullptr;
+  return std::make_unique<util::ThreadPool>(threads);
+}
 
-SvmModel train_svm(const Dataset& train, const SvmConfig& config) {
+/// A solved dual: one entry per training row.
+struct SmoSolution {
+  std::vector<double> alpha;
+  std::vector<double> y;  // signed labels
+  double bias = 0.0;
+  std::size_t iterations = 0;
+
+  bool is_support_vector(std::size_t t) const noexcept { return alpha[t] > 1e-12; }
+};
+
+/// SMO over the training rows `rows` of the cache's matrix (labels[r] is
+/// row r's label): K(t, s) = cache.row(rows[t])[rows[s]].
+SmoSolution solve_smo(KernelCache& cache, const std::vector<std::size_t>& rows,
+                      const std::vector<int>& labels, const SvmConfig& config) {
   OBS_SPAN("ml.svm.train");
-  train.validate();
-  const std::size_t n = train.size();
+  const std::size_t n = rows.size();
   if (n < 2) throw std::invalid_argument{"train_svm: need at least 2 rows"};
   if (config.c <= 0.0) throw std::invalid_argument{"train_svm: C must be positive"};
   if (config.kernel == SvmKernel::kRbf && config.gamma <= 0.0) {
@@ -125,27 +148,26 @@ SvmModel train_svm(const Dataset& train, const SvmConfig& config) {
   }
   bool has_pos = false;
   bool has_neg = false;
-  for (const int label : train.y) (label == 1 ? has_pos : has_neg) = true;
+  for (const std::size_t r : rows) (labels[r] == 1 ? has_pos : has_neg) = true;
   if (!has_pos || !has_neg) {
     throw std::invalid_argument{"train_svm: both classes required"};
   }
 
   // Signed labels and per-class box bounds.
-  std::vector<double> y(n);
+  SmoSolution out;
+  std::vector<double>& y = out.y;
+  y.resize(n);
   std::vector<double> cap(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] = train.y[i] == 1 ? 1.0 : -1.0;
-    cap[i] = config.c * config.class_weight[train.y[i]];
+  for (std::size_t t = 0; t < n; ++t) {
+    y[t] = labels[rows[t]] == 1 ? 1.0 : -1.0;
+    cap[t] = config.c * config.class_weight[labels[rows[t]]];
   }
 
   // Dual problem: min 1/2 a^T Q a - e^T a, 0 <= a_i <= cap_i, y^T a = 0,
   // with Q_ij = y_i y_j K_ij. gradient[i] = (Q a)_i - 1.
-  std::vector<double> alpha(n, 0.0);
+  std::vector<double>& alpha = out.alpha;
+  alpha.assign(n, 0.0);
   std::vector<double> gradient(n, -1.0);
-  const std::size_t threads = std::min(util::resolve_threads(config.threads), n);
-  std::unique_ptr<util::ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
-  KernelCache cache{train.x, config, pool.get()};
 
   const std::size_t max_iter = config.max_iterations != 0
                                    ? config.max_iterations
@@ -174,9 +196,9 @@ SvmModel train_svm(const Dataset& train, const SvmConfig& config) {
     }
     if (i == n || j == n || max_up - min_low < config.tolerance) break;
 
-    const auto ki = cache.row(i);
-    const auto kj = cache.row(j);
-    double eta = ki[i] + kj[j] - 2.0 * ki[j];
+    const double* const ki = cache.row(rows[i]).data();
+    const double* const kj = cache.row(rows[j]).data();
+    double eta = ki[rows[i]] + kj[rows[j]] - 2.0 * ki[rows[j]];
     if (eta <= 0.0) eta = 1e-12;
 
     // Unconstrained step along the pair, then clip to the box.
@@ -198,9 +220,10 @@ SvmModel train_svm(const Dataset& train, const SvmConfig& config) {
     // Delta alpha_i = y_i * step and delta alpha_j = -y_j * step, so
     // grad_t += Q_ti dA_i + Q_tj dA_j = y_t * step * (K_ti - K_tj).
     for (std::size_t t = 0; t < n; ++t) {
-      gradient[t] += step * y[t] * (ki[t] - kj[t]);
+      gradient[t] += step * y[t] * (ki[rows[t]] - kj[rows[t]]);
     }
   }
+  out.iterations = iter;
 
   // Bias from free support vectors (fallback: midpoint of the bounds).
   double bias_sum = 0.0;
@@ -218,26 +241,65 @@ SvmModel train_svm(const Dataset& train, const SvmConfig& config) {
     if (in_up) up_bound = std::min(up_bound, value);
     if (in_low) low_bound = std::max(low_bound, value);
   }
-  double bias = 0.0;
   if (bias_count > 0) {
-    bias = bias_sum / static_cast<double>(bias_count);
+    out.bias = bias_sum / static_cast<double>(bias_count);
   } else if (std::isfinite(up_bound) && std::isfinite(low_bound)) {
-    bias = (up_bound + low_bound) / 2.0;
+    out.bias = (up_bound + low_bound) / 2.0;
   }
+  return out;
+}
+
+}  // namespace
+
+SvmModel train_svm(const Dataset& train, const SvmConfig& config) {
+  train.validate();
+  std::vector<std::size_t> rows(train.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  const auto pool = fill_pool(config, rows.size());
+  KernelCache cache{train.x, config, pool.get()};
+  const SmoSolution solution = solve_smo(cache, rows, train.y, config);
 
   // Collect support vectors.
   std::vector<std::size_t> sv_idx;
-  for (std::size_t t = 0; t < n; ++t) {
-    if (alpha[t] > 1e-12) sv_idx.push_back(t);
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    if (solution.is_support_vector(t)) sv_idx.push_back(t);
   }
   SvmModel model;
   model.config_ = config;
-  model.bias_ = bias;
-  model.iterations_ = iter;
+  model.bias_ = solution.bias;
+  model.iterations_ = solution.iterations;
   model.support_vectors_ = train.x.select_rows(sv_idx);
   model.coef_.reserve(sv_idx.size());
-  for (const std::size_t t : sv_idx) model.coef_.push_back(alpha[t] * y[t]);
+  for (const std::size_t t : sv_idx) model.coef_.push_back(solution.alpha[t] * solution.y[t]);
   return model;
+}
+
+CrossValScores cross_validate_svm(const Dataset& data, std::size_t k, std::uint64_t seed,
+                                  const SvmConfig& config) {
+  static obs::Counter& scored = obs::metrics().counter("ml.svm.scored_rows");
+  data.validate();
+  CrossValScores out;
+  out.scores.assign(data.size(), 0.0);
+  out.labels = data.y;
+  const auto pool = fill_pool(config, data.size());
+  KernelCache cache{data.x, config, pool.get()};
+  for_each_fold(data.y, k, seed, [&](const auto& train_idx, const auto& test_idx) {
+    const SmoSolution solution = solve_smo(cache, train_idx, data.y, config);
+    // bias + sum of coef_s * K(sv_s, row) in support-vector order: the float
+    // operations of SvmModel::decision_value, one cached row per vector.
+    std::vector<double> fold_scores(test_idx.size(), solution.bias);
+    for (std::size_t t = 0; t < train_idx.size(); ++t) {
+      if (!solution.is_support_vector(t)) continue;
+      const double coef = solution.alpha[t] * solution.y[t];
+      const double* const k_row = cache.row(train_idx[t]).data();
+      for (std::size_t j = 0; j < test_idx.size(); ++j) {
+        fold_scores[j] += coef * k_row[test_idx[j]];
+      }
+    }
+    for (std::size_t j = 0; j < test_idx.size(); ++j) out.scores[test_idx[j]] = fold_scores[j];
+    scored.add(test_idx.size());
+  });
+  return out;
 }
 
 double SvmModel::decision_value(std::span<const double> x) const {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "ml/crossval.hpp"
 #include "ml/dataset.hpp"
 
 namespace dnsembed::ml {
@@ -29,7 +30,9 @@ struct SvmConfig {
   double tolerance = 1e-3;
   /// Hard cap on SMO iterations (0 = heuristic: max(10^7, 100 n)).
   std::size_t max_iterations = 0;
-  /// Kernel row cache size in rows (bounds memory at cache_rows * n).
+  /// Kernel row cache size in rows (bounds memory at cache_rows * n, where
+  /// n counts the training rows, or for cross_validate_svm every labeled
+  /// row: one cache serves all folds).
   std::size_t cache_rows = 2048;
   /// Worker threads for kernel-row fill during training and for batch
   /// scoring (decision_values): 1 = serial, 0 = one per hardware thread.
@@ -86,5 +89,13 @@ class SvmModel {
 
 /// Train on a validated dataset containing both classes.
 SvmModel train_svm(const Dataset& train, const SvmConfig& config);
+
+/// Stratified k-fold SVM scores (stratified_kfold's folds), bit-identical to
+/// cross_validate with a scorer that runs train_svm then decision_values.
+/// One kernel cache over all rows of data.x serves every fold: each fold's
+/// SMO reads it through its training rows, and a held-out row's score sums
+/// the support vectors' cached kernel values in support-vector order.
+CrossValScores cross_validate_svm(const Dataset& data, std::size_t k, std::uint64_t seed,
+                                  const SvmConfig& config);
 
 }  // namespace dnsembed::ml

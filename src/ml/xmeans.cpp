@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "obs/span.hpp"
 #include "util/simd.hpp"
 
 namespace dnsembed::ml {
@@ -42,6 +43,7 @@ double kmeans_bic(const Matrix& x, const Matrix& centroids,
 }
 
 XMeansResult xmeans(const Matrix& x, const XMeansConfig& config) {
+  OBS_SPAN("ml.xmeans");
   if (config.k_min < 1 || config.k_min > config.k_max) {
     throw std::invalid_argument{"xmeans: need 1 <= k_min <= k_max"};
   }
@@ -101,7 +103,10 @@ XMeansResult xmeans(const Matrix& x, const XMeansConfig& config) {
     }
     if (!improved) break;
 
-    // Re-run global k-means seeded by the accepted centroid set.
+    // Re-run global k-means from fresh k-means++ seeds (seed + 7 * round) at
+    // the accepted centroid count; only the count of the sets above is used.
+    // Seeding from the accepted centroids would change the cluster tables
+    // (ROADMAP item 8).
     std::size_t total_k = 0;
     for (const auto& set : new_centroid_sets) total_k += set.rows();
     total_k = std::min(total_k, config.k_max);

@@ -53,6 +53,11 @@ double squared_l2_f64_scalar(const double* a, const double* b, std::size_t n) no
   return acc;
 }
 
+void squared_l2_rows_f64_scalar(const double* a, const double* rows, std::size_t m,
+                                std::size_t n, double* out) noexcept {
+  for (std::size_t j = 0; j < m; ++j) out[j] = squared_l2_f64_scalar(a, rows + j * n, n);
+}
+
 void axpy_f32_scalar(float alpha, const float* x, float* y, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -164,6 +169,49 @@ __attribute__((target("sse2"))) double squared_l2_f64_sse2(const double* a, cons
     sum += d * d;
   }
   return sum;
+}
+
+// Two rows per pass, each with the pairwise kernel's two accumulators and
+// lane split; the unpack pair forms each row's lanes[0] + lanes[1].
+__attribute__((target("sse2"))) void squared_l2_rows_f64_sse2(const double* a,
+                                                              const double* rows,
+                                                              std::size_t m, std::size_t n,
+                                                              double* out) noexcept {
+  std::size_t j = 0;
+  for (; j + 2 <= m; j += 2) {
+    const double* r0 = rows + j * n;
+    const double* r1 = r0 + n;
+    __m128d acc00 = _mm_setzero_pd();
+    __m128d acc01 = _mm_setzero_pd();
+    __m128d acc10 = _mm_setzero_pd();
+    __m128d acc11 = _mm_setzero_pd();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const __m128d a0 = _mm_loadu_pd(a + i);
+      const __m128d a1 = _mm_loadu_pd(a + i + 2);
+      __m128d d = _mm_sub_pd(a0, _mm_loadu_pd(r0 + i));
+      acc00 = _mm_add_pd(acc00, _mm_mul_pd(d, d));
+      d = _mm_sub_pd(a1, _mm_loadu_pd(r0 + i + 2));
+      acc01 = _mm_add_pd(acc01, _mm_mul_pd(d, d));
+      d = _mm_sub_pd(a0, _mm_loadu_pd(r1 + i));
+      acc10 = _mm_add_pd(acc10, _mm_mul_pd(d, d));
+      d = _mm_sub_pd(a1, _mm_loadu_pd(r1 + i + 2));
+      acc11 = _mm_add_pd(acc11, _mm_mul_pd(d, d));
+    }
+    const __m128d s0 = _mm_add_pd(acc00, acc01);
+    const __m128d s1 = _mm_add_pd(acc10, acc11);
+    double sums[2];
+    _mm_storeu_pd(sums, _mm_add_pd(_mm_unpacklo_pd(s0, s1), _mm_unpackhi_pd(s0, s1)));
+    for (; i < n; ++i) {
+      const double d0 = a[i] - r0[i];
+      sums[0] += d0 * d0;
+      const double d1 = a[i] - r1[i];
+      sums[1] += d1 * d1;
+    }
+    out[j] = sums[0];
+    out[j + 1] = sums[1];
+  }
+  for (; j < m; ++j) out[j] = squared_l2_f64_sse2(a, rows + j * n, n);
 }
 
 __attribute__((target("sse2"))) void axpy_f32_sse2(float alpha, const float* x, float* y,
@@ -309,6 +357,74 @@ __attribute__((target("avx2"))) double squared_l2_f64_avx2(const double* a, cons
   return sum;
 }
 
+// Four rows per pass, each with the pairwise kernel's two accumulators and
+// lane split, held in named registers (an accumulator array spills to the
+// stack). Two hadds and two lane permutes form (l0 + l1) + (l2 + l3) of all
+// four rows at once.
+__attribute__((target("avx2"))) void squared_l2_rows_f64_avx2(const double* a,
+                                                              const double* rows,
+                                                              std::size_t m, std::size_t n,
+                                                              double* out) noexcept {
+  std::size_t j = 0;
+  for (; j + 4 <= m; j += 4) {
+    const double* r0 = rows + j * n;
+    const double* r1 = r0 + n;
+    const double* r2 = r1 + n;
+    const double* r3 = r2 + n;
+    __m256d acc00 = _mm256_setzero_pd();
+    __m256d acc01 = _mm256_setzero_pd();
+    __m256d acc10 = _mm256_setzero_pd();
+    __m256d acc11 = _mm256_setzero_pd();
+    __m256d acc20 = _mm256_setzero_pd();
+    __m256d acc21 = _mm256_setzero_pd();
+    __m256d acc30 = _mm256_setzero_pd();
+    __m256d acc31 = _mm256_setzero_pd();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      const __m256d a0 = _mm256_loadu_pd(a + i);
+      const __m256d a1 = _mm256_loadu_pd(a + i + 4);
+      __m256d d = _mm256_sub_pd(a0, _mm256_loadu_pd(r0 + i));
+      acc00 = _mm256_add_pd(acc00, _mm256_mul_pd(d, d));
+      d = _mm256_sub_pd(a1, _mm256_loadu_pd(r0 + i + 4));
+      acc01 = _mm256_add_pd(acc01, _mm256_mul_pd(d, d));
+      d = _mm256_sub_pd(a0, _mm256_loadu_pd(r1 + i));
+      acc10 = _mm256_add_pd(acc10, _mm256_mul_pd(d, d));
+      d = _mm256_sub_pd(a1, _mm256_loadu_pd(r1 + i + 4));
+      acc11 = _mm256_add_pd(acc11, _mm256_mul_pd(d, d));
+      d = _mm256_sub_pd(a0, _mm256_loadu_pd(r2 + i));
+      acc20 = _mm256_add_pd(acc20, _mm256_mul_pd(d, d));
+      d = _mm256_sub_pd(a1, _mm256_loadu_pd(r2 + i + 4));
+      acc21 = _mm256_add_pd(acc21, _mm256_mul_pd(d, d));
+      d = _mm256_sub_pd(a0, _mm256_loadu_pd(r3 + i));
+      acc30 = _mm256_add_pd(acc30, _mm256_mul_pd(d, d));
+      d = _mm256_sub_pd(a1, _mm256_loadu_pd(r3 + i + 4));
+      acc31 = _mm256_add_pd(acc31, _mm256_mul_pd(d, d));
+    }
+    // hadd(s0, s1) = (s0[0]+s0[1], s1[0]+s1[1], s0[2]+s0[3], s1[2]+s1[3]).
+    const __m256d h01 = _mm256_hadd_pd(_mm256_add_pd(acc00, acc01), _mm256_add_pd(acc10, acc11));
+    const __m256d h23 = _mm256_hadd_pd(_mm256_add_pd(acc20, acc21), _mm256_add_pd(acc30, acc31));
+    const __m256d low_pairs = _mm256_permute2f128_pd(h01, h23, 0x20);
+    const __m256d high_pairs = _mm256_permute2f128_pd(h01, h23, 0x31);
+    double sums[4];
+    _mm256_storeu_pd(sums, _mm256_add_pd(low_pairs, high_pairs));
+    for (; i < n; ++i) {
+      const double d0 = a[i] - r0[i];
+      sums[0] += d0 * d0;
+      const double d1 = a[i] - r1[i];
+      sums[1] += d1 * d1;
+      const double d2 = a[i] - r2[i];
+      sums[2] += d2 * d2;
+      const double d3 = a[i] - r3[i];
+      sums[3] += d3 * d3;
+    }
+    out[j] = sums[0];
+    out[j + 1] = sums[1];
+    out[j + 2] = sums[2];
+    out[j + 3] = sums[3];
+  }
+  for (; j < m; ++j) out[j] = squared_l2_f64_avx2(a, rows + j * n, n);
+}
+
 __attribute__((target("avx2"))) void axpy_f32_avx2(float alpha, const float* x, float* y,
                                                    std::size_t n) noexcept {
   const __m256 va = _mm256_set1_ps(alpha);
@@ -370,6 +486,8 @@ struct Kernels {
   double (*dot_f64)(const double*, const double*, std::size_t) noexcept;
   float (*squared_l2_f32)(const float*, const float*, std::size_t) noexcept;
   double (*squared_l2_f64)(const double*, const double*, std::size_t) noexcept;
+  void (*squared_l2_rows_f64)(const double*, const double*, std::size_t, std::size_t,
+                              double*) noexcept;
   void (*axpy_f32)(float, const float*, float*, std::size_t) noexcept;
   void (*scale_f32)(float, const float*, float*, std::size_t) noexcept;
   void (*fused_step)(float, const float*, float*, float*, std::size_t) noexcept;
@@ -377,22 +495,28 @@ struct Kernels {
 };
 
 constexpr Kernels kScalarKernels{
-    detail::dot_f32_scalar,       detail::dot_f64_scalar,  detail::squared_l2_f32_scalar,
-    detail::squared_l2_f64_scalar, detail::axpy_f32_scalar, detail::scale_f32_scalar,
-    detail::fused_step_scalar,    detail::min_u32_scalar,
+    detail::dot_f32_scalar,           detail::dot_f64_scalar,
+    detail::squared_l2_f32_scalar,    detail::squared_l2_f64_scalar,
+    detail::squared_l2_rows_f64_scalar, detail::axpy_f32_scalar,
+    detail::scale_f32_scalar,         detail::fused_step_scalar,
+    detail::min_u32_scalar,
 };
 
 #ifdef DNSEMBED_SIMD_X86
 constexpr Kernels kSse2Kernels{
-    detail::dot_f32_sse2,       detail::dot_f64_sse2,  detail::squared_l2_f32_sse2,
-    detail::squared_l2_f64_sse2, detail::axpy_f32_sse2, detail::scale_f32_sse2,
-    detail::fused_step_sse2,    detail::min_u32_sse2,
+    detail::dot_f32_sse2,           detail::dot_f64_sse2,
+    detail::squared_l2_f32_sse2,    detail::squared_l2_f64_sse2,
+    detail::squared_l2_rows_f64_sse2, detail::axpy_f32_sse2,
+    detail::scale_f32_sse2,         detail::fused_step_sse2,
+    detail::min_u32_sse2,
 };
 
 constexpr Kernels kAvx2Kernels{
-    detail::dot_f32_avx2,       detail::dot_f64_avx2,  detail::squared_l2_f32_avx2,
-    detail::squared_l2_f64_avx2, detail::axpy_f32_avx2, detail::scale_f32_avx2,
-    detail::fused_step_avx2,    detail::min_u32_avx2,
+    detail::dot_f32_avx2,           detail::dot_f64_avx2,
+    detail::squared_l2_f32_avx2,    detail::squared_l2_f64_avx2,
+    detail::squared_l2_rows_f64_avx2, detail::axpy_f32_avx2,
+    detail::scale_f32_avx2,         detail::fused_step_avx2,
+    detail::min_u32_avx2,
 };
 #endif
 
@@ -492,6 +616,11 @@ float squared_l2(const float* a, const float* b, std::size_t n) noexcept {
 
 double squared_l2(const double* a, const double* b, std::size_t n) noexcept {
   return resolve().squared_l2_f64(a, b, n);
+}
+
+void squared_l2_rows(const double* a, const double* rows, std::size_t m, std::size_t n,
+                     double* out) noexcept {
+  resolve().squared_l2_rows_f64(a, rows, m, n, out);
 }
 
 void axpy(float alpha, const float* x, float* y, std::size_t n) noexcept {

@@ -20,7 +20,10 @@
 // accumulation across lanes; rungs agree to a few ulps but are not
 // bit-equal, which is why components that must be bit-stable across thread
 // counts (deterministic LINE) only feed these kernels identical inputs per
-// call site, never per-path mixtures.
+// call site, never per-path mixtures. `squared_l2_rows` is the one-to-many
+// form of double `squared_l2`: on each rung every output is bit-identical to
+// that rung's pairwise call, so a caller may batch distances without moving
+// a result.
 #pragma once
 
 #include <cstddef>
@@ -59,6 +62,13 @@ float squared_l2(const float* a, const float* b, std::size_t n) noexcept;
 /// Squared L2 distance of double vectors.
 double squared_l2(const double* a, const double* b, std::size_t n) noexcept;
 
+/// out[j] = squared_l2(a, rows + j * n, n) for j < m: one vector's distances
+/// to m contiguous rows of length n. Each output has the bits of the
+/// pairwise call on the same rung, with either operand fixed (IEEE
+/// subtraction is sign-symmetric, so squared_l2(a, b) == squared_l2(b, a)).
+void squared_l2_rows(const double* a, const double* rows, std::size_t m, std::size_t n,
+                     double* out) noexcept;
+
 /// y[i] += alpha * x[i] (bit-identical across rungs).
 void axpy(float alpha, const float* x, float* y, std::size_t n) noexcept;
 
@@ -95,6 +105,8 @@ float dot_f32_scalar(const float* a, const float* b, std::size_t n) noexcept;
 double dot_f64_scalar(const double* a, const double* b, std::size_t n) noexcept;
 float squared_l2_f32_scalar(const float* a, const float* b, std::size_t n) noexcept;
 double squared_l2_f64_scalar(const double* a, const double* b, std::size_t n) noexcept;
+void squared_l2_rows_f64_scalar(const double* a, const double* rows, std::size_t m,
+                                std::size_t n, double* out) noexcept;
 void axpy_f32_scalar(float alpha, const float* x, float* y, std::size_t n) noexcept;
 void scale_f32_scalar(float alpha, const float* x, float* out, std::size_t n) noexcept;
 void fused_step_scalar(float coeff, const float* src, float* tgt, float* grad,
@@ -106,6 +118,8 @@ float dot_f32_sse2(const float* a, const float* b, std::size_t n) noexcept;
 double dot_f64_sse2(const double* a, const double* b, std::size_t n) noexcept;
 float squared_l2_f32_sse2(const float* a, const float* b, std::size_t n) noexcept;
 double squared_l2_f64_sse2(const double* a, const double* b, std::size_t n) noexcept;
+void squared_l2_rows_f64_sse2(const double* a, const double* rows, std::size_t m,
+                              std::size_t n, double* out) noexcept;
 void axpy_f32_sse2(float alpha, const float* x, float* y, std::size_t n) noexcept;
 void scale_f32_sse2(float alpha, const float* x, float* out, std::size_t n) noexcept;
 void fused_step_sse2(float coeff, const float* src, float* tgt, float* grad,
@@ -116,6 +130,8 @@ float dot_f32_avx2(const float* a, const float* b, std::size_t n) noexcept;
 double dot_f64_avx2(const double* a, const double* b, std::size_t n) noexcept;
 float squared_l2_f32_avx2(const float* a, const float* b, std::size_t n) noexcept;
 double squared_l2_f64_avx2(const double* a, const double* b, std::size_t n) noexcept;
+void squared_l2_rows_f64_avx2(const double* a, const double* rows, std::size_t m,
+                              std::size_t n, double* out) noexcept;
 void axpy_f32_avx2(float alpha, const float* x, float* y, std::size_t n) noexcept;
 void scale_f32_avx2(float alpha, const float* x, float* out, std::size_t n) noexcept;
 void fused_step_avx2(float coeff, const float* src, float* tgt, float* grad,

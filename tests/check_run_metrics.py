@@ -6,10 +6,11 @@ Usage: check_run_metrics.py DNSEMBED
 Pins the part of the `dnsembed run` interface that outside readers take
 layer timings from. A run with --metrics-out must record one histogram per
 run stage plus the SVM span, each observed at least once, count projected
-pairs, and count exactly one LINE sample per SGD step: three channels times
-two objectives times --samples. The same run's --trace-out must hold the
-spans that split the graph build and artifact I/O out of the stages. A
-renamed span would otherwise read as zero seconds without failing anything.
+pairs and k-means distances, and count exactly one LINE sample per SGD
+step: three channels times two objectives times --samples. The same run's
+--trace-out must hold the spans that split the graph build, artifact I/O
+and clustering out of the stages. A renamed span would otherwise read as
+zero seconds without failing anything.
 A following `run --resume` over the same workdir must report all five
 stages resumed. --line-threads stays in the options to show the ignored flag
 is still accepted.
@@ -28,10 +29,10 @@ OPTIONS = ["--hosts", "40", "--days", "2", "--sites", "150", "--families", "4",
 HISTOGRAMS = [f"run.{stage}.seconds"
               for stage in ("pipeline", "trace", "behavior", "embed", "labels", "report")]
 HISTOGRAMS.append("pipeline.svm.seconds")
-COUNTERS = ["graph.projection.pairs"]
-# Graph build and artifact I/O (DESIGN §7).
+COUNTERS = ["graph.projection.pairs", "ml.kmeans.distances"]
+# Graph build, artifact I/O and clustering (DESIGN §7).
 SPANS = ["trace.graph_build", "graph.bipartite.save", "graph.bipartite.load",
-         "behavior.restrict", "graph.csr.save", "run.report.load"]
+         "behavior.restrict", "graph.csr.save", "run.report.load", "ml.xmeans"]
 # Three similarity channels, each trained for both LINE objectives.
 LINE_SAMPLES = 3 * 2 * SAMPLES
 

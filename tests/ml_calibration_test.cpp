@@ -1,10 +1,9 @@
-// Tests for Platt scaling and the SVM grid search.
+// Tests for Platt scaling.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "ml/calibration.hpp"
-#include "ml/gridsearch.hpp"
 #include "ml/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -75,46 +74,6 @@ TEST(Platt, ErrorsOnMisuse) {
   EXPECT_THROW(scaler.probability(0.0), std::logic_error);
   EXPECT_THROW(scaler.fit({1.0}, {1, 0}), std::invalid_argument);
   EXPECT_THROW(scaler.fit({1.0, 2.0}, {1, 1}), std::invalid_argument);
-}
-
-Dataset grid_blobs(std::uint64_t seed) {
-  util::Rng rng{seed};
-  Dataset data;
-  data.x = Matrix{160, 2};
-  data.y.resize(160);
-  for (std::size_t i = 0; i < 160; ++i) {
-    const int y = i < 80 ? 0 : 1;
-    data.x.at(i, 0) = rng.normal() + (y == 1 ? 2.2 : 0.0);
-    data.x.at(i, 1) = rng.normal();
-    data.y[i] = y;
-  }
-  return data;
-}
-
-TEST(GridSearch, FindsAWorkingConfiguration) {
-  const auto data = grid_blobs(11);
-  SvmConfig base;
-  const auto result =
-      grid_search_svm(data, base, {0.01, 1.0}, {0.01, 0.5}, 4, 7);
-  EXPECT_EQ(result.evaluated.size(), 4u);
-  EXPECT_GT(result.best_auc, 0.9);
-  // The winner must be one of the evaluated points, with matching AUC.
-  bool found = false;
-  for (const auto& point : result.evaluated) {
-    if (point.c == result.best.c && point.gamma == result.best.gamma) {
-      EXPECT_DOUBLE_EQ(point.auc, result.best_auc);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-  // Tiny C + tiny gamma underfits relative to the winner.
-  EXPECT_GE(result.best_auc, result.evaluated.front().auc);
-}
-
-TEST(GridSearch, RejectsEmptyGrid) {
-  const auto data = grid_blobs(13);
-  EXPECT_THROW(grid_search_svm(data, SvmConfig{}, {}, {0.1}, 3, 1), std::invalid_argument);
-  EXPECT_THROW(grid_search_svm(data, SvmConfig{}, {1.0}, {}, 3, 1), std::invalid_argument);
 }
 
 }  // namespace

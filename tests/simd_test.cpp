@@ -2,12 +2,14 @@
 // supports must agree with the scalar reference — within 1 ulp of the
 // returned float for the double-accumulated reductions (dot, squared_l2),
 // bit-exactly for the element-wise float kernels (axpy, scale,
-// fused_sigmoid_step). Inputs sweep random data plus the usual traps:
-// denormals, signed zeros, large magnitudes, and lengths that exercise
-// every vector-width remainder path.
+// fused_sigmoid_step) — and each rung's one-to-many squared_l2_rows must
+// match its own pairwise squared_l2 bit for bit. Inputs sweep random data
+// plus the usual traps: denormals, signed zeros, large magnitudes, and
+// lengths that exercise every vector-width remainder path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -96,6 +98,15 @@ std::vector<T> fuzz_vector(util::Rng& rng, std::size_t n) {
 // Lengths covering empty input, scalar tails, and full vector widths.
 constexpr std::size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 67, 128};
 
+/// Byte equality that is defined for empty vectors too: an empty vector's
+/// data() may be null, and memcmp on a null pointer is undefined even at
+/// length 0.
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
 TEST(SimdParity, FloatReductionsWithinOneUlp) {
   const auto rungs = supported_rungs();
   util::Rng rng{20260806};
@@ -169,23 +180,75 @@ TEST(SimdParity, ElementwiseKernelsBitIdentical) {
       for (const auto& rung : rungs) {
         auto y = y0;
         rung.axpy(alpha, x.data(), y.data(), n);
-        EXPECT_EQ(std::memcmp(y.data(), y_ref.data(), n * sizeof(float)), 0)
-            << level_name(rung.level) << " axpy n=" << n;
+        EXPECT_TRUE(same_bytes(y, y_ref)) << level_name(rung.level) << " axpy n=" << n;
 
         std::vector<float> scaled(n);
         rung.scale(alpha, x.data(), scaled.data(), n);
-        EXPECT_EQ(std::memcmp(scaled.data(), scaled_ref.data(), n * sizeof(float)), 0)
-            << level_name(rung.level) << " scale n=" << n;
+        EXPECT_TRUE(same_bytes(scaled, scaled_ref)) << level_name(rung.level) << " scale n=" << n;
 
         auto tgt = y0;
         auto grad = grad0;
         rung.fused(alpha, x.data(), tgt.data(), grad.data(), n);
-        EXPECT_EQ(std::memcmp(tgt.data(), tgt_ref.data(), n * sizeof(float)), 0)
-            << level_name(rung.level) << " fused tgt n=" << n;
-        EXPECT_EQ(std::memcmp(grad.data(), grad_ref.data(), n * sizeof(float)), 0)
-            << level_name(rung.level) << " fused grad n=" << n;
+        EXPECT_TRUE(same_bytes(tgt, tgt_ref)) << level_name(rung.level) << " fused tgt n=" << n;
+        EXPECT_TRUE(same_bytes(grad, grad_ref)) << level_name(rung.level) << " fused grad n=" << n;
       }
     }
+  }
+}
+
+// squared_l2_rows must give every row the bits of the same rung's pairwise
+// squared_l2, with the fixed vector as either pairwise operand. m = 0..9
+// covers the SSE2 two-row and AVX2 four-row blocks and their remainders;
+// kLengths covers every lane tail.
+TEST(SimdParity, SquaredL2RowsMatchPairwiseBitForBit) {
+  struct RowsRung {
+    Level level;
+    double (*pairwise)(const double*, const double*, std::size_t) noexcept;
+    void (*rows)(const double*, const double*, std::size_t, std::size_t, double*) noexcept;
+  };
+  std::vector<RowsRung> rungs{
+      {Level::kScalar, squared_l2_f64_scalar, detail::squared_l2_rows_f64_scalar}};
+#if defined(__x86_64__) || defined(__i386__)
+  if (level_supported(Level::kSse2)) {
+    rungs.push_back(
+        {Level::kSse2, detail::squared_l2_f64_sse2, detail::squared_l2_rows_f64_sse2});
+  }
+  if (level_supported(Level::kAvx2)) {
+    rungs.push_back(
+        {Level::kAvx2, detail::squared_l2_f64_avx2, detail::squared_l2_rows_f64_avx2});
+  }
+#endif
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  util::Rng rng{0x5EED5};
+  for (int round = 0; round < 20; ++round) {
+    for (const std::size_t n : kLengths) {
+      for (std::size_t m = 0; m <= 9; ++m) {
+        const auto a = fuzz_vector<double>(rng, n);
+        const auto rows = fuzz_vector<double>(rng, m * n);
+        for (const auto& rung : rungs) {
+          std::vector<double> out(m);
+          rung.rows(a.data(), rows.data(), m, n, out.data());
+          for (std::size_t j = 0; j < m; ++j) {
+            const double* row = rows.data() + j * n;
+            EXPECT_EQ(bits(out[j]), bits(rung.pairwise(a.data(), row, n)))
+                << level_name(rung.level) << " m=" << m << " n=" << n << " row " << j;
+            EXPECT_EQ(bits(out[j]), bits(rung.pairwise(row, a.data(), n)))
+                << level_name(rung.level) << " m=" << m << " n=" << n << " row " << j
+                << " (fixed vector second)";
+          }
+        }
+      }
+    }
+  }
+
+  // The dispatched entry point agrees with the dispatched pairwise call.
+  const auto a = fuzz_vector<double>(rng, 72);
+  const auto rows = fuzz_vector<double>(rng, 7 * 72);
+  std::vector<double> out(7);
+  squared_l2_rows(a.data(), rows.data(), 7, 72, out.data());
+  for (std::size_t j = 0; j < 7; ++j) {
+    EXPECT_EQ(bits(out[j]), bits(squared_l2(a.data(), rows.data() + j * 72, 72))) << j;
   }
 }
 
@@ -231,8 +294,7 @@ TEST(SimdParity, MinU32FoldBitIdentical) {
       for (const auto& rung : rungs) {
         auto sig = sig0;
         rung.min_u32(h.data(), sig.data(), n);
-        EXPECT_EQ(std::memcmp(sig.data(), sig_ref.data(), n * sizeof(std::uint32_t)), 0)
-            << level_name(rung.level) << " min_u32 n=" << n;
+        EXPECT_TRUE(same_bytes(sig, sig_ref)) << level_name(rung.level) << " min_u32 n=" << n;
       }
     }
   }
