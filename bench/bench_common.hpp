@@ -5,11 +5,19 @@
 // scale closer to the paper's campus (more hosts/days/families; slower).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <functional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/pipeline.hpp"
+#include "util/simd.hpp"
+#include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dnsembed::bench {
 
@@ -58,6 +66,52 @@ inline core::PipelineConfig bench_pipeline_config() {
   config.xmeans.k_min = 8;
   config.xmeans.k_max = full_scale() ? 192 : 96;
   return config;
+}
+
+// --------------------------------------------------- BENCH_*.json records
+
+/// Min and median wall time over a bench's repetitions.
+struct Timing {
+  double min_ms = 0.0;
+  double median_ms = 0.0;
+};
+
+inline Timing time_reps(const std::function<void()>& fn, int reps) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    util::Stopwatch watch;
+    fn();
+    ms.push_back(watch.millis());
+  }
+  std::sort(ms.begin(), ms.end());
+  const std::size_t mid = ms.size() / 2;
+  return {ms.front(), ms.size() % 2 == 1 ? ms[mid] : (ms[mid - 1] + ms[mid]) / 2.0};
+}
+
+inline std::string cpu_model() {
+  std::ifstream in{"/proc/cpuinfo"};
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model = line.substr(line.find_first_not_of(" \t", colon + 1));
+    std::replace(model.begin(), model.end(), '"', '\'');
+    return model;
+  }
+  return "unknown";
+}
+
+/// Writes the `"machine": {...}` member of a BENCH_*.json record: cores,
+/// CPUs usable under the affinity mask, CPU model, the active SIMD rung and
+/// the build type (each bench binary is compiled with DNSEMBED_BUILD_TYPE).
+inline void write_machine_json(std::FILE* out) {
+  std::fprintf(out,
+               "\"machine\": {\"cores\": %u, \"usable_cpus\": %zu, \"cpu\": \"%s\", "
+               "\"simd\": \"%s\", \"build_type\": \"%s\"}",
+               std::thread::hardware_concurrency(), util::resolve_threads(0),
+               cpu_model().c_str(), util::simd::level_name(util::simd::active_level()),
+               DNSEMBED_BUILD_TYPE);
 }
 
 inline void print_header(const char* experiment, const char* paper_result) {

@@ -1,36 +1,40 @@
 // Microbenchmarks: bipartite graph construction and one-mode Jaccard
-// projection at several scales — the sharded flat-hash engine at several
+// projection at several scales — the row-wise exact engine at several
 // thread counts against the map-based reference, and the minhash/LSH
 // sketched backend against exact counting on a million-edge clustered
 // graph.
 //
 // After the google-benchmark run, a machine-readable perf record is written
-// to BENCH_projection.json (override the path with DNSEMBED_BENCH_JSON) so
-// successive PRs can track the projection throughput trajectory. The full
-// run also enforces three regression gates (exit 1 on violation):
-//   - scaling: sharded T=max must stay within 0.9x of T=1 wall;
+// to BENCH_projection.json (override the path with DNSEMBED_BENCH_JSON):
+// the machine (cores, CPU model, SIMD rung, build type), then one row per
+// measurement with the min and median wall time over its repetitions, then
+// the gate verdicts. The full run enforces three regression gates (exit 1
+// on violation):
+//   - scaling: exact T=max must stay within 0.9x of T=1 wall;
 //   - speed:   sketched must beat exact by >= 5x on the 1M-edge graph;
 //   - quality: downstream combined-channel AUC under the sketched backend
 //              must stay within 0.01 of exact on a small pipeline.
 //
-// Smoke mode (DNSEMBED_BENCH_SMOKE=1): tiny graphs, no gates, no
-// google-benchmark pass — just proves both backends produce edges and the
-// JSON writer works. `--sketched` restricts the smoke run to the sketched
-// backend (the CI hook).
+// Smoke mode (DNSEMBED_BENCH_SMOKE=1): tiny graphs, one repetition, no
+// timing gates, no google-benchmark pass. It fails unless the exact
+// projection emits edges, the sketched one emits edges, and every sketched
+// edge is an exact edge with the same weight bits (sketched weights are
+// exact, so at one similarity floor its edges are a subset of exact's).
+// `--sketched` restricts the smoke run to the sketched backend.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/pipeline.hpp"
 #include "graph/bipartite.hpp"
 #include "graph/projection.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -71,7 +75,7 @@ void BM_ProjectRightReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ProjectRightReference)->Arg(10000)->Arg(50000)->Arg(100000);
 
-// Sharded flat-hash engine: Args are {edges, threads}.
+// Row-wise exact engine: Args are {edges, threads}.
 void BM_ProjectRight(benchmark::State& state) {
   const auto edges = static_cast<std::size_t>(state.range(0));
   const auto g = random_bipartite(200, 1000, edges, 2);
@@ -120,15 +124,8 @@ bool smoke_mode() {
   return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
 }
 
-double best_wall_ms(const std::function<void()>& fn, int reps = 3) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    util::Stopwatch watch;
-    fn();
-    best = std::min(best, watch.millis());
-  }
-  return best;
-}
+/// Repetitions per full-mode measurement (smoke runs each once).
+constexpr int kReps = 3;
 
 /// The sketched backend's target workload: a few hundred "background" hosts
 /// of huge degree touching random domains (each contributes deg² pair-count
@@ -192,11 +189,13 @@ struct Row {
   std::string name;
   std::size_t edges = 0;
   std::size_t threads = 1;
-  double wall_ms = 0.0;
+  bench::Timing timing;
   std::string extra;  // preformatted JSON fragment, e.g. ", \"recall\": 0.99"
 };
 
-bool write_rows(const std::vector<Row>& rows) {
+/// BENCH_projection.json: {smoke, machine, repetitions, rows, gates}.
+/// `gates` is a preformatted JSON object (empty in smoke mode).
+bool write_rows(const std::vector<Row>& rows, bool smoke, const std::string& gates) {
   const char* path = std::getenv("DNSEMBED_BENCH_JSON");
   if (path == nullptr) path = "BENCH_projection.json";
   std::FILE* out = std::fopen(path, "w");
@@ -204,22 +203,46 @@ bool write_rows(const std::vector<Row>& rows) {
     std::fprintf(stderr, "micro_graph: cannot write %s\n", path);
     return false;
   }
-  std::fprintf(out, "[\n");
+  std::fprintf(out, "{\n  \"smoke\": %s,\n  ", smoke ? "true" : "false");
+  bench::write_machine_json(out);
+  std::fprintf(out, ",\n  \"repetitions\": %d,\n  \"rows\": [\n", smoke ? 1 : kReps);
   for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double min_ms = rows[i].timing.min_ms;
     const double items_per_s =
-        rows[i].wall_ms > 0.0 ? static_cast<double>(rows[i].edges) / (rows[i].wall_ms / 1e3)
-                              : 0.0;
+        min_ms > 0.0 ? static_cast<double>(rows[i].edges) / (min_ms / 1e3) : 0.0;
     std::fprintf(out,
-                 "  {\"name\": \"%s\", \"edges\": %zu, \"threads\": %zu, "
-                 "\"effective_threads\": %zu, \"wall_ms\": %.3f, "
+                 "    {\"name\": \"%s\", \"edges\": %zu, \"threads\": %zu, "
+                 "\"effective_threads\": %zu, \"min_ms\": %.3f, \"median_ms\": %.3f, "
                  "\"items_per_s\": %.0f%s}%s\n",
                  rows[i].name.c_str(), rows[i].edges, rows[i].threads,
-                 util::resolve_threads(rows[i].threads), rows[i].wall_ms, items_per_s,
-                 rows[i].extra.c_str(), i + 1 < rows.size() ? "," : "");
+                 util::resolve_threads(rows[i].threads), min_ms, rows[i].timing.median_ms,
+                 items_per_s, rows[i].extra.c_str(), i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(out, "]\n");
+  std::fprintf(out, "  ],\n  \"gates\": {%s}\n}\n", gates.c_str());
   std::fclose(out);
   std::printf("wrote %s\n", path);
+  return true;
+}
+
+/// True when every edge of `sketched` is an edge of `exact` (both
+/// (u, v)-sorted, over the same vertex ids) with the same weight bits.
+bool sketched_edges_are_exact(const graph::WeightedGraph& sketched,
+                              const graph::WeightedGraph& exact) {
+  const auto exact_edges = exact.edges();
+  const auto by_pair = [](const graph::WeightedEdge& a, const graph::WeightedEdge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
+  for (const auto& e : sketched.edges()) {
+    const auto it = std::lower_bound(exact_edges.begin(), exact_edges.end(), e, by_pair);
+    if (it == exact_edges.end() || it->u != e.u || it->v != e.v ||
+        std::memcmp(&it->weight, &e.weight, sizeof e.weight) != 0) {
+      std::fprintf(stderr,
+                   "micro_graph: smoke FAIL — sketched edge (%u, %u, %.17g) is not an exact "
+                   "edge with the same weight bits\n",
+                   e.u, e.v, e.weight);
+      return false;
+    }
+  }
   return true;
 }
 
@@ -229,22 +252,29 @@ int run_smoke(bool sketched_only) {
   graph::ProjectionOptions options;
   options.min_similarity = 0.3;
   std::vector<Row> rows;
+  graph::WeightedGraph exact;
   if (!sketched_only) {
     rows.push_back({"project_right_exact/smoke", edges, 1,
-                    best_wall_ms([&] { benchmark::DoNotOptimize(graph::project_right(g, options)); }, 1),
-                    ""});
+                    bench::time_reps([&] { exact = graph::project_right(g, options); }, 1), ""});
+    if (exact.edge_count() == 0) {
+      std::fprintf(stderr, "micro_graph: smoke FAIL — exact projection emitted no edges\n");
+      return 1;
+    }
+    std::printf("smoke: exact projection emitted %zu edges over %zu vertices\n",
+                exact.edge_count(), exact.vertex_count());
   }
   options.mode = graph::ProjectionMode::kSketched;
   graph::WeightedGraph sketched;
   rows.push_back({"project_right_sketched/smoke", edges, 1,
-                  best_wall_ms([&] { sketched = graph::project_right(g, options); }, 1), ""});
+                  bench::time_reps([&] { sketched = graph::project_right(g, options); }, 1), ""});
   if (sketched.edge_count() == 0) {
     std::fprintf(stderr, "micro_graph: smoke FAIL — sketched projection emitted no edges\n");
     return 1;
   }
   std::printf("smoke: sketched projection emitted %zu edges over %zu vertices\n",
               sketched.edge_count(), sketched.vertex_count());
-  if (!write_rows(rows)) return 1;
+  if (!sketched_only && !sketched_edges_are_exact(sketched, exact)) return 1;
+  if (!write_rows(rows, /*smoke=*/true, "")) return 1;
   return 0;
 }
 
@@ -260,12 +290,12 @@ int run_full() {
 
   // --- Scaling gate on the 100k random graph: T=max must stay within
   // 0.9x of T=1 (effective threads are capped at the hardware count, so
-  // oversubscription can no longer tank the sharded engine).
+  // oversubscription cannot tank the engine).
   constexpr std::size_t kEdges = 100000;
   const auto random_g = random_bipartite(200, 1000, kEdges, 2);
-  rows.push_back({"project_right_reference/100k", kEdges, 1, best_wall_ms([&] {
+  rows.push_back({"project_right_reference/100k", kEdges, 1, bench::time_reps([&] {
                     benchmark::DoNotOptimize(graph::project_right_reference(random_g));
-                  }),
+                  }, kReps),
                   ""});
   double wall_t1 = 0.0;
   double wall_tmax = 0.0;
@@ -273,16 +303,15 @@ int run_full() {
                                     std::size_t{8}, std::size_t{0}}) {
     graph::ProjectionOptions options;
     options.threads = threads;
-    const double wall = best_wall_ms(
-        [&] { benchmark::DoNotOptimize(graph::project_right(random_g, options)); });
-    rows.push_back({threads == 0 ? "project_right_sharded/100k/max"
-                                 : "project_right_sharded/100k",
-                    kEdges, threads, wall, ""});
-    if (threads == 1) wall_t1 = wall;
-    if (threads == 0) wall_tmax = wall;
+    const auto timing = bench::time_reps(
+        [&] { benchmark::DoNotOptimize(graph::project_right(random_g, options)); }, kReps);
+    rows.push_back({threads == 0 ? "project_right_exact/100k/max" : "project_right_exact/100k",
+                    kEdges, threads, timing, ""});
+    if (threads == 1) wall_t1 = timing.min_ms;
+    if (threads == 0) wall_tmax = timing.min_ms;
   }
-  gate(wall_tmax <= wall_t1 / 0.9,
-       "sharded T=max slower than 0.9x of T=1 (scaling regression)");
+  const bool scaling_ok = wall_tmax <= wall_t1 / 0.9;
+  gate(scaling_ok, "exact T=max slower than 0.9x of T=1 (scaling regression)");
 
   // --- Speed gate: exact vs sketched on the ~1M-edge clustered graph.
   const auto big = clustered_bipartite(5000, 20, 5, 500, 500000, 7);
@@ -292,9 +321,10 @@ int run_full() {
   graph::ProjectionOptions exact_options;
   exact_options.min_similarity = 0.3;
   graph::WeightedGraph exact_graph;
-  const double exact_wall =
-      best_wall_ms([&] { exact_graph = graph::project_right(big, exact_options); });
-  rows.push_back({"project_right_exact/1M_clustered", big_edges, 1, exact_wall, ""});
+  const auto exact_timing = bench::time_reps(
+      [&] { exact_graph = graph::project_right(big, exact_options); }, kReps);
+  const double exact_wall = exact_timing.min_ms;
+  rows.push_back({"project_right_exact/1M_clustered", big_edges, 1, exact_timing, ""});
 
   // Accuracy-vs-speed sweep over (signature_size, bands); recall is the
   // fraction of exact edges recovered (sketched weights are exact, so with
@@ -307,7 +337,8 @@ int run_full() {
     options.sketch.signature_size = signature;
     options.sketch.bands = bands;
     graph::WeightedGraph sketched;
-    const double wall = best_wall_ms([&] { sketched = graph::project_right(big, options); });
+    const auto timing =
+        bench::time_reps([&] { sketched = graph::project_right(big, options); }, kReps);
     const double recall = exact_graph.edge_count() == 0
                               ? 1.0
                               : static_cast<double>(sketched.edge_count()) /
@@ -316,10 +347,11 @@ int run_full() {
     std::snprintf(extra, sizeof extra,
                   ", \"signature\": %zu, \"bands\": %zu, \"recall\": %.4f", signature, bands,
                   recall);
-    rows.push_back({"project_right_sketched/1M_clustered", big_edges, 1, wall, extra});
-    if (signature == 64 && bands == 32) default_wall = wall;
+    rows.push_back({"project_right_sketched/1M_clustered", big_edges, 1, timing, extra});
+    if (signature == 64 && bands == 32) default_wall = timing.min_ms;
   }
-  gate(default_wall * 5.0 <= exact_wall,
+  const bool speed_ok = default_wall * 5.0 <= exact_wall;
+  gate(speed_ok,
        "default sketched projection (sig=64, bands=32) less than 5x faster than "
        "exact on the 1M-edge graph");
 
@@ -330,13 +362,23 @@ int run_full() {
     char extra[96];
     std::snprintf(extra, sizeof extra, ", \"auc_exact\": %.4f, \"auc_sketched\": %.4f",
                   auc_exact, auc_sketched);
-    rows.push_back({"pipeline_auc/exact_vs_sketched", 0, 1, 0.0, extra});
+    rows.push_back({"pipeline_auc/exact_vs_sketched", 0, 1, {}, extra});
   }
   const double auc_gap = auc_exact > auc_sketched ? auc_exact - auc_sketched
                                                   : auc_sketched - auc_exact;
-  gate(auc_gap <= 0.01, "sketched downstream AUC drifted more than 0.01 from exact");
+  const bool quality_ok = auc_gap <= 0.01;
+  gate(quality_ok, "sketched downstream AUC drifted more than 0.01 from exact");
 
-  if (!write_rows(rows)) return 1;
+  char gates[512];
+  std::snprintf(gates, sizeof gates,
+                "\"scaling\": {\"t1_ms\": %.3f, \"tmax_ms\": %.3f, \"pass\": %s}, "
+                "\"speed\": {\"exact_ms\": %.3f, \"sketched_ms\": %.3f, \"ratio\": %.3f, "
+                "\"min_ratio\": 5.0, \"pass\": %s}, "
+                "\"quality\": {\"auc_gap\": %.4f, \"max_gap\": 0.01, \"pass\": %s}",
+                wall_t1, wall_tmax, scaling_ok ? "true" : "false", exact_wall, default_wall,
+                default_wall > 0.0 ? exact_wall / default_wall : 0.0,
+                speed_ok ? "true" : "false", auc_gap, quality_ok ? "true" : "false");
+  if (!write_rows(rows, /*smoke=*/false, gates)) return 1;
   std::printf("gates: scaling %.1fms(T=1) vs %.1fms(T=max); sketched %.1fms vs exact "
               "%.1fms (%.1fx); auc %.4f vs %.4f\n",
               wall_t1, wall_tmax, default_wall, exact_wall,

@@ -20,18 +20,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "embed/line.hpp"
 #include "util/csr.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
-#include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -133,23 +129,6 @@ BENCHMARK(BM_LineTrain)->Arg(24)->Arg(128)->Unit(benchmark::kMillisecond);
 // BENCH_line.json: {smoke, machine, repetitions, samples, rows, gate}; one
 // row per (graph, rung, dim) with the min and median wall time.
 
-struct Timing {
-  double min_ms;
-  double median_ms;
-};
-
-Timing time_reps(const std::function<void()>& fn, int reps) {
-  std::vector<double> ms;
-  for (int r = 0; r < reps; ++r) {
-    util::Stopwatch watch;
-    fn();
-    ms.push_back(watch.millis());
-  }
-  std::sort(ms.begin(), ms.end());
-  const std::size_t mid = ms.size() / 2;
-  return {ms.front(), ms.size() % 2 == 1 ? ms[mid] : (ms[mid - 1] + ms[mid]) / 2.0};
-}
-
 bool finite_embedding(const embed::EmbeddingMatrix& m) {
   for (std::size_t v = 0; v < m.size(); ++v) {
     for (const float x : m.row(v)) {
@@ -157,20 +136,6 @@ bool finite_embedding(const embed::EmbeddingMatrix& m) {
     }
   }
   return true;
-}
-
-std::string cpu_model() {
-  std::ifstream in{"/proc/cpuinfo"};
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) break;
-    std::string model = line.substr(line.find_first_not_of(" \t", colon + 1));
-    std::replace(model.begin(), model.end(), '"', '\'');
-    return model;
-  }
-  return "unknown";
 }
 
 int write_line_json() {
@@ -199,7 +164,7 @@ int write_line_json() {
     const Graph* graph;
     util::simd::Level level;
     std::size_t dim;
-    Timing timing;
+    bench::Timing timing;
   };
   std::vector<Row> rows;
   for (const util::simd::Level level : levels) {
@@ -212,8 +177,8 @@ int write_line_json() {
       for (const std::size_t dim : graph.dims) {
         const auto config = line_config(dim, samples);
         embed::EmbeddingMatrix last;
-        const Timing timing =
-            time_reps([&] { last = embed::train_line(graph.csr, config); }, reps);
+        const bench::Timing timing =
+            bench::time_reps([&] { last = embed::train_line(graph.csr, config); }, reps);
         if (!finite_embedding(last)) {
           std::fprintf(stderr, "micro_line: FAIL: non-finite embedding at %s %s dim=%zu\n",
                        graph.name, util::simd::level_name(level), dim);
@@ -244,13 +209,10 @@ int write_line_json() {
     std::fprintf(stderr, "micro_line: cannot write %s\n", path);
     return 1;
   }
-  std::fprintf(out,
-               "{\n  \"smoke\": %s,\n  \"machine\": {\"cores\": %u, \"usable_cpus\": %zu, "
-               "\"cpu\": \"%s\", \"simd\": \"%s\", \"build_type\": \"%s\"},\n"
-               "  \"repetitions\": %d,\n  \"samples\": %zu,\n  \"rows\": [\n",
-               smoke ? "true" : "false", std::thread::hardware_concurrency(),
-               util::resolve_threads(0), cpu_model().c_str(),
-               util::simd::level_name(best_level), DNSEMBED_BUILD_TYPE, reps, samples);
+  std::fprintf(out, "{\n  \"smoke\": %s,\n  ", smoke ? "true" : "false");
+  bench::write_machine_json(out);
+  std::fprintf(out, ",\n  \"repetitions\": %d,\n  \"samples\": %zu,\n  \"rows\": [\n", reps,
+               samples);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,

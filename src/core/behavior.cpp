@@ -83,6 +83,13 @@ graph::WeightedGraph project_channel(const Channel& channel, const graph::Bipart
   return graph::project_right(pruned, options);
 }
 
+util::CsrGraph project_channel_csr(const Channel& channel, const graph::BipartiteGraph& pruned,
+                                   const graph::ProjectionOptions& options) {
+  const std::string span = std::string{"behavior.project."} + channel.name;
+  OBS_SPAN(span.c_str());
+  return graph::project_right_csr(pruned, options);
+}
+
 BehaviorModel build_behavior_model(graph::BipartiteGraph hdbg, graph::BipartiteGraph dibg,
                                    graph::BipartiteGraph dtbg,
                                    const BehaviorModelConfig& config) {

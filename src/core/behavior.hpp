@@ -127,6 +127,11 @@ graph::BipartiteGraph restrict_domains(const graph::BipartiteGraph& g,
 graph::WeightedGraph project_channel(const Channel& channel, const graph::BipartiteGraph& pruned,
                                      const graph::ProjectionOptions& options);
 
+/// The same projection in the CSR arena form (graph::project_right_csr),
+/// the form `run` saves, traced under the same span.
+util::CsrGraph project_channel_csr(const Channel& channel, const graph::BipartiteGraph& pruned,
+                                   const graph::ProjectionOptions& options);
+
 /// Prune (kept_domains, applied to every graph) and project. Consumes the
 /// graphs.
 BehaviorModel build_behavior_model(graph::BipartiteGraph hdbg, graph::BipartiteGraph dibg,

@@ -797,7 +797,7 @@ RunSummary run_resumable(const RunOptions& options) {
           projection.pair_shard_index = s;
           projection.pair_shard_count = shards;
           graph::save_csr_file(
-              output, project_channel(channel, channel_graph(workdir, channel), projection));
+              output, project_channel_csr(channel, channel_graph(workdir, channel), projection));
         };
         tasks.push_back(std::move(task));
       }

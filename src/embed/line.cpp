@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/simd.hpp"
+#include "util/simd_kernels.hpp"
 
 namespace dnsembed::embed {
 
@@ -105,7 +106,8 @@ struct PendingDraw {
 };
 
 /// One SGD objective pass (first- or second-order) writing `dim`-wide rows
-/// into `vertex` (and using `context` when second_order).
+/// into `vertex` (and using `context` when second_order), on the float
+/// kernels of one SIMD rung (a util::simd::kernels struct).
 ///
 /// Batch-synchronous: steps run in batches, and every step of a batch reads
 /// the embedding as of the last barrier. A step emits its updates into the
@@ -114,6 +116,7 @@ struct PendingDraw {
 /// its own counter-based Rng (sample_seed), so step s + kDrawAhead's
 /// generator is seeded, and its bucket drawn and prefetched, while step s
 /// trains; every generator still makes the same draws in the same order.
+template <typename Kernels>
 void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
              std::vector<float>& context, std::size_t dim, bool second_order) {
   const auto& config = ctx.config;
@@ -187,11 +190,11 @@ void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
           if (target == dst || target == src) continue;
         }
         const float* const tgt_vec = tgt_base + static_cast<std::size_t>(target) * dim;
-        const double dot = util::simd::dot(src_vec, tgt_vec, dim);
+        const double dot = Kernels::dot(src_vec, tgt_vec, dim);
         const auto coeff = static_cast<float>((label - sig(dot)) * lr);
-        util::simd::axpy(coeff, tgt_vec, grad, dim);
+        Kernels::axpy(coeff, tgt_vec, grad, dim);
         keys[used] = (static_cast<std::uint32_t>(target) << 1) | target_tag;
-        util::simd::scale(coeff, src_vec, deltas.data() + used * dim, dim);
+        Kernels::scale(coeff, src_vec, deltas.data() + used * dim, dim);
         ++used;
       }
       keys[used] = static_cast<std::uint32_t>(src) << 1;
@@ -204,9 +207,54 @@ void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
     for (std::size_t i = 0; i < used; ++i) {
       float* const row = ((keys[i] & 1u) ? context.data() : vertex.data()) +
                          static_cast<std::size_t>(keys[i] >> 1) * dim;
-      util::simd::axpy(1.0f, deltas.data() + i * dim, row, dim);
+      Kernels::axpy(1.0f, deltas.data() + i * dim, row, dim);
     }
   }
+}
+
+// One entry point per rung. flatten inlines run_sgd and, under the rung's
+// target, its kernels into one loop with no dispatched call per step;
+// always_inline on the kernels instead is rejected by GCC (target specific
+// option mismatch). line.cpp is compiled with -ffp-contract=off, so the
+// AVX2+FMA instantiation rounds every mul+add as the dispatched kernels and
+// the sigmoid index do, and each rung matches its own dispatched path bit
+// for bit.
+using SgdLoop = void (*)(const TrainContext&, std::vector<float>&, std::vector<float>&,
+                         std::size_t, bool);
+
+__attribute__((flatten)) void run_sgd_scalar(const TrainContext& ctx,
+                                             std::vector<float>& vertex,
+                                             std::vector<float>& context, std::size_t dim,
+                                             bool second_order) {
+  run_sgd<util::simd::kernels::Scalar>(ctx, vertex, context, dim, second_order);
+}
+
+#ifdef DNSEMBED_SIMD_X86
+__attribute__((flatten, target("sse2"))) void run_sgd_sse2(const TrainContext& ctx,
+                                                           std::vector<float>& vertex,
+                                                           std::vector<float>& context,
+                                                           std::size_t dim, bool second_order) {
+  run_sgd<util::simd::kernels::Sse2>(ctx, vertex, context, dim, second_order);
+}
+
+__attribute__((flatten, target("avx2,fma"))) void run_sgd_avx2(const TrainContext& ctx,
+                                                               std::vector<float>& vertex,
+                                                               std::vector<float>& context,
+                                                               std::size_t dim,
+                                                               bool second_order) {
+  run_sgd<util::simd::kernels::Avx2>(ctx, vertex, context, dim, second_order);
+}
+#endif
+
+/// The step loop of the rung util::simd dispatches to, so
+/// DNSEMBED_FORCE_SCALAR and force_level select it too.
+SgdLoop sgd_loop_for(util::simd::Level level) noexcept {
+#ifdef DNSEMBED_SIMD_X86
+  if (level == util::simd::Level::kAvx2) return run_sgd_avx2;
+  if (level == util::simd::Level::kSse2) return run_sgd_sse2;
+#endif
+  (void)level;
+  return run_sgd_scalar;
 }
 
 /// Train one objective and return the raw (unnormalized) embedding block.
@@ -219,7 +267,7 @@ std::vector<float> train_order(const TrainContext& ctx, std::size_t dim, bool se
     x = static_cast<float>((rng.uniform() - 0.5) / static_cast<double>(dim));
   }
   if (second_order) context.assign(n * dim, 0.0f);  // word2vec-style zero init
-  run_sgd(ctx, vertex, context, dim, second_order);
+  sgd_loop_for(util::simd::active_level())(ctx, vertex, context, dim, second_order);
   return vertex;
 }
 

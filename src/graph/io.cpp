@@ -244,6 +244,11 @@ void save_csr_file(const std::string& path, WeightedGraph g) {
   csr.save_file(path);
 }
 
+void save_csr_file(const std::string& path, const util::CsrGraph& g) {
+  OBS_SPAN("graph.csr.save");
+  g.save_file(path);
+}
+
 util::CsrGraph load_csr_file(const std::string& path) {
   return util::CsrGraph::load_file(path);
 }

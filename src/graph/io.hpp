@@ -58,10 +58,12 @@ util::CsrGraph to_csr(const WeightedGraph& g);
 /// other interop paths; the pipeline itself consumes CsrGraph directly).
 WeightedGraph from_csr(const util::CsrGraph& g);
 
-/// Atomic checksummed save / mmap zero-copy load of the CSR form. The save
-/// consumes `g`: its adjacency is freed once the arena is built, before
-/// the container is.
+/// Atomic checksummed save / mmap zero-copy load of the CSR form. The
+/// WeightedGraph save consumes `g`: its adjacency is freed once the arena is
+/// built, before the container is. Both saves are traced as span
+/// "graph.csr.save".
 void save_csr_file(const std::string& path, WeightedGraph g);
+void save_csr_file(const std::string& path, const util::CsrGraph& g);
 util::CsrGraph load_csr_file(const std::string& path);
 
 }  // namespace dnsembed::graph

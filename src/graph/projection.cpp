@@ -9,10 +9,10 @@
 
 #include <stdexcept>
 
+#include "graph/io.hpp"
 #include "graph/sketch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/flat_counter.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
@@ -40,170 +40,148 @@ std::vector<std::uint32_t> pair_shard_owners(std::size_t side_count, NameFn&& si
   return owner;
 }
 
-/// Shard for a pair key, derived from the FIRST vertex of the pair only:
-/// the inner counting loop emits a run of keys (u, v0..vk) with ascending v
-/// for one u, so sharding on u keeps a whole run inside one FlatCounter
-/// whose slot_hash probes it sequentially — sharding on the full key would
-/// scatter the run across tables and forfeit that locality. mix64's high
-/// bits + fastrange keep the shard choice independent of probe slots.
-std::size_t shard_of(VertexId u, std::size_t shards) noexcept {
-  const std::uint64_t hi = util::mix64(u) >> 32;
-  return static_cast<std::size_t>((hi * shards) >> 32);
-}
+/// The projection's edges as (u, v)-sorted struct-of-arrays, the form
+/// util::CsrGraph::build takes.
+struct ProjectedEdges {
+  std::vector<std::uint32_t> u;
+  std::vector<std::uint32_t> v;
+  std::vector<double> w;
+};
 
-/// Shared implementation: `side_count`/`side_name`/`side_degree` describe
-/// the projection side; `pivot_count`/`pivot_neighbors` the opposite side.
+/// The exact projection of `g` onto one side (right_side ? right : left).
 ///
-/// Two-pass sharded counting. Pass 1: each worker scans a contiguous pivot
-/// range (ThreadPool::parallel_for chunk) and increments worker-local
-/// FlatCounter shards — no two workers ever touch the same table, so the
-/// count phase is lock- and atomic-free. Pass 2: each shard index is merged
-/// across workers and filtered into per-shard edge vectors, again with
-/// disjoint ownership. A final sort by (u, v) — two stable counting passes,
-/// by v then by u — makes the output independent of the partition, so any
-/// thread count yields the identical graph.
-template <typename NameFn, typename DegreeFn, typename PivotNeighborsFn>
-WeightedGraph project_impl(std::size_t side_count, NameFn&& side_name, DegreeFn&& side_degree,
-                           std::size_t pivot_count, PivotNeighborsFn&& pivot_neighbors,
-                           const ProjectionOptions& options) {
-  WeightedGraph out;
-  for (VertexId v = 0; v < side_count; ++v) out.add_vertex(side_name(v));
-
-  const auto owner = pair_shard_owners(side_count, side_name, options);
+/// Row-wise counting (Gustavson's sparse product, upper triangle): for each
+/// side vertex u in id order, every pivot p ∈ N(u) within the degree cap
+/// adds one to acc[v] for each v ∈ N(p) with v > u (N(p) is sorted, so the
+/// run starts at upper_bound(N(p), u)). Row u is then emitted in ascending
+/// v — by a scan of acc[u+1 .. n) when dense, by sorting the touched list
+/// when sparse — and its counters zeroed. Counts are exact integers and
+/// rows come out in id order, so the edges are (u, v)-sorted with no sort
+/// pass. Workers take contiguous row ranges cut at equal pair work, each
+/// with its own accumulator, and are concatenated in range order: every
+/// thread count gives the same edges.
+ProjectedEdges project_impl(const BipartiteGraph& g, bool right_side,
+                            const ProjectionOptions& options) {
+  const auto& names = right_side ? g.right_names() : g.left_names();
+  const std::size_t side_count = names.size();
+  const std::size_t pivot_count = right_side ? g.left_count() : g.right_count();
+  const auto owner = pair_shard_owners(
+      side_count, [&](VertexId v) -> const std::string& { return names.name(v); }, options);
   const auto owned = [&](VertexId u) {
     return owner.empty() || owner[u] == options.pair_shard_index;
   };
 
-  std::size_t threads = util::resolve_threads(options.threads);
-  threads = std::min(threads, std::max<std::size_t>(1, pivot_count));
-  const std::size_t shards = threads;
-
-  // Hot-loop telemetry: one relaxed add per *pivot* (never per pair), so
-  // the pair-counting inner loop stays untouched; bench/micro_obs holds the
-  // disabled-path overhead under 3%.
+  // Telemetry counts into locals in the one pass over the pivots and is
+  // published once: every pivot and its degree, and the pairs of the
+  // pivots within the cap (whatever the pair shard).
   static obs::Counter& pivots_counter = obs::metrics().counter("graph.projection.pivots");
   static obs::Counter& pairs_counter = obs::metrics().counter("graph.projection.pairs");
   static obs::Counter& edges_counter = obs::metrics().counter("graph.projection.edges");
   static obs::Histogram& degree_histogram =
       obs::metrics().histogram("graph.projection.pivot_degree", obs::Registry::size_bounds());
+  const auto& bounds = degree_histogram.bounds();
+  std::vector<std::uint64_t> degree_buckets(bounds.size() + 1, 0);
+  std::uint64_t degree_sum = 0;
+  std::uint64_t pairs = 0;
+  // Adjacency is read once: the graph's accessors check finalize() per call.
+  std::vector<std::span<const VertexId>> pivots(pivot_count);
+  for (VertexId p = 0; p < pivot_count; ++p) {
+    pivots[p] = right_side ? g.left_neighbors(p) : g.right_neighbors(p);
+    const std::size_t d = pivots[p].size();
+    std::size_t b = 0;
+    while (b < bounds.size() && static_cast<double>(d) > bounds[b]) ++b;
+    ++degree_buckets[b];
+    degree_sum += d;
+    if (options.max_pivot_degree != 0 && d > options.max_pivot_degree) {
+      pivots[p] = {};  // a hub over the cap contributes no pair
+    } else {
+      pairs += d * (d - 1) / 2;
+    }
+  }
+  pivots_counter.add(pivot_count);
+  pairs_counter.add(pairs);
+  // Degrees are integers, so their micro-unit sum is exact.
+  if (obs::metrics_enabled()) {
+    degree_histogram.merge_counts(degree_buckets, degree_sum * 1'000'000);
+  }
+  std::vector<std::span<const VertexId>> rows(side_count);
+  for (VertexId u = 0; u < side_count; ++u) {
+    rows[u] = right_side ? g.right_neighbors(u) : g.left_neighbors(u);
+  }
 
-  // Pass 1: count pair intersections into worker-local shards.
-  std::vector<std::vector<util::FlatCounter>> local(threads);
-  for (auto& w : local) w.resize(shards);
-  const auto count_range = [&](std::size_t lo, std::size_t hi, std::size_t worker) {
+  const auto project_rows = [&](std::size_t lo, std::size_t hi, ProjectedEdges& out) {
     OBS_SPAN("graph.projection.count");
-    auto& tables = local[worker];
-    for (std::size_t pivot = lo; pivot < hi; ++pivot) {
-      const auto neighbors = pivot_neighbors(static_cast<VertexId>(pivot));
-      pivots_counter.add(1);
-      degree_histogram.observe(static_cast<double>(neighbors.size()));
-      if (options.max_pivot_degree != 0 && neighbors.size() > options.max_pivot_degree) continue;
-      pairs_counter.add(neighbors.size() * (neighbors.size() - 1) / 2);
-      constexpr std::size_t kPrefetchDistance = 16;
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        // Pair (neighbors[i], neighbors[j]) with j > i: neighbors[i] is the
-        // smaller endpoint, so ownership filters on it alone and a skipped
-        // run loses no pair another shard would also count.
-        if (!owned(neighbors[i])) continue;
-        const std::uint64_t hi_key = static_cast<std::uint64_t>(neighbors[i]) << 32;
-        auto& table = tables[shards == 1 ? 0 : shard_of(neighbors[i], shards)];
-        // One capacity check per run, not per pair; with the load ensured,
-        // the inner loop is hash + probe only, with the slot line fetched
-        // kPrefetchDistance keys ahead.
-        table.ensure(neighbors.size() - i - 1);
-        for (std::size_t j = i + 1; j < neighbors.size(); ++j) {
-          if (j + kPrefetchDistance < neighbors.size()) {
-            table.prefetch(hi_key | neighbors[j + kPrefetchDistance]);
-          }
-          table.increment_unchecked(hi_key | neighbors[j]);
+    std::vector<std::uint32_t> acc(side_count, 0);
+    std::vector<VertexId> touched(side_count);
+    for (auto u = static_cast<VertexId>(lo); u < hi; ++u) {
+      if (!owned(u)) continue;
+      std::size_t t = 0;
+      for (const VertexId p : rows[u]) {
+        const auto neighbors = pivots[p];
+        for (auto it = std::upper_bound(neighbors.begin(), neighbors.end(), u);
+             it != neighbors.end(); ++it) {
+          touched[t] = *it;  // kept only on the first touch
+          t += acc[*it]++ == 0;
         }
       }
-    }
-  };
-
-  // Pass 2: merge one shard index across all workers, then filter and emit.
-  // Each worker owns a contiguous shard range and its own output vector, so
-  // the merge pass is as lock-free as the count pass.
-  static obs::Counter& merge_keys_counter = obs::metrics().counter("graph.projection.merge_keys");
-  std::vector<std::vector<WeightedEdge>> shard_edges(shards);
-  const auto emit_shards = [&](std::size_t lo, std::size_t hi, std::size_t) {
-    OBS_SPAN("graph.projection.emit");
-    for (std::size_t s = lo; s < hi; ++s) {
-      // Size-aware merge: steal the LARGEST worker table as the base so the
-      // per-key reinsert cost is the sum of the SMALLER tables only, and
-      // reserve the worst-case union up front so the base rehashes at most
-      // once. (Starting blindly from worker 0 meant re-inserting nearly
-      // every key whenever a later worker held the dominant table, plus one
-      // rehash per doubling as the merge grew it.)
-      std::size_t base = 0;
-      std::size_t total = 0;
-      for (std::size_t w = 0; w < local.size(); ++w) {
-        total += local[w][s].size();
-        if (local[w][s].size() > local[base][s].size()) base = w;
-      }
-      util::FlatCounter merged = std::move(local[base][s]);
-      merged.reserve(total);
-      std::size_t reinserted = 0;
-      for (std::size_t w = 0; w < local.size(); ++w) {
-        if (w == base) continue;
-        reinserted += local[w][s].size();
-        merged.merge_from(std::move(local[w][s]));
-      }
-      merge_keys_counter.add(reinserted);
-      auto& edges = shard_edges[s];
-      edges.reserve(merged.size());
-      merged.for_each([&](std::uint64_t key, std::uint32_t inter) {
-        const auto u = static_cast<VertexId>(key >> 32);
-        const auto v = static_cast<VertexId>(key & 0xFFFFFFFFu);
+      const auto emit = [&](VertexId v) {
         const double similarity =
-            set_similarity(options.measure, inter, side_degree(u), side_degree(v));
+            set_similarity(options.measure, acc[v], rows[u].size(), rows[v].size());
+        acc[v] = 0;
         if (similarity >= options.min_similarity && similarity > 0.0) {
-          edges.push_back({u, v, similarity});
+          out.u.push_back(u);
+          out.v.push_back(v);
+          out.w.push_back(similarity);
         }
-      });
+      };
+      if (8 * t > side_count - u) {
+        for (VertexId v = u + 1; v < side_count; ++v) {
+          if (acc[v] != 0) emit(v);
+        }
+      } else {
+        std::sort(touched.begin(), touched.begin() + static_cast<std::ptrdiff_t>(t));
+        for (std::size_t i = 0; i < t; ++i) emit(touched[i]);
+      }
     }
   };
 
+  std::size_t threads = util::resolve_threads(options.threads);
+  threads = std::min(threads, std::max<std::size_t>(1, side_count));
+  ProjectedEdges edges;
   if (threads == 1) {
-    count_range(0, pivot_count, 0);
-    emit_shards(0, shards, 0);
+    project_rows(0, side_count, edges);
   } else {
+    // Row u's pairs fall as u grows, so the ranges are cut at equal pair
+    // work: the i-th of a pivot's d sorted neighbors pairs with the
+    // d - 1 - i after it.
+    std::vector<std::uint64_t> work(side_count, 1);
+    for (const auto& neighbors : pivots) {
+      for (std::size_t i = 0; i < neighbors.size(); ++i) {
+        if (owned(neighbors[i])) work[neighbors[i]] += neighbors.size() - 1 - i;
+      }
+    }
+    std::uint64_t total = 0;
+    for (const std::uint64_t w : work) total += w;
+    std::vector<std::size_t> cut(threads + 1, side_count);
+    cut[0] = 0;
+    std::uint64_t done = 0;
+    for (std::size_t u = 0, k = 1; u < side_count && k < threads; ++u) {
+      done += work[u];
+      while (k < threads && done * threads >= total * k) cut[k++] = u + 1;
+    }
+    std::vector<ProjectedEdges> parts(threads);
     util::ThreadPool pool{threads};
-    pool.parallel_for(0, pivot_count, count_range);
-    pool.parallel_for(0, shards, emit_shards);
-  }
-
-  // Emit in packed-key (u << 32 | v) order: two stable counting passes,
-  // by v and then by u. Keys are unique, so this is exactly the order a
-  // comparison sort on (u, v) gives.
-  OBS_SPAN("graph.projection.sort");
-  const auto scatter_by = [side_count](auto key, std::span<const std::vector<WeightedEdge>> in,
-                                       std::vector<WeightedEdge>& dst) {
-    std::vector<std::size_t> next(side_count + 1, 0);
-    for (const auto& edges : in) {
-      for (const auto& e : edges) ++next[key(e) + 1];
+    pool.parallel_for(0, threads, [&](std::size_t k, std::size_t, std::size_t) {
+      project_rows(cut[k], cut[k + 1], parts[k]);
+    });
+    for (const auto& part : parts) {
+      edges.u.insert(edges.u.end(), part.u.begin(), part.u.end());
+      edges.v.insert(edges.v.end(), part.v.begin(), part.v.end());
+      edges.w.insert(edges.w.end(), part.w.begin(), part.w.end());
     }
-    for (std::size_t x = 0; x < side_count; ++x) next[x + 1] += next[x];
-    dst.resize(next[side_count]);
-    for (const auto& edges : in) {
-      for (const auto& e : edges) dst[next[key(e)]++] = e;
-    }
-  };
-  std::vector<WeightedEdge> by_v;
-  scatter_by([](const WeightedEdge& e) { return e.v; }, shard_edges, by_v);
-  shard_edges = {};
-  std::vector<WeightedEdge> sorted;
-  scatter_by([](const WeightedEdge& e) { return e.u; }, {&by_v, 1}, sorted);
-  by_v = {};
-  std::vector<std::size_t> degrees(side_count, 0);
-  for (const auto& e : sorted) {
-    ++degrees[e.u];
-    ++degrees[e.v];
   }
-  out.reserve(degrees, sorted.size());
-  for (const auto& e : sorted) out.add_edge_unchecked(e.u, e.v, e.weight);
-  edges_counter.add(sorted.size());
-  return out;
+  edges_counter.add(edges.u.size());
+  return edges;
 }
 
 /// Baseline: one global node-based map, pivots scanned in order.
@@ -241,32 +219,46 @@ WeightedGraph project_reference_impl(std::size_t side_count, NameFn&& side_name,
   return out;
 }
 
+/// The exact or sketched projection onto one side as a WeightedGraph.
+WeightedGraph project(const BipartiteGraph& g, bool right_side, const ProjectionOptions& options) {
+  if (options.mode == ProjectionMode::kSketched) {
+    if (options.pair_shard_count > 1) {
+      throw std::invalid_argument{"projection: pair shards require exact mode"};
+    }
+    return project_sketched(g, right_side, options);
+  }
+  const auto edges = project_impl(g, right_side, options);
+  WeightedGraph out;
+  for (const auto& name : (right_side ? g.right_names() : g.left_names()).names()) {
+    out.add_vertex(name);
+  }
+  std::vector<std::size_t> degrees(out.vertex_count(), 0);
+  for (std::size_t i = 0; i < edges.u.size(); ++i) {
+    ++degrees[edges.u[i]];
+    ++degrees[edges.v[i]];
+  }
+  out.reserve(degrees, edges.u.size());
+  for (std::size_t i = 0; i < edges.u.size(); ++i) {
+    out.add_edge_unchecked(edges.u[i], edges.v[i], edges.w[i]);
+  }
+  return out;
+}
+
 }  // namespace
 
 WeightedGraph project_right(const BipartiteGraph& g, const ProjectionOptions& options) {
-  if (options.mode == ProjectionMode::kSketched) {
-    if (options.pair_shard_count > 1) {
-      throw std::invalid_argument{"projection: pair shards require exact mode"};
-    }
-    return project_sketched(g, /*right_side=*/true, options);
-  }
-  return project_impl(
-      g.right_count(), [&g](VertexId v) -> const std::string& { return g.right_names().name(v); },
-      [&g](VertexId v) { return g.right_degree(v); }, g.left_count(),
-      [&g](VertexId p) { return g.left_neighbors(p); }, options);
+  return project(g, /*right_side=*/true, options);
 }
 
 WeightedGraph project_left(const BipartiteGraph& g, const ProjectionOptions& options) {
-  if (options.mode == ProjectionMode::kSketched) {
-    if (options.pair_shard_count > 1) {
-      throw std::invalid_argument{"projection: pair shards require exact mode"};
-    }
-    return project_sketched(g, /*right_side=*/false, options);
-  }
-  return project_impl(
-      g.left_count(), [&g](VertexId v) -> const std::string& { return g.left_names().name(v); },
-      [&g](VertexId v) { return g.left_degree(v); }, g.right_count(),
-      [&g](VertexId p) { return g.right_neighbors(p); }, options);
+  return project(g, /*right_side=*/false, options);
+}
+
+util::CsrGraph project_right_csr(const BipartiteGraph& g, const ProjectionOptions& options) {
+  if (options.mode == ProjectionMode::kSketched) return to_csr(project_right(g, options));
+  auto edges = project_impl(g, /*right_side=*/true, options);
+  return util::CsrGraph::build(g.right_count(), std::move(edges.u), std::move(edges.v),
+                               std::move(edges.w), g.right_names().names());
 }
 
 WeightedGraph project_right_reference(const BipartiteGraph& g, const ProjectionOptions& options) {

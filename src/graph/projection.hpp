@@ -9,19 +9,21 @@
 // domain similarity graphs; project_left() gives e.g. host similarity
 // (shared domain interests, Fig. 3c).
 //
-// Algorithm: inverted-index pair counting. For every pivot vertex on the
-// opposite side, all pairs of its neighbors get their intersection count
-// incremented; Jaccard follows from intersection and the two degrees. Cost
-// is sum over pivots of deg², so an optional max_pivot_degree cap skips hub
+// Algorithm: row-wise pair counting (Gustavson's sparse product, upper
+// triangle). For each side vertex u in id order, every pivot p in N(u) on
+// the opposite side adds one to a dense counter acc[v] for each v in N(p)
+// with v > u; Jaccard follows from acc[v] and the two degrees. Cost is sum
+// over pivots of deg², so an optional max_pivot_degree cap skips hub
 // pivots (which contribute near-zero similarity anyway but dominate cost).
 //
-// Engine: pair counting runs on a sharded flat-hash engine. Workers scan
-// contiguous pivot ranges and route each packed (u, v) key into one of T
-// worker-local util::FlatCounter shards chosen from the key hash; a second
-// parallel pass merges each shard across workers and emits edges. Because
-// intersection counts are exact integers and the edge list is sorted by
-// (u, v) before emission, the output WeightedGraph is identical for every
-// thread count.
+// Engine: each row is emitted in ascending v as soon as it is counted (a
+// scan of acc[u+1 .. n) for a dense row, a sort of the touched list for a
+// sparse one), so the edges come out (u, v)-sorted with no hash table and
+// no sort pass. Workers take contiguous row ranges cut at equal pair work,
+// each with its own accumulator, and their outputs are concatenated in
+// range order: intersection counts are exact integers, so the output is
+// identical for every thread count. project_right_csr hands the sorted
+// arrays straight to util::CsrGraph::build, the form `run` saves.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +33,7 @@
 
 #include "graph/bipartite.hpp"
 #include "graph/weighted_graph.hpp"
+#include "util/csr.hpp"
 
 namespace dnsembed::graph {
 
@@ -150,8 +153,13 @@ WeightedGraph project_right(const BipartiteGraph& g, const ProjectionOptions& op
 /// Project onto the left vertex set (ids equal the bipartite left ids).
 WeightedGraph project_left(const BipartiteGraph& g, const ProjectionOptions& options = {});
 
+/// project_right in the CSR arena form, built from the projection's sorted
+/// edge arrays without a WeightedGraph: the same payload as
+/// to_csr(project_right(g, options)).
+util::CsrGraph project_right_csr(const BipartiteGraph& g, const ProjectionOptions& options = {});
+
 /// Single-threaded std::unordered_map baseline, kept as the correctness
-/// reference for the sharded engine (tests compare edge-for-edge after
+/// reference for the row-wise engine (tests compare edge-for-edge after
 /// sorting) and as the benchmark baseline. Ignores options.threads; edge
 /// order follows map iteration order.
 WeightedGraph project_right_reference(const BipartiteGraph& g,

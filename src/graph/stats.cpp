@@ -1,58 +1,6 @@
 #include "graph/stats.hpp"
 
-#include <algorithm>
-#include <queue>
-
 namespace dnsembed::graph {
-
-GraphSummary summarize(const WeightedGraph& g) {
-  GraphSummary s;
-  s.vertices = g.vertex_count();
-  s.edges = g.edge_count();
-  double degree_sum = 0.0;
-  for (VertexId v = 0; v < g.vertex_count(); ++v) {
-    const auto d = static_cast<double>(g.degree(v));
-    degree_sum += d;
-    s.max_degree = std::max(s.max_degree, d);
-    if (d == 0) ++s.isolated_vertices;
-  }
-  s.mean_degree = s.vertices > 0 ? degree_sum / static_cast<double>(s.vertices) : 0.0;
-  s.mean_edge_weight = s.edges > 0 ? g.total_weight() / static_cast<double>(s.edges) : 0.0;
-
-  const auto components = connected_components(g);
-  std::vector<std::size_t> sizes;
-  for (const std::size_t c : components) {
-    if (c >= sizes.size()) sizes.resize(c + 1, 0);
-    ++sizes[c];
-  }
-  s.components = sizes.size();
-  s.largest_component = sizes.empty() ? 0 : *std::max_element(sizes.begin(), sizes.end());
-  return s;
-}
-
-std::vector<std::size_t> connected_components(const WeightedGraph& g) {
-  constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> component(g.vertex_count(), kUnvisited);
-  std::size_t next = 0;
-  std::queue<VertexId> frontier;
-  for (VertexId start = 0; start < g.vertex_count(); ++start) {
-    if (component[start] != kUnvisited) continue;
-    component[start] = next;
-    frontier.push(start);
-    while (!frontier.empty()) {
-      const VertexId v = frontier.front();
-      frontier.pop();
-      for (const Neighbor& n : g.neighbors(v)) {
-        if (component[n.id] == kUnvisited) {
-          component[n.id] = next;
-          frontier.push(n.id);
-        }
-      }
-    }
-    ++next;
-  }
-  return component;
-}
 
 std::vector<bool> right_degree_keep_mask(const BipartiteGraph& g,
                                          const DegreePruneOptions& options) {

@@ -1,32 +1,13 @@
-// Structural statistics over weighted graphs: degree distribution,
-// connected components, density. Used by graph pruning decisions, the
-// ablation benches, and experiment reporting.
+// Degree statistics over bipartite graphs: the paper's domain-pruning
+// rules.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "graph/bipartite.hpp"
-#include "graph/weighted_graph.hpp"
 
 namespace dnsembed::graph {
-
-struct GraphSummary {
-  std::size_t vertices = 0;
-  std::size_t edges = 0;
-  std::size_t isolated_vertices = 0;
-  std::size_t components = 0;       // of non-isolated vertices plus isolated ones
-  std::size_t largest_component = 0;
-  double mean_degree = 0.0;
-  double max_degree = 0.0;
-  double mean_edge_weight = 0.0;
-};
-
-GraphSummary summarize(const WeightedGraph& g);
-
-/// component_of[v] for every vertex (isolated vertices get their own
-/// component). Components are numbered 0..k-1 in discovery order.
-std::vector<std::size_t> connected_components(const WeightedGraph& g);
 
 /// The paper's pruning rules over a host/IP/minute x domain bipartite graph
 /// (domains on the right): keep a domain iff

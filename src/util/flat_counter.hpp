@@ -1,14 +1,16 @@
 // Flat open-addressing counter table for insert-or-increment workloads.
 //
-// The one-mode projection counts intersections for O(sum deg²) pair keys;
-// a node-based std::unordered_map pays a pointer chase plus an allocation
-// per distinct key on exactly that hot path. This table instead keeps
+// The sketched projection deduplicates its LSH candidate pairs with it, and
+// bench/micro_obs times its pair-counting loop (the exact projection's hot
+// path before its row-wise engine). A node-based std::unordered_map pays a
+// pointer chase plus an allocation per distinct key on that kind of path;
+// this table instead keeps
 // packed (key, count) slots in one contiguous power-of-two array with
 // linear probing, growing at ~70% load — the layout TurboHash-style flat
 // tables use to beat chained maps on counting workloads.
 //
-// Hot-loop design, each measured against the chained map on the projection
-// workload (bench/micro_graph.cpp):
+// Hot-loop design, each measured against the chained map on the pair-count
+// workload the exact projection then ran (bench/micro_graph.cpp):
 //   - multiply-shift (Fibonacci) hashing: one imul + shift, taking the HIGH
 //     product bits as the slot so dense key ranges still spread uniformly
 //     (a full-avalanche mix costs 3 dependent imuls per increment and only
@@ -33,7 +35,7 @@ namespace dnsembed::util {
 
 /// splitmix64 finalizer: full-avalanche mix of a 64-bit key. Not used for
 /// slot probing (see above) — callers use it where bit independence from
-/// the probe hash matters, e.g. shard routing in the projection engine.
+/// the probe hash matters, e.g. the sketch's counter-based hash family.
 inline std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

@@ -1,19 +1,17 @@
 // Kernel implementations for util/simd.hpp. This TU is compiled with
 // -ffp-contract=off (see util/CMakeLists.txt): the element-wise kernels
 // promise bit-identical results across rungs, which dies if the compiler
-// fuses the scalar mul+add into an FMA. The only FMA in the file is the
+// fuses the scalar mul+add into an FMA. The only FMA in the kernels is the
 // explicit _mm256_fmadd_pd in the float-dot AVX2 rung, where the product of
 // two widened floats is exactly representable in double, so the fused and
-// unfused roundings coincide.
+// unfused roundings coincide. Float dot, axpy and scale live in
+// util/simd_kernels.hpp, shared with LINE's per-rung step loops.
 #include "util/simd.hpp"
 
 #include <atomic>
 #include <cstdlib>
 
-#if defined(__x86_64__) || defined(__i386__)
-#define DNSEMBED_SIMD_X86 1
-#include <immintrin.h>
-#endif
+#include "util/simd_kernels.hpp"  // float dot/axpy/scale bodies; defines DNSEMBED_SIMD_X86
 
 namespace dnsembed::util::simd {
 
@@ -22,11 +20,7 @@ namespace detail {
 // ------------------------------------------------------------- scalar
 
 float dot_f32_scalar(const float* a, const float* b, std::size_t n) noexcept {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return static_cast<float>(acc);
+  return kernels::Scalar::dot(a, b, n);
 }
 
 double dot_f64_scalar(const double* a, const double* b, std::size_t n) noexcept {
@@ -59,11 +53,11 @@ void squared_l2_rows_f64_scalar(const double* a, const double* rows, std::size_t
 }
 
 void axpy_f32_scalar(float alpha, const float* x, float* y, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+  kernels::Scalar::axpy(alpha, x, y, n);
 }
 
 void scale_f32_scalar(float alpha, const float* x, float* out, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] = alpha * x[i];
+  kernels::Scalar::scale(alpha, x, out, n);
 }
 
 void fused_step_scalar(float coeff, const float* src, float* tgt, float* grad,
@@ -87,23 +81,7 @@ void min_u32_scalar(const std::uint32_t* h, std::uint32_t* sig, std::size_t n) n
 
 __attribute__((target("sse2"))) float dot_f32_sse2(const float* a, const float* b,
                                                    std::size_t n) noexcept {
-  __m128d acc0 = _mm_setzero_pd();
-  __m128d acc1 = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 va = _mm_loadu_ps(a + i);
-    const __m128 vb = _mm_loadu_ps(b + i);
-    acc0 = _mm_add_pd(acc0, _mm_mul_pd(_mm_cvtps_pd(va), _mm_cvtps_pd(vb)));
-    const __m128 va_hi = _mm_movehl_ps(va, va);
-    const __m128 vb_hi = _mm_movehl_ps(vb, vb);
-    acc1 = _mm_add_pd(acc1, _mm_mul_pd(_mm_cvtps_pd(va_hi), _mm_cvtps_pd(vb_hi)));
-  }
-  const __m128d acc = _mm_add_pd(acc0, acc1);
-  double lanes[2];
-  _mm_storeu_pd(lanes, acc);
-  double sum = lanes[0] + lanes[1];
-  for (; i < n; ++i) sum += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  return static_cast<float>(sum);
+  return kernels::Sse2::dot(a, b, n);
 }
 
 __attribute__((target("sse2"))) double dot_f64_sse2(const double* a, const double* b,
@@ -216,23 +194,12 @@ __attribute__((target("sse2"))) void squared_l2_rows_f64_sse2(const double* a,
 
 __attribute__((target("sse2"))) void axpy_f32_sse2(float alpha, const float* x, float* y,
                                                    std::size_t n) noexcept {
-  const __m128 va = _mm_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 prod = _mm_mul_ps(va, _mm_loadu_ps(x + i));
-    _mm_storeu_ps(y + i, _mm_add_ps(_mm_loadu_ps(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  kernels::Sse2::axpy(alpha, x, y, n);
 }
 
 __attribute__((target("sse2"))) void scale_f32_sse2(float alpha, const float* x, float* out,
                                                     std::size_t n) noexcept {
-  const __m128 va = _mm_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(out + i, _mm_mul_ps(va, _mm_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) out[i] = alpha * x[i];
+  kernels::Sse2::scale(alpha, x, out, n);
 }
 
 __attribute__((target("sse2"))) void fused_step_sse2(float coeff, const float* src, float* tgt,
@@ -274,23 +241,7 @@ __attribute__((target("sse2"))) void min_u32_sse2(const std::uint32_t* h, std::u
 
 __attribute__((target("avx2,fma"))) float dot_f32_avx2(const float* a, const float* b,
                                                        std::size_t n) noexcept {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // Widened float products are exact in double, so the FMA rounds exactly
-    // like mul_pd + add_pd would.
-    acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i)),
-                           _mm256_cvtps_pd(_mm_loadu_ps(b + i)), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i + 4)),
-                           _mm256_cvtps_pd(_mm_loadu_ps(b + i + 4)), acc1);
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) sum += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  return static_cast<float>(sum);
+  return kernels::Avx2::dot(a, b, n);
 }
 
 __attribute__((target("avx2"))) double dot_f64_avx2(const double* a, const double* b,
@@ -427,23 +378,12 @@ __attribute__((target("avx2"))) void squared_l2_rows_f64_avx2(const double* a,
 
 __attribute__((target("avx2"))) void axpy_f32_avx2(float alpha, const float* x, float* y,
                                                    std::size_t n) noexcept {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(x + i));
-    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  kernels::Avx2::axpy(alpha, x, y, n);
 }
 
 __attribute__((target("avx2"))) void scale_f32_avx2(float alpha, const float* x, float* out,
                                                     std::size_t n) noexcept {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(va, _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) out[i] = alpha * x[i];
+  kernels::Avx2::scale(alpha, x, out, n);
 }
 
 __attribute__((target("avx2"))) void fused_step_avx2(float coeff, const float* src, float* tgt,

@@ -3,6 +3,11 @@
 // scoring, k-means/x-means centroid distances, and t-SNE pairwise distances
 // (double rows).
 //
+// LINE's step loop does not call through the table: it is instantiated once
+// per rung on the float dot/axpy/scale bodies of util/simd_kernels.hpp,
+// which the table's entries also call, and picks the instantiation of
+// active_level().
+//
 // Dispatch is resolved once at first use, walking the ladder
 // AVX2 (+FMA) -> SSE2 -> scalar by runtime CPU detection. Two overrides pin
 // the scalar rung: the DNSEMBED_FORCE_SCALAR CMake option (compile-time,

@@ -1,5 +1,5 @@
-// Fixed-size thread pool with a parallel_for helper, used by the sharded
-// one-mode projection engine (graph/projection.cpp, graph/sketch.cpp) and
+// Fixed-size thread pool with a parallel_for helper, used by the one-mode
+// projection engines (graph/projection.cpp, graph/sketch.cpp) and
 // the SVM kernel-fill / batch-scoring paths (ml/svm.cpp) to spread work
 // across cores.
 //

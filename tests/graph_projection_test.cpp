@@ -1,6 +1,8 @@
-// Tests for the sharded flat-hash projection engine: util::FlatCounter
-// invariants (growth, collisions, saturation, merge) and determinism of the
-// threaded projection against the single-threaded map-based reference.
+// Tests for util::FlatCounter invariants (growth, collisions, saturation,
+// merge; graph/sketch and bench/micro_obs count with it) and for the
+// row-wise projection engine: determinism of the threaded projection and of
+// its CSR entry point against the single-threaded map-based reference, pair
+// shards, and rows emitted by both the dense scan and the sparse sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "graph/bipartite.hpp"
+#include "graph/io.hpp"
 #include "graph/projection.hpp"
 #include "graph/weighted_graph.hpp"
 #include "util/flat_counter.hpp"
@@ -142,13 +145,16 @@ graph::BipartiteGraph random_bipartite(std::size_t hosts, std::size_t domains,
   return g;
 }
 
-std::vector<graph::WeightedEdge> sorted_edges(const graph::WeightedGraph& g) {
-  std::vector<graph::WeightedEdge> edges{g.edges().begin(), g.edges().end()};
+std::vector<graph::WeightedEdge> sorted_edges_of(std::vector<graph::WeightedEdge> edges) {
   std::sort(edges.begin(), edges.end(),
             [](const graph::WeightedEdge& a, const graph::WeightedEdge& b) {
               return a.u != b.u ? a.u < b.u : a.v < b.v;
             });
   return edges;
+}
+
+std::vector<graph::WeightedEdge> sorted_edges(const graph::WeightedGraph& g) {
+  return sorted_edges_of({g.edges().begin(), g.edges().end()});
 }
 
 void expect_matches_reference(const graph::BipartiteGraph& g,
@@ -163,6 +169,9 @@ void expect_matches_reference(const graph::BipartiteGraph& g,
     // (ids, order, and bit-exact weights) at every thread count.
     const std::vector<graph::WeightedEdge> got{sim.edges().begin(), sim.edges().end()};
     ASSERT_EQ(got, want) << "threads=" << threads;
+    // The CSR entry point builds the same arena without the WeightedGraph.
+    ASSERT_EQ(graph::project_right_csr(g, options).payload(), graph::to_csr(sim).payload())
+        << "threads=" << threads;
   }
 }
 
@@ -243,6 +252,60 @@ TEST(ShardedProjection, LeftProjectionMatchesReferenceShape) {
   const std::vector<graph::WeightedEdge> b{threaded.edges().begin(), threaded.edges().end()};
   EXPECT_EQ(a, b);
   EXPECT_EQ(serial.vertex_count(), g.left_count());
+}
+
+TEST(ShardedProjection, PairShardsPartitionTheEdges) {
+  const auto g = random_bipartite(40, 120, 1'500, 19);
+  const auto whole = graph::project_right(g);
+  constexpr std::size_t kShards = 3;
+  std::vector<graph::WeightedEdge> merged;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    graph::ProjectionOptions shard;
+    shard.pair_shard_index = s;
+    shard.pair_shard_count = kShards;
+    expect_matches_reference(g, shard);
+    const auto part = graph::project_right(g, shard);
+    EXPECT_EQ(part.vertex_count(), whole.vertex_count());
+    EXPECT_GT(part.edge_count(), 0u) << "shard " << s;
+    merged.insert(merged.end(), part.edges().begin(), part.edges().end());
+  }
+  EXPECT_EQ(sorted_edges_of(std::move(merged)), sorted_edges(whole));
+}
+
+TEST(ShardedProjection, DenseAndSparseRowsMatchReference) {
+  // Domains d0..d39 share ten hosts (dense rows: most later domains are
+  // touched); d40..d199 get a few random hosts each (sparse rows).
+  util::Rng rng{23};
+  graph::BipartiteGraph g;
+  for (int d = 0; d < 200; ++d) {
+    const std::string domain = "d" + std::to_string(d);
+    if (d < 40) {
+      for (int h = 0; h < 10; ++h) g.add_edge("h" + std::to_string(h), domain);
+    } else {
+      for (int k = 0; k < 3; ++k) {
+        g.add_edge("h" + std::to_string(10 + rng.uniform_index(90)), domain);
+      }
+    }
+  }
+  g.finalize();
+  // The engine scans acc[u+1 .. n) when 8 * touched > n - u and sorts the
+  // touched list otherwise; the graph must have rows of both kinds.
+  const auto all = graph::project_right(g);
+  std::vector<std::size_t> touched(g.right_count(), 0);
+  for (const auto& e : all.edges()) ++touched[e.u];
+  std::size_t dense = 0;
+  std::size_t sparse = 0;
+  for (graph::VertexId u = 0; u < g.right_count(); ++u) {
+    if (touched[u] == 0) continue;
+    (8 * touched[u] > g.right_count() - u ? dense : sparse) += 1;
+  }
+  EXPECT_GT(dense, 0u);
+  EXPECT_GT(sparse, 0u);
+
+  expect_matches_reference(g, {});
+  graph::ProjectionOptions strict;
+  strict.min_similarity = 0.3;
+  expect_matches_reference(g, strict);
 }
 
 TEST(ShardedProjection, EmptyAndTinyGraphs) {

@@ -356,34 +356,5 @@ TEST(Projection, OverlapDominatesJaccardDominatedByNothingAboveOne) {
   EXPECT_NEAR(o, 1.0, 1e-12);
 }
 
-TEST(Stats, SummaryAndComponents) {
-  WeightedGraph g;
-  g.add_edge("a", "b", 1.0);
-  g.add_edge("b", "c", 0.5);
-  g.add_edge("x", "y", 0.2);
-  g.add_vertex("lonely");
-  const auto s = summarize(g);
-  EXPECT_EQ(s.vertices, 6u);
-  EXPECT_EQ(s.edges, 3u);
-  EXPECT_EQ(s.isolated_vertices, 1u);
-  EXPECT_EQ(s.components, 3u);
-  EXPECT_EQ(s.largest_component, 3u);
-  EXPECT_DOUBLE_EQ(s.max_degree, 2.0);
-  EXPECT_NEAR(s.mean_edge_weight, (1.0 + 0.5 + 0.2) / 3.0, 1e-12);
-
-  const auto comp = connected_components(g);
-  EXPECT_EQ(comp[*g.names().find("a")], comp[*g.names().find("c")]);
-  EXPECT_NE(comp[*g.names().find("a")], comp[*g.names().find("x")]);
-  EXPECT_NE(comp[*g.names().find("x")], comp[*g.names().find("lonely")]);
-}
-
-TEST(Stats, EmptyGraphSummary) {
-  WeightedGraph g;
-  const auto s = summarize(g);
-  EXPECT_EQ(s.vertices, 0u);
-  EXPECT_EQ(s.edges, 0u);
-  EXPECT_EQ(s.components, 0u);
-}
-
 }  // namespace
 }  // namespace dnsembed::graph

@@ -6,7 +6,8 @@
 // applied at each barrier. The two must agree bit for bit across orders,
 // dimensions that reach every SIMD remainder path, sample budgets around
 // the draw-ahead distance and the batch edges, and a graph with an isolated
-// vertex. Labeled "simd" so the scalar-forced pass reruns it on that rung.
+// vertex, on every SIMD rung the CPU supports (the trainer has one step
+// loop per rung, each inlining that rung's kernels).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -219,7 +220,25 @@ const char* order_name(LineOrder order) {
   return "?";
 }
 
-void expect_matches_reference(const util::CsrGraph& g, const std::string& graph_name) {
+/// Forces util::simd dispatch to one rung for its lifetime, then restores
+/// the rung that was active.
+class RungGuard {
+ public:
+  explicit RungGuard(util::simd::Level level) : saved_{util::simd::active_level()} {
+    util::simd::force_level(level);
+  }
+  ~RungGuard() { util::simd::force_level(saved_); }
+  RungGuard(const RungGuard&) = delete;
+  RungGuard& operator=(const RungGuard&) = delete;
+
+ private:
+  util::simd::Level saved_;
+};
+
+/// Compares the trainer with the reference on every rung the CPU supports.
+/// The reference calls the dispatched kernels, so each of the trainer's
+/// per-rung step loops is held to its own rung's kernels.
+void expect_matches_reference_on_rung(const util::CsrGraph& g, const std::string& graph_name) {
   // 24 and 25 vertices: batches of 64 steps.
   constexpr std::size_t kBatch = 64;
   for (const LineOrder order : {LineOrder::kFirst, LineOrder::kSecond, LineOrder::kBoth}) {
@@ -232,12 +251,24 @@ void expect_matches_reference(const util::CsrGraph& g, const std::string& graph_
         config.order = order;
         config.total_samples = samples;
         config.seed = 1234 + samples;
-        const std::string what = graph_name + " order=" + order_name(order) +
+        const std::string what = graph_name + " simd=" +
+                                 util::simd::level_name(util::simd::active_level()) +
+                                 " order=" + order_name(order) +
                                  " dim=" + std::to_string(dim) +
                                  " samples=" + std::to_string(samples);
         expect_bit_identical(reference_line(g, config), train_line(g, config), what);
       }
     }
+  }
+}
+
+void expect_matches_reference(const util::CsrGraph& g, const std::string& graph_name) {
+  for (const auto level :
+       {util::simd::Level::kScalar, util::simd::Level::kSse2, util::simd::Level::kAvx2}) {
+    if (!util::simd::level_supported(level)) continue;
+    const RungGuard rung{level};
+    ASSERT_EQ(util::simd::active_level(), level);
+    expect_matches_reference_on_rung(g, graph_name);
   }
 }
 

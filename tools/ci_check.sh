@@ -5,10 +5,11 @@
 #   2. simd label (kernel parity fuzz + LINE vs its reference trainer) on the native
 #      dispatch rung, then the full tier-1 suite again with
 #      DNSEMBED_FORCE_SCALAR=1 so the scalar fallback stays correct
-#   3. projection label (exact sharded engine, sketched backend, CSR
-#      arenas) as its own gate, then the micro_graph --sketched smoke:
-#      the sketched path must emit a non-trivial similarity graph end to
-#      end at smoke scale (no timing gate)
+#   3. projection label (exact row-wise engine, sketched backend, CSR
+#      arenas) as its own gate, then the micro_graph smoke over both
+#      backends: each must emit a non-trivial similarity graph end to end
+#      at smoke scale, and every sketched edge must be an exact edge with
+#      the same weight bits (no timing gate)
 #   4. micro_line smoke: dispatch must train finite embeddings on both the
 #      scalar and the widest rung, the dense ~700k-edge row included, so the
 #      packed edge sampler runs on a table larger than L2 (no timing gate at
@@ -73,8 +74,8 @@ DNSEMBED_FORCE_SCALAR=1 ctest --preset default -j "$jobs"
 step "projection label (exact + sketched engines, CSR arenas)"
 ctest --preset default -j "$jobs" -L projection
 
-step "micro_graph --sketched smoke (sketched projection end to end)"
-DNSEMBED_BENCH_SMOKE=1 DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_graph --sketched
+step "micro_graph smoke (exact and sketched projections end to end)"
+DNSEMBED_BENCH_SMOKE=1 DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_graph
 
 step "micro_line smoke (dispatch sanity incl. the dense row, no timing gate)"
 DNSEMBED_BENCH_SMOKE=1 DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_line
