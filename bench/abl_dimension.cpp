@@ -16,15 +16,9 @@ int main() {
   std::printf("%8s %8s %10s %12s\n", "k", "3k", "AUC", "embed(s)");
   for (const std::size_t k : {4u, 8u, 16u, 32u, 64u}) {
     util::Stopwatch watch;
-    embed::EmbedConfig ec = config.embedding;
+    embed::EmbedConfig ec = core::pipeline_embedding(config);
     ec.dimension = k;
-    ec.seed = config.seed;
-    const auto q = embed::embed_graph(base.model.query_similarity, ec);
-    ec.seed = config.seed + 1;
-    const auto i = embed::embed_graph(base.model.ip_similarity, ec);
-    ec.seed = config.seed + 2;
-    const auto t = embed::embed_graph(base.model.temporal_similarity, ec);
-    const auto combined = embed::EmbeddingMatrix::concat(base.model.kept_domains, {&q, &i, &t});
+    const auto combined = core::embed_channels(base.model, ec).combined;
     const double embed_seconds = watch.seconds();
     const auto eval = core::evaluate_svm(core::make_dataset(combined, base.labels),
                                          config.svm, config.kfold, config.seed);

@@ -53,12 +53,7 @@ int main() {
     embed::EmbedConfig ec = variant.config;
     ec.dimension = config.embedding_dimension;
     ec.seed = config.seed;
-    const auto q = embed::embed_graph(base.model.query_similarity, ec);
-    ec.seed = config.seed + 1;
-    const auto i = embed::embed_graph(base.model.ip_similarity, ec);
-    ec.seed = config.seed + 2;
-    const auto t = embed::embed_graph(base.model.temporal_similarity, ec);
-    const auto combined = embed::EmbeddingMatrix::concat(base.model.kept_domains, {&q, &i, &t});
+    const auto combined = core::embed_channels(base.model, ec).combined;
     const double embed_seconds = watch.seconds();
 
     const auto eval = core::evaluate_svm(core::make_dataset(combined, base.labels),

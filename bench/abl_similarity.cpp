@@ -39,15 +39,8 @@ int main() {
     behavior.temporal_projection.measure = variant.measure;
     auto model = core::build_behavior_model(hdbg, dibg, dtbg, behavior);
 
-    embed::EmbedConfig ec = config.embedding;
-    ec.dimension = config.embedding_dimension;
-    ec.seed = config.seed;
-    const auto q = embed::embed_graph(model.query_similarity, ec);
-    ec.seed = config.seed + 1;
-    const auto i = embed::embed_graph(model.ip_similarity, ec);
-    ec.seed = config.seed + 2;
-    const auto t = embed::embed_graph(model.temporal_similarity, ec);
-    const auto combined = embed::EmbeddingMatrix::concat(model.kept_domains, {&q, &i, &t});
+    const auto combined =
+        core::embed_channels(model, core::pipeline_embedding(config)).combined;
     const auto labels =
         build_labeled_set(model.kept_domains, trace_result.truth, vt, config.labeling);
     const auto eval = core::evaluate_svm(core::make_dataset(combined, labels), config.svm,

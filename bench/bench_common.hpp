@@ -76,6 +76,13 @@ struct Timing {
   double median_ms = 0.0;
 };
 
+/// Min and median of a non-empty set of wall times.
+inline Timing summarize(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  const std::size_t mid = ms.size() / 2;
+  return {ms.front(), ms.size() % 2 == 1 ? ms[mid] : (ms[mid - 1] + ms[mid]) / 2.0};
+}
+
 inline Timing time_reps(const std::function<void()>& fn, int reps) {
   std::vector<double> ms;
   for (int r = 0; r < reps; ++r) {
@@ -83,9 +90,7 @@ inline Timing time_reps(const std::function<void()>& fn, int reps) {
     fn();
     ms.push_back(watch.millis());
   }
-  std::sort(ms.begin(), ms.end());
-  const std::size_t mid = ms.size() / 2;
-  return {ms.front(), ms.size() % 2 == 1 ? ms[mid] : (ms[mid - 1] + ms[mid]) / 2.0};
+  return summarize(std::move(ms));
 }
 
 inline std::string cpu_model() {

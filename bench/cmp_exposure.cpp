@@ -50,15 +50,8 @@ int main() {
                                           graphs.take_dtbg(), config.behavior);
 
   // Embedding features (proposed).
-  embed::EmbedConfig embed_config = config.embedding;
-  embed_config.dimension = config.embedding_dimension;
-  embed_config.seed = config.seed;
-  const auto q = embed::embed_graph(model.query_similarity, embed_config);
-  embed_config.seed = config.seed + 1;
-  const auto i = embed::embed_graph(model.ip_similarity, embed_config);
-  embed_config.seed = config.seed + 2;
-  const auto t = embed::embed_graph(model.temporal_similarity, embed_config);
-  const auto combined = embed::EmbeddingMatrix::concat(model.kept_domains, {&q, &i, &t});
+  const auto combined =
+      core::embed_channels(model, core::pipeline_embedding(config)).combined;
 
   const intel::VirusTotalSim vt{trace_result.truth, config.virustotal};
   const auto labels = build_labeled_set(model.kept_domains, trace_result.truth, vt,

@@ -49,15 +49,8 @@ int main() {
   auto model = core::build_behavior_model(graphs.take_hdbg(), graphs.take_dibg(),
                                           graphs.take_dtbg(), config.behavior);
 
-  embed::EmbedConfig ec = config.embedding;
-  ec.dimension = config.embedding_dimension;
-  ec.seed = config.seed;
-  const auto q = embed::embed_graph(model.query_similarity, ec);
-  ec.seed = config.seed + 1;
-  const auto i = embed::embed_graph(model.ip_similarity, ec);
-  ec.seed = config.seed + 2;
-  const auto t = embed::embed_graph(model.temporal_similarity, ec);
-  const auto combined = embed::EmbeddingMatrix::concat(model.kept_domains, {&q, &i, &t});
+  const auto combined =
+      core::embed_channels(model, core::pipeline_embedding(config)).combined;
 
   const intel::VirusTotalSim vt{trace_result.truth, config.virustotal};
   const auto all_labels =

@@ -1,9 +1,14 @@
 // Microbenchmarks: alias-table sampling and LINE training throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
+
 #include "embed/alias.hpp"
 #include "embed/line.hpp"
-#include "graph/weighted_graph.hpp"
+#include "util/csr.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -21,20 +26,24 @@ void BM_AliasSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasSample)->Arg(1000)->Arg(1000000);
 
-graph::WeightedGraph random_weighted(std::size_t vertices, std::size_t edges,
-                                     std::uint64_t seed) {
+/// `edges` distinct random pairs over `vertices`, weights in [0.05, 1.05).
+util::CsrGraph random_weighted(std::size_t vertices, std::size_t edges, std::uint64_t seed) {
   util::Rng rng{seed};
-  graph::WeightedGraph g;
-  for (std::size_t v = 0; v < vertices; ++v) g.add_vertex("v" + std::to_string(v));
-  std::size_t added = 0;
-  while (added < edges) {
-    const auto u = static_cast<graph::VertexId>(rng.uniform_index(vertices));
-    const auto v = static_cast<graph::VertexId>(rng.uniform_index(vertices));
-    if (u == v || g.has_edge(u, v)) continue;
-    g.add_edge_unchecked(u, v, rng.uniform() + 0.05);
-    ++added;
+  std::unordered_set<std::uint64_t> seen;
+  std::vector<std::uint32_t> eu;
+  std::vector<std::uint32_t> ev;
+  std::vector<double> ew;
+  while (eu.size() < edges) {
+    const auto u = static_cast<std::uint32_t>(rng.uniform_index(vertices));
+    const auto v = static_cast<std::uint32_t>(rng.uniform_index(vertices));
+    if (u == v || !seen.insert((std::uint64_t{std::min(u, v)} << 32) | std::max(u, v)).second) {
+      continue;
+    }
+    eu.push_back(u);
+    ev.push_back(v);
+    ew.push_back(rng.uniform() + 0.05);
   }
-  return g;
+  return util::CsrGraph::build(vertices, eu, ev, ew);
 }
 
 void BM_LineSamplesPerSecond(benchmark::State& state) {

@@ -24,6 +24,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -226,20 +227,25 @@ bool write_rows(const std::vector<Row>& rows, bool smoke, const std::string& gat
 
 /// True when every edge of `sketched` is an edge of `exact` (both
 /// (u, v)-sorted, over the same vertex ids) with the same weight bits.
-bool sketched_edges_are_exact(const graph::WeightedGraph& sketched,
-                              const graph::WeightedGraph& exact) {
-  const auto exact_edges = exact.edges();
-  const auto by_pair = [](const graph::WeightedEdge& a, const graph::WeightedEdge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
+bool sketched_edges_are_exact(const util::CsrGraph& sketched, const util::CsrGraph& exact) {
+  const auto key = [](std::uint32_t u, std::uint32_t v) {
+    return (static_cast<std::uint64_t>(u) << 32) | v;
   };
-  for (const auto& e : sketched.edges()) {
-    const auto it = std::lower_bound(exact_edges.begin(), exact_edges.end(), e, by_pair);
-    if (it == exact_edges.end() || it->u != e.u || it->v != e.v ||
-        std::memcmp(&it->weight, &e.weight, sizeof e.weight) != 0) {
+  std::vector<std::uint64_t> exact_keys;
+  for (std::size_t i = 0; i < exact.edge_count(); ++i) {
+    exact_keys.push_back(key(exact.edge_u()[i], exact.edge_v()[i]));
+  }
+  for (std::size_t i = 0; i < sketched.edge_count(); ++i) {
+    const std::uint32_t u = sketched.edge_u()[i];
+    const std::uint32_t v = sketched.edge_v()[i];
+    const double w = sketched.edge_w()[i];
+    const auto it = std::lower_bound(exact_keys.begin(), exact_keys.end(), key(u, v));
+    if (it == exact_keys.end() || *it != key(u, v) ||
+        std::memcmp(&exact.edge_w()[it - exact_keys.begin()], &w, sizeof w) != 0) {
       std::fprintf(stderr,
                    "micro_graph: smoke FAIL — sketched edge (%u, %u, %.17g) is not an exact "
                    "edge with the same weight bits\n",
-                   e.u, e.v, e.weight);
+                   u, v, w);
       return false;
     }
   }
@@ -252,7 +258,7 @@ int run_smoke(bool sketched_only) {
   graph::ProjectionOptions options;
   options.min_similarity = 0.3;
   std::vector<Row> rows;
-  graph::WeightedGraph exact;
+  util::CsrGraph exact;
   if (!sketched_only) {
     rows.push_back({"project_right_exact/smoke", edges, 1,
                     bench::time_reps([&] { exact = graph::project_right(g, options); }, 1), ""});
@@ -264,7 +270,7 @@ int run_smoke(bool sketched_only) {
                 exact.edge_count(), exact.vertex_count());
   }
   options.mode = graph::ProjectionMode::kSketched;
-  graph::WeightedGraph sketched;
+  util::CsrGraph sketched;
   rows.push_back({"project_right_sketched/smoke", edges, 1,
                   bench::time_reps([&] { sketched = graph::project_right(g, options); }, 1), ""});
   if (sketched.edge_count() == 0) {
@@ -320,7 +326,7 @@ int run_full() {
               big.right_count(), big.left_count());
   graph::ProjectionOptions exact_options;
   exact_options.min_similarity = 0.3;
-  graph::WeightedGraph exact_graph;
+  util::CsrGraph exact_graph;
   const auto exact_timing = bench::time_reps(
       [&] { exact_graph = graph::project_right(big, exact_options); }, kReps);
   const double exact_wall = exact_timing.min_ms;
@@ -336,7 +342,7 @@ int run_full() {
     options.mode = graph::ProjectionMode::kSketched;
     options.sketch.signature_size = signature;
     options.sketch.bands = bands;
-    graph::WeightedGraph sketched;
+    util::CsrGraph sketched;
     const auto timing =
         bench::time_reps([&] { sketched = graph::project_right(big, options); }, kReps);
     const double recall = exact_graph.edge_count() == 0

@@ -1,127 +1,63 @@
 // Observability overhead microbench. The obs design promises that
-// instrumentation left compiled into hot loops costs at most one predicted
-// branch per event when no sink is configured (metrics disabled). This
-// binary measures that directly and FAILS (nonzero exit) when the
-// enabled-but-unsinked overhead on the pair-counting workload exceeds 3%,
-// so a regression in the disabled path cannot land silently.
+// telemetry costs little beside the work it describes. This binary
+// measures the code production runs and FAILS (nonzero exit) when an
+// overhead exceeds 3%, so a regression cannot land silently.
 //
-// Two measurements:
-//  1. The gate: a FlatCounter pair-counting kernel (the projection inner
-//     loop's memory behavior) with a per-event obs::Counter::add beside it,
-//     metrics disabled, vs the identical kernel with no obs call at all.
-//     This is stricter than production, which only instruments per pivot.
-//  2. Informational: full project_right() wall time with metrics disabled
-//     vs enabled, at production (per-pivot) instrumentation granularity.
+//  1. project_right(), metrics enabled vs disabled. The projection counts
+//     its telemetry into locals in the pivot pre-pass and publishes it once
+//     per call; its row loop carries no instrumentation. The two variants
+//     run interleaved (disabled, enabled, enabled, disabled, ...) on one
+//     CPU, and the gate reads the median of each round's enabled/disabled
+//     ratio, so a slow phase of a shared vCPU hits both alike instead of
+//     one of them.
 //
-// Cross-process telemetry gates on a supervised mini-run (2 workers,
-// 2 projection shards):
-//  3. Correctness: the deterministic pipeline counters merged from worker
+// Cross-process telemetry on a supervised mini-run (2 workers, 2
+// projection shards):
+//  2. Correctness: the deterministic pipeline counters merged from worker
 //     sidecars must equal the single-process totals exactly, and the trace
 //     must carry one process lane per worker task. Always enforced, even in
 //     smoke mode.
-//  4. Cost: sidecar write + merge (telemetry on vs off on the same
-//     supervised run) must cost <= 3% wall. Skipped under
-//     DNSEMBED_BENCH_SMOKE=1 — mini-run timings are too noisy for CI.
+//  3. Cost: the sidecar work telemetry adds to a supervised run, timed
+//     directly rather than read off two noisy run walls. Each task costs
+//     one final sidecar write (spans included) in the worker and one load +
+//     merge in the supervisor; each heartbeat interval of its wall time
+//     costs one more write (metrics only, counted at the final write's
+//     cost). Right after each run, both operations are timed on the
+//     sidecar each task wrote, with this process's telemetry put back into
+//     the worker's state first, so a run and its sidecar cost share the
+//     disk's and the vCPU's current speed. The sum, counted as if none of
+//     it overlapped other work (an upper bound: two workers run side by
+//     side), over the rest of that run's wall is the round's overhead; the
+//     gate reads the median over the rounds.
+// Timing gates are skipped under DNSEMBED_BENCH_SMOKE=1, which runs one
+// round of each.
 //
 // Results land in BENCH_obs.json (override with DNSEMBED_BENCH_JSON).
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/run.hpp"
 #include "graph/bipartite.hpp"
 #include "graph/projection.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sidecar.hpp"
 #include "obs/span.hpp"
-#include "util/flat_counter.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
 
 using namespace dnsembed;
-
-constexpr std::size_t kKeys = 1 << 20;
-
-std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed) {
-  util::Rng rng{seed};
-  std::vector<std::uint64_t> keys(n);
-  for (auto& key : keys) key = rng() % (n / 4);  // ~4 hits per key
-  return keys;
-}
-
-/// The projection inner loop's shape: hash + probe + increment per key.
-/// noinline so both variants compare the same codegen boundary.
-__attribute__((noinline)) std::size_t loop_plain(const std::vector<std::uint64_t>& keys,
-                                                 util::FlatCounter& table) {
-  for (const auto key : keys) table.increment_unchecked(key);
-  return table.size();
-}
-
-__attribute__((noinline)) std::size_t loop_instrumented(
-    const std::vector<std::uint64_t>& keys, util::FlatCounter& table) {
-  static obs::Counter& counter = obs::metrics().counter("bench.obs.pair_events");
-  for (const auto key : keys) {
-    counter.add(1);  // one guarded event per key: the worst-case density
-    table.increment_unchecked(key);
-  }
-  return table.size();
-}
-
-double best_wall_ms(const std::function<void()>& fn, int reps = 5) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    util::Stopwatch watch;
-    fn();
-    best = std::min(best, watch.millis());
-  }
-  return best;
-}
-
-void BM_PairCountPlain(benchmark::State& state) {
-  const auto keys = random_keys(kKeys, 1);
-  for (auto _ : state) {
-    util::FlatCounter table{kKeys / 4};
-    table.ensure(keys.size());
-    benchmark::DoNotOptimize(loop_plain(keys, table));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kKeys));
-}
-BENCHMARK(BM_PairCountPlain);
-
-void BM_PairCountInstrumentedDisabled(benchmark::State& state) {
-  obs::set_metrics_enabled(false);
-  const auto keys = random_keys(kKeys, 1);
-  for (auto _ : state) {
-    util::FlatCounter table{kKeys / 4};
-    table.ensure(keys.size());
-    benchmark::DoNotOptimize(loop_instrumented(keys, table));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kKeys));
-}
-BENCHMARK(BM_PairCountInstrumentedDisabled);
-
-void BM_PairCountInstrumentedEnabled(benchmark::State& state) {
-  obs::set_metrics_enabled(true);
-  const auto keys = random_keys(kKeys, 1);
-  for (auto _ : state) {
-    util::FlatCounter table{kKeys / 4};
-    table.ensure(keys.size());
-    benchmark::DoNotOptimize(loop_instrumented(keys, table));
-  }
-  obs::set_metrics_enabled(false);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kKeys));
-}
-BENCHMARK(BM_PairCountInstrumentedEnabled);
 
 graph::BipartiteGraph random_bipartite(std::size_t hosts, std::size_t domains,
                                        std::size_t edges, std::uint64_t seed) {
@@ -135,9 +71,41 @@ graph::BipartiteGraph random_bipartite(std::size_t hosts, std::size_t domains,
   return g;
 }
 
+/// The timed graph: 200 hosts, 300 domains, 20k random edges. One pass
+/// takes a few milliseconds, so the two variants of a round run within one
+/// speed phase of a shared vCPU. The graph is small, so the per-call
+/// publish weighs more here than on a campus-size graph.
+const graph::BipartiteGraph& timed_graph() {
+  static const graph::BipartiteGraph g = random_bipartite(200, 300, 20000, 2);
+  return g;
+}
+
+/// Pins the calling thread to the CPU it is on while alive, so a timed
+/// in-process loop does not migrate between vCPUs of different speeds
+/// mid-sample; the previous affinity mask is restored afterwards.
+class PinToCurrentCpu {
+ public:
+  PinToCurrentCpu() {
+    if (sched_getaffinity(0, sizeof previous_, &previous_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(sched_getcpu(), &one);
+    pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
+  }
+  ~PinToCurrentCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof previous_, &previous_);
+  }
+  PinToCurrentCpu(const PinToCurrentCpu&) = delete;
+  PinToCurrentCpu& operator=(const PinToCurrentCpu&) = delete;
+
+ private:
+  cpu_set_t previous_{};
+  bool pinned_ = false;
+};
+
 // ------------------------------------------ supervised telemetry section
 
-/// The faultsim mini-pipeline shape: small enough that seven runs stay in
+/// The faultsim mini-pipeline shape: small enough that ten runs stay in
 /// bench territory, real enough that all 13 worker tasks execute.
 core::RunOptions mini_run_options(const std::string& workdir) {
   core::RunOptions options;
@@ -167,15 +135,68 @@ std::uint64_t counter_value(const obs::MetricsSnapshot& snapshot, const std::str
   return 0;
 }
 
+/// One task's sidecar operations, timed in this process on the sidecar
+/// that task wrote: the fastest of a few repetitions of each.
+struct SidecarOps {
+  double write_ms = 0.0;  // the worker's final flush, spans included
+  double merge_ms = 0.0;  // the supervisor's load + merge + lane import
+};
+
+/// Before every write this process's registry and span buffer are put
+/// back into the state the worker held (untimed): the sidecar's counters,
+/// histograms, records and spans. Each write goes to a new file
+/// (`out_prefix` + repetition), as a worker's final flush does.
+SidecarOps time_task_sidecar(const std::string& sidecar_path, const std::string& out_prefix,
+                             int repetitions) {
+  const auto sidecar = obs::load_telemetry_sidecar(sidecar_path);
+  const auto worker_state = [&] {
+    obs::metrics().reset_values();
+    auto& recorder = obs::SpanRecorder::instance();
+    recorder.clear();
+    obs::merge_sidecar_metrics(sidecar);
+    for (const auto& record : sidecar.records) {
+      obs::metrics().append_record(record.name, record.fields);
+    }
+    for (const auto& event : sidecar.spans) {
+      recorder.record(event.name, event.begin_ns, event.end_ns, event.seq);
+    }
+  };
+  std::vector<double> write_ms, merge_ms;
+  for (int k = 0; k < repetitions; ++k) {
+    const std::string path = out_prefix + std::to_string(k);
+    worker_state();
+    util::Stopwatch write;
+    obs::write_telemetry_sidecar(path, /*include_spans=*/true);
+    write_ms.push_back(write.millis());
+    util::Stopwatch merge;
+    auto merged = obs::load_telemetry_sidecar(path);
+    obs::merge_sidecar_metrics(merged);
+    obs::SpanRecorder::instance().add_process_lane("bench", std::move(merged.spans));
+    merge_ms.push_back(merge.millis());
+  }
+  return {bench::summarize(std::move(write_ms)).min_ms,
+          bench::summarize(std::move(merge_ms)).min_ms};
+}
+
+double median(std::vector<double> values) {
+  return bench::summarize(std::move(values)).median_ms;
+}
+
 struct SupervisedTelemetry {
   std::uint64_t single_edges = 0, merged_edges = 0;
   std::uint64_t single_samples = 0, merged_samples = 0;
   std::size_t lanes = 0, tasks_run = 0;
-  double off_ms = 0.0, on_ms = 0.0, overhead = 0.0;
+  // Per round, over that round's tasks:
+  bench::Timing wall;        // the supervised run
+  bench::Timing write;       // final writes, summed
+  bench::Timing merge;       // merges, summed
+  bench::Timing sidecar;     // writes, flushes and merges, summed
+  std::size_t flushes = 0;   // periodic flushes, over every round
+  double overhead = 0.0;     // median over rounds of sidecar / other wall
   bool counters_match = false;
 };
 
-SupervisedTelemetry measure_supervised_telemetry(bool smoke) {
+SupervisedTelemetry measure_supervised_telemetry(int rounds, int repetitions) {
   SupervisedTelemetry result;
   const auto scratch =
       (std::filesystem::temp_directory_path() / "dnsembed_micro_obs").string();
@@ -187,7 +208,6 @@ SupervisedTelemetry measure_supervised_telemetry(bool smoke) {
     obs::metrics().reset_values();
     obs::SpanRecorder::instance().clear();
   };
-  const int reps = smoke ? 1 : 3;
 
   // Single-process totals of the two deterministic pipeline counters:
   // disjoint projection edge emissions, one add per LINE SGD sample.
@@ -201,14 +221,19 @@ SupervisedTelemetry measure_supervised_telemetry(bool smoke) {
     result.single_samples = counter_value(snapshot, "embed.line.samples");
   }
 
-  // Supervised, telemetry on: sidecar write + merge in the measured path.
-  double on_best = 1e300;
-  for (int r = 0; r < reps; ++r) {
+  // Supervised runs with telemetry on; the first supplies the merged
+  // counters and trace lanes. Right after each run its own sidecars are
+  // timed, so the run's wall and its sidecar cost share the disk's and the
+  // vCPU's current speed: each task costs one write and one merge, plus one
+  // more write per heartbeat interval of its wall.
+  const double interval = mini_run_options("").supervise.heartbeat_interval_seconds;
+  std::vector<double> walls, writes, merges, sidecars, ratios;
+  for (int r = 0; r < rounds; ++r) {
     telemetry(true);
+    const auto workdir = scratch + "/run" + std::to_string(r);
     util::Stopwatch watch;
-    const auto summary =
-        core::run_resumable(mini_run_options(scratch + "/on" + std::to_string(r)));
-    on_best = std::min(on_best, watch.millis());
+    const auto summary = core::run_resumable(mini_run_options(workdir));
+    const double wall_ms = watch.millis();
     if (r == 0) {
       const auto snapshot = obs::metrics().snapshot();
       result.merged_edges = counter_value(snapshot, "graph.projection.edges");
@@ -216,130 +241,146 @@ SupervisedTelemetry measure_supervised_telemetry(bool smoke) {
       result.lanes = obs::SpanRecorder::instance().process_lanes().size();
       result.tasks_run = summary.supervision.tasks_run;
     }
+    double write_ms = 0.0, merge_ms = 0.0, sidecar_ms = 0.0;
+    for (const auto& task : summary.supervision.resources) {
+      const auto ops = time_task_sidecar(workdir + "/sv/tm." + task.task,
+                                         workdir + "/sv/bench." + task.task + ".", repetitions);
+      const auto flushes = static_cast<std::size_t>(task.wall_seconds / interval);
+      result.flushes += flushes;
+      write_ms += ops.write_ms;
+      merge_ms += ops.merge_ms;
+      sidecar_ms += static_cast<double>(1 + flushes) * ops.write_ms + ops.merge_ms;
+    }
+    walls.push_back(wall_ms);
+    writes.push_back(write_ms);
+    merges.push_back(merge_ms);
+    sidecars.push_back(sidecar_ms);
+    ratios.push_back(sidecar_ms / (wall_ms - sidecar_ms));
   }
-
-  // Supervised, telemetry off: same run, no sidecars written or merged.
-  double off_best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    telemetry(false);
-    util::Stopwatch watch;
-    (void)core::run_resumable(mini_run_options(scratch + "/off" + std::to_string(r)));
-    off_best = std::min(off_best, watch.millis());
-  }
-
   telemetry(false);
   std::filesystem::remove_all(scratch);
-  result.on_ms = on_best;
-  result.off_ms = off_best;
-  result.overhead = on_best / off_best - 1.0;
+
+  result.wall = bench::summarize(std::move(walls));
+  result.write = bench::summarize(std::move(writes));
+  result.merge = bench::summarize(std::move(merges));
+  result.sidecar = bench::summarize(std::move(sidecars));
+  result.overhead = median(std::move(ratios));
   result.counters_match = result.merged_edges == result.single_edges &&
                           result.merged_samples == result.single_samples &&
                           result.single_edges > 0 && result.single_samples > 0;
   return result;
 }
 
-/// Gate + BENCH_obs.json. Returns nonzero when the disabled-path overhead
-/// on the pair-count kernel exceeds the 3% budget.
+void write_timing(std::FILE* out, const char* name, const bench::Timing& t) {
+  std::fprintf(out, "\"%s\": {\"min_ms\": %.3f, \"median_ms\": %.3f}", name, t.min_ms,
+               t.median_ms);
+}
+
+struct ProjectRightTimings {
+  bench::Timing disabled, enabled;
+  double overhead = 0.0;  // median over rounds of enabled / disabled, minus 1
+};
+
+/// Measurement 1 on one CPU (project_right runs inline at threads = 1).
+/// Each round times both variants back to back, in alternating order, so a
+/// slow phase of a shared vCPU, or a cost left behind by the previous
+/// variant, falls on both alike; the overhead is the median of the rounds'
+/// ratios. (A ratio of minimums swung by ±25% here: a minimum needs both
+/// variants to catch the guest's fastest phase.)
+ProjectRightTimings measure_project_right(int rounds) {
+  const PinToCurrentCpu pin;
+  const auto& g = timed_graph();
+  graph::ProjectionOptions options;
+  options.threads = 1;
+  const auto time_once = [&](bool metrics) {
+    obs::set_metrics_enabled(metrics);
+    util::Stopwatch watch;
+    benchmark::DoNotOptimize(graph::project_right(g, options));
+    return watch.millis();
+  };
+  std::vector<double> disabled, enabled, ratios;
+  for (int r = 0; r < rounds; ++r) {
+    const bool enabled_first = r % 2 == 1;
+    const double first = time_once(enabled_first);
+    const double second = time_once(!enabled_first);
+    disabled.push_back(enabled_first ? second : first);
+    enabled.push_back(enabled_first ? first : second);
+    ratios.push_back(enabled.back() / disabled.back());
+  }
+  obs::set_metrics_enabled(false);
+  return {bench::summarize(std::move(disabled)), bench::summarize(std::move(enabled)),
+          median(std::move(ratios)) - 1.0};
+}
+
+/// Gates + BENCH_obs.json. Returns nonzero when a gate fails.
 int write_obs_json() {
   const char* path = std::getenv("DNSEMBED_BENCH_JSON");
   if (path == nullptr) path = "BENCH_obs.json";
   constexpr double kBudget = 0.03;
-
-  const auto keys = random_keys(kKeys, 1);
-  const auto run = [&](auto&& loop) {
-    return best_wall_ms([&] {
-      util::FlatCounter table{kKeys / 4};
-      table.ensure(keys.size());
-      benchmark::DoNotOptimize(loop(keys, table));
-    });
-  };
-
-  obs::set_metrics_enabled(false);
-  const double plain_ms = run(loop_plain);
-  const double disabled_ms = run(loop_instrumented);
-  obs::set_metrics_enabled(true);
-  const double enabled_ms = run(loop_instrumented);
-  obs::set_metrics_enabled(false);
-
-  // Informational: the production projection with per-pivot instrumentation.
-  const auto g = random_bipartite(200, 1000, 100000, 2);
-  graph::ProjectionOptions options;
-  options.threads = 1;
-  const double project_disabled_ms =
-      best_wall_ms([&] { benchmark::DoNotOptimize(graph::project_right(g, options)); }, 3);
-  obs::set_metrics_enabled(true);
-  const double project_enabled_ms =
-      best_wall_ms([&] { benchmark::DoNotOptimize(graph::project_right(g, options)); }, 3);
-  obs::set_metrics_enabled(false);
-
-  const double disabled_overhead = disabled_ms / plain_ms - 1.0;
-  const double enabled_overhead = enabled_ms / plain_ms - 1.0;
-  const double project_overhead = project_enabled_ms / project_disabled_ms - 1.0;
-
   const bool smoke = std::getenv("DNSEMBED_BENCH_SMOKE") != nullptr;
-  const auto supervised = measure_supervised_telemetry(smoke);
+  const int rounds = smoke ? 1 : 401;
+  const int run_rounds = smoke ? 1 : 9;
+  const int repetitions = smoke ? 1 : 3;
+
+  const auto project = measure_project_right(rounds);
+  const double project_overhead = project.overhead;
+  const auto supervised = measure_supervised_telemetry(run_rounds, repetitions);
 
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "micro_obs: cannot write %s\n", path);
     return 1;
   }
+  std::fprintf(out, "{\n  \"smoke\": %s,\n  ", smoke ? "true" : "false");
+  bench::write_machine_json(out);
+  std::fprintf(out, ",\n  \"budget\": %.2f,\n", kBudget);
+  std::fprintf(out, "  \"project_right\": {\"rounds\": %d, ", rounds);
+  write_timing(out, "disabled", project.disabled);
+  std::fprintf(out, ", ");
+  write_timing(out, "enabled", project.enabled);
+  std::fprintf(out, ", \"enabled_overhead\": %.4f},\n", project_overhead);
   std::fprintf(out,
-               "{\n"
-               "  \"events\": %zu,\n"
-               "  \"pair_count_plain_ms\": %.3f,\n"
-               "  \"pair_count_instrumented_disabled_ms\": %.3f,\n"
-               "  \"pair_count_instrumented_enabled_ms\": %.3f,\n"
-               "  \"disabled_overhead\": %.4f,\n"
-               "  \"enabled_overhead\": %.4f,\n"
-               "  \"project_right_disabled_ms\": %.3f,\n"
-               "  \"project_right_enabled_ms\": %.3f,\n"
-               "  \"project_right_enabled_overhead\": %.4f,\n"
-               "  \"budget\": %.2f,\n"
-               "  \"supervised\": {\n"
-               "    \"smoke\": %s,\n"
-               "    \"merged_counters_match\": %s,\n"
-               "    \"projection_edges\": %llu,\n"
-               "    \"line_samples\": %llu,\n"
-               "    \"trace_lanes\": %zu,\n"
-               "    \"tasks_run\": %zu,\n"
-               "    \"telemetry_off_ms\": %.1f,\n"
-               "    \"telemetry_on_ms\": %.1f,\n"
-               "    \"sidecar_overhead\": %.4f\n"
-               "  }\n"
-               "}\n",
-               kKeys, plain_ms, disabled_ms, enabled_ms, disabled_overhead,
-               enabled_overhead, project_disabled_ms, project_enabled_ms,
-               project_overhead, kBudget, smoke ? "true" : "false",
+               "  \"supervised\": {\"merged_counters_match\": %s, "
+               "\"projection_edges\": %llu, \"line_samples\": %llu, \"trace_lanes\": %zu, "
+               "\"tasks_run\": %zu, \"rounds\": %d, ",
                supervised.counters_match ? "true" : "false",
                static_cast<unsigned long long>(supervised.merged_edges),
-               static_cast<unsigned long long>(supervised.merged_samples),
-               supervised.lanes, supervised.tasks_run, supervised.off_ms,
-               supervised.on_ms, supervised.overhead);
+               static_cast<unsigned long long>(supervised.merged_samples), supervised.lanes,
+               supervised.tasks_run, run_rounds);
+  write_timing(out, "wall", supervised.wall);
+  std::fprintf(out, ",\n    \"repetitions\": %d, ", repetitions);
+  write_timing(out, "write", supervised.write);
+  std::fprintf(out, ", ");
+  write_timing(out, "merge", supervised.merge);
+  std::fprintf(out, ", ");
+  write_timing(out, "sidecar", supervised.sidecar);
+  std::fprintf(out, ", \"flushes\": %zu, \"sidecar_overhead\": %.4f}\n}\n",
+               supervised.flushes, supervised.overhead);
   std::fclose(out);
 
   std::printf("wrote %s\n", path);
-  std::printf("disabled-path overhead: %.2f%% (budget %.0f%%); enabled: %.2f%%; "
-              "project_right enabled: %.2f%%\n",
-              disabled_overhead * 100.0, kBudget * 100.0, enabled_overhead * 100.0,
-              project_overhead * 100.0);
+  std::printf("project_right metrics enabled: %.2f%% (budget %.0f%%)\n",
+              project_overhead * 100.0, kBudget * 100.0);
   std::printf("supervised mini-run: merged counters %s (%llu edges, %llu samples), "
-              "%zu trace lanes; sidecar overhead %.2f%%%s\n",
+              "%zu trace lanes; sidecars (median) %.2f ms of a %.1f ms run (%zu tasks): "
+              "%.2f%%%s\n",
               supervised.counters_match ? "match" : "DIVERGED",
               static_cast<unsigned long long>(supervised.merged_edges),
-              static_cast<unsigned long long>(supervised.merged_samples),
-              supervised.lanes, supervised.overhead * 100.0,
+              static_cast<unsigned long long>(supervised.merged_samples), supervised.lanes,
+              supervised.sidecar.median_ms, supervised.wall.median_ms, supervised.tasks_run,
+              supervised.overhead * 100.0,
               smoke ? " (smoke: not gated)" : "");
   int rc = 0;
-  // Timing gates are skipped in smoke mode: one rep on a busy CI box flaps
-  // around a 3% budget. Correctness gates below always run.
-  if (!smoke && disabled_overhead > kBudget) {
-    std::fprintf(stderr,
-                 "micro_obs: FAIL: disabled instrumentation costs %.2f%% on the "
-                 "pair-count loop (budget %.0f%%)\n",
-                 disabled_overhead * 100.0, kBudget * 100.0);
+  // Timing gates are skipped in smoke mode: one round on a busy CI box
+  // flaps around a 3% budget. Correctness gates below always run.
+  const auto timing_gate = [&](double value, const char* what) {
+    if (smoke || value <= kBudget) return;
+    std::fprintf(stderr, "micro_obs: FAIL: %s costs %.2f%% (budget %.0f%%)\n", what,
+                 value * 100.0, kBudget * 100.0);
     rc = 1;
-  }
+  };
+  timing_gate(project_overhead, "enabled metrics on project_right");
+  timing_gate(supervised.overhead, "sidecar write+merge on the supervised mini-run");
   if (!supervised.counters_match) {
     std::fprintf(stderr,
                  "micro_obs: FAIL: merged worker counters diverged from the "
@@ -357,22 +398,9 @@ int write_obs_json() {
                  supervised.lanes, supervised.tasks_run);
     rc = 1;
   }
-  if (!smoke && supervised.overhead > kBudget) {
-    std::fprintf(stderr,
-                 "micro_obs: FAIL: sidecar write+merge costs %.2f%% on the "
-                 "supervised mini-run (budget %.0f%%)\n",
-                 supervised.overhead * 100.0, kBudget * 100.0);
-    rc = 1;
-  }
   return rc;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return write_obs_json();
-}
+int main() { return write_obs_json(); }

@@ -69,7 +69,7 @@ BenchSetup build_artifacts(const std::string& dir, std::size_t rows, std::size_t
       row[j] = static_cast<float>(rng.uniform() - 0.5);
     }
   }
-  embedding.save_arena_file(setup.embeddings_path);
+  embedding.save_file(setup.embeddings_path);
 
   // Train a small SVM on a prefix of the rows; the label is a noisy linear
   // cut through the embedding space so both classes are populated.

@@ -86,12 +86,7 @@ int main() {
   embed::EmbedConfig ec = config.embedding;
   ec.dimension = config.embedding_dimension;
   ec.seed = 1;
-  const auto q = embed::embed_graph(model.query_similarity, ec);
-  ec.seed = 2;
-  const auto i = embed::embed_graph(model.ip_similarity, ec);
-  ec.seed = 3;
-  const auto t = embed::embed_graph(model.temporal_similarity, ec);
-  const auto combined = embed::EmbeddingMatrix::concat(model.kept_domains, {&q, &i, &t});
+  const auto combined = core::embed_channels(model, ec).combined;
 
   const intel::VirusTotalSim vt{trace_result.truth, config.virustotal};
   const auto labels = build_labeled_set(model.kept_domains, trace_result.truth, vt,

@@ -34,7 +34,7 @@ int main() {
     config.xmeans.k_min = 8;
     config.xmeans.k_max = 48;
 
-    const auto result = core::run_pipeline(config);
+    auto result = core::run_pipeline(config);
     const auto clustering = core::cluster_domains(result.combined_embedding,
                                                   result.model.kept_domains,
                                                   result.trace.truth, config.xmeans);

@@ -19,8 +19,8 @@
 #include "graph/bipartite.hpp"
 #include "graph/projection.hpp"
 #include "graph/stats.hpp"
-#include "graph/weighted_graph.hpp"
 #include "trace/sink.hpp"
+#include "util/csr.hpp"
 #include "util/interner.hpp"
 
 namespace dnsembed::core {
@@ -73,33 +73,34 @@ struct BehaviorModelConfig {
   graph::ProjectionOptions temporal_projection;
 };
 
-/// The pruned graphs plus the three domain similarity graphs. All four
-/// domain-indexed structures share the same vertex set (kept_domains), but
-/// vertex ids are per-graph.
+/// The pruned graphs plus the three domain similarity graphs (CSR arenas,
+/// the form `run` saves). All four domain-indexed structures share the same
+/// vertex set (kept_domains), but vertex ids are per-graph.
 struct BehaviorModel {
   std::vector<std::string> kept_domains;
   graph::BipartiteGraph hdbg;
   graph::BipartiteGraph dibg;
   graph::BipartiteGraph dtbg;
-  graph::WeightedGraph query_similarity;
-  graph::WeightedGraph ip_similarity;
-  graph::WeightedGraph temporal_similarity;
+  util::CsrGraph query_similarity;
+  util::CsrGraph ip_similarity;
+  util::CsrGraph temporal_similarity;
 };
 
 /// One similarity channel (paper §4): a bipartite graph over domains, its
 /// Jaccard projection and its embedding. The table below is the single
-/// list of channels; run_pipeline, build_behavior_model and the resumable
-/// runner's stage tasks all iterate it.
+/// list of channels; build_behavior_model, embed_channels and the
+/// resumable runner's stage tasks all iterate it.
 struct Channel {
   const char* name;        // "query" | "ip" | "temporal"
   const char* bipartite;   // trace-stage artifact of the bipartite graph
   const char* similarity;  // behavior-stage artifact of the projection (CSR)
   const char* embedding;   // embed-stage artifact of the LINE embedding
-  /// The channel's LINE seed is PipelineConfig::seed + seed_offset.
+  /// The channel's embedding seed is the base seed + seed_offset
+  /// (channel_embedding in core/pipeline.hpp).
   std::uint64_t seed_offset;
   graph::ProjectionOptions BehaviorModelConfig::*projection;
   graph::BipartiteGraph BehaviorModel::*pruned;
-  graph::WeightedGraph BehaviorModel::*projected;
+  util::CsrGraph BehaviorModel::*projected;
 };
 
 inline constexpr Channel kChannels[] = {
@@ -124,13 +125,8 @@ graph::BipartiteGraph restrict_domains(const graph::BipartiteGraph& g,
 
 /// One-mode projection of the channel's pruned bipartite graph onto its
 /// domains, traced as span "behavior.project.<channel>".
-graph::WeightedGraph project_channel(const Channel& channel, const graph::BipartiteGraph& pruned,
-                                     const graph::ProjectionOptions& options);
-
-/// The same projection in the CSR arena form (graph::project_right_csr),
-/// the form `run` saves, traced under the same span.
-util::CsrGraph project_channel_csr(const Channel& channel, const graph::BipartiteGraph& pruned,
-                                   const graph::ProjectionOptions& options);
+util::CsrGraph project_channel(const Channel& channel, const graph::BipartiteGraph& pruned,
+                               const graph::ProjectionOptions& options);
 
 /// Prune (kept_domains, applied to every graph) and project. Consumes the
 /// graphs.

@@ -1,7 +1,9 @@
 #include "core/pipeline.hpp"
 
-#include <iterator>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -45,11 +47,31 @@ graph::ProjectionOptions channel_projection(const PipelineConfig& config,
   return projection;
 }
 
-embed::EmbedConfig channel_embedding(const PipelineConfig& config, const Channel& channel) {
+embed::EmbedConfig pipeline_embedding(const PipelineConfig& config) {
   embed::EmbedConfig embedding = config.embedding;
   embedding.dimension = config.embedding_dimension;
-  embedding.seed = config.seed + channel.seed_offset;
+  embedding.seed = config.seed;
   return embedding;
+}
+
+embed::EmbedConfig channel_embedding(const embed::EmbedConfig& base, const Channel& channel) {
+  embed::EmbedConfig embedding = base;
+  embedding.seed = base.seed + channel.seed_offset;
+  return embedding;
+}
+
+ChannelEmbeddings embed_channels(const BehaviorModel& model, const embed::EmbedConfig& base) {
+  ChannelEmbeddings out;
+  for (const auto& channel : kChannels) {
+    const std::string span = std::string{"embed."} + channel.name;
+    OBS_SPAN(span.c_str());
+    out.channels.push_back(
+        embed::embed_graph(model.*channel.projected, channel_embedding(base, channel)));
+  }
+  std::vector<const embed::EmbeddingMatrix*> parts;
+  for (const auto& embedding : out.channels) parts.push_back(&embedding);
+  out.combined = embed::EmbeddingMatrix::concat(model.kept_domains, parts);
+  return out;
 }
 
 PipelineResult run_pipeline(const PipelineConfig& config) {
@@ -98,18 +120,12 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
 
   {
     obs::StageSpan span{"pipeline.embed"};
-    embed::EmbeddingMatrix* const embeddings[] = {
-        &result.query_embedding, &result.ip_embedding, &result.temporal_embedding};
-    for (std::size_t i = 0; i < std::size(kChannels); ++i) {
-      const auto& channel = kChannels[i];
-      const std::string channel_span = std::string{"pipeline.embed."} + channel.name;
-      OBS_SPAN(channel_span.c_str());
-      *embeddings[i] = embed::embed_graph(result.model.*channel.projected,
-                                          channel_embedding(config, channel));
-    }
-    result.combined_embedding = embed::EmbeddingMatrix::concat(
-        result.model.kept_domains,
-        {&result.query_embedding, &result.ip_embedding, &result.temporal_embedding});
+    auto embedded = embed_channels(result.model, pipeline_embedding(config));
+    // kChannels order.
+    result.query_embedding = std::move(embedded.channels[0]);
+    result.ip_embedding = std::move(embedded.channels[1]);
+    result.temporal_embedding = std::move(embedded.channels[2]);
+    result.combined_embedding = std::move(embedded.combined);
   }
   util::log_info() << "pipeline: embeddings (3x" << config.embedding_dimension << ")";
 

@@ -22,10 +22,11 @@ struct PipelineConfig {
   trace::TraceConfig trace;
   BehaviorModelConfig behavior;
 
-  /// Worker threads for the three one-mode projections (0 = one per
-  /// hardware thread). Applied to all three ProjectionOptions in
-  /// `behavior` by channel_projection; projection output is deterministic
-  /// for every value, so this is purely a throughput knob.
+  /// Worker threads for the three one-mode projections (0 = one per CPU
+  /// of the affinity mask, util::resolve_threads). Applied to all three
+  /// ProjectionOptions in `behavior` by channel_projection; projection
+  /// output is deterministic for every value, so this is purely a
+  /// throughput knob.
   std::size_t projection_threads = 0;
 
   /// Projection backend for the three one-mode projections, applied to all
@@ -76,9 +77,27 @@ struct PipelineConfig {
 /// (projection_threads, projection_mode, sketch) applied.
 graph::ProjectionOptions channel_projection(const PipelineConfig& config, const Channel& channel);
 
-/// `channel`'s embedding config: `embedding` at embedding_dimension, seeded
-/// with seed + the channel's seed offset.
-embed::EmbedConfig channel_embedding(const PipelineConfig& config, const Channel& channel);
+/// The run-wide embedding config: `embedding` at embedding_dimension,
+/// seeded with `seed`. Each channel reseeds it (channel_embedding).
+embed::EmbedConfig pipeline_embedding(const PipelineConfig& config);
+
+/// `base` reseeded for `channel`: seed base.seed + channel.seed_offset. The
+/// one place a channel's seed is derived; embed_channels and `run`'s embed
+/// tasks both use it.
+embed::EmbedConfig channel_embedding(const embed::EmbedConfig& base, const Channel& channel);
+
+/// A model's channel embeddings in kChannels order, and their
+/// concatenation over the model's kept domains (paper §6.1:
+/// x = [query-vec | ip-vec | temporal-vec]).
+struct ChannelEmbeddings {
+  std::vector<embed::EmbeddingMatrix> channels;
+  embed::EmbeddingMatrix combined;
+};
+
+/// Embed each of the model's similarity graphs, in kChannels order, with
+/// channel_embedding(base, channel), then concatenate them. Each channel
+/// is traced as span "embed.<channel>".
+ChannelEmbeddings embed_channels(const BehaviorModel& model, const embed::EmbedConfig& base);
 
 struct PipelineResult {
   trace::TraceResult trace;

@@ -558,51 +558,49 @@ graph::BipartiteGraph channel_graph(const std::string& workdir, const Channel& c
                           load_kept_domains(workdir));
 }
 
-/// Deterministic size-aware merge of per-shard partial projections into the
-/// channel's final CSR. Shards partition the PAIR space disjointly and each
-/// emits exact similarities over the full vertex set, so the merged edge
-/// list is the concatenation (reserved to total size up front), and one
-/// global (u, v) sort reproduces the exact emission order of an unsharded
-/// projection — the merged artifact is byte-identical to a single-shard
-/// run. Quarantined shards are simply absent: their pairs are missing and
-/// the report is flagged as partial.
+/// Deterministic merge of per-shard partial projections into the channel's
+/// final CSR. Shards partition the PAIR space disjointly and each emits
+/// exact similarities over the full vertex set in (u, v) order, so a k-way
+/// merge of the partials' edge arrays by (u, v) reproduces the exact
+/// emission order of an unsharded projection — the merged artifact is
+/// byte-identical to a single-shard run. Quarantined shards are simply
+/// absent: their pairs are missing and the report is flagged as partial;
+/// with every shard quarantined the channel gets an edgeless CSR over its
+/// pruned names (isolated vertices are legal).
 void merge_channel_shards(const std::string& workdir, const Channel& channel,
                           const std::vector<std::string>& partial_paths) {
-  std::vector<graph::WeightedGraph> parts;
-  parts.reserve(partial_paths.size());
+  std::vector<util::CsrGraph> parts;
   std::size_t total = 0;
   for (const auto& partial : partial_paths) {
-    parts.push_back(graph::from_csr(graph::load_csr_file(partial)));
+    parts.push_back(graph::load_csr_file(partial));
     total += parts.back().edge_count();
   }
-  std::vector<graph::WeightedEdge> edges;
-  edges.reserve(total);
-  for (const auto& part : parts) {
-    const auto span = part.edges();
-    edges.insert(edges.end(), span.begin(), span.end());
+  graph::ProjectedEdges merged;
+  merged.u.reserve(total);
+  merged.v.reserve(total);
+  merged.w.reserve(total);
+  std::vector<std::size_t> next(parts.size(), 0);
+  const auto head = [&](std::size_t k) {
+    return std::uint64_t{parts[k].edge_u()[next[k]]} << 32 | parts[k].edge_v()[next[k]];
+  };
+  for (std::size_t n = 0; n < total; ++n) {
+    std::size_t best = parts.size();
+    for (std::size_t k = 0; k < parts.size(); ++k) {
+      if (next[k] == parts[k].edge_count()) continue;
+      if (best == parts.size() || head(k) < head(best)) best = k;
+    }
+    const std::size_t i = next[best]++;
+    merged.u.push_back(parts[best].edge_u()[i]);
+    merged.v.push_back(parts[best].edge_v()[i]);
+    merged.w.push_back(parts[best].edge_w()[i]);
   }
-  std::sort(edges.begin(), edges.end(), [](const graph::WeightedEdge& a,
-                                           const graph::WeightedEdge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
 
-  graph::WeightedGraph merged;
-  if (!parts.empty()) {
-    // Every partial carries the full vertex set in identical id order.
-    const auto& names = parts.front().names();
-    for (graph::VertexId v = 0; v < parts.front().vertex_count(); ++v) {
-      merged.add_vertex(names.name(v));
-    }
-  } else {
-    // All shards quarantined: an edgeless graph over the pruned vertex set
-    // keeps downstream stages well-formed (isolated vertices are legal).
-    const auto pruned = channel_graph(workdir, channel);
-    for (graph::VertexId r = 0; r < pruned.right_count(); ++r) {
-      merged.add_vertex(pruned.right_names().name(r));
-    }
-  }
-  for (const auto& e : edges) merged.add_edge_unchecked(e.u, e.v, e.weight);
-  graph::save_csr_file(join(workdir, channel.similarity), std::move(merged));
+  // Every partial carries the full vertex set in identical id order.
+  const auto names = parts.empty() ? channel_graph(workdir, channel).right_names().names()
+                                   : parts.front().names_copy();
+  graph::save_csr_file(join(workdir, channel.similarity),
+                       util::CsrGraph::build(names.size(), std::move(merged.u),
+                                             std::move(merged.v), std::move(merged.w), names));
 }
 
 void write_labels_file(const std::string& workdir, const PipelineConfig& config,
@@ -637,10 +635,10 @@ void write_report_file(const std::string& workdir, const PipelineConfig& config,
     for (std::size_t i = 0; i < std::size(kChannels); ++i) {
       similarity_edges[i] = graph::load_csr_file(path(kChannels[i].similarity)).edge_count();
     }
-    result.query_embedding = embed::EmbeddingMatrix::load_arena_file(path("query.emb"));
-    result.ip_embedding = embed::EmbeddingMatrix::load_arena_file(path("ip.emb"));
-    result.temporal_embedding = embed::EmbeddingMatrix::load_arena_file(path("temporal.emb"));
-    result.combined_embedding = embed::EmbeddingMatrix::load_arena_file(path("combined.emb"));
+    result.query_embedding = embed::EmbeddingMatrix::load_file(path("query.emb"));
+    result.ip_embedding = embed::EmbeddingMatrix::load_file(path("ip.emb"));
+    result.temporal_embedding = embed::EmbeddingMatrix::load_file(path("temporal.emb"));
+    result.combined_embedding = embed::EmbeddingMatrix::load_file(path("combined.emb"));
     result.labels = intel::load_labeled_file(path("labeled.set"));
   }
   checkpoint();
@@ -797,7 +795,7 @@ RunSummary run_resumable(const RunOptions& options) {
           projection.pair_shard_index = s;
           projection.pair_shard_count = shards;
           graph::save_csr_file(
-              output, project_channel_csr(channel, channel_graph(workdir, channel), projection));
+              output, project_channel(channel, channel_graph(workdir, channel), projection));
         };
         tasks.push_back(std::move(task));
       }
@@ -829,20 +827,20 @@ RunSummary run_resumable(const RunOptions& options) {
       task.outputs.push_back({path(channel.embedding), "embedding-arena"});
       task.body = [&, channel](const auto&) {
         embed::embed_graph(graph::load_csr_file(path(channel.similarity)),
-                           channel_embedding(config, channel))
-            .save_arena_file(path(channel.embedding));
+                           channel_embedding(pipeline_embedding(config), channel))
+            .save_file(path(channel.embedding));
       };
       tasks.push_back(std::move(task));
     }
     executor.run(tasks);
     std::vector<embed::EmbeddingMatrix> parts;
     for (const auto& channel : kChannels) {
-      parts.push_back(embed::EmbeddingMatrix::load_arena_file(path(channel.embedding)));
+      parts.push_back(embed::EmbeddingMatrix::load_file(path(channel.embedding)));
     }
     std::vector<const embed::EmbeddingMatrix*> part_views;
     for (const auto& part : parts) part_views.push_back(&part);
     embed::EmbeddingMatrix::concat(load_kept_domains(workdir), part_views)
-        .save_arena_file(path("combined.emb"));
+        .save_file(path("combined.emb"));
     driver.commit("combined.emb");
   });
 

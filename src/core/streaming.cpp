@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "core/detector.hpp"
+#include "core/pipeline.hpp"
 #include "util/artifact.hpp"
 #include "dns/log_io.hpp"
 #include "intel/labels.hpp"
@@ -203,15 +204,11 @@ void StreamingDetector::retrain_and_score(StreamingDayRecord& record) {
     return;
   }
 
-  embed::EmbedConfig ec = config_.embedding;
-  ec.dimension = config_.embedding_dimension;
-  ec.seed = config_.seed + day_ * 3;
-  const auto q = embed::embed_graph(model.query_similarity, ec);
-  ec.seed += 1;
-  const auto i = embed::embed_graph(model.ip_similarity, ec);
-  ec.seed += 1;
-  const auto t = embed::embed_graph(model.temporal_similarity, ec);
-  const auto combined = embed::EmbeddingMatrix::concat(model.kept_domains, {&q, &i, &t});
+  // Each day's retrain draws its own base seed, three apart.
+  embed::EmbedConfig base = config_.embedding;
+  base.dimension = config_.embedding_dimension;
+  base.seed = config_.seed + day_ * 3;
+  const auto combined = embed_channels(model, base).combined;
 
   // Labels available today: benign whitelist immediately; malicious only
   // when the threat feed has published the domain (default feed: VT

@@ -6,8 +6,6 @@
 #include "embed/line.hpp"
 #include "embed/sgns.hpp"
 #include "embed/walks.hpp"
-#include "graph/io.hpp"
-#include "graph/weighted_graph.hpp"
 #include "util/csr.hpp"
 
 namespace dnsembed::embed {
@@ -26,8 +24,9 @@ struct EmbedConfig {
   SgnsConfig sgns;
 };
 
-/// Embed a similarity graph with the selected method.
-inline EmbeddingMatrix embed_graph(const graph::WeightedGraph& g, const EmbedConfig& config) {
+/// Embed a similarity graph with the selected method. LINE samples the
+/// CSR's edge sections directly; the walk methods step along its rows.
+inline EmbeddingMatrix embed_graph(const util::CsrGraph& g, const EmbedConfig& config) {
   switch (config.method) {
     case EmbedMethod::kLine: {
       LineConfig line = config.line;
@@ -50,20 +49,6 @@ inline EmbeddingMatrix embed_graph(const graph::WeightedGraph& g, const EmbedCon
     }
   }
   throw std::invalid_argument{"embed_graph: unknown method"};
-}
-
-/// Embed a CSR similarity graph (typically memory-mapped from a csr-graph
-/// artifact). LINE consumes the CSR directly — its edge sampler reads the
-/// mapped edge sections with no conversion copy — while the walk methods
-/// materialize a mutable adjacency-list graph first.
-inline EmbeddingMatrix embed_graph(const util::CsrGraph& g, const EmbedConfig& config) {
-  if (config.method == EmbedMethod::kLine) {
-    LineConfig line = config.line;
-    line.dimension = config.dimension;
-    line.seed = config.seed;
-    return train_line(g, line);
-  }
-  return embed_graph(graph::from_csr(g), config);
 }
 
 }  // namespace dnsembed::embed

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "util/artifact.hpp"
-#include "util/bithex.hpp"
 #include "util/csr.hpp"
 #include "util/csv.hpp"
 
@@ -131,108 +130,18 @@ EmbeddingMatrix EmbeddingMatrix::load_csv(const std::string& path) {
 
 namespace {
 
-constexpr std::string_view kEmbeddingKind = "embedding";
-
 [[noreturn]] void bad_embedding(const std::string& context, std::string reason) {
   util::fsio::note_corrupt_detected();
   throw util::CorruptArtifact{context, std::move(reason)};
 }
 
-bool parse_size_field(std::string_view text, std::size_t& out) {
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
 }  // namespace
 
-std::string EmbeddingMatrix::payload() const {
-  std::string out;
-  out += "rows " + std::to_string(size()) + " dim " + std::to_string(dimension_) + "\n";
-  for (std::size_t i = 0; i < size(); ++i) {
-    out += names_[i];
-    out += '\t';
-    for (const float x : row(i)) out += util::float_to_hex(x);
-    out += '\n';
-  }
-  return out;
-}
-
-EmbeddingMatrix EmbeddingMatrix::parse_payload(std::string_view payload,
-                                               const std::string& context) {
-  std::size_t pos = 0;
-  const auto take_line = [&](std::string_view& line) {
-    if (pos >= payload.size()) return false;
-    const auto nl = payload.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      line = payload.substr(pos);
-      pos = payload.size();
-    } else {
-      line = payload.substr(pos, nl - pos);
-      pos = nl + 1;
-    }
-    return true;
-  };
-
-  std::string_view header;
-  if (!take_line(header) || header.substr(0, 5) != "rows ") {
-    bad_embedding(context, "embedding payload: missing header");
-  }
-  const auto dim_at = header.find(" dim ");
-  std::size_t rows = 0;
-  std::size_t dim = 0;
-  if (dim_at == std::string_view::npos || !parse_size_field(header.substr(5, dim_at - 5), rows) ||
-      !parse_size_field(header.substr(dim_at + 5), dim) || dim == 0) {
-    bad_embedding(context, "embedding payload: bad header");
-  }
-
-  std::vector<std::string> names;
-  std::vector<float> values;
-  names.reserve(rows);
-  values.reserve(rows * dim);
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::string_view line;
-    if (!take_line(line)) bad_embedding(context, "embedding payload: truncated rows");
-    const auto tab = line.find('\t');
-    if (tab == std::string_view::npos || tab == 0 ||
-        line.size() - tab - 1 != dim * 8) {
-      bad_embedding(context, "embedding payload: bad row " + std::to_string(i));
-    }
-    names.emplace_back(line.substr(0, tab));
-    for (std::size_t k = 0; k < dim; ++k) {
-      float value = 0.0f;
-      if (!util::hex_to_float(line.substr(tab + 1 + k * 8, 8), value)) {
-        bad_embedding(context, "embedding payload: bad value in row " + std::to_string(i));
-      }
-      values.push_back(value);
-    }
-  }
-  if (pos != payload.size()) {
-    bad_embedding(context, "embedding payload: trailing bytes");
-  }
-
-  EmbeddingMatrix out;
-  try {
-    out = EmbeddingMatrix{std::move(names), dim};
-  } catch (const std::invalid_argument& e) {
-    bad_embedding(context, e.what());  // e.g. duplicate names
-  }
-  std::copy(values.begin(), values.end(), out.data_.begin());
-  return out;
-}
-
 void EmbeddingMatrix::save_file(const std::string& path) const {
-  util::save_artifact(path, kEmbeddingKind, payload());
-}
-
-EmbeddingMatrix EmbeddingMatrix::load_file(const std::string& path) {
-  return parse_payload(util::load_artifact(path, kEmbeddingKind), path);
-}
-
-void EmbeddingMatrix::save_arena_file(const std::string& path) const {
   util::DenseMatrix::build(names_, dimension_, data_).save_file(path);
 }
 
-EmbeddingMatrix EmbeddingMatrix::load_arena_file(const std::string& path) {
+EmbeddingMatrix EmbeddingMatrix::load_file(const std::string& path) {
   const util::DenseMatrix m = util::DenseMatrix::load_file(path);
   if (m.cols() == 0) bad_embedding(path, "embedding arena: zero dimension");
   EmbeddingMatrix out;

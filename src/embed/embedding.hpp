@@ -1,7 +1,8 @@
 // Dense embedding matrix keyed by vertex name: the output of every embedder
 // and the input of the classifiers. Supports L2 normalization, per-name
 // lookup, concatenation across the three similarity graphs (paper §6.1:
-// x = [query-vec | ip-vec | temporal-vec] in R^{3k}), and CSV persistence.
+// x = [query-vec | ip-vec | temporal-vec] in R^{3k}), the durable arena
+// file and CSV interop.
 #pragma once
 
 #include <cstddef>
@@ -52,22 +53,13 @@ class EmbeddingMatrix {
   void save_csv(const std::string& path) const;
   static EmbeddingMatrix load_csv(const std::string& path);
 
-  /// Durable artifact persistence (atomic + checksummed, coordinates stored
-  /// by float bit pattern for exact round-trips). load_file throws
-  /// util::CorruptArtifact on a damaged container or payload.
+  /// Durable artifact persistence: the binary arena (util/csr.hpp
+  /// DenseMatrix, kind "embedding-arena"), written atomically and
+  /// checksummed, with raw f32 sections loaded via mmap, so coordinates
+  /// round-trip bit-exactly. load_file throws util::CorruptArtifact on a
+  /// damaged container, a payload of another kind or a malformed arena.
   void save_file(const std::string& path) const;
   static EmbeddingMatrix load_file(const std::string& path);
-
-  /// Binary arena persistence (util/csr.hpp DenseMatrix, kind
-  /// "embedding-arena"): raw f32 sections, loaded via mmap with no
-  /// hex-text encode/parse — the pipeline's durable embedding form.
-  /// Round-trips bit-exactly like save_file/load_file.
-  void save_arena_file(const std::string& path) const;
-  static EmbeddingMatrix load_arena_file(const std::string& path);
-
-  /// Artifact payload codec, exposed for the loader fuzz tests.
-  std::string payload() const;
-  static EmbeddingMatrix parse_payload(std::string_view payload, const std::string& context);
 
  private:
   void rebuild_index();

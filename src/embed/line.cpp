@@ -171,22 +171,22 @@ void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
       const bool own = rng.uniform() < e.prob;
       // Random orientation: the graph is undirected, LINE's updates are not.
       const bool flip = rng.bernoulli(0.5);
-      const graph::VertexId u = own ? e.u : e.alias_u;
-      const graph::VertexId v = own ? e.v : e.alias_v;
-      const graph::VertexId src = flip ? v : u;
-      const graph::VertexId dst = flip ? u : v;
+      const std::uint32_t u = own ? e.u : e.alias_u;
+      const std::uint32_t v = own ? e.v : e.alias_v;
+      const std::uint32_t src = flip ? v : u;
+      const std::uint32_t dst = flip ? u : v;
 
       const float* const src_vec = vertex.data() + static_cast<std::size_t>(src) * dim;
       std::fill_n(grad, dim, 0.0f);
 
       for (std::size_t k = 0; k <= config.negatives; ++k) {
-        graph::VertexId target = 0;
+        std::uint32_t target = 0;
         double label = 0.0;
         if (k == 0) {
           target = dst;
           label = 1.0;
         } else {
-          target = static_cast<graph::VertexId>(noise.sample(rng));
+          target = static_cast<std::uint32_t>(noise.sample(rng));
           if (target == dst || target == src) continue;
         }
         const float* const tgt_vec = tgt_base + static_cast<std::size_t>(target) * dim;
@@ -273,26 +273,6 @@ std::vector<float> train_order(const TrainContext& ctx, std::size_t dim, bool se
 
 }  // namespace
 
-EmbeddingMatrix train_line(const graph::WeightedGraph& g, const LineConfig& config) {
-  // Convert to the CSR form so both entry points run the same core: the
-  // edge struct-of-arrays preserves g.edges() order, so the edge sampler
-  // draws the identical sequence.
-  std::vector<std::uint32_t> edge_u;
-  std::vector<std::uint32_t> edge_v;
-  std::vector<double> edge_w;
-  edge_u.reserve(g.edge_count());
-  edge_v.reserve(g.edge_count());
-  edge_w.reserve(g.edge_count());
-  for (const auto& e : g.edges()) {
-    edge_u.push_back(e.u);
-    edge_v.push_back(e.v);
-    edge_w.push_back(e.weight);
-  }
-  return train_line(
-      util::CsrGraph::build(g.vertex_count(), edge_u, edge_v, edge_w, g.names().names()),
-      config);
-}
-
 EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config) {
   OBS_SPAN("embed.line.train");
   if (config.dimension == 0) throw std::invalid_argument{"train_line: zero dimension"};
@@ -301,14 +281,7 @@ EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config) {
   }
   if (config.initial_lr <= 0.0) throw std::invalid_argument{"train_line: non-positive lr"};
 
-  std::vector<std::string> names;
-  if (g.has_names()) {
-    names = g.names_copy();
-  } else {
-    names.reserve(g.vertex_count());
-    for (std::size_t v = 0; v < g.vertex_count(); ++v) names.push_back(std::to_string(v));
-  }
-  EmbeddingMatrix out{std::move(names), config.dimension};
+  EmbeddingMatrix out{g.names_copy(), config.dimension};
   if (g.vertex_count() == 0) return out;
   if (g.edge_count() == 0) return out;  // all isolated -> all-zero rows
 

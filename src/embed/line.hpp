@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "embed/embedding.hpp"
-#include "graph/weighted_graph.hpp"
 #include "util/csr.hpp"
 
 namespace dnsembed::embed {
@@ -53,19 +52,14 @@ struct LineConfig {
   bool normalize_output = true;
 };
 
-/// Train LINE on a weighted undirected graph. Isolated vertices receive a
-/// zero vector (nothing can be learned for them). Throws
-/// std::invalid_argument for a config with zero dimension/negatives
-/// mismatch or a graph with vertices but dimension too small to split.
-/// Internally converts to the CSR form below, so both entry points share
-/// one training core and produce identical output for the same graph.
-EmbeddingMatrix train_line(const graph::WeightedGraph& g, const LineConfig& config);
-
-/// Train LINE directly on a CSR arena graph — the zero-copy pipeline path:
-/// the edge sampler is built straight from the mapped edge sections, and
-/// the noise distribution reads the precomputed weighted-degree section, so
-/// no per-vertex allocations or re-parse happen between artifact load and
-/// the first SGD step.
+/// Train LINE on a weighted undirected CSR graph (typically the
+/// projection's output, or memory-mapped from a csr-graph artifact). The
+/// edge sampler is built straight from the edge sections and the noise
+/// distribution reads the weighted-degree section, so no per-vertex
+/// allocations or re-parse happen between artifact load and the first SGD
+/// step. Isolated vertices receive a zero vector (nothing can be learned
+/// for them). Throws std::invalid_argument for a zero dimension, a
+/// non-positive learning rate or a kBoth dimension too small to split.
 EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config);
 
 }  // namespace dnsembed::embed

@@ -20,13 +20,13 @@ double fast_sigmoid(double x) noexcept {
 
 }  // namespace
 
-EmbeddingMatrix train_sgns(const graph::WeightedGraph& g,
-                           const std::vector<std::vector<graph::VertexId>>& walks,
+EmbeddingMatrix train_sgns(const util::CsrGraph& g,
+                           const std::vector<std::vector<std::uint32_t>>& walks,
                            const SgnsConfig& config) {
   if (config.dimension == 0) throw std::invalid_argument{"train_sgns: zero dimension"};
   if (config.window == 0) throw std::invalid_argument{"train_sgns: zero window"};
 
-  EmbeddingMatrix out{g.names().names(), config.dimension};
+  EmbeddingMatrix out{g.names_copy(), config.dimension};
   const std::size_t n = g.vertex_count();
   if (n == 0) return out;
 
@@ -64,7 +64,7 @@ EmbeddingMatrix train_sgns(const graph::WeightedGraph& g,
         const double progress =
             static_cast<double>(position) / static_cast<double>(total_positions);
         const double lr = std::max(lr_floor, config.initial_lr * (1.0 - progress));
-        const graph::VertexId center = walk[center_idx];
+        const std::uint32_t center = walk[center_idx];
         const std::size_t window = 1 + rng.uniform_index(config.window);
         const std::size_t lo = center_idx >= window ? center_idx - window : 0;
         const std::size_t hi = std::min(walk.size(), center_idx + window + 1);
@@ -73,13 +73,13 @@ EmbeddingMatrix train_sgns(const graph::WeightedGraph& g,
           if (ctx_idx == center_idx) continue;
           std::fill(grad.begin(), grad.end(), 0.0f);
           for (std::size_t k = 0; k <= config.negatives; ++k) {
-            graph::VertexId target = 0;
+            std::uint32_t target = 0;
             double label = 0.0;
             if (k == 0) {
               target = walk[ctx_idx];
               label = 1.0;
             } else {
-              target = static_cast<graph::VertexId>(noise_sampler.sample(rng));
+              target = static_cast<std::uint32_t>(noise_sampler.sample(rng));
               if (target == walk[ctx_idx]) continue;
             }
             float* const tgt = context.data() + static_cast<std::size_t>(target) * dim;

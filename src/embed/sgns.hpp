@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "embed/embedding.hpp"
-#include "graph/weighted_graph.hpp"
+#include "util/csr.hpp"
 
 namespace dnsembed::embed {
 
@@ -28,8 +28,8 @@ struct SgnsConfig {
 
 /// Train skip-gram embeddings for the vertices of g from the given walks.
 /// Vertices absent from every walk (isolated) get zero vectors.
-EmbeddingMatrix train_sgns(const graph::WeightedGraph& g,
-                           const std::vector<std::vector<graph::VertexId>>& walks,
+EmbeddingMatrix train_sgns(const util::CsrGraph& g,
+                           const std::vector<std::vector<std::uint32_t>>& walks,
                            const SgnsConfig& config);
 
 }  // namespace dnsembed::embed

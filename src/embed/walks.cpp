@@ -10,23 +10,21 @@ namespace dnsembed::embed {
 namespace {
 
 /// Sample a neighbor of v proportionally to edge weight.
-graph::VertexId sample_neighbor(const graph::WeightedGraph& g, graph::VertexId v,
-                                util::Rng& rng) {
+std::uint32_t sample_neighbor(const util::CsrGraph& g, std::uint32_t v, util::Rng& rng) {
   const auto neighbors = g.neighbors(v);
-  double total = 0.0;
-  for (const auto& n : neighbors) total += n.weight;
-  double u = rng.uniform() * total;
-  for (const auto& n : neighbors) {
-    u -= n.weight;
-    if (u <= 0.0) return n.id;
+  const auto weights = g.neighbor_weights(v);
+  double u = rng.uniform() * g.weighted_degree(v);
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    u -= weights[i];
+    if (u <= 0.0) return neighbors[i];
   }
-  return neighbors.back().id;
+  return neighbors.back();
 }
 
 }  // namespace
 
-std::vector<std::vector<graph::VertexId>> generate_walks(const graph::WeightedGraph& g,
-                                                         const WalkConfig& config) {
+std::vector<std::vector<std::uint32_t>> generate_walks(const util::CsrGraph& g,
+                                                       const WalkConfig& config) {
   if (config.walk_length < 1) throw std::invalid_argument{"generate_walks: zero length"};
   if (config.p <= 0.0 || config.q <= 0.0) {
     throw std::invalid_argument{"generate_walks: p and q must be positive"};
@@ -37,18 +35,18 @@ std::vector<std::vector<graph::VertexId>> generate_walks(const graph::WeightedGr
   const double inv_q = 1.0 / config.q;
   const double max_bias = std::max({inv_p, 1.0, inv_q});
 
-  std::vector<std::vector<graph::VertexId>> walks;
+  std::vector<std::vector<std::uint32_t>> walks;
   walks.reserve(g.vertex_count() * config.walks_per_vertex);
   for (std::size_t round = 0; round < config.walks_per_vertex; ++round) {
-    for (graph::VertexId start = 0; start < g.vertex_count(); ++start) {
+    for (std::uint32_t start = 0; start < g.vertex_count(); ++start) {
       if (g.degree(start) == 0) continue;
-      std::vector<graph::VertexId> walk;
+      std::vector<std::uint32_t> walk;
       walk.reserve(config.walk_length);
       walk.push_back(start);
-      graph::VertexId prev = start;
+      std::uint32_t prev = start;
       while (walk.size() < config.walk_length) {
-        const graph::VertexId cur = walk.back();
-        graph::VertexId next = 0;
+        const std::uint32_t cur = walk.back();
+        std::uint32_t next = 0;
         if (!biased || walk.size() == 1 || g.degree(cur) == 1) {
           // Unbiased start, DeepWalk, or a forced move (degree-1 vertex):
           // the rejection loop below would spin ~1/bias times for the same

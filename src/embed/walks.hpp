@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/weighted_graph.hpp"
+#include "util/csr.hpp"
 
 namespace dnsembed::embed {
 
@@ -25,8 +25,9 @@ struct WalkConfig {
 };
 
 /// Generate walks starting from every non-isolated vertex, in vertex order,
-/// walks_per_vertex times. Walks never include isolated vertices.
-std::vector<std::vector<graph::VertexId>> generate_walks(const graph::WeightedGraph& g,
-                                                         const WalkConfig& config);
+/// walks_per_vertex times. Each step draws a neighbor of the current row by
+/// weight. Walks never include isolated vertices.
+std::vector<std::vector<std::uint32_t>> generate_walks(const util::CsrGraph& g,
+                                                       const WalkConfig& config);
 
 }  // namespace dnsembed::embed

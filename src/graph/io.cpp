@@ -1,12 +1,12 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/span.hpp"
@@ -44,42 +44,19 @@ BipartiteGraph load_bipartite_csv(std::istream& in) {
   return g;
 }
 
-void save_weighted_csv(std::ostream& out, const WeightedGraph& g) {
+void save_weighted_csv(std::ostream& out, const util::CsrGraph& g) {
+  const auto names = g.names_copy();
   util::CsvWriter csv{out};
   csv.write_row({"u", "v", "weight"});
-  for (const auto& e : g.edges()) {
-    csv.write_row({g.names().name(e.u), g.names().name(e.v), std::to_string(e.weight)});
+  const auto eu = g.edge_u();
+  const auto ev = g.edge_v();
+  const auto ew = g.edge_w();
+  for (std::size_t i = 0; i < eu.size(); ++i) {
+    csv.write_row({names[eu[i]], names[ev[i]], std::to_string(ew[i])});
   }
-  for (VertexId v = 0; v < g.vertex_count(); ++v) {
-    if (g.degree(v) == 0) csv.write_row({g.names().name(v), "", ""});
+  for (std::uint32_t v = 0; v < g.vertex_count(); ++v) {
+    if (g.degree(v) == 0) csv.write_row({names[v], "", ""});
   }
-}
-
-WeightedGraph load_weighted_csv(std::istream& in) {
-  WeightedGraph g;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto fields = util::parse_csv_line(line);
-    if (line_no == 1 && fields.size() == 3 && fields[0] == "u") continue;  // header
-    if (fields.size() != 3 || fields[0].empty()) {
-      throw std::runtime_error{"weighted CSV: bad line " + std::to_string(line_no)};
-    }
-    if (fields[1].empty()) {
-      g.add_vertex(fields[0]);  // isolated vertex row
-      continue;
-    }
-    double weight = 0.0;
-    const auto& w = fields[2];
-    const auto [ptr, ec] = std::from_chars(w.data(), w.data() + w.size(), weight);
-    if (ec != std::errc{} || ptr != w.data() + w.size()) {
-      throw std::runtime_error{"weighted CSV: bad weight at line " + std::to_string(line_no)};
-    }
-    g.add_edge(fields[0], fields[1], weight);
-  }
-  return g;
 }
 
 namespace {
@@ -201,47 +178,6 @@ BipartiteGraph load_bipartite_file(const std::string& path) {
   }
   g.finalize();
   return g;
-}
-
-util::CsrGraph to_csr(const WeightedGraph& g) {
-  std::vector<std::uint32_t> edge_u;
-  std::vector<std::uint32_t> edge_v;
-  std::vector<double> edge_w;
-  edge_u.reserve(g.edge_count());
-  edge_v.reserve(g.edge_count());
-  edge_w.reserve(g.edge_count());
-  for (const auto& e : g.edges()) {
-    edge_u.push_back(e.u);
-    edge_v.push_back(e.v);
-    edge_w.push_back(e.weight);
-  }
-  return util::CsrGraph::build(g.vertex_count(), std::move(edge_u), std::move(edge_v),
-                               std::move(edge_w), g.names().names());
-}
-
-WeightedGraph from_csr(const util::CsrGraph& g) {
-  WeightedGraph out;
-  for (std::uint32_t v = 0; v < g.vertex_count(); ++v) {
-    if (g.has_names()) {
-      out.add_vertex(g.name(v));
-    } else {
-      out.add_vertex(std::to_string(v));
-    }
-  }
-  const auto eu = g.edge_u();
-  const auto ev = g.edge_v();
-  const auto ew = g.edge_w();
-  for (std::size_t i = 0; i < eu.size(); ++i) {
-    out.add_edge_unchecked(eu[i], ev[i], ew[i]);
-  }
-  return out;
-}
-
-void save_csr_file(const std::string& path, WeightedGraph g) {
-  OBS_SPAN("graph.csr.save");
-  const util::CsrGraph csr = to_csr(g);
-  g = {};  // the arena holds everything now; free the adjacency lists
-  csr.save_file(path);
 }
 
 void save_csr_file(const std::string& path, const util::CsrGraph& g) {

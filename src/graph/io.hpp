@@ -1,7 +1,7 @@
 // Edge-list persistence for graphs (CSV): lets the CLI materialize the
 // bipartite graphs and similarity graphs for inspection in other tools
-// (gephi, networkx, spreadsheets) and round-trip them in tests. The
-// pipeline's durable forms are binary arenas (util/csr.hpp).
+// (gephi, networkx, spreadsheets) and round-trip bipartite graphs in tests.
+// The pipeline's durable forms are binary arenas (util/csr.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "graph/bipartite.hpp"
-#include "graph/weighted_graph.hpp"
 #include "util/csr.hpp"
 
 namespace dnsembed::graph {
@@ -21,10 +20,9 @@ void save_bipartite_csv(std::ostream& out, const BipartiteGraph& g);
 /// finalized.
 BipartiteGraph load_bipartite_csv(std::istream& in);
 
-/// "u,v,weight" rows plus isolated vertices as "name,," rows.
-void save_weighted_csv(std::ostream& out, const WeightedGraph& g);
-
-WeightedGraph load_weighted_csv(std::istream& in);
+/// A similarity graph as "u,v,weight" rows in edge order, then its
+/// isolated vertices as "name,," rows.
+void save_weighted_csv(std::ostream& out, const util::CsrGraph& g);
 
 // --- Durable artifact forms (crash-safe file persistence). The CSV
 // stream forms above are the human/interop format (gephi, spreadsheets);
@@ -46,23 +44,12 @@ void save_bipartite_file(const std::string& path, const BipartiteGraph& g);
 BipartiteGraph load_bipartite_file(const std::string& path);
 
 // --- CSR arena forms (util/csr.hpp). Binary struct-of-arrays payloads
-// with a memory-mapped zero-copy load path: the durable similarity-graph
-// format at million-domain scale. Weights round-trip by bit pattern (raw
-// f64 sections), so a reloaded graph reproduces embeddings bit-identically.
+// with a memory-mapped zero-copy load path: the similarity graph's one
+// form, in memory and on disk. Weights round-trip by bit pattern (raw f64
+// sections), so a reloaded graph reproduces embeddings bit-identically.
 
-/// Convert to the CSR arena form. Edge order is preserved (LINE's edge
-/// sampler addresses edges positionally).
-util::CsrGraph to_csr(const WeightedGraph& g);
-
-/// Materialize a mutable WeightedGraph from a CSR arena (CSV export and
-/// other interop paths; the pipeline itself consumes CsrGraph directly).
-WeightedGraph from_csr(const util::CsrGraph& g);
-
-/// Atomic checksummed save / mmap zero-copy load of the CSR form. The
-/// WeightedGraph save consumes `g`: its adjacency is freed once the arena is
-/// built, before the container is. Both saves are traced as span
-/// "graph.csr.save".
-void save_csr_file(const std::string& path, WeightedGraph g);
+/// Atomic checksummed save (traced as span "graph.csr.save") / mmap
+/// zero-copy load of the CSR form.
 void save_csr_file(const std::string& path, const util::CsrGraph& g);
 util::CsrGraph load_csr_file(const std::string& path);
 

@@ -4,12 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
-#include <stdexcept>
-
-#include "graph/io.hpp"
 #include "graph/sketch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -23,35 +21,26 @@ namespace {
 /// Seed of the pair-shard ownership hash (see ProjectionOptions).
 constexpr std::uint64_t kPairShardSeed = 0x7061697273ULL;
 
-/// owner[v] for every projection-side vertex, or an empty vector when the
+/// owner[v] for every right vertex, or an empty vector when the
 /// projection is unsharded (the common case pays one branch, no table).
-template <typename NameFn>
-std::vector<std::uint32_t> pair_shard_owners(std::size_t side_count, NameFn&& side_name,
+std::vector<std::uint32_t> pair_shard_owners(const BipartiteGraph& g,
                                              const ProjectionOptions& options) {
   if (options.pair_shard_count <= 1) return {};
   if (options.pair_shard_index >= options.pair_shard_count) {
     throw std::invalid_argument{"projection: pair_shard_index out of range"};
   }
-  std::vector<std::uint32_t> owner(side_count);
-  for (VertexId v = 0; v < side_count; ++v) {
-    owner[v] = static_cast<std::uint32_t>(util::xxhash64(side_name(v), kPairShardSeed) %
-                                          options.pair_shard_count);
+  std::vector<std::uint32_t> owner(g.right_count());
+  for (VertexId v = 0; v < g.right_count(); ++v) {
+    owner[v] = static_cast<std::uint32_t>(
+        util::xxhash64(g.right_names().name(v), kPairShardSeed) % options.pair_shard_count);
   }
   return owner;
 }
 
-/// The projection's edges as (u, v)-sorted struct-of-arrays, the form
-/// util::CsrGraph::build takes.
-struct ProjectedEdges {
-  std::vector<std::uint32_t> u;
-  std::vector<std::uint32_t> v;
-  std::vector<double> w;
-};
-
-/// The exact projection of `g` onto one side (right_side ? right : left).
+/// The exact projection of `g` onto its right side.
 ///
 /// Row-wise counting (Gustavson's sparse product, upper triangle): for each
-/// side vertex u in id order, every pivot p ∈ N(u) within the degree cap
+/// right vertex u in id order, every pivot p ∈ N(u) within the degree cap
 /// adds one to acc[v] for each v ∈ N(p) with v > u (N(p) is sorted, so the
 /// run starts at upper_bound(N(p), u)). Row u is then emitted in ascending
 /// v — by a scan of acc[u+1 .. n) when dense, by sorting the touched list
@@ -60,13 +49,10 @@ struct ProjectedEdges {
 /// pass. Workers take contiguous row ranges cut at equal pair work, each
 /// with its own accumulator, and are concatenated in range order: every
 /// thread count gives the same edges.
-ProjectedEdges project_impl(const BipartiteGraph& g, bool right_side,
-                            const ProjectionOptions& options) {
-  const auto& names = right_side ? g.right_names() : g.left_names();
-  const std::size_t side_count = names.size();
-  const std::size_t pivot_count = right_side ? g.left_count() : g.right_count();
-  const auto owner = pair_shard_owners(
-      side_count, [&](VertexId v) -> const std::string& { return names.name(v); }, options);
+ProjectedEdges project_exact(const BipartiteGraph& g, const ProjectionOptions& options) {
+  const std::size_t side_count = g.right_count();
+  const std::size_t pivot_count = g.left_count();
+  const auto owner = pair_shard_owners(g, options);
   const auto owned = [&](VertexId u) {
     return owner.empty() || owner[u] == options.pair_shard_index;
   };
@@ -86,7 +72,7 @@ ProjectedEdges project_impl(const BipartiteGraph& g, bool right_side,
   // Adjacency is read once: the graph's accessors check finalize() per call.
   std::vector<std::span<const VertexId>> pivots(pivot_count);
   for (VertexId p = 0; p < pivot_count; ++p) {
-    pivots[p] = right_side ? g.left_neighbors(p) : g.right_neighbors(p);
+    pivots[p] = g.left_neighbors(p);
     const std::size_t d = pivots[p].size();
     std::size_t b = 0;
     while (b < bounds.size() && static_cast<double>(d) > bounds[b]) ++b;
@@ -106,7 +92,7 @@ ProjectedEdges project_impl(const BipartiteGraph& g, bool right_side,
   }
   std::vector<std::span<const VertexId>> rows(side_count);
   for (VertexId u = 0; u < side_count; ++u) {
-    rows[u] = right_side ? g.right_neighbors(u) : g.left_neighbors(u);
+    rows[u] = g.right_neighbors(u);
   }
 
   const auto project_rows = [&](std::size_t lo, std::size_t hi, ProjectedEdges& out) {
@@ -184,19 +170,29 @@ ProjectedEdges project_impl(const BipartiteGraph& g, bool right_side,
   return edges;
 }
 
-/// Baseline: one global node-based map, pivots scanned in order.
-template <typename NameFn, typename DegreeFn, typename PivotNeighborsFn>
-WeightedGraph project_reference_impl(std::size_t side_count, NameFn&& side_name,
-                                     DegreeFn&& side_degree, std::size_t pivot_count,
-                                     PivotNeighborsFn&& pivot_neighbors,
-                                     const ProjectionOptions& options) {
-  WeightedGraph out;
-  for (VertexId v = 0; v < side_count; ++v) out.add_vertex(side_name(v));
+}  // namespace
 
-  const auto owner = pair_shard_owners(side_count, side_name, options);
+util::CsrGraph project_right(const BipartiteGraph& g, const ProjectionOptions& options) {
+  ProjectedEdges edges;
+  if (options.mode == ProjectionMode::kSketched) {
+    if (options.pair_shard_count > 1) {
+      throw std::invalid_argument{"projection: pair shards require exact mode"};
+    }
+    edges = project_sketched(g, options);
+  } else {
+    edges = project_exact(g, options);
+  }
+  return util::CsrGraph::build(g.right_count(), std::move(edges.u), std::move(edges.v),
+                               std::move(edges.w), g.right_names().names());
+}
+
+/// Baseline: one global node-based map, pivots scanned in order.
+util::CsrGraph project_right_reference(const BipartiteGraph& g,
+                                       const ProjectionOptions& options) {
+  const auto owner = pair_shard_owners(g, options);
   std::unordered_map<std::uint64_t, std::uint32_t> intersections;
-  for (VertexId pivot = 0; pivot < pivot_count; ++pivot) {
-    const auto neighbors = pivot_neighbors(pivot);
+  for (VertexId pivot = 0; pivot < g.left_count(); ++pivot) {
+    const auto neighbors = g.left_neighbors(pivot);
     if (options.max_pivot_degree != 0 && neighbors.size() > options.max_pivot_degree) continue;
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       if (!owner.empty() && owner[neighbors[i]] != options.pair_shard_index) continue;
@@ -207,65 +203,20 @@ WeightedGraph project_reference_impl(std::size_t side_count, NameFn&& side_name,
     }
   }
 
+  ProjectedEdges edges;
   for (const auto& [key, inter] : intersections) {
     const auto u = static_cast<VertexId>(key >> 32);
     const auto v = static_cast<VertexId>(key & 0xFFFFFFFFu);
     const double similarity =
-        set_similarity(options.measure, inter, side_degree(u), side_degree(v));
+        set_similarity(options.measure, inter, g.right_degree(u), g.right_degree(v));
     if (similarity >= options.min_similarity && similarity > 0.0) {
-      out.add_edge_unchecked(u, v, similarity);
+      edges.u.push_back(u);
+      edges.v.push_back(v);
+      edges.w.push_back(similarity);
     }
   }
-  return out;
-}
-
-/// The exact or sketched projection onto one side as a WeightedGraph.
-WeightedGraph project(const BipartiteGraph& g, bool right_side, const ProjectionOptions& options) {
-  if (options.mode == ProjectionMode::kSketched) {
-    if (options.pair_shard_count > 1) {
-      throw std::invalid_argument{"projection: pair shards require exact mode"};
-    }
-    return project_sketched(g, right_side, options);
-  }
-  const auto edges = project_impl(g, right_side, options);
-  WeightedGraph out;
-  for (const auto& name : (right_side ? g.right_names() : g.left_names()).names()) {
-    out.add_vertex(name);
-  }
-  std::vector<std::size_t> degrees(out.vertex_count(), 0);
-  for (std::size_t i = 0; i < edges.u.size(); ++i) {
-    ++degrees[edges.u[i]];
-    ++degrees[edges.v[i]];
-  }
-  out.reserve(degrees, edges.u.size());
-  for (std::size_t i = 0; i < edges.u.size(); ++i) {
-    out.add_edge_unchecked(edges.u[i], edges.v[i], edges.w[i]);
-  }
-  return out;
-}
-
-}  // namespace
-
-WeightedGraph project_right(const BipartiteGraph& g, const ProjectionOptions& options) {
-  return project(g, /*right_side=*/true, options);
-}
-
-WeightedGraph project_left(const BipartiteGraph& g, const ProjectionOptions& options) {
-  return project(g, /*right_side=*/false, options);
-}
-
-util::CsrGraph project_right_csr(const BipartiteGraph& g, const ProjectionOptions& options) {
-  if (options.mode == ProjectionMode::kSketched) return to_csr(project_right(g, options));
-  auto edges = project_impl(g, /*right_side=*/true, options);
   return util::CsrGraph::build(g.right_count(), std::move(edges.u), std::move(edges.v),
                                std::move(edges.w), g.right_names().names());
-}
-
-WeightedGraph project_right_reference(const BipartiteGraph& g, const ProjectionOptions& options) {
-  return project_reference_impl(
-      g.right_count(), [&g](VertexId v) -> const std::string& { return g.right_names().name(v); },
-      [&g](VertexId v) { return g.right_degree(v); }, g.left_count(),
-      [&g](VertexId p) { return g.left_neighbors(p); }, options);
 }
 
 }  // namespace dnsembed::graph

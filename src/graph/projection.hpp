@@ -1,20 +1,19 @@
-// One-mode projection of a bipartite graph onto one vertex set with Jaccard
-// similarity weights (paper Eq. 1-3):
+// One-mode projection of a bipartite graph onto its right vertex set with
+// Jaccard similarity weights (paper Eq. 1-3):
 //
 //   sim(d_i, d_j) = |N(d_i) ∩ N(d_j)| / |N(d_i) ∪ N(d_j)|
 //
-// where N(d) is the set of opposite-side neighbors. The pipeline keeps
-// domains on the RIGHT side of every bipartite graph (hosts x domains,
-// IPs x domains, minutes x domains), so project_right() yields the three
-// domain similarity graphs; project_left() gives e.g. host similarity
-// (shared domain interests, Fig. 3c).
+// where N(d) is the set of left neighbors. The pipeline keeps domains on
+// the RIGHT side of every bipartite graph (hosts x domains, IPs x domains,
+// minutes x domains), so project_right() yields the three domain
+// similarity graphs.
 //
 // Algorithm: row-wise pair counting (Gustavson's sparse product, upper
-// triangle). For each side vertex u in id order, every pivot p in N(u) on
-// the opposite side adds one to a dense counter acc[v] for each v in N(p)
-// with v > u; Jaccard follows from acc[v] and the two degrees. Cost is sum
-// over pivots of deg², so an optional max_pivot_degree cap skips hub
-// pivots (which contribute near-zero similarity anyway but dominate cost).
+// triangle). For each right vertex u in id order, every pivot p in N(u)
+// adds one to a dense counter acc[v] for each v in N(p) with v > u;
+// Jaccard follows from acc[v] and the two degrees. Cost is sum over pivots
+// of deg², so an optional max_pivot_degree cap skips hub pivots (which
+// contribute near-zero similarity anyway but dominate cost).
 //
 // Engine: each row is emitted in ascending v as soon as it is counted (a
 // scan of acc[u+1 .. n) for a dense row, a sort of the touched list for a
@@ -22,8 +21,9 @@
 // no sort pass. Workers take contiguous row ranges cut at equal pair work,
 // each with its own accumulator, and their outputs are concatenated in
 // range order: intersection counts are exact integers, so the output is
-// identical for every thread count. project_right_csr hands the sorted
-// arrays straight to util::CsrGraph::build, the form `run` saves.
+// identical for every thread count. Both backends hand their sorted edge
+// arrays to util::CsrGraph::build: the similarity graph is the CSR arena,
+// in memory and on disk.
 #pragma once
 
 #include <algorithm>
@@ -31,8 +31,9 @@
 #include <cstddef>
 #include <cstdint>
 
+#include <vector>
+
 #include "graph/bipartite.hpp"
-#include "graph/weighted_graph.hpp"
 #include "util/csr.hpp"
 
 namespace dnsembed::graph {
@@ -120,8 +121,9 @@ struct ProjectionOptions {
   std::size_t max_pivot_degree = 0;
 
   /// Worker threads for pair counting: 1 = run inline on the calling
-  /// thread, 0 = one per hardware thread. The result is deterministic —
-  /// the same WeightedGraph (same edges, same order) for every value.
+  /// thread, 0 = one per CPU of the affinity mask (util::resolve_threads).
+  /// The result is deterministic — the same CsrGraph (same edges, same
+  /// order) for every value.
   std::size_t threads = 1;
 
   /// Backend: exact pair counting or sketched candidate generation. Fields
@@ -145,24 +147,24 @@ struct ProjectionOptions {
   std::size_t pair_shard_count = 1;
 };
 
+/// A projection's edges as (u, v)-sorted struct-of-arrays, the form
+/// util::CsrGraph::build takes. Both backends emit it.
+struct ProjectedEdges {
+  std::vector<std::uint32_t> u;
+  std::vector<std::uint32_t> v;
+  std::vector<double> w;
+};
+
 /// Project onto the right vertex set. Every right vertex appears in the
 /// result (possibly isolated); result vertex ids equal the bipartite right
-/// ids and names are preserved. Edges are emitted sorted by (u, v).
-WeightedGraph project_right(const BipartiteGraph& g, const ProjectionOptions& options = {});
-
-/// Project onto the left vertex set (ids equal the bipartite left ids).
-WeightedGraph project_left(const BipartiteGraph& g, const ProjectionOptions& options = {});
-
-/// project_right in the CSR arena form, built from the projection's sorted
-/// edge arrays without a WeightedGraph: the same payload as
-/// to_csr(project_right(g, options)).
-util::CsrGraph project_right_csr(const BipartiteGraph& g, const ProjectionOptions& options = {});
+/// ids and names are preserved. Edges are kept in (u, v) order.
+util::CsrGraph project_right(const BipartiteGraph& g, const ProjectionOptions& options = {});
 
 /// Single-threaded std::unordered_map baseline, kept as the correctness
 /// reference for the row-wise engine (tests compare edge-for-edge after
 /// sorting) and as the benchmark baseline. Ignores options.threads; edge
 /// order follows map iteration order.
-WeightedGraph project_right_reference(const BipartiteGraph& g,
-                                      const ProjectionOptions& options = {});
+util::CsrGraph project_right_reference(const BipartiteGraph& g,
+                                       const ProjectionOptions& options = {});
 
 }  // namespace dnsembed::graph

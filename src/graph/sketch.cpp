@@ -4,7 +4,6 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -30,26 +29,11 @@ constexpr std::size_t kMaxBucketVertices = 2048;
 /// other one and form a giant candidate clique).
 constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 
-/// Uniform view of the projection side (right_side picks which bipartite
-/// set gets projected); pivots are the opposite side.
-struct SideView {
-  const BipartiteGraph& g;
-  bool right_side;
-
-  std::size_t side_count() const { return right_side ? g.right_count() : g.left_count(); }
-  std::size_t pivot_count() const { return right_side ? g.left_count() : g.right_count(); }
-  std::span<const VertexId> side_neighbors(VertexId v) const {
-    return right_side ? g.right_neighbors(v) : g.left_neighbors(v);
-  }
-  std::size_t side_degree(VertexId v) const {
-    return right_side ? g.right_degree(v) : g.left_degree(v);
-  }
-  std::size_t pivot_degree(VertexId p) const {
-    return right_side ? g.left_degree(p) : g.right_degree(p);
-  }
-  const std::string& side_name(VertexId v) const {
-    return right_side ? g.right_names().name(v) : g.left_names().name(v);
-  }
+/// A verified candidate pair (weight 0 = rejected).
+struct Edge {
+  VertexId u = 0;
+  VertexId v = 0;
+  double weight = 0.0;
 };
 
 void validate_sketch_options(const SketchOptions& s) {
@@ -83,16 +67,16 @@ struct Sketch {
   std::vector<std::uint32_t> eligible;
 };
 
-Sketch compute_sketch(const SideView& view, const ProjectionOptions& options,
+Sketch compute_sketch(const BipartiteGraph& g, const ProjectionOptions& options,
                       util::ThreadPool* pool, std::size_t threads) {
   OBS_SPAN("graph.sketch.sign");
   const SketchOptions& s = options.sketch;
   const std::size_t k = s.signature_size;
-  const std::size_t side_count = view.side_count();
-  const std::size_t pivot_count = view.pivot_count();
+  const std::size_t side_count = g.right_count();
+  const std::size_t pivot_count = g.left_count();
 
   const auto hub = [&](VertexId p) {
-    return options.max_pivot_degree != 0 && view.pivot_degree(p) > options.max_pivot_degree;
+    return options.max_pivot_degree != 0 && g.left_degree(p) > options.max_pivot_degree;
   };
 
   // Counter-based hash family: h_j(p) = low32(mix64(seed_j ^ mix64(p + 1))).
@@ -129,7 +113,7 @@ Sketch compute_sketch(const SideView& view, const ProjectionOptions& options,
     for (std::size_t d = lo; d < hi; ++d) {
       std::uint32_t eligible = 0;
       std::fill(row, row + k, 0xFFFFFFFFu);
-      for (const VertexId p : view.side_neighbors(static_cast<VertexId>(d))) {
+      for (const VertexId p : g.right_neighbors(static_cast<VertexId>(d))) {
         if (hub(p)) continue;
         util::simd::min_u32(hash_rows.data() + static_cast<std::size_t>(p) * k, row, k);
         ++eligible;
@@ -273,7 +257,7 @@ std::vector<std::uint64_t> band_candidates(const Sketch& sketch, const SketchOpt
 /// Keep an edge when it ranks in the top-k strongest of EITHER endpoint
 /// (kNN-graph union rule). Ties broken by neighbor id, so the prune is
 /// deterministic. Preserves the incoming edge order.
-void prune_top_k(std::vector<WeightedEdge>& edges, std::size_t side_count, std::size_t top_k) {
+void prune_top_k(std::vector<Edge>& edges, std::size_t side_count, std::size_t top_k) {
   std::vector<std::vector<std::uint32_t>> incident(side_count);
   for (std::size_t i = 0; i < edges.size(); ++i) {
     incident[edges[i].u].push_back(static_cast<std::uint32_t>(i));
@@ -304,27 +288,21 @@ void prune_top_k(std::vector<WeightedEdge>& edges, std::size_t side_count, std::
 
 }  // namespace
 
-std::vector<std::uint8_t> minhash_signatures(const BipartiteGraph& g, bool right_side,
+std::vector<std::uint8_t> minhash_signatures(const BipartiteGraph& g,
                                              const ProjectionOptions& options) {
   validate_sketch_options(options.sketch);
-  const SideView view{g, right_side};
   std::size_t threads = util::resolve_threads(options.threads);
-  threads = std::min(threads, std::max<std::size_t>(1, view.side_count()));
+  threads = std::min(threads, std::max<std::size_t>(1, g.right_count()));
   if (threads == 1) {
-    return compute_sketch(view, options, nullptr, 1).sig;
+    return compute_sketch(g, options, nullptr, 1).sig;
   }
   util::ThreadPool pool{threads};
-  return compute_sketch(view, options, &pool, pool.size()).sig;
+  return compute_sketch(g, options, &pool, pool.size()).sig;
 }
 
-WeightedGraph project_sketched(const BipartiteGraph& g, bool right_side,
-                               const ProjectionOptions& options) {
+ProjectedEdges project_sketched(const BipartiteGraph& g, const ProjectionOptions& options) {
   validate_sketch_options(options.sketch);
-  const SideView view{g, right_side};
-  const std::size_t side_count = view.side_count();
-
-  WeightedGraph out;
-  for (VertexId v = 0; v < side_count; ++v) out.add_vertex(view.side_name(v));
+  const std::size_t side_count = g.right_count();
 
   std::size_t threads = util::resolve_threads(options.threads);
   threads = std::min(threads, std::max<std::size_t>(1, side_count));
@@ -336,7 +314,7 @@ WeightedGraph project_sketched(const BipartiteGraph& g, bool right_side,
     threads = pool->size();
   }
 
-  const Sketch sketch = compute_sketch(view, options, pool, threads);
+  const Sketch sketch = compute_sketch(g, options, pool, threads);
   const std::vector<std::uint64_t> candidates =
       band_candidates(sketch, options.sketch, side_count, pool);
 
@@ -345,14 +323,14 @@ WeightedGraph project_sketched(const BipartiteGraph& g, bool right_side,
   // slot (weight 0 = rejected), so the pass is parallel yet deterministic.
   static obs::Counter& verified_counter = obs::metrics().counter("graph.sketch.verified");
   static obs::Counter& edges_counter = obs::metrics().counter("graph.sketch.edges");
-  std::vector<WeightedEdge> verified(candidates.size());
+  std::vector<Edge> verified(candidates.size());
   run_ranges(pool, candidates.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
     OBS_SPAN("graph.sketch.verify");
     for (std::size_t i = lo; i < hi; ++i) {
       const auto u = static_cast<VertexId>(candidates[i] >> 32);
       const auto v = static_cast<VertexId>(candidates[i] & 0xFFFFFFFFu);
-      const auto nu = view.side_neighbors(u);
-      const auto nv = view.side_neighbors(v);
+      const auto nu = g.right_neighbors(u);
+      const auto nv = g.right_neighbors(v);
       // Two-pointer intersection; hub pivots are excluded from the count
       // (matching the exact engine, which never visits them) while the
       // denominators stay the FULL degrees — same lower-bound semantics.
@@ -366,7 +344,7 @@ WeightedGraph project_sketched(const BipartiteGraph& g, bool right_side,
           ++b;
         } else {
           if (options.max_pivot_degree == 0 ||
-              view.pivot_degree(nu[a]) <= options.max_pivot_degree) {
+              g.left_degree(nu[a]) <= options.max_pivot_degree) {
             ++inter;
           }
           ++a;
@@ -375,7 +353,7 @@ WeightedGraph project_sketched(const BipartiteGraph& g, bool right_side,
       }
       if (inter == 0) continue;
       const double similarity =
-          set_similarity(options.measure, inter, view.side_degree(u), view.side_degree(v));
+          set_similarity(options.measure, inter, g.right_degree(u), g.right_degree(v));
       if (similarity >= options.min_similarity && similarity > 0.0) {
         verified[i] = {u, v, similarity};
       }
@@ -386,15 +364,23 @@ WeightedGraph project_sketched(const BipartiteGraph& g, bool right_side,
   // Candidates were sorted by packed (u, v), and both the compaction and the
   // top-k prune preserve order, so the emitted edges are already (u, v)
   // sorted — the same output contract as the exact engine.
-  std::vector<WeightedEdge> edges;
+  std::vector<Edge> edges;
   edges.reserve(verified.size());
-  for (const WeightedEdge& e : verified) {
+  for (const Edge& e : verified) {
     if (e.weight > 0.0) edges.push_back(e);
   }
   if (options.sketch.top_k != 0) {
     prune_top_k(edges, side_count, options.sketch.top_k);
   }
-  for (const WeightedEdge& e : edges) out.add_edge_unchecked(e.u, e.v, e.weight);
+  ProjectedEdges out;
+  out.u.reserve(edges.size());
+  out.v.reserve(edges.size());
+  out.w.reserve(edges.size());
+  for (const Edge& e : edges) {
+    out.u.push_back(e.u);
+    out.v.push_back(e.v);
+    out.w.push_back(e.weight);
+  }
   edges_counter.add(edges.size());
   return out;
 }

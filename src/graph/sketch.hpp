@@ -4,7 +4,7 @@
 //
 // Exact projection costs O(sum over pivots of deg²); this backend instead:
 //
-//   1. Signatures. Every projection-side vertex d gets a minhash signature
+//   1. Signatures. Every right vertex d gets a minhash signature
 //      sig[d][j] = min over pivots n in N(d) of h_j(n), for k = signature_size
 //      independent counter-based hash functions h_j (util::mix64 of
 //      (seed, j, n) — no stored permutations). The per-pivot hash rows are
@@ -40,24 +40,20 @@
 
 #include "graph/bipartite.hpp"
 #include "graph/projection.hpp"
-#include "graph/weighted_graph.hpp"
 
 namespace dnsembed::graph {
 
-/// The b-bit compressed minhash signatures of the projection side
-/// (right_side ? right : left vertices): row-major side_count x
-/// signature_size bytes. Vertices with no (eligible) pivots get all-0xFF
-/// rows. Exposed for the determinism and parity tests; project_sketched
-/// uses it internally.
-std::vector<std::uint8_t> minhash_signatures(const BipartiteGraph& g, bool right_side,
+/// The b-bit compressed minhash signatures of the right vertices:
+/// row-major right_count x signature_size bytes. Vertices with no
+/// (eligible) pivots get all-0xFF rows. Exposed for the determinism and
+/// parity tests; project_sketched uses it internally.
+std::vector<std::uint8_t> minhash_signatures(const BipartiteGraph& g,
                                              const ProjectionOptions& options);
 
-/// Sketched projection onto the chosen side. Same output contract as
-/// project_right/project_left: every side vertex present, edges sorted by
-/// (u, v), weights exact for the pairs emitted, deterministic across
-/// thread counts. Called by project_right/project_left when
-/// options.mode == ProjectionMode::kSketched.
-WeightedGraph project_sketched(const BipartiteGraph& g, bool right_side,
-                               const ProjectionOptions& options);
+/// Sketched projection onto the right side. Same output contract as the
+/// exact engine: edges sorted by (u, v), weights exact for the pairs
+/// emitted, deterministic across thread counts. Called by project_right
+/// when options.mode == ProjectionMode::kSketched.
+ProjectedEdges project_sketched(const BipartiteGraph& g, const ProjectionOptions& options);
 
 }  // namespace dnsembed::graph

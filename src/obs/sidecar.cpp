@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/artifact.hpp"
+#include "util/fsio.hpp"
 
 namespace dnsembed::obs {
 
@@ -51,7 +52,8 @@ std::string telemetry_sidecar_payload(bool include_spans) {
 }
 
 void write_telemetry_sidecar(const std::string& path, bool include_spans) {
-  util::save_artifact(path, kTelemetrySidecarKind, telemetry_sidecar_payload(include_spans));
+  util::fsio::atomic_replace_file(
+      path, util::make_artifact(kTelemetrySidecarKind, telemetry_sidecar_payload(include_spans)));
 }
 
 TelemetrySidecar parse_telemetry_sidecar(const std::string& payload,

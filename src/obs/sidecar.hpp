@@ -57,8 +57,10 @@ struct TelemetrySidecar {
 /// histograms are skipped.
 std::string telemetry_sidecar_payload(bool include_spans);
 
-/// Atomically write the current telemetry as a sidecar artifact at `path`.
-/// Throws util::fsio::IoError on I/O failure.
+/// Atomically write the current telemetry as a sidecar artifact at `path`,
+/// without fsync (util::fsio::atomic_replace_file): the supervisor reads it
+/// back within the run, and nothing reads it after a crash. Throws
+/// util::fsio::IoError on I/O failure.
 void write_telemetry_sidecar(const std::string& path, bool include_spans);
 
 /// Parse a sidecar payload; throws util::CorruptArtifact (tagged with

@@ -1,6 +1,5 @@
 #include "serve/engine.hpp"
 
-#include <fstream>
 #include <stdexcept>
 #include <vector>
 
@@ -8,34 +7,15 @@
 #include "dns/public_suffix.hpp"
 #include "ml/dataset.hpp"
 #include "obs/metrics.hpp"
-#include "util/csr.hpp"
 #include "util/fsio.hpp"
 #include "util/stopwatch.hpp"
 
 namespace dnsembed::serve {
 
-namespace {
-
-/// Embedding artifacts come in two kinds (hex-text "embedding" and binary
-/// "embedding-arena"); sniff the container header's kind token so serve
-/// accepts either without a flag.
-embed::EmbeddingMatrix load_embedding_any(const std::string& path) {
-  std::ifstream in{path};
-  std::string magic;
-  int version = 0;
-  std::string kind;
-  if (in && (in >> magic >> version >> kind) && kind == util::kDenseMatrixKind) {
-    return embed::EmbeddingMatrix::load_arena_file(path);
-  }
-  return embed::EmbeddingMatrix::load_file(path);
-}
-
-}  // namespace
-
 std::unique_ptr<ServeSnapshot> ServeEngine::build_snapshot(std::uint64_t version) const {
   auto snap = std::make_unique<ServeSnapshot>();
   snap->version = version;
-  snap->embedding = load_embedding_any(embeddings_path_);
+  snap->embedding = embed::EmbeddingMatrix::load_file(embeddings_path_);
   snap->model = ml::SvmModel::load_file(model_path_);
   if (snap->embedding.dimension() != snap->model.dimension()) {
     throw std::invalid_argument{"serve: embedding dimension " +

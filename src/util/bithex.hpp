@@ -1,8 +1,7 @@
-// Bit-exact text encoding for IEEE-754 values: renders the raw bit pattern
-// as fixed-width lowercase hex. Used by artifact payloads (graph weights,
-// embedding coordinates, scaler statistics) where a decimal round-trip
-// would perturb the low bits and break the resumable pipeline's
-// bit-identical-report guarantee.
+// Bit-exact text encoding for IEEE-754 doubles: renders the raw bit pattern
+// as fixed-width lowercase hex. Used by the scaler's artifact payload, where
+// a decimal round-trip would perturb the low bits and break the resumable
+// pipeline's bit-identical-report guarantee.
 #pragma once
 
 #include <cstdint>
@@ -23,36 +22,6 @@ inline std::string double_to_hex(double value) {
 inline bool hex_to_double(std::string_view text, double& out) noexcept {
   std::uint64_t bits = 0;
   if (!parse_hex64(text, bits)) return false;
-  std::memcpy(&out, &bits, sizeof(out));
-  return true;
-}
-
-/// 8 lowercase hex digits for a float's bit pattern.
-inline std::string float_to_hex(float value) {
-  std::uint32_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  char buf[9];
-  for (int i = 7; i >= 0; --i) {
-    buf[i] = "0123456789abcdef"[bits & 0xF];
-    bits >>= 4;
-  }
-  buf[8] = '\0';
-  return buf;
-}
-
-inline bool hex_to_float(std::string_view text, float& out) noexcept {
-  if (text.size() != 8) return false;
-  std::uint32_t bits = 0;
-  for (const char c : text) {
-    bits <<= 4;
-    if (c >= '0' && c <= '9') {
-      bits |= static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      bits |= static_cast<std::uint32_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
   std::memcpy(&out, &bits, sizeof(out));
   return true;
 }

@@ -290,7 +290,7 @@ CsrGraph CsrGraph::build(std::size_t vertex_count, std::vector<std::uint32_t>&& 
   g.edge_v_ = g.own_edge_v_;
   g.edge_w_ = g.own_edge_w_;
   g.weighted_deg_ = g.own_weighted_deg_;
-  g.name_blob_ = g.own_name_blob_;
+  g.name_blob_ = {g.own_name_blob_.data(), g.own_name_blob_.size()};
   g.name_offsets_ = g.own_name_offsets_;
   return g;
 }
@@ -298,7 +298,9 @@ CsrGraph CsrGraph::build(std::size_t vertex_count, std::vector<std::uint32_t>&& 
 std::vector<std::string> CsrGraph::names_copy() const {
   std::vector<std::string> out;
   out.reserve(vertex_count_);
-  for (std::uint32_t v = 0; v < vertex_count_; ++v) out.emplace_back(name(v));
+  for (std::uint32_t v = 0; v < vertex_count_; ++v) {
+    out.push_back(has_names() ? std::string{name(v)} : std::to_string(v));
+  }
   return out;
 }
 
@@ -411,7 +413,7 @@ DenseMatrix DenseMatrix::build(std::span<const std::string> names, std::size_t c
   m.own_name_blob_ = std::move(table.blob);
   m.own_name_offsets_ = std::move(table.offsets);
   m.data_ = m.own_data_;
-  m.name_blob_ = m.own_name_blob_;
+  m.name_blob_ = {m.own_name_blob_.data(), m.own_name_blob_.size()};
   m.name_offsets_ = m.own_name_offsets_;
   return m;
 }

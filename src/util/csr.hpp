@@ -29,6 +29,7 @@
 //     row-name blob — the embedding artifact form.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -97,13 +98,15 @@ class ArenaWriter {
 };
 
 /// A vertex- or row-name table as two arena sections: the names
-/// concatenated into one blob, and count+1 offsets into it.
+/// concatenated into one blob, and count+1 offsets into it. The blob is a
+/// vector, not a string, so views into it survive a move: a short string
+/// keeps its bytes inside the object, and a moved string leaves them behind.
 struct NameTable {
-  std::string blob;
+  std::vector<char> blob;
   std::vector<std::uint64_t> offsets{0};
 
   void add(std::string_view name) {
-    blob += name;
+    blob.insert(blob.end(), name.begin(), name.end());
     offsets.push_back(blob.size());
   }
 };
@@ -166,7 +169,8 @@ class ArenaView {
 /// Immutable CSR graph over dense u32 vertex ids: sorted adjacency
 /// (offsets/cols/weights), the edge list as struct-of-arrays in input
 /// order, precomputed weighted degrees, and optional vertex names. Movable
-/// but not copyable (accessors are spans into owned or mapped storage).
+/// but not copyable (accessors are spans into owned or mapped storage; all
+/// owned storage is vectors, whose buffers move with them).
 class CsrGraph {
  public:
   CsrGraph() = default;
@@ -209,6 +213,11 @@ class CsrGraph {
   std::size_t degree(std::uint32_t v) const noexcept {
     return offsets_[v + 1] - offsets_[v];
   }
+  /// True when {u, v} is an edge: a binary search of u's sorted row.
+  bool has_edge(std::uint32_t u, std::uint32_t v) const noexcept {
+    const auto row = neighbors(u);
+    return std::binary_search(row.begin(), row.end(), v);
+  }
   /// Sum of incident edge weights over the sorted adjacency.
   double weighted_degree(std::uint32_t v) const noexcept { return weighted_deg_[v]; }
   std::span<const double> weighted_degrees() const noexcept { return weighted_deg_; }
@@ -219,7 +228,8 @@ class CsrGraph {
   std::string_view name(std::uint32_t v) const noexcept {
     return name_blob_.substr(name_offsets_[v], name_offsets_[v + 1] - name_offsets_[v]);
   }
-  /// Materialize the names as owned strings (EmbeddingMatrix interop).
+  /// Materialize the names as owned strings (EmbeddingMatrix interop);
+  /// decimal ids when the graph has no names.
   std::vector<std::string> names_copy() const;
 
   /// Arena payload (artifact kind kCsrGraphKind).
@@ -254,7 +264,7 @@ class CsrGraph {
   std::vector<std::uint32_t> own_edge_v_;
   std::vector<double> own_edge_w_;
   std::vector<double> own_weighted_deg_;
-  std::string own_name_blob_;
+  std::vector<char> own_name_blob_;
   std::vector<std::uint64_t> own_name_offsets_;
 
   std::span<const std::uint64_t> offsets_;
@@ -313,7 +323,7 @@ class DenseMatrix {
   ArenaView arena_;
 
   std::vector<float> own_data_;
-  std::string own_name_blob_;
+  std::vector<char> own_name_blob_;
   std::vector<std::uint64_t> own_name_offsets_;
 
   std::span<const float> data_;

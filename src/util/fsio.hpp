@@ -116,6 +116,13 @@ void note_corrupt_detected() noexcept;
 void atomic_write_file(const std::string& path, std::string_view payload,
                        const RetryPolicy& policy = {});
 
+/// atomic_write_file without its two fsyncs: every reader on this machine
+/// sees the old or the new content, never a mix, but a power cut may lose
+/// the new content. For scratch files that another process of the same run
+/// reads back and nothing reads after a crash (telemetry sidecars).
+void atomic_replace_file(const std::string& path, std::string_view payload,
+                         const RetryPolicy& policy = {});
+
 /// Read a whole file, retrying transient failures. Throws IoError on
 /// missing/unreadable paths.
 std::string read_file(const std::string& path, const RetryPolicy& policy = {});

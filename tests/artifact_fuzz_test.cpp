@@ -17,7 +17,7 @@
 #include "fault/io_faults.hpp"
 #include "graph/bipartite.hpp"
 #include "graph/io.hpp"
-#include "graph/weighted_graph.hpp"
+#include "graph_compare.hpp"
 #include "intel/labels.hpp"
 #include "ml/scaler.hpp"
 #include "ml/svm.hpp"
@@ -192,29 +192,12 @@ TEST(ArtifactFuzz, BipartiteArenaStructuralDefects) {
   rejects("implausible left count", s);
 }
 
-TEST(ArtifactFuzz, Embedding) {
-  embed::EmbeddingMatrix m{{"alpha.test", "beta.test", "gamma.test"}, 4};
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    auto row = m.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      row[j] = static_cast<float>(i) - 0.25f * static_cast<float>(j);
-    }
-  }
-  const auto pristine =
-      artifact_bytes_of([&](const std::string& p) { m.save_file(p); });
-  fuzz_loader("embedding", pristine,
-              [](const std::string& p) { (void)embed::EmbeddingMatrix::load_file(p); });
-}
-
 TEST(ArtifactFuzz, CsrGraphArena) {
   // Binary mmap-loaded arena ("csr-graph"): damage must be caught by the
   // container digest or the arena's structural validation, never by a
   // fault on a mapped pointer.
-  graph::WeightedGraph g;
-  g.add_vertex("isolated.test");
-  g.add_edge("alpha.test", "beta.test", 0.75);
-  g.add_edge("beta.test", "gamma.test", 0.125);
-  g.add_edge("alpha.test", "gamma.test", 1.0 / 3.0);
+  const auto g = graph::make_graph({"isolated.test", "alpha.test", "beta.test", "gamma.test"},
+                                   {{1, 2, 0.75}, {2, 3, 0.125}, {1, 3, 1.0 / 3.0}});
   const auto pristine =
       artifact_bytes_of([&](const std::string& p) { graph::save_csr_file(p, g); });
   fuzz_loader("csr_graph", pristine,
@@ -230,9 +213,9 @@ TEST(ArtifactFuzz, EmbeddingArena) {
     }
   }
   const auto pristine =
-      artifact_bytes_of([&](const std::string& p) { m.save_arena_file(p); });
+      artifact_bytes_of([&](const std::string& p) { m.save_file(p); });
   fuzz_loader("embedding_arena", pristine,
-              [](const std::string& p) { (void)embed::EmbeddingMatrix::load_arena_file(p); });
+              [](const std::string& p) { (void)embed::EmbeddingMatrix::load_file(p); });
 }
 
 TEST(ArtifactFuzz, ScoreIndex) {

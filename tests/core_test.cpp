@@ -193,12 +193,37 @@ TEST(BehaviorModelTest, PruningAppliesAcrossAllGraphs) {
   EXPECT_FALSE(model.dtbg.right_names().find("hub.com").has_value());
 
   // pair/pair2: same hosts -> query similarity 1; same IP -> ip sim 1.
-  const auto q = model.query_similarity;
-  const auto a = *q.names().find("pair.com");
-  const auto b = *q.names().find("pair2.com");
+  const auto& q = model.query_similarity;
+  const auto a = *graph::find_vertex(q, "pair.com");
+  const auto b = *graph::find_vertex(q, "pair2.com");
   ASSERT_TRUE(q.has_edge(a, b));
-  const auto i = model.ip_similarity;
-  ASSERT_TRUE(i.has_edge(*i.names().find("pair.com"), *i.names().find("pair2.com")));
+  const auto& i = model.ip_similarity;
+  ASSERT_TRUE(i.has_edge(*graph::find_vertex(i, "pair.com"),
+                              *graph::find_vertex(i, "pair2.com")));
+}
+
+TEST(BehaviorModelTest, ShortKeptDomainsKeepTheirNames) {
+  // Two kept domains whose names total 8 bytes: the similarity graphs are
+  // moved into the model, and their names must move with them.
+  GraphBuilderSink sink;
+  for (int h = 0; h < 3; ++h) {
+    sink.on_dns(entry(10 + h, "h" + std::to_string(h), "a.io", {dns::Ipv4{5, 5, 5, 5}}));
+    sink.on_dns(entry(70 + h, "h" + std::to_string(h), "b.io", {dns::Ipv4{5, 5, 5, 5}}));
+  }
+  for (int h = 3; h < 10; ++h) {
+    sink.on_dns(entry(20, "h" + std::to_string(h), "s" + std::to_string(h) + ".io"));
+  }
+  const auto model = build_behavior_model(sink.take_hdbg(), sink.take_dibg(),
+                                          sink.take_dtbg(), BehaviorModelConfig{});
+  ASSERT_EQ(model.kept_domains, (std::vector<std::string>{"a.io", "b.io"}));
+  for (const auto* g : {&model.query_similarity, &model.ip_similarity,
+                        &model.temporal_similarity}) {
+    ASSERT_EQ(g->vertex_count(), model.kept_domains.size());
+    for (graph::VertexId i = 0; i < g->vertex_count(); ++i) {
+      EXPECT_EQ(g->name(i), model.kept_domains[i]);
+    }
+    EXPECT_EQ(g->names_copy(), model.kept_domains);
+  }
 }
 
 TEST(Detector, DatasetAlignsEmbeddingRowsWithLabels) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "embed/alias.hpp"
 #include "embed/embedder.hpp"
@@ -14,7 +15,7 @@
 #include "embed/line.hpp"
 #include "embed/sgns.hpp"
 #include "embed/walks.hpp"
-#include "graph/weighted_graph.hpp"
+#include "graph_compare.hpp"
 #include "util/rng.hpp"
 
 namespace dnsembed::embed {
@@ -143,27 +144,30 @@ TEST(Embedding, CsvRoundTrip) {
   std::remove(path.c_str());
 }
 
-// Two dense communities bridged by a single weak edge. Any reasonable
-// embedder must place intra-community pairs closer than inter-community
-// pairs on average.
-graph::WeightedGraph two_communities(std::size_t size_each) {
-  graph::WeightedGraph g;
+// Two dense communities bridged by a single weak edge, then `isolated`
+// edgeless vertices. Any reasonable embedder must place intra-community
+// pairs closer than inter-community pairs on average.
+util::CsrGraph two_communities(std::size_t size_each,
+                               const std::vector<std::string>& isolated = {}) {
+  std::vector<std::string> names;
   for (std::size_t c = 0; c < 2; ++c) {
     for (std::size_t i = 0; i < size_each; ++i) {
-      g.add_vertex("c" + std::to_string(c) + "_" + std::to_string(i));
+      names.push_back("c" + std::to_string(c) + "_" + std::to_string(i));
     }
   }
+  names.insert(names.end(), isolated.begin(), isolated.end());
+  std::vector<graph::Edge> edges;
   for (std::size_t c = 0; c < 2; ++c) {
     const auto base = static_cast<graph::VertexId>(c * size_each);
     for (std::size_t i = 0; i < size_each; ++i) {
       for (std::size_t j = i + 1; j < size_each; ++j) {
-        g.add_edge(base + static_cast<graph::VertexId>(i),
-                   base + static_cast<graph::VertexId>(j), 1.0);
+        edges.push_back({base + static_cast<graph::VertexId>(i),
+                         base + static_cast<graph::VertexId>(j), 1.0});
       }
     }
   }
-  g.add_edge(0, static_cast<graph::VertexId>(size_each), 0.05);  // weak bridge
-  return g;
+  edges.push_back({0, static_cast<graph::VertexId>(size_each), 0.05});  // weak bridge
+  return graph::make_graph(names, edges);
 }
 
 struct SeparationResult {
@@ -235,8 +239,7 @@ TEST(Line, DeterministicForFixedSeed) {
 }
 
 TEST(Line, IsolatedVerticesGetZeroVectors) {
-  auto g = two_communities(4);
-  g.add_vertex("isolated.com");
+  const auto g = two_communities(4, {"isolated.com"});
   LineConfig config;
   config.dimension = 8;
   config.samples_per_edge = 20;
@@ -260,14 +263,13 @@ TEST(Line, NormalizedRowsHaveUnitNorm) {
 }
 
 TEST(Line, EmptyAndEdgelessGraphs) {
-  graph::WeightedGraph empty;
+  const util::CsrGraph empty;
   LineConfig config;
   config.dimension = 4;
   const auto m0 = train_line(empty, config);
   EXPECT_EQ(m0.size(), 0u);
 
-  graph::WeightedGraph edgeless;
-  edgeless.add_vertex("a");
+  const auto edgeless = graph::make_graph({"a"}, {});
   const auto m1 = train_line(edgeless, config);
   EXPECT_EQ(m1.size(), 1u);
   for (const float x : m1.row(0)) EXPECT_FLOAT_EQ(x, 0.0f);
@@ -299,8 +301,7 @@ TEST(Line, MultithreadedTrainingStillSeparates) {
 }
 
 TEST(Walks, CoverAllNonIsolatedVertices) {
-  auto g = two_communities(5);
-  g.add_vertex("isolated");
+  const auto g = two_communities(5, {"isolated"});
   WalkConfig config;
   config.walks_per_vertex = 3;
   config.walk_length = 10;
@@ -309,7 +310,7 @@ TEST(Walks, CoverAllNonIsolatedVertices) {
   for (const auto& walk : walks) {
     EXPECT_EQ(walk.size(), 10u);
     for (const auto v : walk) {
-      EXPECT_NE(g.names().name(v), "isolated");
+      EXPECT_NE(g.name(v), "isolated");
       // Every consecutive pair must be an edge.
     }
     for (std::size_t i = 1; i < walk.size(); ++i) {
@@ -321,10 +322,13 @@ TEST(Walks, CoverAllNonIsolatedVertices) {
 TEST(Walks, BiasedWalksRespectParameters) {
   // Star graph: center 0, leaves 1..5. With huge p (never return), a walk
   // from a leaf must alternate leaf -> center -> different leaf.
-  graph::WeightedGraph g;
-  g.add_vertex("center");
-  for (int i = 1; i <= 5; ++i) g.add_vertex("leaf" + std::to_string(i));
-  for (graph::VertexId v = 1; v <= 5; ++v) g.add_edge(0, v, 1.0);
+  std::vector<std::string> names{"center"};
+  std::vector<graph::Edge> edges;
+  for (graph::VertexId v = 1; v <= 5; ++v) {
+    names.push_back("leaf" + std::to_string(v));
+    edges.push_back({0, v, 1.0});
+  }
+  const auto g = graph::make_graph(names, edges);
   WalkConfig config;
   config.walks_per_vertex = 5;
   config.walk_length = 9;

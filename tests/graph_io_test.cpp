@@ -5,10 +5,12 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "graph/io.hpp"
 #include "graph_compare.hpp"
 #include "util/artifact.hpp"
+#include "util/csv.hpp"
 #include "util/fsio.hpp"
 
 namespace dnsembed::graph {
@@ -39,28 +41,20 @@ TEST(GraphIo, BipartiteRejectsMalformed) {
 }
 
 TEST(GraphIo, WeightedRoundTripWithIsolatedVertices) {
-  WeightedGraph g;
-  g.add_edge("a.com", "b.com", 0.5);
-  g.add_edge("a.com", "c.com", 0.125);
-  g.add_vertex("lonely.net");
+  const auto g = make_graph({"a.com", "b.com", "c.com", "lonely.net"},
+                            {{0, 1, 0.5}, {0, 2, 0.125}});
 
+  // Edges in edge order, then the isolated vertices.
   std::stringstream stream;
   save_weighted_csv(stream, g);
-  const auto loaded = load_weighted_csv(stream);
-  EXPECT_EQ(loaded.vertex_count(), 4u);
-  EXPECT_EQ(loaded.edge_count(), 2u);
-  const auto a = *loaded.names().find("a.com");
-  const auto b = *loaded.names().find("b.com");
-  ASSERT_TRUE(loaded.has_edge(a, b));
-  EXPECT_DOUBLE_EQ(loaded.weighted_degree(a), 0.625);
-  const auto lonely = loaded.names().find("lonely.net");
-  ASSERT_TRUE(lonely.has_value());
-  EXPECT_EQ(loaded.degree(*lonely), 0u);
-}
-
-TEST(GraphIo, WeightedRejectsBadWeight) {
-  std::stringstream bad{"u,v,weight\na,b,not-a-number\n"};
-  EXPECT_THROW(load_weighted_csv(bad), std::runtime_error);
+  std::vector<std::vector<std::string>> rows;
+  std::string line;
+  while (std::getline(stream, line)) rows.push_back(util::parse_csv_line(line));
+  const std::vector<std::vector<std::string>> want{{"u", "v", "weight"},
+                                                   {"a.com", "b.com", std::to_string(0.5)},
+                                                   {"a.com", "c.com", std::to_string(0.125)},
+                                                   {"lonely.net", "", ""}};
+  EXPECT_EQ(rows, want);
 }
 
 TEST(GraphIo, EmptyGraphsRoundTrip) {
@@ -70,10 +64,9 @@ TEST(GraphIo, EmptyGraphsRoundTrip) {
   save_bipartite_csv(s1, bg);
   EXPECT_EQ(load_bipartite_csv(s1).edge_count(), 0u);
 
-  WeightedGraph wg;
   std::stringstream s2;
-  save_weighted_csv(s2, wg);
-  EXPECT_EQ(load_weighted_csv(s2).vertex_count(), 0u);
+  save_weighted_csv(s2, make_graph({}, {}));
+  EXPECT_EQ(s2.str(), "u,v,weight\n");
 }
 
 BipartiteGraph csv_round_trip(const BipartiteGraph& g) {

@@ -1,7 +1,7 @@
 // Tests for util::FlatCounter invariants (growth, collisions, saturation,
 // merge; graph/sketch and bench/micro_obs count with it) and for the
 // row-wise projection engine: determinism of the threaded projection and of
-// its CSR entry point against the single-threaded map-based reference, pair
+// the CSR it builds against the single-threaded map-based reference, pair
 // shards, and rows emitted by both the dense scan and the sparse sort.
 #include <gtest/gtest.h>
 
@@ -12,9 +12,8 @@
 #include <vector>
 
 #include "graph/bipartite.hpp"
-#include "graph/io.hpp"
 #include "graph/projection.hpp"
-#include "graph/weighted_graph.hpp"
+#include "graph_compare.hpp"
 #include "util/flat_counter.hpp"
 #include "util/rng.hpp"
 
@@ -145,33 +144,21 @@ graph::BipartiteGraph random_bipartite(std::size_t hosts, std::size_t domains,
   return g;
 }
 
-std::vector<graph::WeightedEdge> sorted_edges_of(std::vector<graph::WeightedEdge> edges) {
-  std::sort(edges.begin(), edges.end(),
-            [](const graph::WeightedEdge& a, const graph::WeightedEdge& b) {
-              return a.u != b.u ? a.u < b.u : a.v < b.v;
-            });
-  return edges;
-}
-
-std::vector<graph::WeightedEdge> sorted_edges(const graph::WeightedGraph& g) {
-  return sorted_edges_of({g.edges().begin(), g.edges().end()});
-}
-
 void expect_matches_reference(const graph::BipartiteGraph& g,
                               graph::ProjectionOptions options) {
   const auto reference = graph::project_right_reference(g, options);
-  const auto want = sorted_edges(reference);
+  const auto want = graph::sorted_edges(reference);
+  // The arena a build of the sorted reference edges gives: same rows,
+  // degrees, names and edge order.
+  const auto want_csr = graph::make_graph(reference.names_copy(), want);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     options.threads = threads;
     const auto sim = graph::project_right(g, options);
     EXPECT_EQ(sim.vertex_count(), reference.vertex_count());
     // Engine output is already sorted; must be edge-for-edge identical
     // (ids, order, and bit-exact weights) at every thread count.
-    const std::vector<graph::WeightedEdge> got{sim.edges().begin(), sim.edges().end()};
-    ASSERT_EQ(got, want) << "threads=" << threads;
-    // The CSR entry point builds the same arena without the WeightedGraph.
-    ASSERT_EQ(graph::project_right_csr(g, options).payload(), graph::to_csr(sim).payload())
-        << "threads=" << threads;
+    ASSERT_EQ(graph::edges_of(sim), want) << "threads=" << threads;
+    ASSERT_EQ(sim.payload(), want_csr.payload()) << "threads=" << threads;
   }
 }
 
@@ -219,7 +206,7 @@ TEST(ShardedProjection, MinSimilarityActuallyDropsEdges) {
   const auto all = graph::project_right(g);
   const auto filtered = graph::project_right(g, strict);
   EXPECT_LT(filtered.edge_count(), all.edge_count());
-  for (const auto& e : filtered.edges()) EXPECT_GE(e.weight, 0.5);
+  for (const double w : filtered.edge_w()) EXPECT_GE(w, 0.5);
 }
 
 TEST(ShardedProjection, MaxPivotDegreeActuallySkipsHubs) {
@@ -236,29 +223,15 @@ TEST(ShardedProjection, MaxPivotDegreeActuallySkipsHubs) {
     options.threads = threads;
     const auto sim = graph::project_right(g, options);
     ASSERT_EQ(sim.edge_count(), 1u);
-    EXPECT_DOUBLE_EQ(sim.edges()[0].weight, 2.0 / 4.0);  // inter 2, degrees 3+3
+    EXPECT_DOUBLE_EQ(sim.edge_w()[0], 2.0 / 4.0);  // inter 2, degrees 3+3
   }
-}
-
-TEST(ShardedProjection, LeftProjectionMatchesReferenceShape) {
-  const auto g = random_bipartite(30, 50, 800, 17);
-  graph::ProjectionOptions serial_options;
-  serial_options.threads = 1;
-  graph::ProjectionOptions threaded_options;
-  threaded_options.threads = 8;
-  const auto serial = graph::project_left(g, serial_options);
-  const auto threaded = graph::project_left(g, threaded_options);
-  const std::vector<graph::WeightedEdge> a{serial.edges().begin(), serial.edges().end()};
-  const std::vector<graph::WeightedEdge> b{threaded.edges().begin(), threaded.edges().end()};
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(serial.vertex_count(), g.left_count());
 }
 
 TEST(ShardedProjection, PairShardsPartitionTheEdges) {
   const auto g = random_bipartite(40, 120, 1'500, 19);
   const auto whole = graph::project_right(g);
   constexpr std::size_t kShards = 3;
-  std::vector<graph::WeightedEdge> merged;
+  std::vector<graph::Edge> merged;
   for (std::size_t s = 0; s < kShards; ++s) {
     graph::ProjectionOptions shard;
     shard.pair_shard_index = s;
@@ -267,9 +240,10 @@ TEST(ShardedProjection, PairShardsPartitionTheEdges) {
     const auto part = graph::project_right(g, shard);
     EXPECT_EQ(part.vertex_count(), whole.vertex_count());
     EXPECT_GT(part.edge_count(), 0u) << "shard " << s;
-    merged.insert(merged.end(), part.edges().begin(), part.edges().end());
+    const auto edges = graph::edges_of(part);
+    merged.insert(merged.end(), edges.begin(), edges.end());
   }
-  EXPECT_EQ(sorted_edges_of(std::move(merged)), sorted_edges(whole));
+  EXPECT_EQ(graph::sorted_edges(std::move(merged)), graph::sorted_edges(whole));
 }
 
 TEST(ShardedProjection, DenseAndSparseRowsMatchReference) {
@@ -292,7 +266,7 @@ TEST(ShardedProjection, DenseAndSparseRowsMatchReference) {
   // touched list otherwise; the graph must have rows of both kinds.
   const auto all = graph::project_right(g);
   std::vector<std::size_t> touched(g.right_count(), 0);
-  for (const auto& e : all.edges()) ++touched[e.u];
+  for (const auto u : all.edge_u()) ++touched[u];
   std::size_t dense = 0;
   std::size_t sparse = 0;
   for (graph::VertexId u = 0; u < g.right_count(); ++u) {
@@ -323,7 +297,7 @@ TEST(ShardedProjection, EmptyAndTinyGraphs) {
   tiny.finalize();
   const auto tiny_sim = graph::project_right(tiny, eight);  // threads > pivots
   ASSERT_EQ(tiny_sim.edge_count(), 1u);
-  EXPECT_DOUBLE_EQ(tiny_sim.edges()[0].weight, 1.0);
+  EXPECT_DOUBLE_EQ(tiny_sim.edge_w()[0], 1.0);
 }
 
 }  // namespace

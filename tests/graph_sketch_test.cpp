@@ -16,7 +16,7 @@
 #include "graph/bipartite.hpp"
 #include "graph/projection.hpp"
 #include "graph/sketch.hpp"
-#include "graph/weighted_graph.hpp"
+#include "graph_compare.hpp"
 #include "util/rng.hpp"
 
 namespace dnsembed {
@@ -49,9 +49,9 @@ graph::ProjectionOptions high_recall_options() {
 
 using EdgeMap = std::map<std::pair<std::uint32_t, std::uint32_t>, double>;
 
-EdgeMap edge_map(const graph::WeightedGraph& g) {
+EdgeMap edge_map(const util::CsrGraph& g) {
   EdgeMap edges;
-  for (const auto& e : g.edges()) edges[{e.u, e.v}] = e.weight;
+  for (const auto& e : graph::edges_of(g)) edges[{e.u, e.v}] = e.weight;
   return edges;
 }
 
@@ -63,23 +63,23 @@ TEST(SketchOptions, InvalidParametersThrow) {
   auto options = high_recall_options();
 
   options.sketch.signature_size = 0;
-  EXPECT_THROW(graph::project_sketched(g, true, options), std::invalid_argument);
+  EXPECT_THROW(graph::project_sketched(g, options), std::invalid_argument);
 
   options = high_recall_options();
   options.sketch.bands = 0;
-  EXPECT_THROW(graph::project_sketched(g, true, options), std::invalid_argument);
+  EXPECT_THROW(graph::project_sketched(g, options), std::invalid_argument);
 
   options = high_recall_options();
   options.sketch.bands = options.sketch.signature_size + 1;
-  EXPECT_THROW(graph::project_sketched(g, true, options), std::invalid_argument);
+  EXPECT_THROW(graph::project_sketched(g, options), std::invalid_argument);
 
   options = high_recall_options();
   options.sketch.bits = 0;
-  EXPECT_THROW(graph::minhash_signatures(g, true, options), std::invalid_argument);
+  EXPECT_THROW(graph::minhash_signatures(g, options), std::invalid_argument);
 
   options = high_recall_options();
   options.sketch.bits = 9;
-  EXPECT_THROW(graph::minhash_signatures(g, true, options), std::invalid_argument);
+  EXPECT_THROW(graph::minhash_signatures(g, options), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -89,12 +89,12 @@ TEST(SketchSignatures, BitIdenticalAcrossThreadCounts) {
   const auto g = random_bipartite(50, 120, 3'000, 17);
   auto options = high_recall_options();
   options.threads = 1;
-  const auto reference = graph::minhash_signatures(g, true, options);
+  const auto reference = graph::minhash_signatures(g, options);
   ASSERT_EQ(reference.size(), g.right_count() * options.sketch.signature_size);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     options.threads = threads;
-    EXPECT_EQ(graph::minhash_signatures(g, true, options), reference)
+    EXPECT_EQ(graph::minhash_signatures(g, options), reference)
         << "threads=" << threads;
   }
 }
@@ -102,9 +102,9 @@ TEST(SketchSignatures, BitIdenticalAcrossThreadCounts) {
 TEST(SketchSignatures, SeedChangesSignatures) {
   const auto g = random_bipartite(30, 60, 1'000, 3);
   auto options = high_recall_options();
-  const auto base = graph::minhash_signatures(g, true, options);
+  const auto base = graph::minhash_signatures(g, options);
   options.sketch.seed += 1;
-  EXPECT_NE(graph::minhash_signatures(g, true, options), base);
+  EXPECT_NE(graph::minhash_signatures(g, options), base);
 }
 
 TEST(SketchProjection, IdenticalAcrossThreadCounts) {
@@ -163,24 +163,6 @@ TEST_P(SketchRecallProperty, RecoversExactEdgesAboveThreshold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SketchRecallProperty, ::testing::Values(1, 2, 3, 4, 5, 6));
 
-TEST(SketchProjection, LeftSideMatchesExact) {
-  const auto g = random_bipartite(80, 40, 2'000, 41);
-
-  graph::ProjectionOptions exact;
-  exact.min_similarity = 0.3;
-  const auto want = edge_map(graph::project_left(g, exact));
-
-  auto sketched_options = high_recall_options();
-  sketched_options.min_similarity = 0.3;
-  const auto sim = graph::project_left(g, sketched_options);
-  EXPECT_EQ(sim.vertex_count(), g.left_count());
-  for (const auto& [key, weight] : edge_map(sim)) {
-    const auto it = want.find(key);
-    ASSERT_NE(it, want.end());
-    EXPECT_EQ(weight, it->second);
-  }
-}
-
 TEST(SketchProjection, HubExclusionMatchesExactBackend) {
   const auto g = random_bipartite(30, 80, 2'500, 53);
 
@@ -212,7 +194,7 @@ TEST(SketchProjection, EverySideVertexPresentAndEdgesSorted) {
   // the bipartite side's id space).
   EXPECT_EQ(sim.vertex_count(), g.right_count());
 
-  const auto& edges = sim.edges();
+  const auto edges = graph::edges_of(sim);
   for (std::size_t i = 0; i < edges.size(); ++i) {
     EXPECT_LT(edges[i].u, edges[i].v);
     if (i > 0) {
@@ -232,13 +214,13 @@ TEST(SketchProjection, TopKPrunesToUnionOfPerVertexStrongest) {
   constexpr std::size_t kTopK = 3;
   options.sketch.top_k = kTopK;
   const auto pruned = graph::project_right(g, options);
-  ASSERT_LE(pruned.edges().size(), full.edges().size());
+  ASSERT_LE(pruned.edge_count(), full.edge_count());
 
   // Recompute the keep rule from the unpruned output: an edge survives iff
   // it ranks in the strongest kTopK (by weight desc, then neighbor id) of
   // at least one endpoint.
   std::vector<std::vector<std::pair<double, std::uint32_t>>> ranked(full.vertex_count());
-  for (const auto& e : full.edges()) {
+  for (const auto& e : graph::edges_of(full)) {
     ranked[e.u].push_back({e.weight, e.v});
     ranked[e.v].push_back({e.weight, e.u});
   }
@@ -256,7 +238,7 @@ TEST(SketchProjection, TopKPrunesToUnionOfPerVertexStrongest) {
   };
 
   EdgeMap want;
-  for (const auto& e : full.edges()) {
+  for (const auto& e : graph::edges_of(full)) {
     if (in_top_k(e.u, e.v) || in_top_k(e.v, e.u)) want[{e.u, e.v}] = e.weight;
   }
   EXPECT_EQ(edge_map(pruned), want);

@@ -1,5 +1,5 @@
-// Tests for bipartite graphs, one-mode Jaccard projection, weighted graphs,
-// pruning masks, and graph statistics.
+// Tests for bipartite graphs, one-mode Jaccard projection, the weighted
+// similarity graph (util::CsrGraph), pruning masks, and graph statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "graph/bipartite.hpp"
 #include "graph/projection.hpp"
 #include "graph/stats.hpp"
-#include "graph/weighted_graph.hpp"
 #include "graph_compare.hpp"
 
 namespace dnsembed::graph {
@@ -147,38 +146,34 @@ TEST(Bipartite, OutOfRangeIdsThrow) {
   EXPECT_THROW(g.right_neighbors(99), std::out_of_range);
 }
 
+// The weighted similarity graph is the CSR arena: these cases pin the
+// builder contract the projection and the embedders rely on.
 TEST(WeightedGraphTest, BasicEdgesAndDegrees) {
-  WeightedGraph g;
-  g.add_edge("a", "b", 0.5);
-  g.add_edge("a", "c", 0.25);
+  const auto g = make_graph({"a", "b", "c"}, {{0, 1, 0.5}, {0, 2, 0.25}});
   EXPECT_EQ(g.vertex_count(), 3u);
   EXPECT_EQ(g.edge_count(), 2u);
-  const auto a = *g.names().find("a");
-  const auto b = *g.names().find("b");
-  const auto c = *g.names().find("c");
-  EXPECT_EQ(a, 0u);  // interned in argument order
+  const auto a = *find_vertex(g, "a");
+  const auto b = *find_vertex(g, "b");
+  const auto c = *find_vertex(g, "c");
+  EXPECT_EQ(a, 0u);  // names keep their ids
   EXPECT_EQ(g.degree(a), 2u);
   EXPECT_DOUBLE_EQ(g.weighted_degree(a), 0.75);
   EXPECT_DOUBLE_EQ(g.total_weight(), 0.75);
   EXPECT_TRUE(g.has_edge(a, b));
+  EXPECT_TRUE(g.has_edge(b, a));
   EXPECT_FALSE(g.has_edge(b, c));
 }
 
 TEST(WeightedGraphTest, RejectsInvalidEdges) {
-  WeightedGraph g;
-  const auto a = g.add_vertex("a");
-  const auto b = g.add_vertex("b");
-  EXPECT_THROW(g.add_edge(a, a, 1.0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(a, b, 0.0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(a, b, -1.0), std::invalid_argument);
-  g.add_edge(a, b, 1.0);
-  EXPECT_THROW(g.add_edge(a, b, 0.5), std::invalid_argument);  // parallel
-  EXPECT_THROW(g.add_edge(a, VertexId{9}, 1.0), std::out_of_range);
+  const std::vector<std::string> names{"a", "b"};
+  EXPECT_THROW(make_graph(names, {{0, 0, 1.0}}), std::invalid_argument);   // self-loop
+  EXPECT_THROW(make_graph(names, {{0, 1, 0.0}}), std::invalid_argument);   // zero weight
+  EXPECT_THROW(make_graph(names, {{0, 1, -1.0}}), std::invalid_argument);  // negative
+  EXPECT_THROW(make_graph(names, {{0, 9, 1.0}}), std::invalid_argument);   // unknown id
 }
 
 TEST(WeightedGraphTest, IsolatedVerticesAllowed) {
-  WeightedGraph g;
-  g.add_vertex("lonely");
+  const auto g = make_graph({"lonely"}, {});
   EXPECT_EQ(g.vertex_count(), 1u);
   EXPECT_EQ(g.degree(0), 0u);
   EXPECT_DOUBLE_EQ(g.weighted_degree(0), 0.0);
@@ -188,15 +183,15 @@ TEST(Projection, JaccardWeightsMatchHandComputation) {
   const auto g = sample_hdbg();
   const auto sim = project_right(g);
   ASSERT_EQ(sim.vertex_count(), 3u);
-  const auto a = *sim.names().find("a.com");
-  const auto b = *sim.names().find("b.com");
-  const auto c = *sim.names().find("c.com");
+  const auto a = *find_vertex(sim, "a.com");
+  const auto b = *find_vertex(sim, "b.com");
+  const auto c = *find_vertex(sim, "c.com");
   // H(a)={h1,h2}, H(b)={h1,h2,h3}, H(c)={h3,h4}.
   // qs(a,b) = 2/3, qs(b,c) = 1/4, qs(a,c) = 0 (no edge).
   ASSERT_TRUE(sim.has_edge(a, b));
   ASSERT_TRUE(sim.has_edge(b, c));
   EXPECT_FALSE(sim.has_edge(a, c));
-  for (const auto& e : sim.edges()) {
+  for (const auto& e : edges_of(sim)) {
     if ((e.u == a && e.v == b) || (e.u == b && e.v == a)) {
       EXPECT_NEAR(e.weight, 2.0 / 3.0, 1e-12);
     } else {
@@ -214,7 +209,7 @@ TEST(Projection, IdenticalNeighborSetsGiveSimilarityOne) {
   g.finalize();
   const auto sim = project_right(g);
   ASSERT_EQ(sim.edge_count(), 1u);
-  EXPECT_DOUBLE_EQ(sim.edges()[0].weight, 1.0);
+  EXPECT_DOUBLE_EQ(sim.edge_w()[0], 1.0);
 }
 
 TEST(Projection, MinSimilarityDropsWeakEdges) {
@@ -240,22 +235,7 @@ TEST(Projection, MaxPivotDegreeSkipsHubs) {
   // Only the pair (x, y) is counted (hub skipped); intersection 2 of
   // degrees 3 and 3 -> 2/4.
   ASSERT_EQ(sim.edge_count(), 1u);
-  EXPECT_DOUBLE_EQ(sim.edges()[0].weight, 0.5);
-}
-
-TEST(Projection, LeftProjectionCapturesSharedInterests) {
-  const auto g = sample_hdbg();
-  const auto hosts = project_left(g);
-  const auto h1 = *hosts.names().find("h1");
-  const auto h2 = *hosts.names().find("h2");
-  const auto h4 = *hosts.names().find("h4");
-  ASSERT_TRUE(hosts.has_edge(h1, h2));  // identical query sets
-  EXPECT_FALSE(hosts.has_edge(h1, h4));
-  for (const auto& e : hosts.edges()) {
-    if ((e.u == h1 && e.v == h2) || (e.u == h2 && e.v == h1)) {
-      EXPECT_DOUBLE_EQ(e.weight, 1.0);
-    }
-  }
+  EXPECT_DOUBLE_EQ(sim.edge_w()[0], 0.5);
 }
 
 TEST(Projection, EmptyGraphProjectsToEmpty) {
@@ -298,11 +278,11 @@ TEST(Pruning, BoundaryAtExactlyHalf) {
 TEST(Projection, AlternativeSimilarityMeasures) {
   // H(a)={h1,h2}, H(b)={h1,h2,h3}: inter=2, |a|=2, |b|=3.
   const auto g = sample_hdbg();
-  const auto weight_between = [&](const graph::WeightedGraph& sim, const char* x,
-                                  const char* y) {
-    const auto u = *sim.names().find(x);
-    for (const auto& n : sim.neighbors(u)) {
-      if (sim.names().name(n.id) == y) return n.weight;
+  const auto weight_between = [&](const util::CsrGraph& sim, const char* x, const char* y) {
+    const auto u = *find_vertex(sim, x);
+    const auto row = sim.neighbors(u);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (sim.name(row[i]) == y) return sim.neighbor_weights(u)[i];
     }
     return -1.0;
   };
@@ -328,7 +308,7 @@ TEST(Projection, MeasuresAgreeOnIdenticalSets) {
     options.measure = measure;
     const auto sim = project_right(g, options);
     ASSERT_EQ(sim.edge_count(), 1u);
-    EXPECT_DOUBLE_EQ(sim.edges()[0].weight, 1.0);
+    EXPECT_DOUBLE_EQ(sim.edge_w()[0], 1.0);
   }
 }
 
@@ -343,7 +323,7 @@ TEST(Projection, OverlapDominatesJaccardDominatedByNothingAboveOne) {
     ProjectionOptions o;
     o.measure = m;
     const auto sim = project_right(g, o);
-    return sim.edges().front().weight;
+    return sim.edge_w().front();
   };
   const double j = get(SimilarityMeasure::kJaccard);
   const double c = get(SimilarityMeasure::kCosine);

@@ -20,7 +20,7 @@
 #include "embed/alias.hpp"
 #include "embed/embedding.hpp"
 #include "embed/line.hpp"
-#include "graph/weighted_graph.hpp"
+#include "graph_compare.hpp"
 #include "util/csr.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -28,40 +28,33 @@
 namespace dnsembed::embed {
 namespace {
 
-graph::WeightedGraph community_graph(std::size_t communities, std::size_t size_each) {
-  graph::WeightedGraph g;
+/// `communities` weighted cliques joined by weak bridges, then
+/// `isolated` edgeless vertices.
+util::CsrGraph community_graph(std::size_t communities, std::size_t size_each,
+                               const std::vector<std::string>& isolated = {}) {
+  std::vector<std::string> names;
   for (std::size_t c = 0; c < communities; ++c) {
     for (std::size_t i = 0; i < size_each; ++i) {
-      g.add_vertex("c" + std::to_string(c) + "_" + std::to_string(i));
+      names.push_back("c" + std::to_string(c) + "_" + std::to_string(i));
     }
   }
+  names.insert(names.end(), isolated.begin(), isolated.end());
+  std::vector<graph::Edge> edges;
   for (std::size_t c = 0; c < communities; ++c) {
     const auto base = static_cast<graph::VertexId>(c * size_each);
     for (std::size_t i = 0; i < size_each; ++i) {
       for (std::size_t j = i + 1; j < size_each; ++j) {
-        g.add_edge(base + static_cast<graph::VertexId>(i),
-                   base + static_cast<graph::VertexId>(j), 1.0 + 0.1 * (i + j));
+        edges.push_back({base + static_cast<graph::VertexId>(i),
+                         base + static_cast<graph::VertexId>(j), 1.0 + 0.1 * (i + j)});
       }
     }
   }
   // Weak bridges so the graph is connected.
   for (std::size_t c = 1; c < communities; ++c) {
-    g.add_edge(static_cast<graph::VertexId>((c - 1) * size_each),
-               static_cast<graph::VertexId>(c * size_each), 0.05);
+    edges.push_back({static_cast<graph::VertexId>((c - 1) * size_each),
+                     static_cast<graph::VertexId>(c * size_each), 0.05});
   }
-  return g;
-}
-
-util::CsrGraph to_csr(const graph::WeightedGraph& g) {
-  std::vector<std::uint32_t> eu;
-  std::vector<std::uint32_t> ev;
-  std::vector<double> ew;
-  for (const auto& e : g.edges()) {
-    eu.push_back(e.u);
-    ev.push_back(e.v);
-    ew.push_back(e.weight);
-  }
-  return util::CsrGraph::build(g.vertex_count(), eu, ev, ew, g.names().names());
+  return graph::make_graph(names, edges);
 }
 
 // ------------------------------------------------------------- reference
@@ -273,13 +266,11 @@ void expect_matches_reference(const util::CsrGraph& g, const std::string& graph_
 }
 
 TEST(LineDeterminism, MatchesReferenceTrainer) {
-  expect_matches_reference(to_csr(community_graph(3, 8)), "communities");
+  expect_matches_reference(community_graph(3, 8), "communities");
 }
 
 TEST(LineDeterminism, MatchesReferenceTrainerWithIsolatedVertex) {
-  auto g = community_graph(3, 8);
-  g.add_vertex("isolated");
-  const auto csr = to_csr(g);
+  const auto csr = community_graph(3, 8, {"isolated"});
   ASSERT_EQ(csr.degree(static_cast<std::uint32_t>(csr.vertex_count() - 1)), 0u);
   expect_matches_reference(csr, "isolated");
 }

@@ -7,7 +7,9 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "dns/dhcp.hpp"
 #include "dns/name.hpp"
@@ -17,6 +19,7 @@
 #include "embed/line.hpp"
 #include "graph/bipartite.hpp"
 #include "graph/projection.hpp"
+#include "graph_compare.hpp"
 #include "ml/crossval.hpp"
 #include "ml/kmeans.hpp"
 #include "ml/metrics.hpp"
@@ -65,11 +68,9 @@ TEST_P(ProjectionProperty, MatchesBruteForceJaccard) {
         EXPECT_FALSE(sim.has_edge(*ida, *idb));
       } else {
         ASSERT_TRUE(sim.has_edge(*ida, *idb)) << "d" << a << ", d" << b;
-        for (const auto& n : sim.neighbors(*ida)) {
-          if (n.id == *idb) {
-            EXPECT_NEAR(n.weight, expected, 1e-12);
-          }
-        }
+        const auto row = sim.neighbors(*ida);
+        const auto at = std::lower_bound(row.begin(), row.end(), *idb) - row.begin();
+        EXPECT_NEAR(sim.neighbor_weights(*ida)[at], expected, 1e-12);
       }
     }
   }
@@ -434,28 +435,30 @@ TEST_P(EmbeddingProperty, PlantedCommunitiesSeparate) {
   util::Rng rng{GetParam()};
   const std::size_t communities = 2 + rng.uniform_index(3);
   const std::size_t size = 9 + rng.uniform_index(5);
-  graph::WeightedGraph g;
+  std::vector<std::string> names;
   for (std::size_t c = 0; c < communities; ++c) {
     for (std::size_t i = 0; i < size; ++i) {
-      g.add_vertex("c" + std::to_string(c) + "_" + std::to_string(i));
+      names.push_back("c" + std::to_string(c) + "_" + std::to_string(i));
     }
   }
   // Dense intra-community edges, sparse weak inter-community edges.
+  std::vector<graph::Edge> edges;
   for (std::size_t c = 0; c < communities; ++c) {
     const auto base = static_cast<graph::VertexId>(c * size);
     for (std::size_t i = 0; i < size; ++i) {
       for (std::size_t j = i + 1; j < size; ++j) {
         if (rng.bernoulli(0.85)) {
-          g.add_edge(base + static_cast<graph::VertexId>(i),
-                     base + static_cast<graph::VertexId>(j), rng.uniform(0.5, 1.0));
+          edges.push_back({base + static_cast<graph::VertexId>(i),
+                           base + static_cast<graph::VertexId>(j), rng.uniform(0.5, 1.0)});
         }
       }
     }
   }
   for (std::size_t c = 1; c < communities; ++c) {
-    g.add_edge(static_cast<graph::VertexId>((c - 1) * size),
-               static_cast<graph::VertexId>(c * size), 0.05);
+    edges.push_back({static_cast<graph::VertexId>((c - 1) * size),
+                     static_cast<graph::VertexId>(c * size), 0.05});
   }
+  const auto g = graph::make_graph(names, edges);
 
   embed::LineConfig config;
   config.dimension = 16;

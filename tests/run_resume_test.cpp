@@ -4,15 +4,24 @@
 // the same bytes, with a manifest the next --resume skips whole); a config
 // change must invalidate everything; a workdir whose bipartite graphs are
 // text-era containers must recompute the trace stage; a blown
-// stage deadline must throw but leave committed artifacts resumable.
+// stage deadline must throw but leave committed artifacts resumable. The
+// in-memory chain must compute the objects the workdir holds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/run.hpp"
 #include "graph/io.hpp"
+#include "intel/labels.hpp"
+#include "intel/virustotal.hpp"
+#include "trace/ground_truth.hpp"
 #include "util/artifact.hpp"
 #include "util/fsio.hpp"
 #include "util/hash.hpp"
@@ -190,6 +199,83 @@ TEST_F(RunResumeTest, DeadlineThrowsThenResumeCompletes) {
   EXPECT_EQ(util::fsio::read_file(summary.report_path),
             util::fsio::read_file(uninterrupted.report_path));
   fs::remove_all(dir_ + "_ref");
+}
+
+/// A similarity graph as its edges by vertex name, (smaller name, larger
+/// name, weight), sorted: equal for two graphs that differ only in how
+/// their vertices are numbered.
+std::vector<std::tuple<std::string, std::string, double>> named_edges(const util::CsrGraph& g) {
+  std::vector<std::tuple<std::string, std::string, double>> out;
+  for (std::size_t i = 0; i < g.edge_count(); ++i) {
+    std::string u{g.name(g.edge_u()[i])};
+    std::string v{g.name(g.edge_v()[i])};
+    if (v < u) std::swap(u, v);
+    out.emplace_back(std::move(u), std::move(v), g.edge_w()[i]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(RunResumeTest, InMemoryChainMatchesWorkdirArtifacts) {
+  // The cli_crash_recovery run shape, single-process.
+  auto options = small_options(dir_);
+  options.config.embedding.line.total_samples = 100'000;
+  const auto& config = options.config;
+  (void)run_resumable(options);
+  const auto path = [&](const std::string& file) { return (fs::path{dir_} / file).string(); };
+  const auto kept = util::load_artifact(path("kept.domains"), "domain-list");
+
+  // On the trace stage's graphs, the in-memory chain (build_behavior_model,
+  // embed_channels) computes what the behavior and embed stages saved, byte
+  // for byte.
+  BehaviorModelConfig behavior = config.behavior;
+  for (const auto& channel : kChannels) {
+    behavior.*channel.projection = channel_projection(config, channel);
+  }
+  const auto model = build_behavior_model(graph::load_bipartite_file(path("hdbg.bg")),
+                                          graph::load_bipartite_file(path("dibg.bg")),
+                                          graph::load_bipartite_file(path("dtbg.bg")), behavior);
+  std::string kept_payload = "domains " + std::to_string(model.kept_domains.size()) + "\n";
+  for (const auto& domain : model.kept_domains) kept_payload += domain + "\n";
+  EXPECT_EQ(kept_payload, kept);
+  for (const auto& channel : kChannels) {
+    EXPECT_TRUE((model.*channel.projected).payload() ==
+                graph::load_csr_file(path(channel.similarity)).payload())
+        << channel.similarity;
+  }
+  const auto same_arena = [&](const embed::EmbeddingMatrix& embedding, const std::string& file) {
+    embedding.save_file(path("in_memory.emb"));
+    EXPECT_TRUE(util::fsio::read_file(path("in_memory.emb")) == util::fsio::read_file(path(file)))
+        << file;
+  };
+  const auto embedded = embed_channels(model, pipeline_embedding(config));
+  for (std::size_t i = 0; i < std::size(kChannels); ++i) {
+    same_arena(embedded.channels[i], kChannels[i].embedding);
+  }
+  same_arena(embedded.combined, "combined.emb");
+  const auto truth = trace::load_ground_truth_file(path("truth.gt"));
+  const intel::VirusTotalSim vt{truth, config.virustotal};
+  EXPECT_EQ(intel::labeled_payload(
+                intel::build_labeled_set(model.kept_domains, truth, vt, config.labeling)),
+            intel::labeled_payload(intel::load_labeled_file(path("labeled.set"))));
+
+  // run_pipeline keeps the trace's own vertex order, while a reloaded
+  // bipartite arena numbers right vertices in left-major order, so its
+  // graphs are the workdir's up to that numbering: the same kept domains
+  // and similarity edges (weights bit for bit), by name. LINE's draws and
+  // the labeled set's benign sample follow that order, so its embeddings
+  // and labels are not the workdir's.
+  const auto result = run_pipeline(config);
+  auto kept_in_memory = result.model.kept_domains;
+  auto kept_saved = model.kept_domains;
+  std::sort(kept_in_memory.begin(), kept_in_memory.end());
+  std::sort(kept_saved.begin(), kept_saved.end());
+  EXPECT_EQ(kept_in_memory, kept_saved);
+  for (const auto& channel : kChannels) {
+    EXPECT_TRUE(named_edges(result.model.*channel.projected) ==
+                named_edges(model.*channel.projected))
+        << channel.similarity;
+  }
 }
 
 }  // namespace

@@ -212,7 +212,7 @@ struct EngineFixture {
         row[j] = static_cast<float>(static_cast<double>(state >> 40) / double{1 << 24} - 0.5);
       }
     }
-    embedding.save_arena_file(embeddings_path);
+    embedding.save_file(embeddings_path);
 
     ml::Dataset train;
     train.x = ml::Matrix{rows, dim};

@@ -16,7 +16,6 @@
 
 #include "graph/bipartite.hpp"
 #include "graph/io.hpp"
-#include "graph/weighted_graph.hpp"
 #include "util/artifact.hpp"
 #include "util/csr.hpp"
 #include "util/fsio.hpp"
@@ -139,29 +138,6 @@ TEST(CsrGraph, CorruptFileIsRejected) {
   fsio::atomic_write_file(path, bytes);
   EXPECT_THROW(CsrGraph::load_file(path), CorruptArtifact);
   fs::remove(path);
-}
-
-TEST(CsrGraph, WeightedGraphConversionRoundTrips) {
-  graph::WeightedGraph g;
-  g.add_vertex("isolated.test");
-  g.add_edge("alpha.test", "beta.test", 0.75);
-  g.add_edge("beta.test", "gamma.test", 1.0 / 3.0);
-
-  const auto csr = graph::to_csr(g);
-  EXPECT_EQ(csr.vertex_count(), g.vertex_count());
-  EXPECT_EQ(csr.edge_count(), g.edges().size());
-
-  const auto back = graph::from_csr(csr);
-  ASSERT_EQ(back.vertex_count(), g.vertex_count());
-  ASSERT_EQ(back.edges().size(), g.edges().size());
-  for (std::size_t e = 0; e < g.edges().size(); ++e) {
-    EXPECT_EQ(back.edges()[e].u, g.edges()[e].u);
-    EXPECT_EQ(back.edges()[e].v, g.edges()[e].v);
-    EXPECT_EQ(back.edges()[e].weight, g.edges()[e].weight);
-  }
-  for (std::uint32_t vertex = 0; vertex < g.vertex_count(); ++vertex) {
-    EXPECT_EQ(back.names().name(vertex), g.names().name(vertex));
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -353,6 +329,34 @@ TEST(CsrGraph, SortedEdgeListMatchesShuffledBuild) {
     ASSERT_TRUE(std::equal(aw.begin(), aw.end(), bw.begin(), bw.end())) << x;
     EXPECT_EQ(sorted.weighted_degree(x), shuffled.weighted_degree(x)) << x;
   }
+}
+
+TEST(CsrGraph, MovedGraphKeepsShortNames) {
+  // Names short enough to fit a string's inline buffer ("a" + "b" is two
+  // bytes) must survive both moves: the name view follows the storage.
+  const std::vector<std::uint32_t> u = {0};
+  const std::vector<std::uint32_t> v = {1};
+  const std::vector<double> w = {1.0};
+  const std::vector<std::string> names = {"a", "b"};
+  CsrGraph built = CsrGraph::build(2, u, v, w, names);
+  CsrGraph moved{std::move(built)};
+  CsrGraph assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.name(0), "a");
+  EXPECT_EQ(assigned.name(1), "b");
+  EXPECT_EQ(assigned.names_copy(), names);
+}
+
+TEST(DenseMatrix, MovedMatrixKeepsShortNames) {
+  const std::vector<std::string> names = {"a", "b"};
+  const std::vector<float> data = {1.0f, 2.0f};
+  DenseMatrix built = DenseMatrix::build(names, 1, data);
+  DenseMatrix moved{std::move(built)};
+  DenseMatrix assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.name(0), "a");
+  EXPECT_EQ(assigned.name(1), "b");
+  EXPECT_EQ(assigned.names_copy(), names);
 }
 
 }  // namespace

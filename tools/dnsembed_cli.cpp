@@ -379,7 +379,7 @@ int cmd_graphs(const util::ArgParser& args) {
     std::printf("wrote %-16s %8zu x %-8zu (%zu edges)\n", path.c_str(), g.left_count(),
                 g.right_count(), g.edge_count());
   };
-  const auto save_weighted = [&](const char* name, const graph::WeightedGraph& g) {
+  const auto save_weighted = [&](const char* name, const util::CsrGraph& g) {
     const std::string path = *prefix + name + ".csv";
     std::ofstream out{path};
     graph::save_weighted_csv(out, g);
@@ -430,13 +430,8 @@ int cmd_embed(const util::ArgParser& args) {
       static_cast<std::size_t>(args.get_int_or("--samples", 4'000'000));
 
   util::Stopwatch watch;
-  const auto q = embed::embed_graph(model.query_similarity, config);
-  config.seed += 1;
-  const auto i = embed::embed_graph(model.ip_similarity, config);
-  config.seed += 1;
-  const auto t = embed::embed_graph(model.temporal_similarity, config);
-  const auto combined = embed::EmbeddingMatrix::concat(model.kept_domains, {&q, &i, &t});
-  combined.save_file(*out_path);  // atomic, checksummed, bit-exact
+  const auto combined = core::embed_channels(model, config).combined;
+  combined.save_file(*out_path);  // embedding arena: atomic, checksummed, bit-exact
   std::printf("wrote %zux%zu embeddings to %s (%.1fs)\n", combined.size(),
               combined.dimension(), out_path->c_str(), watch.seconds());
   return 0;
@@ -850,13 +845,7 @@ int cmd_faultsim(const util::ArgParser& args) {
       ec.dimension = 16;
       ec.seed = trace_config.seed + 1;
       ec.line.total_samples = samples;
-      const auto q = embed::embed_graph(model.query_similarity, ec);
-      ec.seed += 1;
-      const auto i = embed::embed_graph(model.ip_similarity, ec);
-      ec.seed += 1;
-      const auto t = embed::embed_graph(model.temporal_similarity, ec);
-      const auto combined =
-          embed::EmbeddingMatrix::concat(model.kept_domains, {&q, &i, &t});
+      const auto combined = core::embed_channels(model, ec).combined;
       const auto labels = intel::build_labeled_set(model.kept_domains, trace_result.truth,
                                                    vt, intel::LabelingConfig{});
       point.labeled = labels.size();
