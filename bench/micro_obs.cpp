@@ -11,12 +11,13 @@
 //     ratio, so a slow phase of a shared vCPU hits both alike instead of
 //     one of them.
 //
-// Cross-process telemetry on a supervised mini-run (2 workers, 2
-// projection shards):
-//  2. Correctness: the deterministic pipeline counters merged from worker
-//     sidecars must equal the single-process totals exactly, and the trace
-//     must carry one process lane per worker task. Always enforced, even in
-//     smoke mode.
+// Cross-process telemetry on a supervised mini-run (2 workers, one
+// projection task per channel):
+//  2. Correctness: the deterministic pipeline telemetry merged from worker
+//     sidecars (projection edges, pivots and pairs, the pivot-degree
+//     histogram, LINE samples) must equal the single-process totals
+//     exactly, and the trace must carry one process lane per worker task.
+//     Always enforced, even in smoke mode.
 //  3. Cost: the sidecar work telemetry adds to a supervised run, timed
 //     directly rather than read off two noisy run walls. Each task costs
 //     one final sidecar write (spans included) in the worker and one load +
@@ -106,12 +107,11 @@ class PinToCurrentCpu {
 // ------------------------------------------ supervised telemetry section
 
 /// The faultsim mini-pipeline shape: small enough that ten runs stay in
-/// bench territory, real enough that all 13 worker tasks execute.
+/// bench territory, real enough that all 10 worker tasks execute.
 core::RunOptions mini_run_options(const std::string& workdir) {
   core::RunOptions options;
   options.workdir = workdir;
   options.supervise.workers = 2;
-  options.supervise.projection_shards = 2;
   options.supervise.max_retries = 2;
   options.supervise.heartbeat_interval_seconds = 0.05;
   auto& config = options.config;
@@ -134,6 +134,29 @@ std::uint64_t counter_value(const obs::MetricsSnapshot& snapshot, const std::str
   }
   return 0;
 }
+
+/// The deterministic pipeline telemetry a supervised run must reproduce
+/// once its workers' sidecars are merged.
+struct PipelineCounters {
+  std::uint64_t edges = 0, pivots = 0, pairs = 0, samples = 0;
+  std::vector<std::uint64_t> pivot_degree;  // bucket counts
+
+  static PipelineCounters of(const obs::MetricsSnapshot& snapshot) {
+    PipelineCounters counters;
+    counters.edges = counter_value(snapshot, "graph.projection.edges");
+    counters.pivots = counter_value(snapshot, "graph.projection.pivots");
+    counters.pairs = counter_value(snapshot, "graph.projection.pairs");
+    counters.samples = counter_value(snapshot, "embed.line.samples");
+    for (const auto& histogram : snapshot.histograms) {
+      if (histogram.name == "graph.projection.pivot_degree") {
+        counters.pivot_degree = histogram.buckets;
+      }
+    }
+    return counters;
+  }
+
+  bool operator==(const PipelineCounters&) const = default;
+};
 
 /// One task's sidecar operations, timed in this process on the sidecar
 /// that task wrote: the fastest of a few repetitions of each.
@@ -183,8 +206,7 @@ double median(std::vector<double> values) {
 }
 
 struct SupervisedTelemetry {
-  std::uint64_t single_edges = 0, merged_edges = 0;
-  std::uint64_t single_samples = 0, merged_samples = 0;
+  PipelineCounters single, merged;
   std::size_t lanes = 0, tasks_run = 0;
   // Per round, over that round's tasks:
   bench::Timing wall;        // the supervised run
@@ -209,17 +231,12 @@ SupervisedTelemetry measure_supervised_telemetry(int rounds, int repetitions) {
     obs::SpanRecorder::instance().clear();
   };
 
-  // Single-process totals of the two deterministic pipeline counters:
-  // disjoint projection edge emissions, one add per LINE SGD sample.
+  // Single-process totals of the deterministic pipeline telemetry.
   telemetry(true);
   auto single = mini_run_options(scratch + "/single");
   single.supervise.workers = 0;
   (void)core::run_resumable(single);
-  {
-    const auto snapshot = obs::metrics().snapshot();
-    result.single_edges = counter_value(snapshot, "graph.projection.edges");
-    result.single_samples = counter_value(snapshot, "embed.line.samples");
-  }
+  result.single = PipelineCounters::of(obs::metrics().snapshot());
 
   // Supervised runs with telemetry on; the first supplies the merged
   // counters and trace lanes. Right after each run its own sidecars are
@@ -235,9 +252,7 @@ SupervisedTelemetry measure_supervised_telemetry(int rounds, int repetitions) {
     const auto summary = core::run_resumable(mini_run_options(workdir));
     const double wall_ms = watch.millis();
     if (r == 0) {
-      const auto snapshot = obs::metrics().snapshot();
-      result.merged_edges = counter_value(snapshot, "graph.projection.edges");
-      result.merged_samples = counter_value(snapshot, "embed.line.samples");
+      result.merged = PipelineCounters::of(obs::metrics().snapshot());
       result.lanes = obs::SpanRecorder::instance().process_lanes().size();
       result.tasks_run = summary.supervision.tasks_run;
     }
@@ -265,9 +280,9 @@ SupervisedTelemetry measure_supervised_telemetry(int rounds, int repetitions) {
   result.merge = bench::summarize(std::move(merges));
   result.sidecar = bench::summarize(std::move(sidecars));
   result.overhead = median(std::move(ratios));
-  result.counters_match = result.merged_edges == result.single_edges &&
-                          result.merged_samples == result.single_samples &&
-                          result.single_edges > 0 && result.single_samples > 0;
+  result.counters_match = result.merged == result.single && result.single.edges > 0 &&
+                          result.single.pairs > 0 && result.single.samples > 0 &&
+                          !result.single.pivot_degree.empty();
   return result;
 }
 
@@ -341,11 +356,14 @@ int write_obs_json() {
   std::fprintf(out, ", \"enabled_overhead\": %.4f},\n", project_overhead);
   std::fprintf(out,
                "  \"supervised\": {\"merged_counters_match\": %s, "
-               "\"projection_edges\": %llu, \"line_samples\": %llu, \"trace_lanes\": %zu, "
+               "\"projection_edges\": %llu, \"projection_pivots\": %llu, "
+               "\"projection_pairs\": %llu, \"line_samples\": %llu, \"trace_lanes\": %zu, "
                "\"tasks_run\": %zu, \"rounds\": %d, ",
                supervised.counters_match ? "true" : "false",
-               static_cast<unsigned long long>(supervised.merged_edges),
-               static_cast<unsigned long long>(supervised.merged_samples), supervised.lanes,
+               static_cast<unsigned long long>(supervised.merged.edges),
+               static_cast<unsigned long long>(supervised.merged.pivots),
+               static_cast<unsigned long long>(supervised.merged.pairs),
+               static_cast<unsigned long long>(supervised.merged.samples), supervised.lanes,
                supervised.tasks_run, run_rounds);
   write_timing(out, "wall", supervised.wall);
   std::fprintf(out, ",\n    \"repetitions\": %d, ", repetitions);
@@ -365,8 +383,8 @@ int write_obs_json() {
               "%zu trace lanes; sidecars (median) %.2f ms of a %.1f ms run (%zu tasks): "
               "%.2f%%%s\n",
               supervised.counters_match ? "match" : "DIVERGED",
-              static_cast<unsigned long long>(supervised.merged_edges),
-              static_cast<unsigned long long>(supervised.merged_samples), supervised.lanes,
+              static_cast<unsigned long long>(supervised.merged.edges),
+              static_cast<unsigned long long>(supervised.merged.samples), supervised.lanes,
               supervised.sidecar.median_ms, supervised.wall.median_ms, supervised.tasks_run,
               supervised.overhead * 100.0,
               smoke ? " (smoke: not gated)" : "");
@@ -382,13 +400,21 @@ int write_obs_json() {
   timing_gate(project_overhead, "enabled metrics on project_right");
   timing_gate(supervised.overhead, "sidecar write+merge on the supervised mini-run");
   if (!supervised.counters_match) {
+    const auto& merged = supervised.merged;
+    const auto& single = supervised.single;
     std::fprintf(stderr,
-                 "micro_obs: FAIL: merged worker counters diverged from the "
-                 "single-process run (edges %llu vs %llu, samples %llu vs %llu)\n",
-                 static_cast<unsigned long long>(supervised.merged_edges),
-                 static_cast<unsigned long long>(supervised.single_edges),
-                 static_cast<unsigned long long>(supervised.merged_samples),
-                 static_cast<unsigned long long>(supervised.single_samples));
+                 "micro_obs: FAIL: merged worker telemetry diverged from the "
+                 "single-process run (edges %llu vs %llu, pivots %llu vs %llu, pairs %llu vs "
+                 "%llu, samples %llu vs %llu, pivot_degree buckets %s)\n",
+                 static_cast<unsigned long long>(merged.edges),
+                 static_cast<unsigned long long>(single.edges),
+                 static_cast<unsigned long long>(merged.pivots),
+                 static_cast<unsigned long long>(single.pivots),
+                 static_cast<unsigned long long>(merged.pairs),
+                 static_cast<unsigned long long>(single.pairs),
+                 static_cast<unsigned long long>(merged.samples),
+                 static_cast<unsigned long long>(single.samples),
+                 merged.pivot_degree == single.pivot_degree ? "equal" : "differ");
     rc = 1;
   }
   if (supervised.lanes != supervised.tasks_run) {

@@ -41,7 +41,7 @@ class EntryStore final : public trace::TraceSink {
 graph::ProjectionOptions channel_projection(const PipelineConfig& config,
                                             const Channel& channel) {
   graph::ProjectionOptions projection = config.behavior.*channel.projection;
-  projection.threads = config.projection_threads;
+  projection.threads = 0;
   projection.mode = config.projection_mode;
   projection.sketch = config.sketch;
   return projection;

@@ -22,19 +22,12 @@ struct PipelineConfig {
   trace::TraceConfig trace;
   BehaviorModelConfig behavior;
 
-  /// Worker threads for the three one-mode projections (0 = one per CPU
-  /// of the affinity mask, util::resolve_threads). Applied to all three
-  /// ProjectionOptions in `behavior` by channel_projection; projection
-  /// output is deterministic for every value, so this is purely a
-  /// throughput knob.
-  std::size_t projection_threads = 0;
-
   /// Projection backend for the three one-mode projections, applied to all
-  /// three ProjectionOptions in `behavior` like projection_threads.
+  /// three ProjectionOptions in `behavior` by channel_projection.
   /// kSketched swaps exact pair counting for minhash/LSH candidate
-  /// generation with exact verification — the million-domain route. Unlike
-  /// projection_threads this changes the output (a high-recall subgraph),
-  /// so it participates in the resumable-run config hash.
+  /// generation with exact verification — the million-domain route. It
+  /// changes the output (a high-recall subgraph), so it participates in
+  /// the resumable-run config hash.
   graph::ProjectionMode projection_mode = graph::ProjectionMode::kExact;
 
   /// Minhash/LSH parameters used when projection_mode == kSketched.
@@ -74,7 +67,8 @@ struct PipelineConfig {
 };
 
 /// `channel`'s projection options with the run-wide projection knobs
-/// (projection_threads, projection_mode, sketch) applied.
+/// (projection_mode, sketch) applied, counting on one thread per CPU of the
+/// affinity mask (the output is the same at every thread count).
 graph::ProjectionOptions channel_projection(const PipelineConfig& config, const Channel& channel);
 
 /// The run-wide embedding config: `embedding` at embedding_dimension,

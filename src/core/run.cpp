@@ -150,8 +150,8 @@ struct StageRecord {
 
 struct Manifest {
   std::string config_hash;
-  /// Supervised shard tasks that exhausted retries (sorted task names,
-  /// e.g. "behavior.query.s1"); their stage's artifacts are partial.
+  /// Supervised tasks that exhausted retries (sorted task names, e.g.
+  /// "behavior.query"); their stage's artifacts are partial.
   std::vector<std::string> quarantined;
   std::vector<StageRecord> stages;
 };
@@ -237,7 +237,7 @@ std::string file_digest(const std::string& bytes) {
   return util::hex64(util::xxhash64(bytes));
 }
 
-/// A recorded stage is reusable iff its artifact list matches the spec and
+/// A recorded stage can be resumed iff its artifact list matches the spec and
 /// every file is present, digest-identical, and (for containers) passes
 /// full container validation.
 bool stage_artifacts_valid(const std::string& workdir, const StageRecord& record,
@@ -357,7 +357,7 @@ class StageDriver {
   /// stage's spec, in any order.
   void stage(const StageSpec& spec, RunSummary& summary, const std::function<void()>& body) {
     util::Stopwatch watch;
-    if (const auto* record = reusable_record(spec.name)) {
+    if (const auto* record = resumable_record(spec.name)) {
       if (stage_artifacts_valid(options_.workdir, *record, spec)) {
         obs::metrics().counter("pipeline.stage.resumed").add(1);
         ++summary.resumed_stages;
@@ -410,10 +410,8 @@ class StageDriver {
                      << "s";
   }
 
-  std::string config_hash() const { return hash_pipeline_config(options_.config); }
-
-  /// Record shard tasks quarantined by the supervisor during the current
-  /// stage; they appear in every manifest written from now on.
+  /// Record tasks quarantined by the supervisor during the current stage;
+  /// they appear in every manifest written from now on.
   void add_quarantined(const std::vector<std::string>& tasks) {
     quarantined_.insert(quarantined_.end(), tasks.begin(), tasks.end());
     std::sort(quarantined_.begin(), quarantined_.end());
@@ -422,6 +420,8 @@ class StageDriver {
   const std::vector<std::string>& quarantined() const noexcept { return quarantined_; }
 
  private:
+  std::string config_hash() const { return hash_pipeline_config(options_.config); }
+
   void save_manifest_now() {
     save_manifest(options_.workdir, {config_hash(), quarantined_, completed_});
     manifest_written_ = true;
@@ -444,10 +444,10 @@ class StageDriver {
   }
 
   /// The previous run's record for this stage, when resume applies to it.
-  const StageRecord* reusable_record(const char* name) const {
+  const StageRecord* resumable_record(const char* name) const {
     if (!options_.resume) return nullptr;
     if (manifest_.config_hash != config_hash()) return nullptr;
-    // Stages are only reusable in prefix order behind already-valid ones:
+    // Stages only resume in prefix order behind already-valid ones:
     // a recomputed earlier stage is deterministic, so identical artifacts
     // keep later digests valid — but a *failed* validation earlier means
     // later stages were built from inputs we no longer trust.
@@ -492,22 +492,7 @@ class StageDriver {
 class Executor {
  public:
   Executor(const RunOptions& options, StageDriver& driver) : driver_{driver} {
-    if (options.supervise.workers == 0) return;
-    supervisor_.emplace(options.workdir, options.supervise);
-    supervisor_->reset_scratch(driver.config_hash(), options.resume);
-    // The sketched backend is not pair-shardable: one task per channel.
-    if (options.config.projection_mode == graph::ProjectionMode::kExact) {
-      projection_shards_ = std::max<std::size_t>(1, options.supervise.projection_shards);
-    }
-  }
-
-  /// Pair-hash shards per projection channel (always one inline).
-  std::size_t projection_shards() const noexcept { return projection_shards_; }
-
-  /// Scratch file for a shard's partial output. Only multi-shard channels
-  /// have partials, and only a supervised executor has several shards.
-  std::string scratch_path(const std::string& file) const {
-    return supervisor_.value().scratch_path(file);
+    if (options.supervise.workers > 0) supervisor_.emplace(options.workdir, options.supervise);
   }
 
   /// Run one round; returns the tasks quarantined in it.
@@ -541,7 +526,6 @@ class Executor {
  private:
   StageDriver& driver_;
   std::optional<Supervisor> supervisor_;
-  std::size_t projection_shards_ = 1;
 };
 
 // ------------------------------------------------------------ stage work
@@ -558,49 +542,14 @@ graph::BipartiteGraph channel_graph(const std::string& workdir, const Channel& c
                           load_kept_domains(workdir));
 }
 
-/// Deterministic merge of per-shard partial projections into the channel's
-/// final CSR. Shards partition the PAIR space disjointly and each emits
-/// exact similarities over the full vertex set in (u, v) order, so a k-way
-/// merge of the partials' edge arrays by (u, v) reproduces the exact
-/// emission order of an unsharded projection — the merged artifact is
-/// byte-identical to a single-shard run. Quarantined shards are simply
-/// absent: their pairs are missing and the report is flagged as partial;
-/// with every shard quarantined the channel gets an edgeless CSR over its
-/// pruned names (isolated vertices are legal).
-void merge_channel_shards(const std::string& workdir, const Channel& channel,
-                          const std::vector<std::string>& partial_paths) {
-  std::vector<util::CsrGraph> parts;
-  std::size_t total = 0;
-  for (const auto& partial : partial_paths) {
-    parts.push_back(graph::load_csr_file(partial));
-    total += parts.back().edge_count();
-  }
-  graph::ProjectedEdges merged;
-  merged.u.reserve(total);
-  merged.v.reserve(total);
-  merged.w.reserve(total);
-  std::vector<std::size_t> next(parts.size(), 0);
-  const auto head = [&](std::size_t k) {
-    return std::uint64_t{parts[k].edge_u()[next[k]]} << 32 | parts[k].edge_v()[next[k]];
-  };
-  for (std::size_t n = 0; n < total; ++n) {
-    std::size_t best = parts.size();
-    for (std::size_t k = 0; k < parts.size(); ++k) {
-      if (next[k] == parts[k].edge_count()) continue;
-      if (best == parts.size() || head(k) < head(best)) best = k;
-    }
-    const std::size_t i = next[best]++;
-    merged.u.push_back(parts[best].edge_u()[i]);
-    merged.v.push_back(parts[best].edge_v()[i]);
-    merged.w.push_back(parts[best].edge_w()[i]);
-  }
-
-  // Every partial carries the full vertex set in identical id order.
-  const auto names = parts.empty() ? channel_graph(workdir, channel).right_names().names()
-                                   : parts.front().names_copy();
+/// What a quarantined channel commits in place of its projection: an
+/// edgeless CSR over its pruned names (isolated vertices are legal).
+void save_edgeless_channel(const std::string& workdir, const Channel& channel) {
+  const auto names = channel_graph(workdir, channel).right_names().names();
+  graph::ProjectedEdges none;
   graph::save_csr_file(join(workdir, channel.similarity),
-                       util::CsrGraph::build(names.size(), std::move(merged.u),
-                                             std::move(merged.v), std::move(merged.w), names));
+                       util::CsrGraph::build(names.size(), std::move(none.u), std::move(none.v),
+                                             std::move(none.w), names));
 }
 
 void write_labels_file(const std::string& workdir, const PipelineConfig& config,
@@ -653,7 +602,7 @@ void write_report_file(const std::string& workdir, const PipelineConfig& config,
   if (!quarantined.empty()) {
     report << "\n## Degraded run\n\n"
            << quarantined.size()
-           << " shard task(s) exhausted their retry budget and were quarantined; the "
+           << " task(s) exhausted their retry budget and were quarantined; the "
               "similarity graphs and everything derived from them are partial:\n\n";
     for (const auto& task : quarantined) report << "- `" << task << "`\n";
   }
@@ -685,7 +634,7 @@ std::string hash_pipeline_config(const PipelineConfig& config) {
       << config.behavior.temporal_projection.min_similarity;
   // The backend and sketch parameters change which edges the similarity
   // graphs contain, so a mode/parameter switch must invalidate resumed
-  // stages (projection_threads, by contrast, is output-neutral).
+  // stages.
   out << " projmode=" << static_cast<int>(config.projection_mode) << ','
       << config.sketch.signature_size << ',' << config.sketch.bands << ','
       << config.sketch.bits << ',' << config.sketch.top_k << ',' << config.sketch.seed;
@@ -754,11 +703,9 @@ RunSummary run_resumable(const RunOptions& options) {
   });
 
   // behavior: prune on the HDBG first, then project each channel's
-  // bipartite graph restricted to the kept domains. With several pair-hash
-  // shards per channel, each shard leaves a partial CSR in scratch and the
-  // parent merges them deterministically; a single shard writes the
-  // channel's CSR itself. A quarantined shard leaves its pairs out and
-  // flags the run.
+  // bipartite graph restricted to the kept domains, one task per channel
+  // writing the channel's CSR. A quarantined channel's graph is edgeless
+  // and the run is flagged.
   driver.stage(specs[1], summary, [&] {
     WorkerTask prune;
     prune.name = "behavior.prune";
@@ -771,48 +718,27 @@ RunSummary run_resumable(const RunOptions& options) {
     };
     executor.run({prune});
 
-    const std::size_t shards = executor.projection_shards();
-    const auto shard_task = [](const Channel& channel, std::size_t s) {
-      return std::string{"behavior."} + channel.name + ".s" + std::to_string(s);
-    };
-    const auto partial_path = [&](const Channel& channel, std::size_t s) {
-      return executor.scratch_path(std::string{channel.name} + ".s" + std::to_string(s) +
-                                   ".csr");
-    };
     std::vector<WorkerTask> tasks;
     for (const auto& channel : kChannels) {
-      for (std::size_t s = 0; s < shards; ++s) {
-        WorkerTask task;
-        task.name = shard_task(channel, s);
-        task.quarantinable = true;
-        // Scratch partials survive an interrupted run; the manifest, not
-        // scratch, decides whether a final artifact is reused.
-        task.reusable = shards > 1;
-        const auto output = shards > 1 ? partial_path(channel, s) : path(channel.similarity);
-        task.outputs.push_back({output, "csr-graph"});
-        task.body = [&, channel, s, output](const auto&) {
-          auto projection = channel_projection(config, channel);
-          projection.pair_shard_index = s;
-          projection.pair_shard_count = shards;
-          graph::save_csr_file(
-              output, project_channel(channel, channel_graph(workdir, channel), projection));
-        };
-        tasks.push_back(std::move(task));
-      }
+      WorkerTask task;
+      task.name = std::string{"behavior."} + channel.name;
+      task.quarantinable = true;
+      task.outputs.push_back({path(channel.similarity), "csr-graph"});
+      task.body = [&, channel](const auto&) {
+        graph::save_csr_file(path(channel.similarity),
+                             project_channel(channel, channel_graph(workdir, channel),
+                                             channel_projection(config, channel)));
+      };
+      tasks.push_back(std::move(task));
     }
     const auto quarantined = executor.run(tasks);
-    const auto lost = [&](const Channel& channel, std::size_t s) {
-      return std::find(quarantined.begin(), quarantined.end(), shard_task(channel, s)) !=
-             quarantined.end();
-    };
-    for (const auto& channel : kChannels) {
-      if (shards == 1 && !lost(channel, 0)) continue;  // its task wrote the CSR
-      std::vector<std::string> partials;
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (!lost(channel, s)) partials.push_back(partial_path(channel, s));
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (std::find(quarantined.begin(), quarantined.end(), tasks[i].name) ==
+          quarantined.end()) {
+        continue;  // its task wrote the CSR
       }
-      merge_channel_shards(workdir, channel, partials);
-      driver.commit(channel.similarity);
+      save_edgeless_channel(workdir, kChannels[i]);
+      driver.commit(kChannels[i].similarity);
     }
   });
 

@@ -55,8 +55,8 @@ struct RunOptions {
 
   /// Multi-process orchestration. supervise.workers == 0 (default) runs
   /// every stage task inline, in this process; >= 1 forks the same tasks
-  /// out to supervised worker processes (projection pair-shards,
-  /// per-channel LINE training, ...) that exchange results only through
+  /// out to supervised worker processes (one projection and one LINE
+  /// training per channel, ...) that exchange results only through
   /// checksummed artifacts, so the report is bit-identical to an inline
   /// run at any worker count.
   /// Workers also write telemetry sidecars (obs/sidecar.hpp) that the
@@ -82,7 +82,7 @@ struct RunSummary {
   /// What the supervisor did (all zeros on a single-process run).
   SupervisionStats supervision;
 
-  /// Shard tasks that exhausted their retry budget, as recorded in the
+  /// Projection tasks that exhausted their retry budget, as recorded in the
   /// manifest — includes quarantines carried forward from a resumed stage.
   /// Non-empty means the report is partial and the CLI exits 5.
   std::vector<std::string> quarantined;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -11,6 +10,7 @@
 #include "core/detector.hpp"
 #include "core/pipeline.hpp"
 #include "util/artifact.hpp"
+#include "util/bithex.hpp"
 #include "dns/log_io.hpp"
 #include "intel/labels.hpp"
 #include "obs/metrics.hpp"
@@ -22,35 +22,13 @@ namespace {
 
 constexpr std::string_view kCheckpointMagic = "dnsembed-streaming-checkpoint 1";
 
-// Doubles round-trip through checkpoints by bit pattern, not decimal text,
-// so a restored run scores bit-identically.
-std::string score_bits_hex(double score) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &score, sizeof(bits));
-  char buf[17];
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = "0123456789abcdef"[bits & 0xF];
-    bits >>= 4;
-  }
-  buf[16] = '\0';
-  return buf;
-}
-
+// Doubles round-trip through checkpoints by bit pattern (util/bithex), not
+// decimal text, so a restored run scores bit-identically.
 double score_from_hex(std::string_view hex) {
-  if (hex.size() != 16) throw std::runtime_error{"checkpoint: bad score encoding"};
-  std::uint64_t bits = 0;
-  for (const char c : hex) {
-    bits <<= 4;
-    if (c >= '0' && c <= '9') {
-      bits |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      bits |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      throw std::runtime_error{"checkpoint: bad score encoding"};
-    }
-  }
   double score = 0.0;
-  std::memcpy(&score, &bits, sizeof(score));
+  if (!util::hex_to_double(hex, score)) {
+    throw std::runtime_error{"checkpoint: bad score encoding"};
+  }
   return score;
 }
 
@@ -289,7 +267,7 @@ void StreamingDetector::save_checkpoint(std::ostream& out) const {
   write_domain_day_map(out, "first_flagged", first_flagged_);
   out << "alerts " << alerts_.size() << '\n';
   for (const auto& alert : alerts_) {
-    out << alert.domain << '\t' << alert.day << '\t' << score_bits_hex(alert.score) << '\n';
+    out << alert.domain << '\t' << alert.day << '\t' << util::double_to_hex(alert.score) << '\n';
   }
   out << "day_records " << days_.size() << '\n';
   for (const auto& record : days_) {

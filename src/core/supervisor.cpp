@@ -225,31 +225,12 @@ Supervisor::Supervisor(std::string workdir, SupervisorOptions options)
   if (options_.heartbeat_timeout_seconds <= 0.0) {
     options_.heartbeat_timeout_seconds = 10.0 * options_.heartbeat_interval_seconds;
   }
-  if (options_.projection_shards == 0) options_.projection_shards = 1;
+  util::fsio::create_directories(workdir_ + "/sv");
+  wipe_directory(workdir_ + "/sv");
 }
 
 std::string Supervisor::scratch_path(const std::string& file) const {
   return workdir_ + "/sv/" + file;
-}
-
-void Supervisor::reset_scratch(const std::string& config_hash, bool resume) {
-  util::fsio::create_directories(workdir_ + "/sv");
-  const auto hash_path = scratch_path("config.hash");
-  bool keep = resume;
-  if (keep) {
-    try {
-      keep = util::fsio::read_file(hash_path) == config_hash;
-    } catch (const util::fsio::IoError&) {
-      keep = false;
-    }
-    if (!keep) {
-      util::log_info() << "supervisor: scratch built under a different config; wiping";
-    }
-  }
-  if (!keep) {
-    wipe_directory(workdir_ + "/sv");
-    util::fsio::atomic_write_file(hash_path, config_hash);
-  }
 }
 
 TaskResources& Supervisor::resources_for(const std::string& task) {
@@ -333,7 +314,6 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
   static obs::Counter& corrupt_counter = obs::metrics().counter("supervisor.corrupt_outputs");
   static obs::Counter& quarantined_counter = obs::metrics().counter("supervisor.quarantined");
   static obs::Counter& run_counter = obs::metrics().counter("supervisor.tasks.run");
-  static obs::Counter& reused_counter = obs::metrics().counter("supervisor.tasks.reused");
   static obs::Counter& sidecar_corrupt_counter =
       obs::metrics().counter("supervisor.sidecar_corrupt");
   static obs::Histogram& heartbeat_hist = obs::metrics().histogram(
@@ -372,20 +352,7 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
   std::vector<InFlight> running;
   running.reserve(options_.workers);
 
-  // Scratch reuse: a reusable task whose outputs already validate (partials
-  // from an interrupted supervised run, gated by the scratch config hash)
-  // is finished before anything is forked.
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    std::string why;
-    if (tasks[i].reusable && outputs_valid(tasks[i], why)) {
-      state[i].done = true;
-      ++stats_.tasks_reused;
-      reused_counter.add(1);
-      util::log_info() << "supervisor: task '" << tasks[i].name
-                       << "' reused from scratch artifacts";
-    }
-    set_status(tasks[i].name, state[i].done ? "reused" : "pending", 0, -1);
-  }
+  for (const auto& task : tasks) set_status(task.name, "pending", 0, -1);
   write_status(false);
 
   /// One attempt of task `i` ended badly; schedule a retry or quarantine.
@@ -553,7 +520,7 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
 
       // Spawn ready tasks into free slots, in task order (start order is
       // deterministic; completion order is not, and does not matter —
-      // artifacts are deterministic and merges re-sort).
+      // artifacts are deterministic).
       for (std::size_t i = 0; i < tasks.size() && running.size() < options_.workers; ++i) {
         auto& ts = state[i];
         if (ts.done || ts.quarantined || ts.running) continue;

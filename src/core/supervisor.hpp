@@ -2,19 +2,19 @@
 // execute pipeline tasks, watches them for crash (waitpid), hang (stale
 // heartbeat file -> SIGKILL), and corrupt output (container validation
 // after exit), retries failures with the fsio bounded-backoff schedule, and
-// quarantines a shard task once its retry budget is exhausted so the run
-// degrades to a partial-but-flagged report instead of dying.
+// quarantines a projection task once its retry budget is exhausted so the
+// run degrades to a partial-but-flagged report instead of dying.
 //
 // The supervisor is deliberately ignorant of pipeline semantics: it runs
 // WorkerTasks — a name, a child-side body, and the list of artifact files
-// the body must leave behind. core/run builds the task lists (projection
-// shards, per-channel LINE training, ...) and performs the deterministic
-// merges between stages; workers exchange results exclusively through the
-// checksummed artifact container, never through memory.
+// the body must leave behind. core/run builds the task lists (one
+// projection and one LINE training per channel, ...) and the steps between
+// them; workers exchange results exclusively through the checksummed
+// artifact container, never through memory.
 //
 // Every supervision event flows through the obs registry:
 //   supervisor.restarts / .crashes / .hangs_killed / .corrupt_outputs
-//   supervisor.quarantined, supervisor.tasks.run / .reused,
+//   supervisor.quarantined, supervisor.tasks.run,
 //   supervisor.sidecar_corrupt, supervisor.heartbeat_age_ms le-histogram
 //   (sampled every poll tick), supervisor.task.{cpu_seconds,wall_seconds,
 //   max_rss_kb} per-attempt rusage histograms, "supervisor.<task>" trace
@@ -41,7 +41,7 @@ struct SupervisorOptions {
   std::size_t workers = 0;
 
   /// Retries per task after its first attempt; a task failing
-  /// 1 + max_retries times is quarantined (shard tasks) or fatal.
+  /// 1 + max_retries times is quarantined (projection tasks) or fatal.
   std::size_t max_retries = 2;
 
   /// Seconds between worker heartbeat writes.
@@ -50,10 +50,6 @@ struct SupervisorOptions {
   /// A worker whose heartbeat has not advanced for this long is declared
   /// hung and SIGKILLed. 0 = 10x the heartbeat interval.
   double heartbeat_timeout_seconds = 0.0;
-
-  /// Pair-hash shards per projection channel (exact mode; the sketched
-  /// backend is not pair-shardable and runs one task per channel).
-  std::size_t projection_shards = 4;
 
   /// Seeded process fault injection (proc_* channels); all-zero rates by
   /// default. Interpreted by fault::ProcessFaultChannel inside the child.
@@ -85,7 +81,6 @@ struct SupervisionStats {
   std::size_t hangs_killed = 0;     // stale heartbeat -> SIGKILL
   std::size_t corrupt_outputs = 0;  // exit 0 but invalid output containers
   std::size_t tasks_run = 0;        // task attempts that completed validly
-  std::size_t tasks_reused = 0;     // skipped: scratch outputs still valid
   std::vector<std::string> quarantined;  // tasks that exhausted retries
   /// One row per task that ran at least one attempt, in first-spawn order
   /// (deterministic: tasks spawn in task-list order). Feeds the CLI
@@ -96,18 +91,13 @@ struct SupervisionStats {
 
 /// One unit of supervised work.
 struct WorkerTask {
-  /// Unique name, e.g. "behavior.query.s1". Keys the heartbeat file, the
+  /// Unique name, e.g. "behavior.query". Keys the heartbeat file, the
   /// backoff jitter, fault-injection draws, metrics, and quarantine rows.
   std::string name;
 
-  /// Quarantinable tasks (projection shards) degrade the run when their
-  /// retries are exhausted; for any other task that is a fatal error.
+  /// Quarantinable tasks (the channel projections) degrade the run when
+  /// their retries are exhausted; for any other task that is a fatal error.
   bool quarantinable = false;
-
-  /// Reusable tasks are skipped when every output already validates —
-  /// only safe for scratch outputs gated by the scratch config hash
-  /// (final artifacts are reused at stage granularity by the manifest).
-  bool reusable = false;
 
   struct Output {
     std::string path;
@@ -137,19 +127,12 @@ class SupervisorError : public std::runtime_error {
 
 class Supervisor {
  public:
-  /// `workdir` is the run's working directory; scratch state (heartbeats,
-  /// shard partials, the scratch config hash) lives under workdir/sv.
+  /// `workdir` is the run's working directory. Scratch state (heartbeats
+  /// and telemetry sidecars) lives under workdir/sv, which the constructor
+  /// creates and empties, so no file in it comes from an earlier run.
   Supervisor(std::string workdir, SupervisorOptions options);
 
-  /// Prepare the scratch directory. Wipes it when the config hash changed
-  /// or resume is off, so stale partials can never leak into a merge;
-  /// otherwise leaves valid partials for reusable tasks to skip.
-  void reset_scratch(const std::string& config_hash, bool resume);
-
-  /// workdir/sv/<file>.
-  std::string scratch_path(const std::string& file) const;
-
-  /// Run every task to completion (done, reused, or quarantined) with up to
+  /// Run every task to completion (done or quarantined) with up to
   /// options.workers children in flight. `poll` is invoked on every
   /// scheduling round; it may throw (the stage-deadline watchdog does) and
   /// all children are SIGKILLed and reaped before the exception escapes.
@@ -164,10 +147,13 @@ class Supervisor {
   /// so the file covers the whole run, not just the current stage.
   struct TaskStatus {
     std::string task;
-    std::string state;  // pending|running|backoff|done|reused|quarantined
+    std::string state;  // pending|running|backoff|done|quarantined
     std::size_t attempt = 0;             // attempts started so far
     std::int64_t heartbeat_age_ms = -1;  // -1 when not running
   };
+
+  /// workdir/sv/<file>.
+  std::string scratch_path(const std::string& file) const;
 
   TaskResources& resources_for(const std::string& task);
   TaskStatus& status_row(const std::string& task);

@@ -91,7 +91,8 @@ struct FaultPlan {
   /// a task to quarantine deterministically.
   std::size_t proc_max_faults_per_task = 0;
   /// Restrict process faults to tasks whose name starts with this prefix
-  /// (empty = every task). Lets tests target one projection shard.
+  /// (empty = every task). Lets tests target one task, e.g. one channel's
+  /// projection ("behavior.query").
   std::string proc_target;
 
   /// Scale every rate by `severity` (clamped to [0, 1]); magnitudes

@@ -4,38 +4,17 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/sketch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dnsembed::graph {
 
 namespace {
-
-/// Seed of the pair-shard ownership hash (see ProjectionOptions).
-constexpr std::uint64_t kPairShardSeed = 0x7061697273ULL;
-
-/// owner[v] for every right vertex, or an empty vector when the
-/// projection is unsharded (the common case pays one branch, no table).
-std::vector<std::uint32_t> pair_shard_owners(const BipartiteGraph& g,
-                                             const ProjectionOptions& options) {
-  if (options.pair_shard_count <= 1) return {};
-  if (options.pair_shard_index >= options.pair_shard_count) {
-    throw std::invalid_argument{"projection: pair_shard_index out of range"};
-  }
-  std::vector<std::uint32_t> owner(g.right_count());
-  for (VertexId v = 0; v < g.right_count(); ++v) {
-    owner[v] = static_cast<std::uint32_t>(
-        util::xxhash64(g.right_names().name(v), kPairShardSeed) % options.pair_shard_count);
-  }
-  return owner;
-}
 
 /// The exact projection of `g` onto its right side.
 ///
@@ -52,14 +31,10 @@ std::vector<std::uint32_t> pair_shard_owners(const BipartiteGraph& g,
 ProjectedEdges project_exact(const BipartiteGraph& g, const ProjectionOptions& options) {
   const std::size_t side_count = g.right_count();
   const std::size_t pivot_count = g.left_count();
-  const auto owner = pair_shard_owners(g, options);
-  const auto owned = [&](VertexId u) {
-    return owner.empty() || owner[u] == options.pair_shard_index;
-  };
 
   // Telemetry counts into locals in the one pass over the pivots and is
   // published once: every pivot and its degree, and the pairs of the
-  // pivots within the cap (whatever the pair shard).
+  // pivots within the cap.
   static obs::Counter& pivots_counter = obs::metrics().counter("graph.projection.pivots");
   static obs::Counter& pairs_counter = obs::metrics().counter("graph.projection.pairs");
   static obs::Counter& edges_counter = obs::metrics().counter("graph.projection.edges");
@@ -100,7 +75,6 @@ ProjectedEdges project_exact(const BipartiteGraph& g, const ProjectionOptions& o
     std::vector<std::uint32_t> acc(side_count, 0);
     std::vector<VertexId> touched(side_count);
     for (auto u = static_cast<VertexId>(lo); u < hi; ++u) {
-      if (!owned(u)) continue;
       std::size_t t = 0;
       for (const VertexId p : rows[u]) {
         const auto neighbors = pivots[p];
@@ -143,7 +117,7 @@ ProjectedEdges project_exact(const BipartiteGraph& g, const ProjectionOptions& o
     std::vector<std::uint64_t> work(side_count, 1);
     for (const auto& neighbors : pivots) {
       for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        if (owned(neighbors[i])) work[neighbors[i]] += neighbors.size() - 1 - i;
+        work[neighbors[i]] += neighbors.size() - 1 - i;
       }
     }
     std::uint64_t total = 0;
@@ -175,9 +149,6 @@ ProjectedEdges project_exact(const BipartiteGraph& g, const ProjectionOptions& o
 util::CsrGraph project_right(const BipartiteGraph& g, const ProjectionOptions& options) {
   ProjectedEdges edges;
   if (options.mode == ProjectionMode::kSketched) {
-    if (options.pair_shard_count > 1) {
-      throw std::invalid_argument{"projection: pair shards require exact mode"};
-    }
     edges = project_sketched(g, options);
   } else {
     edges = project_exact(g, options);
@@ -189,13 +160,11 @@ util::CsrGraph project_right(const BipartiteGraph& g, const ProjectionOptions& o
 /// Baseline: one global node-based map, pivots scanned in order.
 util::CsrGraph project_right_reference(const BipartiteGraph& g,
                                        const ProjectionOptions& options) {
-  const auto owner = pair_shard_owners(g, options);
   std::unordered_map<std::uint64_t, std::uint32_t> intersections;
   for (VertexId pivot = 0; pivot < g.left_count(); ++pivot) {
     const auto neighbors = g.left_neighbors(pivot);
     if (options.max_pivot_degree != 0 && neighbors.size() > options.max_pivot_degree) continue;
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      if (!owner.empty() && owner[neighbors[i]] != options.pair_shard_index) continue;
       const std::uint64_t hi = static_cast<std::uint64_t>(neighbors[i]) << 32;
       for (std::size_t j = i + 1; j < neighbors.size(); ++j) {
         ++intersections[hi | neighbors[j]];

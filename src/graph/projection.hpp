@@ -132,19 +132,6 @@ struct ProjectionOptions {
 
   /// Parameters of the sketched backend (ignored when mode == kExact).
   SketchOptions sketch;
-
-  /// Pair-shard partition for multi-process projection: only pairs OWNED by
-  /// shard pair_shard_index out of pair_shard_count are counted and
-  /// emitted. A pair (u, v), u < v, is owned by xxhash64(name(u)) %
-  /// pair_shard_count — a function of the vertex NAME, so the partition is
-  /// stable across runs and worker counts. Shards are disjoint and
-  /// exhaustive, and each shard still sees full pivot neighborhoods (only
-  /// the smaller endpoint is filtered), so intersection counts and degrees
-  /// are exact: the union of the per-shard edge lists, re-sorted by (u, v),
-  /// is bit-identical to an unsharded projection. Exact mode only; the
-  /// supervisor falls back to one shard per channel for kSketched.
-  std::size_t pair_shard_index = 0;
-  std::size_t pair_shard_count = 1;
 };
 
 /// A projection's edges as (u, v)-sorted struct-of-arrays, the form

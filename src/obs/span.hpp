@@ -5,8 +5,8 @@
 // Nesting needs no explicit parent links: spans are exported as "X"
 // (complete) events, and Perfetto nests events that overlap in time on the
 // same thread track — so a stage span opened in run_pipeline naturally
-// encloses the projection-shard and LINE-worker spans its callees open,
-// and worker-thread spans land on their own tracks.
+// encloses the projection row-range and LINE-worker spans its callees
+// open, and worker-thread spans land on their own tracks.
 //
 // Cost model mirrors obs/metrics.hpp: when tracing is disabled (no
 // --trace-out sink) a Span is one relaxed load + branch; when enabled, two

@@ -72,17 +72,4 @@ double ArgParser::get_double_or(std::string_view name, double fallback) const {
   }
 }
 
-std::vector<std::string> ArgParser::unknown_options(
-    const std::vector<std::string>& known) const {
-  std::vector<std::string> unknown;
-  for (const auto& option : options_) {
-    bool found = false;
-    for (const auto& k : known) {
-      if (option.name == k) found = true;
-    }
-    if (!found) unknown.push_back(option.name);
-  }
-  return unknown;
-}
-
 }  // namespace dnsembed::util

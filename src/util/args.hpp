@@ -1,6 +1,7 @@
 // Minimal command-line parsing for the tools: "--flag", "--key value",
-// and positional arguments, with typed accessors and unknown-flag
-// detection. No external dependencies, exact error messages.
+// and positional arguments, with typed accessors. Options nobody asks for
+// are ignored, so a removed flag stays harmless in old scripts. No
+// external dependencies, exact error messages.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +33,6 @@ class ArgParser {
   /// Typed accessors; throw std::invalid_argument on unparsable values.
   std::int64_t get_int_or(std::string_view name, std::int64_t fallback) const;
   double get_double_or(std::string_view name, double fallback) const;
-
-  /// Options present on the command line but not in `known` (for
-  /// catching typos). Names include the leading "--".
-  std::vector<std::string> unknown_options(const std::vector<std::string>& known) const;
 
  private:
   struct Option {

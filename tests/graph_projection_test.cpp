@@ -1,8 +1,8 @@
 // Tests for util::FlatCounter invariants (growth, collisions, saturation,
-// merge; graph/sketch and bench/micro_obs count with it) and for the
-// row-wise projection engine: determinism of the threaded projection and of
-// the CSR it builds against the single-threaded map-based reference, pair
-// shards, and rows emitted by both the dense scan and the sparse sort.
+// merge; graph/sketch counts with it) and for the row-wise projection
+// engine: determinism of the threaded projection and of the CSR it builds
+// against the single-threaded map-based reference, and rows emitted by both
+// the dense scan and the sparse sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -225,25 +225,6 @@ TEST(ShardedProjection, MaxPivotDegreeActuallySkipsHubs) {
     ASSERT_EQ(sim.edge_count(), 1u);
     EXPECT_DOUBLE_EQ(sim.edge_w()[0], 2.0 / 4.0);  // inter 2, degrees 3+3
   }
-}
-
-TEST(ShardedProjection, PairShardsPartitionTheEdges) {
-  const auto g = random_bipartite(40, 120, 1'500, 19);
-  const auto whole = graph::project_right(g);
-  constexpr std::size_t kShards = 3;
-  std::vector<graph::Edge> merged;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    graph::ProjectionOptions shard;
-    shard.pair_shard_index = s;
-    shard.pair_shard_count = kShards;
-    expect_matches_reference(g, shard);
-    const auto part = graph::project_right(g, shard);
-    EXPECT_EQ(part.vertex_count(), whole.vertex_count());
-    EXPECT_GT(part.edge_count(), 0u) << "shard " << s;
-    const auto edges = graph::edges_of(part);
-    merged.insert(merged.end(), edges.begin(), edges.end());
-  }
-  EXPECT_EQ(graph::sorted_edges(std::move(merged)), graph::sorted_edges(whole));
 }
 
 TEST(ShardedProjection, DenseAndSparseRowsMatchReference) {

@@ -2,11 +2,11 @@
 // every stage artifact (the digests in manifest.run) must be byte-identical
 // to the inline run, exact and sketched; injected worker crashes, hangs,
 // and garbage outputs must be detected, retried, and still converge on the
-// same bytes; a shard task that exhausts its retry budget must be
-// quarantined (degraded report + manifest row) and the quarantine must
-// survive --resume; a mid-stage deadline hit must leave the workdir
-// resumable to an identical report; a worker must exit as soon as its body
-// returns, not a heartbeat interval later.
+// same bytes; a channel's projection task that exhausts its retry budget
+// must be quarantined (edgeless graph, degraded report + manifest row) and
+// the quarantine must survive --resume; a mid-stage deadline hit must leave
+// the workdir resumable to an identical report; a worker must exit as soon
+// as its body returns, not a heartbeat interval later.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/run.hpp"
+#include "graph/io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/fsio.hpp"
@@ -50,16 +51,14 @@ RunOptions small_options(const std::string& workdir) {
 RunOptions supervised_options(const std::string& workdir) {
   auto options = small_options(workdir);
   options.supervise.workers = 2;
-  options.supervise.projection_shards = 2;
   options.supervise.max_retries = 2;
   options.supervise.heartbeat_interval_seconds = 0.05;
   return options;
 }
 
-// With projection_shards = 2 the supervised run decomposes into exactly
-// 13 tasks: trace, behavior.prune, 3 channels x 2 projection shards,
-// 3 per-channel embeds, labels, report.
-constexpr std::size_t kTaskCount = 13;
+// A supervised run decomposes into exactly 10 tasks: trace, behavior.prune,
+// 3 channel projections, 3 channel embeds, labels, report.
+constexpr std::size_t kTaskCount = 10;
 
 class RunSupervisorTest : public ::testing::Test {
  protected:
@@ -116,8 +115,6 @@ TEST_F(RunSupervisorTest, SupervisedReportMatchesSingleProcess) {
 }
 
 TEST_F(RunSupervisorTest, SketchedSupervisedRunMatchesSingleProcess) {
-  // The sketched backend is not pair-shardable, so each channel projects in
-  // one task that writes the channel's CSR itself.
   auto reference_options = small_options(dir_ + "_ref");
   reference_options.config.projection_mode = graph::ProjectionMode::kSketched;
   const auto reference = run_resumable(reference_options);
@@ -128,8 +125,7 @@ TEST_F(RunSupervisorTest, SketchedSupervisedRunMatchesSingleProcess) {
   EXPECT_EQ(util::fsio::read_file(summary.report_path),
             util::fsio::read_file(reference.report_path));
   EXPECT_EQ(util::fsio::read_file(dir_ + "/manifest.run"), reference_manifest());
-  // trace, behavior.prune, 3 channel projections, 3 embeds, labels, report.
-  EXPECT_EQ(summary.supervision.tasks_run, 10u);
+  EXPECT_EQ(summary.supervision.tasks_run, kTaskCount);
   EXPECT_TRUE(summary.quarantined.empty());
 }
 
@@ -141,7 +137,6 @@ TEST_F(RunSupervisorTest, WorkerExitsWhenItsBodyReturns) {
   options.workers = 1;
   options.heartbeat_interval_seconds = 5.0;
   Supervisor supervisor{dir_, options};
-  supervisor.reset_scratch("worker-exit", false);
   WorkerTask task;
   task.name = "noop";
   task.body = [](const auto&) {};
@@ -208,50 +203,62 @@ TEST_F(RunSupervisorTest, HungWorkersAreKilledAndRetried) {
 
 TEST_F(RunSupervisorTest, ExhaustedShardIsQuarantinedAndSurvivesResume) {
   auto options = supervised_options(dir_);
-  // One projection shard crashes on every attempt (no per-task cap); with
-  // max_retries = 1 its second failure exhausts the budget.
+  // The query channel's projection task crashes on every attempt (no
+  // per-task cap); with max_retries = 1 its second failure exhausts the
+  // budget.
   options.supervise.max_retries = 1;
   options.supervise.process_faults.proc_crash_rate = 1.0;
-  options.supervise.process_faults.proc_target = "behavior.query.s1";
+  options.supervise.process_faults.proc_target = "behavior.query";
   const auto summary = run_resumable(options);
 
-  const std::vector<std::string> expected{"behavior.query.s1"};
+  const std::vector<std::string> expected{"behavior.query"};
   EXPECT_EQ(summary.quarantined, expected);
   EXPECT_EQ(summary.supervision.quarantined, expected);
   EXPECT_EQ(summary.supervision.restarts, 1u);
   EXPECT_EQ(summary.supervision.crashes, 2u);
 
+  // The parent writes an edgeless graph over the pruned names in the
+  // channel's place, after the other channels committed theirs.
+  const auto query = graph::load_csr_file(dir_ + "/query_sim.csr");
+  EXPECT_EQ(query.edge_count(), 0u);
+  EXPECT_GT(query.vertex_count(), 0u);
+  EXPECT_GT(graph::load_csr_file(dir_ + "/ip_sim.csr").edge_count(), 0u);
+
   // The degraded report flags the quarantine, and the manifest records it.
   const auto report = util::fsio::read_file(summary.report_path);
   EXPECT_NE(report.find("Degraded run"), std::string::npos);
-  EXPECT_NE(report.find("behavior.query.s1"), std::string::npos);
+  EXPECT_NE(report.find("`behavior.query`"), std::string::npos);
   const auto manifest = util::fsio::read_file(dir_ + "/manifest.run");
-  EXPECT_NE(manifest.find("quarantined behavior.query.s1"), std::string::npos);
+  EXPECT_NE(manifest.find("quarantined behavior.query\n"), std::string::npos);
 
   // --resume over the degraded workdir carries the quarantine forward
-  // without re-running anything, byte-identically.
+  // without re-running anything, byte-identically: the behavior stage
+  // recorded its artifacts in spec order although the edgeless graph was
+  // committed last.
   auto resume = supervised_options(dir_);
   resume.resume = true;
   const auto second = run_resumable(resume);
   EXPECT_EQ(second.resumed_stages, second.stages.size());
+  EXPECT_EQ(second.supervision.tasks_run, 0u);
   EXPECT_EQ(second.quarantined, expected);
   EXPECT_EQ(util::fsio::read_file(second.report_path), report);
 }
 
 TEST_F(RunSupervisorTest, QuarantinedSingleShardChannelSurvivesResume) {
-  // A sketched channel projects in one task that writes the channel's CSR
-  // itself. When that task is quarantined the parent writes an edgeless
-  // graph in its place, after the other channels committed theirs; the
-  // stage must still record its artifacts in spec order, or --resume would
-  // recompute it.
+  // The same quarantine path under the sketched backend: its channel is
+  // projected in a single task that writes the channel's CSR itself. When
+  // that task is quarantined the parent writes an edgeless graph in its
+  // place, after the other channels committed theirs; the stage must still
+  // record its artifacts in spec order, or --resume would recompute it.
   auto options = supervised_options(dir_);
   options.config.projection_mode = graph::ProjectionMode::kSketched;
   options.supervise.max_retries = 1;
   options.supervise.process_faults.proc_crash_rate = 1.0;
-  options.supervise.process_faults.proc_target = "behavior.query.s0";
+  options.supervise.process_faults.proc_target = "behavior.query";
   const auto summary = run_resumable(options);
-  const std::vector<std::string> expected{"behavior.query.s0"};
+  const std::vector<std::string> expected{"behavior.query"};
   EXPECT_EQ(summary.quarantined, expected);
+  EXPECT_EQ(graph::load_csr_file(dir_ + "/query_sim.csr").edge_count(), 0u);
   const auto report = util::fsio::read_file(summary.report_path);
   EXPECT_NE(report.find("Degraded run"), std::string::npos);
 
@@ -259,6 +266,7 @@ TEST_F(RunSupervisorTest, QuarantinedSingleShardChannelSurvivesResume) {
   resume.resume = true;
   const auto second = run_resumable(resume);
   EXPECT_EQ(second.resumed_stages, second.stages.size());
+  EXPECT_EQ(second.supervision.tasks_run, 0u);
   EXPECT_EQ(second.quarantined, expected);
   EXPECT_EQ(util::fsio::read_file(second.report_path), report);
 }
@@ -270,12 +278,22 @@ std::uint64_t counter_value(const obs::MetricsSnapshot& snapshot, const std::str
   return 0;
 }
 
+std::vector<std::uint64_t> histogram_buckets(const obs::MetricsSnapshot& snapshot,
+                                             const std::string& name) {
+  for (const auto& histogram : snapshot.histograms) {
+    if (histogram.name == name) return histogram.buckets;
+  }
+  return {};
+}
+
 TEST_F(RunSupervisorTest, MergedTelemetryMatchesSingleProcessCounters) {
   // Worker telemetry dies with the child unless the sidecars round-trip it;
-  // after the merge, the deterministic pipeline counters (disjoint projection
-  // edge emissions, one add per LINE SGD sample) must match a single-process
-  // run byte for byte — even with every task's first attempt crashing, since
-  // only the successful attempt's sidecar is merged.
+  // after the merge, the deterministic pipeline counters (projection edges,
+  // pivots and pairs, the pivot-degree histogram, one add per LINE SGD
+  // sample) must match a single-process run byte for byte — even with every
+  // task's first attempt crashing, since only the successful attempt's
+  // sidecar is merged. Each channel is projected by exactly one task, so
+  // every pivot is counted once.
   obs::set_metrics_enabled(true);
   obs::SpanRecorder::instance().set_enabled(true);
   obs::metrics().reset_values();
@@ -284,8 +302,14 @@ TEST_F(RunSupervisorTest, MergedTelemetryMatchesSingleProcessCounters) {
   (void)run_resumable(small_options(dir_ + "_ref"));
   const auto single = obs::metrics().snapshot();
   const auto single_edges = counter_value(single, "graph.projection.edges");
+  const auto single_pivots = counter_value(single, "graph.projection.pivots");
+  const auto single_pairs = counter_value(single, "graph.projection.pairs");
+  const auto single_degrees = histogram_buckets(single, "graph.projection.pivot_degree");
   const auto single_samples = counter_value(single, "embed.line.samples");
   ASSERT_GT(single_edges, 0u);
+  ASSERT_GT(single_pivots, 0u);
+  ASSERT_GT(single_pairs, 0u);
+  ASSERT_FALSE(single_degrees.empty());
   ASSERT_GT(single_samples, 0u);
 
   obs::metrics().reset_values();
@@ -301,6 +325,9 @@ TEST_F(RunSupervisorTest, MergedTelemetryMatchesSingleProcessCounters) {
 
   const auto merged = obs::metrics().snapshot();
   EXPECT_EQ(counter_value(merged, "graph.projection.edges"), single_edges);
+  EXPECT_EQ(counter_value(merged, "graph.projection.pivots"), single_pivots);
+  EXPECT_EQ(counter_value(merged, "graph.projection.pairs"), single_pairs);
+  EXPECT_EQ(histogram_buckets(merged, "graph.projection.pivot_degree"), single_degrees);
   EXPECT_EQ(counter_value(merged, "embed.line.samples"), single_samples);
 
   // The merged trace carries one named process lane per worker task.

@@ -56,13 +56,6 @@ TEST(Args, TypedAccessorsRejectGarbage) {
   EXPECT_THROW(args.get_double_or("--x", 0.0), std::invalid_argument);
 }
 
-TEST(Args, UnknownOptions) {
-  const auto args = parse({"--out", "f", "--tpyo", "--ok"});
-  const auto unknown = args.unknown_options({"--out", "--ok"});
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "--tpyo");
-}
-
 TEST(Args, EmptyCommandLine) {
   const auto args = parse({});
   EXPECT_FALSE(args.positional(0).has_value());

@@ -14,16 +14,19 @@
 #      scalar and the widest rung, the dense ~700k-edge row included, so the
 #      packed edge sampler runs on a table larger than L2 (no timing gate at
 #      smoke scale)
-#   5. distributed label (multi-process supervisor: worker crash/hang/
-#      garbage recovery, quarantine, worker-count determinism), then the
-#      micro_run smoke: the report and manifest.run (every stage artifact's
-#      digest) at workers=1 and workers=4 with an injected crash must be
-#      byte-identical to the single-process run
+#   5. distributed label (multi-process supervisor running one projection
+#      task and one LINE task per channel: worker crash/hang/garbage
+#      recovery, quarantine of a channel's projection task to an edgeless
+#      graph, worker-count determinism), then the micro_run smoke: the
+#      report and manifest.run (every stage artifact's digest) at workers=1
+#      and workers=4 with an injected crash must be byte-identical to the
+#      single-process run
 #   5b. observability label — which now includes the distributed supervisor
 #      suite, so the sidecar-merge parity and live-status tests run in the
 #      multi-worker configuration — then the micro_obs smoke: merged worker
-#      counters must equal the single-process totals and every worker task
-#      must surface a trace lane (timing gates skipped at smoke scale)
+#      counters (projection edges, pivots, pairs and pivot-degree buckets,
+#      LINE samples) must equal the single-process totals and every worker
+#      task must surface a trace lane (timing gates skipped at smoke scale)
 #   5c. scenario label (adversarial suite: zero-day activation, evasion
 #      mimicry, IoT profiles, scenario-tag round-trips), then the
 #      micro_adversarial smoke: the per-scenario detection gates (clean-AUC

@@ -4,9 +4,9 @@
 # report and CLI output byte-identical must pass it against its parent.
 #
 #   run       --samples 300000 on seeds 11, 12, 13; at CLI defaults;
-#             --projection-mode sketched; --workers 1; --workers 4
-#             --shards 3; --zero-day 2 --evasion 2 --iot-fraction 0.15;
-#             under DNSEMBED_FORCE_SCALAR=1. Every workdir file is compared
+#             --projection-mode sketched; --workers 1; --workers 4;
+#             --zero-day 2 --evasion 2 --iot-fraction 0.15; under
+#             DNSEMBED_FORCE_SCALAR=1. Every workdir file is compared
 #             (report.md, manifest.run, the *_sim.csr graphs, the .emb
 #             embeddings, the .bg graphs, kept.domains, labeled.set,
 #             truth.gt, trace.stats), except the supervisor's sv/ scratch.
@@ -100,7 +100,7 @@ runs=(
   "defaults run --workdir w"
   "sketched run --workdir w --samples 300000 --projection-mode sketched"
   "workers1 run --workdir w --samples 300000 --workers 1"
-  "workers4 run --workdir w --samples 300000 --workers 4 --shards 3"
+  "workers4 run --workdir w --samples 300000 --workers 4"
   "adversarial run --workdir w --samples 300000 --zero-day 2 --evasion 2 --iot-fraction 0.15"
   "scalar DNSEMBED_FORCE_SCALAR=1 run --workdir w --samples 300000"
 )

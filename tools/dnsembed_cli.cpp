@@ -118,7 +118,7 @@ commands:
             [--samples N] [--kfold N] [--svm-c X] [--svm-gamma X]
             [--projection-mode exact|sketched] [--sketch-signature N]
             [--sketch-bands N] [--sketch-bits N] [--sketch-top-k N]
-            [--workers N] [--max-retries N] [--shards N]
+            [--workers N] [--max-retries N]
             [--heartbeat-interval SECONDS] [--heartbeat-timeout SECONDS]
             [--status-out FILE]
             [--fault-crash R] [--fault-hang R] [--fault-garbage R]
@@ -130,14 +130,16 @@ commands:
              DIR/report.md. exit 4 = a stage exceeded --stage-deadline.
              --line-threads is accepted and ignored: LINE trains on one
              thread.
-             --workers N >= 1 forks supervised worker processes: projection
-             pair-shards and per-channel LINE training run in children that
-             exchange results only through checksummed artifacts, with
-             heartbeat watchdog, bounded retry/backoff, and shard
-             quarantine after --max-retries; the report stays byte-identical
-             to --workers 0 at any worker count. exit 5 = one or more shards
-             quarantined (report written but partial). --fault-* inject
-             seeded worker crash/hang/garbage faults for testing.
+             --workers N >= 1 forks supervised worker processes: each
+             channel's projection and each channel's LINE training run in
+             a child that exchanges results only through checksummed
+             artifacts, with heartbeat watchdog, bounded retry/backoff, and
+             quarantine of a projection task after --max-retries; the
+             report stays byte-identical to --workers 0 at any worker
+             count. exit 5 = one or more tasks quarantined (report written
+             but partial: a quarantined channel's graph is edgeless).
+             --fault-* inject seeded worker crash/hang/garbage faults for
+             testing.
              --status-out FILE atomically rewrites a live JSON status file
              with per-task state/attempt/heartbeat age/rusage while the
              supervisor runs; workers also write telemetry sidecars the
@@ -922,7 +924,6 @@ int cmd_faultsim(const util::ArgParser& args) {
       core::RunOptions run_options;
       run_options.workdir = *out_path + ".supervised";
       run_options.supervise.workers = 2;
-      run_options.supervise.projection_shards = 2;
       run_options.supervise.max_retries = 2;
       run_options.supervise.heartbeat_interval_seconds = 0.05;
       run_options.supervise.heartbeat_timeout_seconds = 0.6;
@@ -1240,8 +1241,6 @@ int cmd_run(const util::ArgParser& args) {
   options.supervise.workers = static_cast<std::size_t>(args.get_int_or("--workers", 0));
   options.supervise.max_retries =
       static_cast<std::size_t>(args.get_int_or("--max-retries", 2));
-  options.supervise.projection_shards =
-      static_cast<std::size_t>(args.get_int_or("--shards", 4));
   options.supervise.heartbeat_interval_seconds =
       args.get_double_or("--heartbeat-interval", 0.25);
   options.supervise.heartbeat_timeout_seconds =
@@ -1286,17 +1285,16 @@ int cmd_run(const util::ArgParser& args) {
     }
     if (options.supervise.workers > 0) {
       const auto& sv = summary.supervision;
-      std::printf("supervisor: %zu tasks run, %zu reused, %zu restarts "
+      std::printf("supervisor: %zu tasks run, %zu restarts "
                   "(%zu crashes, %zu hangs killed, %zu corrupt outputs)\n",
-                  sv.tasks_run, sv.tasks_reused, sv.restarts, sv.crashes, sv.hangs_killed,
-                  sv.corrupt_outputs);
+                  sv.tasks_run, sv.restarts, sv.crashes, sv.hangs_killed, sv.corrupt_outputs);
       core::write_worker_resources(std::cout, sv);
     }
     std::printf("report written to %s (%zu/%zu stages resumed, %.1fs)\n",
                 summary.report_path.c_str(), summary.resumed_stages, summary.stages.size(),
                 watch.seconds());
     if (!summary.quarantined.empty()) {
-      std::fprintf(stderr, "dnsembed: %zu shard task(s) quarantined; report is partial:\n",
+      std::fprintf(stderr, "dnsembed: %zu task(s) quarantined; report is partial:\n",
                    summary.quarantined.size());
       for (const auto& task : summary.quarantined) {
         std::fprintf(stderr, "dnsembed:   %s\n", task.c_str());
