@@ -42,8 +42,6 @@ graph::ProjectionOptions channel_projection(const PipelineConfig& config,
                                             const Channel& channel) {
   graph::ProjectionOptions projection = config.behavior.*channel.projection;
   projection.threads = 0;
-  projection.mode = config.projection_mode;
-  projection.sketch = config.sketch;
   return projection;
 }
 

@@ -22,17 +22,6 @@ struct PipelineConfig {
   trace::TraceConfig trace;
   BehaviorModelConfig behavior;
 
-  /// Projection backend for the three one-mode projections, applied to all
-  /// three ProjectionOptions in `behavior` by channel_projection.
-  /// kSketched swaps exact pair counting for minhash/LSH candidate
-  /// generation with exact verification — the million-domain route. It
-  /// changes the output (a high-recall subgraph), so it participates in
-  /// the resumable-run config hash.
-  graph::ProjectionMode projection_mode = graph::ProjectionMode::kExact;
-
-  /// Minhash/LSH parameters used when projection_mode == kSketched.
-  graph::SketchOptions sketch;
-
   /// Embedding size k per similarity graph; the combined vector is 3k
   /// (paper §6.1).
   std::size_t embedding_dimension = 32;
@@ -66,8 +55,7 @@ struct PipelineConfig {
   }
 };
 
-/// `channel`'s projection options with the run-wide projection knobs
-/// (projection_mode, sketch) applied, counting on one thread per CPU of the
+/// `channel`'s projection options, counting on one thread per CPU of the
 /// affinity mask (the output is the same at every thread count).
 graph::ProjectionOptions channel_projection(const PipelineConfig& config, const Channel& channel);
 

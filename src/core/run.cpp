@@ -632,12 +632,8 @@ std::string hash_pipeline_config(const PipelineConfig& config) {
   out << " proj=" << config.behavior.query_projection.min_similarity << ','
       << config.behavior.ip_projection.min_similarity << ','
       << config.behavior.temporal_projection.min_similarity;
-  // The backend and sketch parameters change which edges the similarity
-  // graphs contain, so a mode/parameter switch must invalidate resumed
-  // stages.
-  out << " projmode=" << static_cast<int>(config.projection_mode) << ','
-      << config.sketch.signature_size << ',' << config.sketch.bands << ','
-      << config.sketch.bits << ',' << config.sketch.top_k << ',' << config.sketch.seed;
+  // Frozen at the exact-mode text of the removed sketch knobs: old workdirs keep their hash.
+  out << " projmode=0,64,32,8,0,1592614637";
   out << " embed=" << static_cast<int>(config.embedding.method) << ','
       << config.embedding_dimension << ',' << config.embedding.line.total_samples << ','
       << config.seed;

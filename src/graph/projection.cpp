@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "graph/sketch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/thread_pool.hpp"
@@ -147,12 +146,7 @@ ProjectedEdges project_exact(const BipartiteGraph& g, const ProjectionOptions& o
 }  // namespace
 
 util::CsrGraph project_right(const BipartiteGraph& g, const ProjectionOptions& options) {
-  ProjectedEdges edges;
-  if (options.mode == ProjectionMode::kSketched) {
-    edges = project_sketched(g, options);
-  } else {
-    edges = project_exact(g, options);
-  }
+  ProjectedEdges edges = project_exact(g, options);
   return util::CsrGraph::build(g.right_count(), std::move(edges.u), std::move(edges.v),
                                std::move(edges.w), g.right_names().names());
 }

@@ -21,9 +21,9 @@
 // no sort pass. Workers take contiguous row ranges cut at equal pair work,
 // each with its own accumulator, and their outputs are concatenated in
 // range order: intersection counts are exact integers, so the output is
-// identical for every thread count. Both backends hand their sorted edge
-// arrays to util::CsrGraph::build: the similarity graph is the CSR arena,
-// in memory and on disk.
+// identical for every thread count. The sorted edge arrays go straight to
+// util::CsrGraph::build: the similarity graph is the CSR arena, in memory
+// and on disk.
 #pragma once
 
 #include <algorithm>
@@ -47,8 +47,8 @@ enum class SimilarityMeasure {
 };
 
 /// Similarity from an exact intersection count and the two set sizes.
-/// Shared by the exact engine and the sketched backend's verification pass,
-/// so both emit bit-identical weights for the same pair.
+/// Shared by the row-wise engine and the map-based reference, so both emit
+/// bit-identical weights for the same pair.
 inline double set_similarity(SimilarityMeasure measure, std::size_t inter, std::size_t deg_u,
                              std::size_t deg_v) noexcept {
   switch (measure) {
@@ -62,50 +62,6 @@ inline double set_similarity(SimilarityMeasure measure, std::size_t inter, std::
   }
   return 0.0;
 }
-
-/// Projection backend.
-enum class ProjectionMode {
-  /// Inverted-index pair counting — every co-occurring pair is counted, so
-  /// every similarity is exact. O(sum over pivots of deg²).
-  kExact,
-  /// Minhash signatures + b-bit LSH banding generate candidate pairs, then
-  /// only candidates are verified with exact intersections (graph/sketch):
-  /// sublinear in the pair count, the million-domain route. Emitted weights
-  /// are exact; pairs the sketch misses (probability falls with signature
-  /// size) are absent, so the result is a high-recall subgraph.
-  kSketched,
-};
-
-/// Minhash/LSH parameters for ProjectionMode::kSketched.
-struct SketchOptions {
-  /// Minhash functions per vertex (the signature length k). Recall of a
-  /// pair with Jaccard J under banding is 1 - (1 - J^rows)^bands with
-  /// rows = signature_size / bands.
-  /// The default (64, 32) gives rows = 2 per band: candidate recall is
-  /// effectively total above J ~ 0.3 at 64 bytes/vertex. Raise
-  /// signature_size at fixed bands (rows = 4+) for high-precision floors
-  /// where sub-0.5 similarities should not even become candidates.
-  std::size_t signature_size = 64;
-
-  /// LSH bands. Two vertices become a candidate pair when any band of
-  /// their compressed signatures collides. Must be <= signature_size;
-  /// signature entries beyond bands * (signature_size / bands) are unused.
-  std::size_t bands = 32;
-
-  /// b-bit minwise compression: low bits kept per signature entry before
-  /// banding (1..8). Smaller b shrinks the stored sketch and adds only
-  /// random single-band collisions, which verification filters out.
-  std::size_t bits = 8;
-
-  /// Keep at most this many strongest neighbors per vertex after
-  /// verification (0 = keep all). An edge survives when it ranks in the
-  /// top-k of EITHER endpoint (kNN-graph union rule).
-  std::size_t top_k = 0;
-
-  /// Seed of the counter-based hash family; same seed -> bit-identical
-  /// signatures, candidates, and output at every thread count.
-  std::uint64_t seed = 0x5eed5eedULL;
-};
 
 struct ProjectionOptions {
   SimilarityMeasure measure = SimilarityMeasure::kJaccard;
@@ -125,17 +81,10 @@ struct ProjectionOptions {
   /// The result is deterministic — the same CsrGraph (same edges, same
   /// order) for every value.
   std::size_t threads = 1;
-
-  /// Backend: exact pair counting or sketched candidate generation. Fields
-  /// below are appended so existing designated initializers keep working.
-  ProjectionMode mode = ProjectionMode::kExact;
-
-  /// Parameters of the sketched backend (ignored when mode == kExact).
-  SketchOptions sketch;
 };
 
 /// A projection's edges as (u, v)-sorted struct-of-arrays, the form
-/// util::CsrGraph::build takes. Both backends emit it.
+/// util::CsrGraph::build takes.
 struct ProjectedEdges {
   std::vector<std::uint32_t> u;
   std::vector<std::uint32_t> v;

@@ -68,12 +68,6 @@ void fused_step_scalar(float coeff, const float* src, float* tgt, float* grad,
   }
 }
 
-void min_u32_scalar(const std::uint32_t* h, std::uint32_t* sig, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (h[i] < sig[i]) sig[i] = h[i];
-  }
-}
-
 #ifdef DNSEMBED_SIMD_X86
 
 // --------------------------------------------------------------- sse2
@@ -215,25 +209,6 @@ __attribute__((target("sse2"))) void fused_step_sse2(float coeff, const float* s
   for (; i < n; ++i) {
     grad[i] += coeff * tgt[i];
     tgt[i] += coeff * src[i];
-  }
-}
-
-__attribute__((target("sse2"))) void min_u32_sse2(const std::uint32_t* h, std::uint32_t* sig,
-                                                  std::size_t n) noexcept {
-  // SSE2 has no unsigned 32-bit min; bias both operands by 2^31 and use the
-  // signed greater-than compare to build a select mask.
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + i));
-    const __m128i vs = _mm_loadu_si128(reinterpret_cast<const __m128i*>(sig + i));
-    const __m128i gt = _mm_cmpgt_epi32(_mm_xor_si128(vs, bias), _mm_xor_si128(vh, bias));
-    // sig > h ? h : sig
-    const __m128i out = _mm_or_si128(_mm_and_si128(gt, vh), _mm_andnot_si128(gt, vs));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(sig + i), out);
-  }
-  for (; i < n; ++i) {
-    if (h[i] < sig[i]) sig[i] = h[i];
   }
 }
 
@@ -402,19 +377,6 @@ __attribute__((target("avx2"))) void fused_step_avx2(float coeff, const float* s
   }
 }
 
-__attribute__((target("avx2"))) void min_u32_avx2(const std::uint32_t* h, std::uint32_t* sig,
-                                                  std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vh = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + i));
-    const __m256i vs = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sig + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sig + i), _mm256_min_epu32(vh, vs));
-  }
-  for (; i < n; ++i) {
-    if (h[i] < sig[i]) sig[i] = h[i];
-  }
-}
-
 #endif  // DNSEMBED_SIMD_X86
 
 }  // namespace detail
@@ -431,7 +393,6 @@ struct Kernels {
   void (*axpy_f32)(float, const float*, float*, std::size_t) noexcept;
   void (*scale_f32)(float, const float*, float*, std::size_t) noexcept;
   void (*fused_step)(float, const float*, float*, float*, std::size_t) noexcept;
-  void (*min_u32)(const std::uint32_t*, std::uint32_t*, std::size_t) noexcept;
 };
 
 constexpr Kernels kScalarKernels{
@@ -439,7 +400,6 @@ constexpr Kernels kScalarKernels{
     detail::squared_l2_f32_scalar,    detail::squared_l2_f64_scalar,
     detail::squared_l2_rows_f64_scalar, detail::axpy_f32_scalar,
     detail::scale_f32_scalar,         detail::fused_step_scalar,
-    detail::min_u32_scalar,
 };
 
 #ifdef DNSEMBED_SIMD_X86
@@ -448,7 +408,6 @@ constexpr Kernels kSse2Kernels{
     detail::squared_l2_f32_sse2,    detail::squared_l2_f64_sse2,
     detail::squared_l2_rows_f64_sse2, detail::axpy_f32_sse2,
     detail::scale_f32_sse2,         detail::fused_step_sse2,
-    detail::min_u32_sse2,
 };
 
 constexpr Kernels kAvx2Kernels{
@@ -456,7 +415,6 @@ constexpr Kernels kAvx2Kernels{
     detail::squared_l2_f32_avx2,    detail::squared_l2_f64_avx2,
     detail::squared_l2_rows_f64_avx2, detail::axpy_f32_avx2,
     detail::scale_f32_avx2,         detail::fused_step_avx2,
-    detail::min_u32_avx2,
 };
 #endif
 
@@ -574,10 +532,6 @@ void scale(float alpha, const float* x, float* out, std::size_t n) noexcept {
 void fused_sigmoid_step(float coeff, const float* src, float* tgt, float* grad,
                         std::size_t n) noexcept {
   resolve().fused_step(coeff, src, tgt, grad, n);
-}
-
-void min_u32(const std::uint32_t* h, std::uint32_t* sig, std::size_t n) noexcept {
-  resolve().min_u32(h, sig, n);
 }
 
 }  // namespace dnsembed::util::simd

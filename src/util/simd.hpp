@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 namespace dnsembed::util::simd {
@@ -87,11 +86,6 @@ void scale(float alpha, const float* x, float* out, std::size_t n) noexcept;
 void fused_sigmoid_step(float coeff, const float* src, float* tgt, float* grad,
                         std::size_t n) noexcept;
 
-/// sig[i] = min(sig[i], h[i]) over unsigned 32-bit lanes — the minhash
-/// signature fold (graph/sketch.cpp runs it once per bipartite incidence).
-/// Integer min is exact, so every rung is bit-identical.
-void min_u32(const std::uint32_t* h, std::uint32_t* sig, std::size_t n) noexcept;
-
 inline double dot(std::span<const double> a, std::span<const double> b) noexcept {
   return dot(a.data(), b.data(), a.size());
 }
@@ -116,7 +110,6 @@ void axpy_f32_scalar(float alpha, const float* x, float* y, std::size_t n) noexc
 void scale_f32_scalar(float alpha, const float* x, float* out, std::size_t n) noexcept;
 void fused_step_scalar(float coeff, const float* src, float* tgt, float* grad,
                        std::size_t n) noexcept;
-void min_u32_scalar(const std::uint32_t* h, std::uint32_t* sig, std::size_t n) noexcept;
 
 #if defined(__x86_64__) || defined(__i386__)
 float dot_f32_sse2(const float* a, const float* b, std::size_t n) noexcept;
@@ -129,7 +122,6 @@ void axpy_f32_sse2(float alpha, const float* x, float* y, std::size_t n) noexcep
 void scale_f32_sse2(float alpha, const float* x, float* out, std::size_t n) noexcept;
 void fused_step_sse2(float coeff, const float* src, float* tgt, float* grad,
                      std::size_t n) noexcept;
-void min_u32_sse2(const std::uint32_t* h, std::uint32_t* sig, std::size_t n) noexcept;
 
 float dot_f32_avx2(const float* a, const float* b, std::size_t n) noexcept;
 double dot_f64_avx2(const double* a, const double* b, std::size_t n) noexcept;
@@ -141,7 +133,6 @@ void axpy_f32_avx2(float alpha, const float* x, float* y, std::size_t n) noexcep
 void scale_f32_avx2(float alpha, const float* x, float* out, std::size_t n) noexcept;
 void fused_step_avx2(float coeff, const float* src, float* tgt, float* grad,
                      std::size_t n) noexcept;
-void min_u32_avx2(const std::uint32_t* h, std::uint32_t* sig, std::size_t n) noexcept;
 #endif
 
 }  // namespace detail

@@ -1,7 +1,6 @@
 // Fixed-size thread pool with a parallel_for helper, used by the one-mode
-// projection engines (graph/projection.cpp, graph/sketch.cpp) and
-// the SVM kernel-fill / batch-scoring paths (ml/svm.cpp) to spread work
-// across cores.
+// projection engine (graph/projection.cpp) and the SVM kernel-fill /
+// batch-scoring paths (ml/svm.cpp) to spread work across cores.
 //
 // Determinism contract: parallel_for splits [begin, end) into at most
 // size() contiguous chunks and calls fn(chunk_begin, chunk_end, chunk_index).

@@ -1,133 +1,21 @@
-// Tests for util::FlatCounter invariants (growth, collisions, saturation,
-// merge; graph/sketch counts with it) and for the row-wise projection
-// engine: determinism of the threaded projection and of the CSR it builds
-// against the single-threaded map-based reference, and rows emitted by both
-// the dense scan and the sparse sort.
+// Tests for the row-wise projection engine: determinism of the threaded
+// projection and of the CSR it builds against the single-threaded map-based
+// reference, its option filters (similarity floor, hub cap), and rows
+// emitted by both the dense scan and the sparse sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/bipartite.hpp"
 #include "graph/projection.hpp"
 #include "graph_compare.hpp"
-#include "util/flat_counter.hpp"
 #include "util/rng.hpp"
 
 namespace dnsembed {
 namespace {
-
-// ---------------------------------------------------------------------
-// FlatCounter
-
-TEST(FlatCounter, StartsEmpty) {
-  util::FlatCounter c;
-  EXPECT_TRUE(c.empty());
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.capacity(), 0u);
-  EXPECT_EQ(c.count(42), 0u);
-}
-
-TEST(FlatCounter, IncrementAndCount) {
-  util::FlatCounter c;
-  c.increment(7);
-  c.increment(7);
-  c.increment(9, 5);
-  EXPECT_EQ(c.count(7), 2u);
-  EXPECT_EQ(c.count(9), 5u);
-  EXPECT_EQ(c.count(8), 0u);
-  EXPECT_EQ(c.size(), 2u);
-}
-
-TEST(FlatCounter, KeyZeroIsAValidKey) {
-  util::FlatCounter c;
-  c.increment(0);
-  c.increment(0);
-  EXPECT_EQ(c.count(0), 2u);
-  EXPECT_EQ(c.size(), 1u);
-}
-
-TEST(FlatCounter, GrowthPreservesAllCounts) {
-  util::FlatCounter c;
-  // Far past several doublings; keys chosen with colliding low bits to
-  // exercise linear-probe runs (low 8 bits identical for every 256th key).
-  constexpr std::uint64_t kKeys = 20'000;
-  for (std::uint64_t k = 0; k < kKeys; ++k) c.increment(k << 8, static_cast<std::uint32_t>(k % 7 + 1));
-  EXPECT_EQ(c.size(), kKeys);
-  EXPECT_GE(c.capacity(), kKeys);
-  // Power-of-two capacity.
-  EXPECT_EQ(c.capacity() & (c.capacity() - 1), 0u);
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
-    ASSERT_EQ(c.count(k << 8), k % 7 + 1) << "key " << (k << 8);
-  }
-}
-
-TEST(FlatCounter, MatchesUnorderedMapOnRandomWorkload) {
-  util::Rng rng{99};
-  util::FlatCounter c;
-  std::unordered_map<std::uint64_t, std::uint32_t> reference;
-  for (int i = 0; i < 50'000; ++i) {
-    const std::uint64_t key = rng.uniform_index(5'000);  // heavy collisions
-    c.increment(key);
-    ++reference[key];
-  }
-  EXPECT_EQ(c.size(), reference.size());
-  for (const auto& [key, count] : reference) ASSERT_EQ(c.count(key), count);
-  // for_each visits exactly the reference entries.
-  std::size_t visited = 0;
-  c.for_each([&](std::uint64_t key, std::uint32_t count) {
-    ++visited;
-    ASSERT_EQ(reference.at(key), count);
-  });
-  EXPECT_EQ(visited, reference.size());
-}
-
-TEST(FlatCounter, CountSaturatesInsteadOfWrapping) {
-  util::FlatCounter c;
-  c.increment(1, util::FlatCounter::kMaxCount - 1);
-  c.increment(1, 5);
-  EXPECT_EQ(c.count(1), util::FlatCounter::kMaxCount);
-  c.increment(1);
-  EXPECT_EQ(c.count(1), util::FlatCounter::kMaxCount);
-}
-
-TEST(FlatCounter, MergeFromAddsAndSaturates) {
-  util::FlatCounter a;
-  util::FlatCounter b;
-  a.increment(1, 10);
-  a.increment(2, util::FlatCounter::kMaxCount);
-  b.increment(1, 3);
-  b.increment(2, 7);
-  b.increment(3, 1);
-  a.merge_from(b);
-  EXPECT_EQ(a.count(1), 13u);
-  EXPECT_EQ(a.count(2), util::FlatCounter::kMaxCount);
-  EXPECT_EQ(a.count(3), 1u);
-  EXPECT_EQ(a.size(), 3u);
-  // b is untouched.
-  EXPECT_EQ(b.count(1), 3u);
-}
-
-TEST(FlatCounter, ClearResets) {
-  util::FlatCounter c;
-  c.increment(5, 2);
-  c.clear();
-  EXPECT_TRUE(c.empty());
-  EXPECT_EQ(c.count(5), 0u);
-  c.increment(5);
-  EXPECT_EQ(c.count(5), 1u);
-}
-
-TEST(FlatCounter, ReserveAvoidsRehash) {
-  util::FlatCounter c{1'000};
-  const std::size_t cap = c.capacity();
-  EXPECT_GE(cap, 1'000u);
-  for (std::uint64_t k = 0; k < 1'000; ++k) c.increment(k * 0x9e3779b9ull);
-  EXPECT_EQ(c.capacity(), cap);
-}
 
 // ---------------------------------------------------------------------
 // Threaded projection determinism vs. the map-based reference.
@@ -162,9 +50,9 @@ void expect_matches_reference(const graph::BipartiteGraph& g,
   }
 }
 
-class ShardedProjectionProperty : public ::testing::TestWithParam<std::uint64_t> {};
+class RowWiseProjectionProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ShardedProjectionProperty, IdenticalAcrossThreadCounts) {
+TEST_P(RowWiseProjectionProperty, IdenticalAcrossThreadCounts) {
   util::Rng rng{GetParam()};
   const std::size_t hosts = 10 + rng.uniform_index(60);
   const std::size_t domains = 10 + rng.uniform_index(120);
@@ -173,10 +61,10 @@ TEST_P(ShardedProjectionProperty, IdenticalAcrossThreadCounts) {
   expect_matches_reference(g, {});
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedProjectionProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, RowWiseProjectionProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-TEST(ShardedProjection, OptionsStillFilterAtEveryThreadCount) {
+TEST(RowWiseProjection, OptionsStillFilterAtEveryThreadCount) {
   const auto g = random_bipartite(40, 80, 1'500, 11);
 
   graph::ProjectionOptions min_sim;
@@ -198,7 +86,7 @@ TEST(ShardedProjection, OptionsStillFilterAtEveryThreadCount) {
   expect_matches_reference(g, overlap);
 }
 
-TEST(ShardedProjection, MinSimilarityActuallyDropsEdges) {
+TEST(RowWiseProjection, MinSimilarityActuallyDropsEdges) {
   const auto g = random_bipartite(40, 80, 1'500, 13);
   graph::ProjectionOptions strict;
   strict.min_similarity = 0.5;
@@ -209,7 +97,7 @@ TEST(ShardedProjection, MinSimilarityActuallyDropsEdges) {
   for (const double w : filtered.edge_w()) EXPECT_GE(w, 0.5);
 }
 
-TEST(ShardedProjection, MaxPivotDegreeActuallySkipsHubs) {
+TEST(RowWiseProjection, MaxPivotDegreeActuallySkipsHubs) {
   graph::BipartiteGraph g;
   for (int d = 0; d < 20; ++d) g.add_edge("hub", "d" + std::to_string(d));
   g.add_edge("h1", "d0");
@@ -227,7 +115,7 @@ TEST(ShardedProjection, MaxPivotDegreeActuallySkipsHubs) {
   }
 }
 
-TEST(ShardedProjection, DenseAndSparseRowsMatchReference) {
+TEST(RowWiseProjection, DenseAndSparseRowsMatchReference) {
   // Domains d0..d39 share ten hosts (dense rows: most later domains are
   // touched); d40..d199 get a few random hosts each (sparse rows).
   util::Rng rng{23};
@@ -263,7 +151,7 @@ TEST(ShardedProjection, DenseAndSparseRowsMatchReference) {
   expect_matches_reference(g, strict);
 }
 
-TEST(ShardedProjection, EmptyAndTinyGraphs) {
+TEST(RowWiseProjection, EmptyAndTinyGraphs) {
   graph::BipartiteGraph empty;
   empty.finalize();
   graph::ProjectionOptions eight;

@@ -182,6 +182,14 @@ TEST_F(RunResumeTest, ConfigHashCoversShapeKnobs) {
   EXPECT_EQ(hash_pipeline_config(options.config), base);
 }
 
+TEST_F(RunResumeTest, ConfigHashDerivationIsPinned) {
+  // manifest.run stores this hash to detect a stale workdir, so a config
+  // must keep hashing to the same value from build to build, or every
+  // workdir written earlier would recompute on --resume.
+  EXPECT_EQ(hash_pipeline_config(PipelineConfig{}), "fa358a6d4a4fea79");
+  EXPECT_EQ(hash_pipeline_config(small_options(dir_).config), "3f5a8ef79b64f7ae");
+}
+
 TEST_F(RunResumeTest, DeadlineThrowsThenResumeCompletes) {
   auto options = small_options(dir_);
   options.stage_deadline_seconds = 1e-6;

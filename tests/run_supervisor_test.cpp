@@ -1,9 +1,9 @@
 // Supervised (multi-process) runner: at any worker count the report and
 // every stage artifact (the digests in manifest.run) must be byte-identical
-// to the inline run, exact and sketched; injected worker crashes, hangs,
-// and garbage outputs must be detected, retried, and still converge on the
-// same bytes; a channel's projection task that exhausts its retry budget
-// must be quarantined (edgeless graph, degraded report + manifest row) and
+// to the inline run; injected worker crashes, hangs, and garbage outputs
+// must be detected, retried, and still converge on the same bytes; a
+// channel's projection task that exhausts its retry budget must be
+// quarantined (edgeless graph, degraded report + manifest row) and
 // the quarantine must survive --resume; a mid-stage deadline hit must leave
 // the workdir resumable to an identical report; a worker must exit as soon
 // as its body returns, not a heartbeat interval later.
@@ -114,21 +114,6 @@ TEST_F(RunSupervisorTest, SupervisedReportMatchesSingleProcess) {
   EXPECT_EQ(util::fsio::read_file(second.report_path), reference);
 }
 
-TEST_F(RunSupervisorTest, SketchedSupervisedRunMatchesSingleProcess) {
-  auto reference_options = small_options(dir_ + "_ref");
-  reference_options.config.projection_mode = graph::ProjectionMode::kSketched;
-  const auto reference = run_resumable(reference_options);
-
-  auto options = supervised_options(dir_);
-  options.config.projection_mode = graph::ProjectionMode::kSketched;
-  const auto summary = run_resumable(options);
-  EXPECT_EQ(util::fsio::read_file(summary.report_path),
-            util::fsio::read_file(reference.report_path));
-  EXPECT_EQ(util::fsio::read_file(dir_ + "/manifest.run"), reference_manifest());
-  EXPECT_EQ(summary.supervision.tasks_run, kTaskCount);
-  EXPECT_TRUE(summary.quarantined.empty());
-}
-
 TEST_F(RunSupervisorTest, WorkerExitsWhenItsBodyReturns) {
   // The heartbeat thread must wake when the body returns. If it slept out
   // its interval instead, every task would hold the run for up to one
@@ -201,7 +186,7 @@ TEST_F(RunSupervisorTest, HungWorkersAreKilledAndRetried) {
   EXPECT_EQ(util::fsio::read_file(summary.report_path), reference);
 }
 
-TEST_F(RunSupervisorTest, ExhaustedShardIsQuarantinedAndSurvivesResume) {
+TEST_F(RunSupervisorTest, ExhaustedChannelIsQuarantinedAndSurvivesResume) {
   auto options = supervised_options(dir_);
   // The query channel's projection task crashes on every attempt (no
   // per-task cap); with max_retries = 1 its second failure exhausts the
@@ -236,33 +221,6 @@ TEST_F(RunSupervisorTest, ExhaustedShardIsQuarantinedAndSurvivesResume) {
   // recorded its artifacts in spec order although the edgeless graph was
   // committed last.
   auto resume = supervised_options(dir_);
-  resume.resume = true;
-  const auto second = run_resumable(resume);
-  EXPECT_EQ(second.resumed_stages, second.stages.size());
-  EXPECT_EQ(second.supervision.tasks_run, 0u);
-  EXPECT_EQ(second.quarantined, expected);
-  EXPECT_EQ(util::fsio::read_file(second.report_path), report);
-}
-
-TEST_F(RunSupervisorTest, QuarantinedSingleShardChannelSurvivesResume) {
-  // The same quarantine path under the sketched backend: its channel is
-  // projected in a single task that writes the channel's CSR itself. When
-  // that task is quarantined the parent writes an edgeless graph in its
-  // place, after the other channels committed theirs; the stage must still
-  // record its artifacts in spec order, or --resume would recompute it.
-  auto options = supervised_options(dir_);
-  options.config.projection_mode = graph::ProjectionMode::kSketched;
-  options.supervise.max_retries = 1;
-  options.supervise.process_faults.proc_crash_rate = 1.0;
-  options.supervise.process_faults.proc_target = "behavior.query";
-  const auto summary = run_resumable(options);
-  const std::vector<std::string> expected{"behavior.query"};
-  EXPECT_EQ(summary.quarantined, expected);
-  EXPECT_EQ(graph::load_csr_file(dir_ + "/query_sim.csr").edge_count(), 0u);
-  const auto report = util::fsio::read_file(summary.report_path);
-  EXPECT_NE(report.find("Degraded run"), std::string::npos);
-
-  auto resume = options;
   resume.resume = true;
   const auto second = run_resumable(resume);
   EXPECT_EQ(second.resumed_stages, second.stages.size());

@@ -252,54 +252,6 @@ TEST(SimdParity, SquaredL2RowsMatchPairwiseBitForBit) {
   }
 }
 
-// min_u32 is an unsigned integer min-fold (the minhash signature kernel):
-// every rung must match the scalar reference bit-for-bit, including the
-// values that trip the SSE2 signed-compare bias trick (top bit set, 0,
-// ~0u) and every vector-width remainder length.
-TEST(SimdParity, MinU32FoldBitIdentical) {
-  struct U32Rung {
-    Level level;
-    void (*min_u32)(const std::uint32_t*, std::uint32_t*, std::size_t) noexcept;
-  };
-  std::vector<U32Rung> rungs;
-#if defined(__x86_64__) || defined(__i386__)
-  if (level_supported(Level::kSse2)) rungs.push_back({Level::kSse2, detail::min_u32_sse2});
-  if (level_supported(Level::kAvx2)) rungs.push_back({Level::kAvx2, detail::min_u32_avx2});
-#endif
-
-  util::Rng rng{0x517CB};
-  for (int round = 0; round < 200; ++round) {
-    for (const std::size_t n : kLengths) {
-      std::vector<std::uint32_t> h(n);
-      std::vector<std::uint32_t> sig0(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto draw = [&]() -> std::uint32_t {
-          const double u = rng.uniform();
-          if (u < 0.1) return 0;
-          if (u < 0.2) return ~std::uint32_t{0};
-          // Top-bit-set values exercise the signed-compare bias path.
-          if (u < 0.4) return 0x80000000u | static_cast<std::uint32_t>(rng.uniform_index(1u << 16));
-          return static_cast<std::uint32_t>(rng.uniform_index(~std::uint32_t{0}));
-        };
-        h[i] = draw();
-        sig0[i] = draw();
-      }
-
-      auto sig_ref = sig0;
-      detail::min_u32_scalar(h.data(), sig_ref.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(sig_ref[i], std::min(h[i], sig0[i])) << "scalar reference wrong at " << i;
-      }
-
-      for (const auto& rung : rungs) {
-        auto sig = sig0;
-        rung.min_u32(h.data(), sig.data(), n);
-        EXPECT_TRUE(same_bytes(sig, sig_ref)) << level_name(rung.level) << " min_u32 n=" << n;
-      }
-    }
-  }
-}
-
 TEST(SimdDispatch, ScalarAlwaysSupportedAndForceFallsBackDownTheLadder) {
   EXPECT_TRUE(level_supported(Level::kScalar));
   const Level original = active_level();

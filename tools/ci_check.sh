@@ -5,11 +5,10 @@
 #   2. simd label (kernel parity fuzz + LINE vs its reference trainer) on the native
 #      dispatch rung, then the full tier-1 suite again with
 #      DNSEMBED_FORCE_SCALAR=1 so the scalar fallback stays correct
-#   3. projection label (exact row-wise engine, sketched backend, CSR
-#      arenas) as its own gate, then the micro_graph smoke over both
-#      backends: each must emit a non-trivial similarity graph end to end
-#      at smoke scale, and every sketched edge must be an exact edge with
-#      the same weight bits (no timing gate)
+#   3. projection label (row-wise exact engine, CSR arenas) as its own
+#      gate, then the micro_graph smoke: the projection must emit a
+#      non-trivial similarity graph end to end at smoke scale (no timing
+#      gate)
 #   4. micro_line smoke: dispatch must train finite embeddings on both the
 #      scalar and the widest rung, the dense ~700k-edge row included, so the
 #      packed edge sampler runs on a table larger than L2 (no timing gate at
@@ -74,10 +73,10 @@ ctest --preset default -j "$jobs" -L simd
 step "tier-1 suite again with the scalar rung forced"
 DNSEMBED_FORCE_SCALAR=1 ctest --preset default -j "$jobs"
 
-step "projection label (exact + sketched engines, CSR arenas)"
+step "projection label (row-wise exact engine, CSR arenas)"
 ctest --preset default -j "$jobs" -L projection
 
-step "micro_graph smoke (exact and sketched projections end to end)"
+step "micro_graph smoke (exact projection end to end)"
 DNSEMBED_BENCH_SMOKE=1 DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_graph
 
 step "micro_line smoke (dispatch sanity incl. the dense row, no timing gate)"

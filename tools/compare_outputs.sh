@@ -4,7 +4,7 @@
 # report and CLI output byte-identical must pass it against its parent.
 #
 #   run       --samples 300000 on seeds 11, 12, 13; at CLI defaults;
-#             --projection-mode sketched; --workers 1; --workers 4;
+#             --workers 1; --workers 4;
 #             --zero-day 2 --evasion 2 --iot-fraction 0.15; under
 #             DNSEMBED_FORCE_SCALAR=1. Every workdir file is compared
 #             (report.md, manifest.run, the *_sim.csr graphs, the .emb
@@ -98,7 +98,6 @@ runs=(
   "seed12 run --workdir w --samples 300000 --seed 12"
   "seed13 run --workdir w --samples 300000 --seed 13"
   "defaults run --workdir w"
-  "sketched run --workdir w --samples 300000 --projection-mode sketched"
   "workers1 run --workdir w --samples 300000 --workers 1"
   "workers4 run --workdir w --samples 300000 --workers 4"
   "adversarial run --workdir w --samples 300000 --zero-day 2 --evasion 2 --iot-fraction 0.15"

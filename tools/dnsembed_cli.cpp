@@ -20,13 +20,14 @@
 // reject damage with a "corrupt artifact" error instead of misparsing.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage, 3 cannot open an
-// input file (message carries filename + errno), 4 stage deadline.
+// input file (message carries filename + errno), 4 stage deadline, 5 tasks
+// quarantined (report written but partial).
 //
 // Example session:
 //   dnsembed simulate --out trace.log --labels labels.csv --hosts 300 --days 5
 //   dnsembed embed    --log trace.log --out emb.bin --dim 32
 //   dnsembed detect   --embeddings emb.bin --labels labels.csv --kfold 10
-//   dnsembed run      --workdir run1 --hosts 300 --days 5 && \
+//   dnsembed run      --workdir run1 --hosts 300 --days 5
 //   dnsembed run      --workdir run1 --resume   # no-op: all stages valid
 #include <algorithm>
 #include <cerrno>
@@ -95,12 +96,8 @@ commands:
              flags work on report/run/advsim.)
   convert   --pcap FILE --out FILE
   graphs    --log FILE --out-prefix PATH [--min-similarity X]
-            [--projection-mode exact|sketched] [--sketch-signature N]
-            [--sketch-bands N] [--sketch-bits N] [--sketch-top-k N]
   embed     --log FILE --out FILE [--dim N] [--method line|deepwalk|node2vec]
             [--samples N] [--min-similarity X] [--seed N]
-            [--projection-mode exact|sketched] [--sketch-signature N]
-            [--sketch-bands N] [--sketch-bits N] [--sketch-top-k N]
             (--threads is accepted and ignored: LINE trains on one thread)
   detect    --embeddings FILE --labels FILE [--kfold N] [--svm-c X]
             [--svm-gamma X] [--roc FILE]
@@ -116,8 +113,6 @@ commands:
   run       --workdir DIR [--resume] [--stage-deadline SECONDS] [--hosts N]
             [--days N] [--sites N] [--families N] [--seed N] [--dim N]
             [--samples N] [--kfold N] [--svm-c X] [--svm-gamma X]
-            [--projection-mode exact|sketched] [--sketch-signature N]
-            [--sketch-bands N] [--sketch-bits N] [--sketch-top-k N]
             [--workers N] [--max-retries N]
             [--heartbeat-interval SECONDS] [--heartbeat-timeout SECONDS]
             [--status-out FILE]
@@ -320,46 +315,16 @@ core::GraphBuilderSink read_log_graphs(const std::string& path) {
   return graphs;
 }
 
-/// Parse the projection-backend flags shared by graphs/embed/run. Returns 0
-/// and fills (mode, sketch) on success; a fail() exit code otherwise.
-int projection_from_args(const util::ArgParser& args, const char* command,
-                         graph::ProjectionMode& mode, graph::SketchOptions& sketch) {
-  const std::string text = args.get_or("--projection-mode", "exact");
-  if (text == "exact") {
-    mode = graph::ProjectionMode::kExact;
-  } else if (text == "sketched") {
-    mode = graph::ProjectionMode::kSketched;
-  } else {
-    return fail(std::string{command} + ": unknown --projection-mode " + text);
-  }
-  // Flag defaults are the library defaults so they cannot drift apart.
-  const graph::SketchOptions defaults;
-  sketch.signature_size = static_cast<std::size_t>(
-      args.get_int_or("--sketch-signature", static_cast<int>(defaults.signature_size)));
-  sketch.bands = static_cast<std::size_t>(
-      args.get_int_or("--sketch-bands", static_cast<int>(defaults.bands)));
-  sketch.bits = static_cast<std::size_t>(
-      args.get_int_or("--sketch-bits", static_cast<int>(defaults.bits)));
-  sketch.top_k = static_cast<std::size_t>(
-      args.get_int_or("--sketch-top-k", static_cast<int>(defaults.top_k)));
-  return 0;
-}
-
-/// Apply the shared min-similarity and projection-backend flags to all
-/// three similarity projections.
-int behavior_from_args(const util::ArgParser& args, const char* command,
-                       core::BehaviorModelConfig& behavior) {
-  graph::ProjectionMode mode = graph::ProjectionMode::kExact;
-  graph::SketchOptions sketch;
-  if (const int rc = projection_from_args(args, command, mode, sketch)) return rc;
+/// Apply the shared min-similarity flag to all three similarity
+/// projections.
+core::BehaviorModelConfig behavior_from_args(const util::ArgParser& args) {
+  core::BehaviorModelConfig behavior;
   const double min_sim = args.get_double_or("--min-similarity", 0.1);
   for (auto* proj : {&behavior.query_projection, &behavior.ip_projection,
                      &behavior.temporal_projection}) {
     proj->min_similarity = min_sim;
-    proj->mode = mode;
-    proj->sketch = sketch;
   }
-  return 0;
+  return behavior;
 }
 
 int cmd_graphs(const util::ArgParser& args) {
@@ -369,10 +334,8 @@ int cmd_graphs(const util::ArgParser& args) {
   if (const int rc = check_input(*log_path)) return rc;
 
   auto graphs = read_log_graphs(*log_path);
-  core::BehaviorModelConfig behavior;
-  if (const int rc = behavior_from_args(args, "graphs", behavior)) return rc;
   const auto model = core::build_behavior_model(graphs.take_hdbg(), graphs.take_dibg(),
-                                                graphs.take_dtbg(), behavior);
+                                                graphs.take_dtbg(), behavior_from_args(args));
 
   const auto save_bipartite = [&](const char* name, const graph::BipartiteGraph& g) {
     const std::string path = *prefix + name + ".csv";
@@ -407,10 +370,8 @@ int cmd_embed(const util::ArgParser& args) {
 
   auto graphs = read_log_graphs(*log_path);
 
-  core::BehaviorModelConfig behavior;
-  if (const int rc = behavior_from_args(args, "embed", behavior)) return rc;
   auto model = core::build_behavior_model(graphs.take_hdbg(), graphs.take_dibg(),
-                                          graphs.take_dtbg(), behavior);
+                                          graphs.take_dtbg(), behavior_from_args(args));
   std::printf("behavior model: %zu domains, %zu/%zu/%zu similarity edges\n",
               model.kept_domains.size(), model.query_similarity.edge_count(),
               model.ip_similarity.edge_count(), model.temporal_similarity.edge_count());
@@ -1267,10 +1228,6 @@ int cmd_run(const util::ArgParser& args) {
   config.embedding_dimension = static_cast<std::size_t>(args.get_int_or("--dim", 24));
   config.embedding.line.total_samples =
       static_cast<std::size_t>(args.get_int_or("--samples", 2'000'000));
-  if (const int rc =
-          projection_from_args(args, "run", config.projection_mode, config.sketch)) {
-    return rc;
-  }
   config.svm = svm_from_args(args);
   config.kfold = static_cast<std::size_t>(args.get_int_or("--kfold", 5));
   config.xmeans.k_min = 8;
