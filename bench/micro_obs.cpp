@@ -20,16 +20,14 @@
 //     Always enforced, even in smoke mode.
 //  3. Cost: the sidecar work telemetry adds to a supervised run, timed
 //     directly rather than read off two noisy run walls. Each task costs
-//     one final sidecar write (spans included) in the worker and one load +
-//     merge in the supervisor; each heartbeat interval of its wall time
-//     costs one more write (metrics only, counted at the final write's
-//     cost). Right after each run, both operations are timed on the
-//     sidecar each task wrote, with this process's telemetry put back into
-//     the worker's state first, so a run and its sidecar cost share the
-//     disk's and the vCPU's current speed. The sum, counted as if none of
-//     it overlapped other work (an upper bound: two workers run side by
-//     side), over the rest of that run's wall is the round's overhead; the
-//     gate reads the median over the rounds.
+//     one sidecar write in the worker, after its body returns, and one
+//     load + merge in the supervisor. Right after each run, both operations
+//     are timed on the sidecar each task wrote, with this process's
+//     telemetry put back into the worker's state first, so a run and its
+//     sidecar cost share the disk's and the vCPU's current speed. The sum,
+//     counted as if none of it overlapped other work (an upper bound: two
+//     workers run side by side), over the rest of that run's wall is the
+//     round's overhead; the gate reads the median over the rounds.
 // Timing gates are skipped under DNSEMBED_BENCH_SMOKE=1, which runs one
 // round of each.
 //
@@ -161,14 +159,14 @@ struct PipelineCounters {
 /// One task's sidecar operations, timed in this process on the sidecar
 /// that task wrote: the fastest of a few repetitions of each.
 struct SidecarOps {
-  double write_ms = 0.0;  // the worker's final flush, spans included
+  double write_ms = 0.0;  // the worker's sidecar write
   double merge_ms = 0.0;  // the supervisor's load + merge + lane import
 };
 
 /// Before every write this process's registry and span buffer are put
 /// back into the state the worker held (untimed): the sidecar's counters,
 /// histograms, records and spans. Each write goes to a new file
-/// (`out_prefix` + repetition), as a worker's final flush does.
+/// (`out_prefix` + repetition), as a worker's write does.
 SidecarOps time_task_sidecar(const std::string& sidecar_path, const std::string& out_prefix,
                              int repetitions) {
   const auto sidecar = obs::load_telemetry_sidecar(sidecar_path);
@@ -189,7 +187,7 @@ SidecarOps time_task_sidecar(const std::string& sidecar_path, const std::string&
     const std::string path = out_prefix + std::to_string(k);
     worker_state();
     util::Stopwatch write;
-    obs::write_telemetry_sidecar(path, /*include_spans=*/true);
+    obs::write_telemetry_sidecar(path);
     write_ms.push_back(write.millis());
     util::Stopwatch merge;
     auto merged = obs::load_telemetry_sidecar(path);
@@ -212,8 +210,7 @@ struct SupervisedTelemetry {
   bench::Timing wall;        // the supervised run
   bench::Timing write;       // final writes, summed
   bench::Timing merge;       // merges, summed
-  bench::Timing sidecar;     // writes, flushes and merges, summed
-  std::size_t flushes = 0;   // periodic flushes, over every round
+  bench::Timing sidecar;     // writes and merges, summed
   double overhead = 0.0;     // median over rounds of sidecar / other wall
   bool counters_match = false;
 };
@@ -241,9 +238,7 @@ SupervisedTelemetry measure_supervised_telemetry(int rounds, int repetitions) {
   // Supervised runs with telemetry on; the first supplies the merged
   // counters and trace lanes. Right after each run its own sidecars are
   // timed, so the run's wall and its sidecar cost share the disk's and the
-  // vCPU's current speed: each task costs one write and one merge, plus one
-  // more write per heartbeat interval of its wall.
-  const double interval = mini_run_options("").supervise.heartbeat_interval_seconds;
+  // vCPU's current speed: each task costs one write and one merge.
   std::vector<double> walls, writes, merges, sidecars, ratios;
   for (int r = 0; r < rounds; ++r) {
     telemetry(true);
@@ -260,11 +255,9 @@ SupervisedTelemetry measure_supervised_telemetry(int rounds, int repetitions) {
     for (const auto& task : summary.supervision.resources) {
       const auto ops = time_task_sidecar(workdir + "/sv/tm." + task.task,
                                          workdir + "/sv/bench." + task.task + ".", repetitions);
-      const auto flushes = static_cast<std::size_t>(task.wall_seconds / interval);
-      result.flushes += flushes;
       write_ms += ops.write_ms;
       merge_ms += ops.merge_ms;
-      sidecar_ms += static_cast<double>(1 + flushes) * ops.write_ms + ops.merge_ms;
+      sidecar_ms += ops.write_ms + ops.merge_ms;
     }
     walls.push_back(wall_ms);
     writes.push_back(write_ms);
@@ -372,8 +365,7 @@ int write_obs_json() {
   write_timing(out, "merge", supervised.merge);
   std::fprintf(out, ", ");
   write_timing(out, "sidecar", supervised.sidecar);
-  std::fprintf(out, ", \"flushes\": %zu, \"sidecar_overhead\": %.4f}\n}\n",
-               supervised.flushes, supervised.overhead);
+  std::fprintf(out, ", \"sidecar_overhead\": %.4f}\n}\n", supervised.overhead);
   std::fclose(out);
 
   std::printf("wrote %s\n", path);

@@ -262,7 +262,7 @@ bool stage_artifacts_valid(const std::string& workdir, const StageRecord& record
     }
     if (want.kind != nullptr) {
       try {
-        util::validate_artifact_bytes(bytes, want.kind, path);
+        util::validate_artifact_view(bytes, want.kind, path);
       } catch (const util::CorruptArtifact& e) {
         util::log_warn() << "run: artifact " << path << " corrupt (" << e.reason()
                          << "); recomputing stage '" << record.name << "'";
@@ -546,10 +546,8 @@ graph::BipartiteGraph channel_graph(const std::string& workdir, const Channel& c
 /// edgeless CSR over its pruned names (isolated vertices are legal).
 void save_edgeless_channel(const std::string& workdir, const Channel& channel) {
   const auto names = channel_graph(workdir, channel).right_names().names();
-  graph::ProjectedEdges none;
   graph::save_csr_file(join(workdir, channel.similarity),
-                       util::CsrGraph::build(names.size(), std::move(none.u), std::move(none.v),
-                                             std::move(none.w), names));
+                       util::CsrGraph::build(names.size(), {}, {}, {}, names));
 }
 
 void write_labels_file(const std::string& workdir, const PipelineConfig& config,
@@ -739,7 +737,7 @@ RunSummary run_resumable(const RunOptions& options) {
   });
 
   // embed: one LINE embedding per similarity graph (the CSR is memory-
-  // mapped, not parsed: LINE's edge sampler reads the mapped sections in
+  // mapped, not parsed: LINE's samplers read the mapped adjacency in
   // place), then the concatenated vector over the kept domains.
   driver.stage(specs[2], summary, [&] {
     std::vector<WorkerTask> tasks;

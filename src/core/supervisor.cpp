@@ -89,7 +89,7 @@ bool has_container_output(const WorkerTask& task) {
 }
 
 /// The forked child's whole life: decide the injected fault, keep the
-/// heartbeat fresh on a side thread, run the task body, flush the telemetry
+/// heartbeat fresh on a side thread, run the task body, write the telemetry
 /// sidecar, exit.
 int run_child(const WorkerTask& task, std::size_t attempt, const SupervisorOptions& options,
               const std::string& heartbeat_path, const std::string& sidecar_path) {
@@ -133,18 +133,6 @@ int run_child(const WorkerTask& task, std::size_t attempt, const SupervisorOptio
     while (!stop_cv.wait_for(lock, interval, [&] { return stop; })) {
       lock.unlock();
       write_heartbeat(heartbeat_path, n++);
-      if (telemetry) {
-        // Periodic metrics-only flush so the on-disk sidecar is at most one
-        // heartbeat stale if this attempt is SIGKILLed or hits a deadline.
-        // Spans are excluded here — the body's threads are still recording
-        // into unlocked thread-local buffers — and picked up by the final
-        // flush below once everything is joined.
-        try {
-          obs::write_telemetry_sidecar(sidecar_path, /*include_spans=*/false);
-        } catch (const std::exception&) {
-          // Best effort: a failed advisory flush must not kill the attempt.
-        }
-      }
       lock.lock();
     }
   }};
@@ -178,7 +166,7 @@ int run_child(const WorkerTask& task, std::size_t attempt, const SupervisorOptio
   beat.join();
   if (telemetry) {
     try {
-      obs::write_telemetry_sidecar(sidecar_path, /*include_spans=*/true);
+      obs::write_telemetry_sidecar(sidecar_path);
     } catch (const std::exception& e) {
       util::log_warn() << "worker " << task.name << ": telemetry sidecar write failed: "
                        << e.what();
@@ -199,8 +187,8 @@ bool outputs_valid(const WorkerTask& task, std::string& why) {
       continue;
     }
     try {
-      util::validate_artifact_bytes(util::fsio::read_file(output.path), output.kind,
-                                    output.path);
+      util::validate_artifact_view(util::fsio::read_file(output.path), output.kind,
+                                   output.path);
     } catch (const util::CorruptArtifact& e) {
       why = e.path() + ": " + e.reason();
       return false;

@@ -20,8 +20,7 @@ class AliasTable {
     std::size_t alias;
   };
 
-  /// Build from non-negative weights (at least one must be positive). The
-  /// span form reads straight from mapped arena sections (util/csr.hpp).
+  /// Build from non-negative weights (at least one must be positive).
   explicit AliasTable(std::span<const double> weights);
   explicit AliasTable(const std::vector<double>& weights)
       : AliasTable{std::span<const double>{weights}} {}

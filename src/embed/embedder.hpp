@@ -25,7 +25,8 @@ struct EmbedConfig {
 };
 
 /// Embed a similarity graph with the selected method. LINE samples the
-/// CSR's edge sections directly; the walk methods step along its rows.
+/// CSR's edge list (its upper triangle); the walk methods step along its
+/// rows.
 inline EmbeddingMatrix embed_graph(const util::CsrGraph& g, const EmbedConfig& config) {
   switch (config.method) {
     case EmbedMethod::kLine: {

@@ -64,8 +64,8 @@ constexpr std::uint64_t sample_seed(std::uint64_t base, std::uint64_t step) noex
 
 /// One bucket of the edge sampler: the Walker coin of `embed/alias` plus the
 /// endpoints of both edges the bucket can return. An edge draw reads this
-/// one 32-byte entry — one cache line — instead of the alias table, edge_u
-/// and edge_v, which on a 700k-edge graph are three misses.
+/// one 32-byte entry — one cache line — instead of the alias table and two
+/// endpoint arrays, which on a 700k-edge graph are three misses.
 struct alignas(32) EdgeBucket {
   double prob;
   std::uint32_t u, v;              // the bucket's own edge
@@ -73,14 +73,26 @@ struct alignas(32) EdgeBucket {
 };
 static_assert(sizeof(EdgeBucket) == 32);
 
+/// Bucket i is edge i of the graph's edge list (CsrGraph::for_each_edge).
+/// The list is walked twice: the weights live only while the Walker table
+/// is built, and the buckets are filled after it, so the weights, the
+/// table's build scratch and the buckets are never held at once.
 std::vector<EdgeBucket> pack_edge_sampler(const util::CsrGraph& g) {
-  const AliasTable alias{g.edge_w()};
-  const auto eu = g.edge_u();
-  const auto ev = g.edge_v();
-  std::vector<EdgeBucket> packed(alias.size());
+  const AliasTable alias = [&] {
+    std::vector<double> weights;
+    weights.reserve(g.edge_count());
+    g.for_each_edge([&](std::uint32_t, std::uint32_t, double w) { weights.push_back(w); });
+    return AliasTable{weights};
+  }();
+  std::vector<EdgeBucket> packed;
+  packed.reserve(alias.size());
+  g.for_each_edge([&](std::uint32_t u, std::uint32_t v, double) {
+    packed.push_back({alias.buckets()[packed.size()].prob, u, v, 0, 0});
+  });
   for (std::size_t i = 0; i < packed.size(); ++i) {
-    const AliasTable::Bucket& b = alias.buckets()[i];
-    packed[i] = {b.prob, eu[i], ev[i], eu[b.alias], ev[b.alias]};
+    const std::size_t a = alias.buckets()[i].alias;
+    packed[i].alias_u = packed[a].u;
+    packed[i].alias_v = packed[a].v;
   }
   return packed;
 }
@@ -285,8 +297,8 @@ EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config) {
   if (g.vertex_count() == 0) return out;
   if (g.edge_count() == 0) return out;  // all isolated -> all-zero rows
 
-  // Samplers shared by both objectives. Edge weights come straight from
-  // the arena's EDGW section; noise degrees from the WDEG section.
+  // Samplers shared by both objectives: edges from the adjacency's upper
+  // triangle, noise degrees from the weighted-degree section.
   std::vector<double> noise(g.vertex_count());
   for (std::size_t v = 0; v < g.vertex_count(); ++v) {
     noise[v] = std::pow(g.weighted_degree(static_cast<std::uint32_t>(v)),

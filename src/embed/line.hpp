@@ -54,12 +54,13 @@ struct LineConfig {
 
 /// Train LINE on a weighted undirected CSR graph (typically the
 /// projection's output, or memory-mapped from a csr-graph artifact). The
-/// edge sampler is built straight from the edge sections and the noise
-/// distribution reads the weighted-degree section, so no per-vertex
-/// allocations or re-parse happen between artifact load and the first SGD
-/// step. Isolated vertices receive a zero vector (nothing can be learned
-/// for them). Throws std::invalid_argument for a zero dimension, a
-/// non-positive learning rate or a kBoth dimension too small to split.
+/// edge sampler is built from the adjacency's upper triangle
+/// (CsrGraph::for_each_edge) and the noise distribution reads the
+/// weighted-degree section, so no per-vertex allocations or re-parse
+/// happen between artifact load and the first SGD step. Isolated vertices
+/// receive a zero vector (nothing can be learned for them). Throws
+/// std::invalid_argument for a zero dimension, a non-positive learning rate
+/// or a kBoth dimension too small to split.
 EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config);
 
 }  // namespace dnsembed::embed

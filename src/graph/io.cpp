@@ -48,12 +48,9 @@ void save_weighted_csv(std::ostream& out, const util::CsrGraph& g) {
   const auto names = g.names_copy();
   util::CsvWriter csv{out};
   csv.write_row({"u", "v", "weight"});
-  const auto eu = g.edge_u();
-  const auto ev = g.edge_v();
-  const auto ew = g.edge_w();
-  for (std::size_t i = 0; i < eu.size(); ++i) {
-    csv.write_row({names[eu[i]], names[ev[i]], std::to_string(ew[i])});
-  }
+  g.for_each_edge([&](std::uint32_t u, std::uint32_t v, double w) {
+    csv.write_row({names[u], names[v], std::to_string(w)});
+  });
   for (std::uint32_t v = 0; v < g.vertex_count(); ++v) {
     if (g.degree(v) == 0) csv.write_row({names[v], "", ""});
   }

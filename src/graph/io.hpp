@@ -20,8 +20,8 @@ void save_bipartite_csv(std::ostream& out, const BipartiteGraph& g);
 /// finalized.
 BipartiteGraph load_bipartite_csv(std::istream& in);
 
-/// A similarity graph as "u,v,weight" rows in edge order, then its
-/// isolated vertices as "name,," rows.
+/// A similarity graph as "u,v,weight" rows in (u, v) order, one per edge
+/// (CsrGraph::for_each_edge), then its isolated vertices as "name,," rows.
 void save_weighted_csv(std::ostream& out, const util::CsrGraph& g);
 
 // --- Durable artifact forms (crash-safe file persistence). The CSV

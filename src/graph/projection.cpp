@@ -15,6 +15,14 @@ namespace dnsembed::graph {
 
 namespace {
 
+/// A projection's edges as (u, v)-sorted struct-of-arrays, the form
+/// util::CsrGraph::build takes.
+struct ProjectedEdges {
+  std::vector<std::uint32_t> u;
+  std::vector<std::uint32_t> v;
+  std::vector<double> w;
+};
+
 /// The exact projection of `g` onto its right side.
 ///
 /// Row-wise counting (Gustavson's sparse product, upper triangle): for each
@@ -146,9 +154,9 @@ ProjectedEdges project_exact(const BipartiteGraph& g, const ProjectionOptions& o
 }  // namespace
 
 util::CsrGraph project_right(const BipartiteGraph& g, const ProjectionOptions& options) {
-  ProjectedEdges edges = project_exact(g, options);
-  return util::CsrGraph::build(g.right_count(), std::move(edges.u), std::move(edges.v),
-                               std::move(edges.w), g.right_names().names());
+  const ProjectedEdges edges = project_exact(g, options);
+  return util::CsrGraph::build(g.right_count(), edges.u, edges.v, edges.w,
+                               g.right_names().names());
 }
 
 /// Baseline: one global node-based map, pivots scanned in order.
@@ -178,8 +186,8 @@ util::CsrGraph project_right_reference(const BipartiteGraph& g,
       edges.w.push_back(similarity);
     }
   }
-  return util::CsrGraph::build(g.right_count(), std::move(edges.u), std::move(edges.v),
-                               std::move(edges.w), g.right_names().names());
+  return util::CsrGraph::build(g.right_count(), edges.u, edges.v, edges.w,
+                               g.right_names().names());
 }
 
 }  // namespace dnsembed::graph

@@ -31,8 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include <vector>
-
 #include "graph/bipartite.hpp"
 #include "util/csr.hpp"
 
@@ -83,23 +81,15 @@ struct ProjectionOptions {
   std::size_t threads = 1;
 };
 
-/// A projection's edges as (u, v)-sorted struct-of-arrays, the form
-/// util::CsrGraph::build takes.
-struct ProjectedEdges {
-  std::vector<std::uint32_t> u;
-  std::vector<std::uint32_t> v;
-  std::vector<double> w;
-};
-
 /// Project onto the right vertex set. Every right vertex appears in the
 /// result (possibly isolated); result vertex ids equal the bipartite right
 /// ids and names are preserved. Edges are kept in (u, v) order.
 util::CsrGraph project_right(const BipartiteGraph& g, const ProjectionOptions& options = {});
 
 /// Single-threaded std::unordered_map baseline, kept as the correctness
-/// reference for the row-wise engine (tests compare edge-for-edge after
-/// sorting) and as the benchmark baseline. Ignores options.threads; edge
-/// order follows map iteration order.
+/// reference for the row-wise engine (tests compare the two edge for edge)
+/// and as the benchmark baseline. Ignores options.threads; it hands the
+/// edges to util::CsrGraph::build in map iteration order.
 util::CsrGraph project_right_reference(const BipartiteGraph& g,
                                        const ProjectionOptions& options = {});
 

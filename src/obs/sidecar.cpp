@@ -21,7 +21,7 @@ constexpr std::size_t kMaxFields = 4096;
 
 }  // namespace
 
-std::string telemetry_sidecar_payload(bool include_spans) {
+std::string telemetry_sidecar_payload() {
   std::ostringstream out;
   out.precision(17);  // doubles round-trip exactly through the parser
   out << "telemetry 1\n";
@@ -42,18 +42,16 @@ std::string telemetry_sidecar_payload(bool include_spans) {
     for (const auto& [key, value] : record.fields) out << ' ' << key << ' ' << value;
     out << '\n';
   }
-  if (include_spans) {
-    for (const auto& event : SpanRecorder::instance().sorted_events()) {
-      out << "span " << event.name << ' ' << event.begin_ns << ' ' << event.end_ns << ' '
-          << event.tid << ' ' << event.seq << '\n';
-    }
+  for (const auto& event : SpanRecorder::instance().sorted_events()) {
+    out << "span " << event.name << ' ' << event.begin_ns << ' ' << event.end_ns << ' '
+        << event.tid << ' ' << event.seq << '\n';
   }
   return out.str();
 }
 
-void write_telemetry_sidecar(const std::string& path, bool include_spans) {
+void write_telemetry_sidecar(const std::string& path) {
   util::fsio::atomic_replace_file(
-      path, util::make_artifact(kTelemetrySidecarKind, telemetry_sidecar_payload(include_spans)));
+      path, util::make_artifact(kTelemetrySidecarKind, telemetry_sidecar_payload()));
 }
 
 TelemetrySidecar parse_telemetry_sidecar(const std::string& payload,

@@ -51,17 +51,17 @@ struct TelemetrySidecar {
   std::vector<SpanEvent> spans;
 };
 
-/// Serialize the calling process's current registry snapshot (and, when
-/// `include_spans`, its span buffer — only safe once recording threads are
-/// quiescent) into a sidecar payload. Zero-valued counters and empty
+/// Serialize the calling process's current registry snapshot and span
+/// buffer into a sidecar payload. Reading the span buffer is only safe once
+/// the recording threads are quiescent. Zero-valued counters and empty
 /// histograms are skipped.
-std::string telemetry_sidecar_payload(bool include_spans);
+std::string telemetry_sidecar_payload();
 
 /// Atomically write the current telemetry as a sidecar artifact at `path`,
 /// without fsync (util::fsio::atomic_replace_file): the supervisor reads it
 /// back within the run, and nothing reads it after a crash. Throws
 /// util::fsio::IoError on I/O failure.
-void write_telemetry_sidecar(const std::string& path, bool include_spans);
+void write_telemetry_sidecar(const std::string& path);
 
 /// Parse a sidecar payload; throws util::CorruptArtifact (tagged with
 /// `path`) on any malformed content.

@@ -14,11 +14,7 @@ constexpr std::uint64_t kTagHead = arena_tag("HEAD");
 constexpr std::uint64_t kTagOffsets = arena_tag("OFFS");
 constexpr std::uint64_t kTagCols = arena_tag("COLS");
 constexpr std::uint64_t kTagAdjWeights = arena_tag("AWGT");
-constexpr std::uint64_t kTagEdgeU = arena_tag("EDGU");
-constexpr std::uint64_t kTagEdgeV = arena_tag("EDGV");
-constexpr std::uint64_t kTagEdgeW = arena_tag("EDGW");
 constexpr std::uint64_t kTagWeightedDeg = arena_tag("WDEG");
-constexpr std::uint64_t kTagTotalWeight = arena_tag("TOTW");
 constexpr std::uint64_t kTagNameBlob = arena_tag("NAMB");
 constexpr std::uint64_t kTagNameOffsets = arena_tag("NAMO");
 constexpr std::uint64_t kTagData = arena_tag("DATA");
@@ -199,14 +195,6 @@ CsrGraph CsrGraph::build(std::size_t vertex_count, std::span<const std::uint32_t
                          std::span<const std::uint32_t> edge_v,
                          std::span<const double> edge_w,
                          std::span<const std::string> names) {
-  return build(vertex_count, std::vector<std::uint32_t>(edge_u.begin(), edge_u.end()),
-               std::vector<std::uint32_t>(edge_v.begin(), edge_v.end()),
-               std::vector<double>(edge_w.begin(), edge_w.end()), names);
-}
-
-CsrGraph CsrGraph::build(std::size_t vertex_count, std::vector<std::uint32_t>&& edge_u,
-                         std::vector<std::uint32_t>&& edge_v, std::vector<double>&& edge_w,
-                         std::span<const std::string> names) {
   if (edge_u.size() != edge_v.size() || edge_u.size() != edge_w.size()) {
     throw std::invalid_argument{"CsrGraph: edge array length mismatch"};
   }
@@ -217,6 +205,7 @@ CsrGraph CsrGraph::build(std::size_t vertex_count, std::vector<std::uint32_t>&& 
   CsrGraph g;
   g.vertex_count_ = vertex_count;
   const std::size_t e = edge_u.size();
+  g.edge_count_ = e;
 
   g.own_offsets_.assign(vertex_count + 1, 0);
   for (std::size_t i = 0; i < e; ++i) {
@@ -229,7 +218,6 @@ CsrGraph CsrGraph::build(std::size_t vertex_count, std::vector<std::uint32_t>&& 
     if (!(edge_w[i] > 0.0)) throw std::invalid_argument{"CsrGraph: non-positive weight"};
     ++g.own_offsets_[u + 1];
     ++g.own_offsets_[v + 1];
-    g.total_weight_ += edge_w[i];
   }
   for (std::size_t v = 0; v < vertex_count; ++v) g.own_offsets_[v + 1] += g.own_offsets_[v];
 
@@ -274,9 +262,6 @@ CsrGraph CsrGraph::build(std::size_t vertex_count, std::vector<std::uint32_t>&& 
     g.own_weighted_deg_[v] = wdeg;
   }
 
-  g.own_edge_u_ = std::move(edge_u);
-  g.own_edge_v_ = std::move(edge_v);
-  g.own_edge_w_ = std::move(edge_w);
   if (!names.empty()) {
     NameTable table = build_name_table(names);
     g.own_name_blob_ = std::move(table.blob);
@@ -286,9 +271,6 @@ CsrGraph CsrGraph::build(std::size_t vertex_count, std::vector<std::uint32_t>&& 
   g.offsets_ = g.own_offsets_;
   g.cols_ = g.own_cols_;
   g.adj_weights_ = g.own_adj_weights_;
-  g.edge_u_ = g.own_edge_u_;
-  g.edge_v_ = g.own_edge_v_;
-  g.edge_w_ = g.own_edge_w_;
   g.weighted_deg_ = g.own_weighted_deg_;
   g.name_blob_ = {g.own_name_blob_.data(), g.own_name_blob_.size()};
   g.name_offsets_ = g.own_name_offsets_;
@@ -310,11 +292,7 @@ ArenaWriter CsrGraph::writer(const std::uint64_t (&head)[2]) const {
   w.add_typed<std::uint64_t>(kTagOffsets, offsets_);
   w.add_typed<std::uint32_t>(kTagCols, cols_);
   w.add_typed<double>(kTagAdjWeights, adj_weights_);
-  w.add_typed<std::uint32_t>(kTagEdgeU, edge_u_);
-  w.add_typed<std::uint32_t>(kTagEdgeV, edge_v_);
-  w.add_typed<double>(kTagEdgeW, edge_w_);
   w.add_typed<double>(kTagWeightedDeg, weighted_deg_);
-  w.add(kTagTotalWeight, &total_weight_, sizeof(total_weight_));
   if (has_names()) append_name_sections(w, name_blob_, name_offsets_);
   return w;
 }
@@ -335,41 +313,38 @@ CsrGraph CsrGraph::from_arena(ArenaView arena, const std::string& context) {
   const std::uint64_t e_count = head[1];
   if (v_count > std::uint64_t{1} << 32) corrupt(context, "csr: implausible vertex count");
 
+  // Sections nobody asks for are ignored, so a file that still carries the
+  // former edge-list and total-weight sections loads as it is.
   g.offsets_ = a.typed<std::uint64_t>(kTagOffsets, context);
   g.cols_ = a.typed<std::uint32_t>(kTagCols, context);
   g.adj_weights_ = a.typed<double>(kTagAdjWeights, context);
-  g.edge_u_ = a.typed<std::uint32_t>(kTagEdgeU, context);
-  g.edge_v_ = a.typed<std::uint32_t>(kTagEdgeV, context);
-  g.edge_w_ = a.typed<double>(kTagEdgeW, context);
   g.weighted_deg_ = a.typed<double>(kTagWeightedDeg, context);
-  const auto totw = a.typed<double>(kTagTotalWeight, context);
 
   if (g.offsets_.size() != v_count + 1) corrupt(context, "csr: offsets length mismatch");
   if (g.cols_.size() != 2 * e_count || g.adj_weights_.size() != 2 * e_count) {
     corrupt(context, "csr: adjacency length mismatch");
   }
-  if (g.edge_u_.size() != e_count || g.edge_v_.size() != e_count ||
-      g.edge_w_.size() != e_count) {
-    corrupt(context, "csr: edge array length mismatch");
-  }
-  if (g.weighted_deg_.size() != v_count || totw.size() != 1) {
-    corrupt(context, "csr: degree/total sections malformed");
-  }
+  if (g.weighted_deg_.size() != v_count) corrupt(context, "csr: degree section malformed");
   if (g.offsets_[0] != 0 || g.offsets_[v_count] != 2 * e_count) {
     corrupt(context, "csr: offsets do not cover adjacency");
   }
   for (std::uint64_t v = 0; v < v_count; ++v) {
     if (g.offsets_[v] > g.offsets_[v + 1]) corrupt(context, "csr: offsets not monotone");
   }
-  for (const std::uint32_t c : g.cols_) {
-    if (c >= v_count) corrupt(context, "csr: adjacency id out of range");
-  }
-  for (std::uint64_t i = 0; i < e_count; ++i) {
-    if (g.edge_u_[i] >= v_count || g.edge_v_[i] >= v_count ||
-        g.edge_u_[i] == g.edge_v_[i]) {
-      corrupt(context, "csr: bad edge endpoint");
+  // One pass over the rows: every entry in range, rows ascending, no entry
+  // on its own row, and exactly e_count entries above the diagonal — the
+  // edge list for_each_edge walks.
+  std::uint64_t upper = 0;
+  for (std::uint64_t v = 0; v < v_count; ++v) {
+    for (std::uint64_t i = g.offsets_[v]; i < g.offsets_[v + 1]; ++i) {
+      const std::uint32_t c = g.cols_[i];
+      if (c >= v_count) corrupt(context, "csr: adjacency id out of range");
+      if (c == v) corrupt(context, "csr: self-loop");
+      if (i > g.offsets_[v] && g.cols_[i - 1] > c) corrupt(context, "csr: row not sorted");
+      upper += c > v;
     }
   }
+  if (upper != e_count) corrupt(context, "csr: upper triangle disagrees with edge count");
   if (a.has(kTagNameBlob) || a.has(kTagNameOffsets)) {
     g.name_blob_ = a.section(kTagNameBlob, context);
     g.name_offsets_ = a.typed<std::uint64_t>(kTagNameOffsets, context);
@@ -377,7 +352,7 @@ CsrGraph CsrGraph::from_arena(ArenaView arena, const std::string& context) {
   }
 
   g.vertex_count_ = v_count;
-  g.total_weight_ = totw[0];
+  g.edge_count_ = e_count;
   g.zero_copy_ = g.arena_.zero_copy();
   return g;
 }

@@ -21,10 +21,10 @@
 // owned aligned storage instead of faulting.
 //
 // Two concrete arenas live here:
-//   - CsrGraph (kind "csr-graph"): offsets/cols/weights CSR adjacency, the
-//     edge list as struct-of-arrays in input order (samplers index edges
-//     positionally, so order is part of the format), per-vertex weighted
-//     degrees, and the vertex-name blob.
+//   - CsrGraph (kind "csr-graph"): offsets/cols/weights CSR adjacency,
+//     per-vertex weighted degrees, and the vertex-name blob. Each edge is
+//     stored once per endpoint and nowhere else; the edge list is the
+//     adjacency's upper triangle in row order (CsrGraph::for_each_edge).
 //   - DenseMatrix (kind "embedding-arena"): row-major f32 matrix plus the
 //     row-name blob — the embedding artifact form.
 #pragma once
@@ -166,11 +166,11 @@ class ArenaView {
   std::vector<Entry> entries_;
 };
 
-/// Immutable CSR graph over dense u32 vertex ids: sorted adjacency
-/// (offsets/cols/weights), the edge list as struct-of-arrays in input
-/// order, precomputed weighted degrees, and optional vertex names. Movable
-/// but not copyable (accessors are spans into owned or mapped storage; all
-/// owned storage is vectors, whose buffers move with them).
+/// Immutable CSR graph over dense u32 vertex ids: the sorted symmetric
+/// adjacency (offsets/cols/weights), precomputed weighted degrees, and
+/// optional vertex names. Movable but not copyable (accessors are spans
+/// into owned or mapped storage; all owned storage is vectors, whose
+/// buffers move with them).
 class CsrGraph {
  public:
   CsrGraph() = default;
@@ -179,30 +179,32 @@ class CsrGraph {
   CsrGraph(const CsrGraph&) = delete;
   CsrGraph& operator=(const CsrGraph&) = delete;
 
-  /// Build from an undirected edge list over ids in [0, vertex_count).
-  /// Edge order is preserved verbatim in edge_u/v/w (samplers address
-  /// edges by position). Self-loops, out-of-range ids, and non-positive
-  /// weights are rejected with std::invalid_argument. A (u, v)-sorted edge
-  /// list, which is what the projection emits, yields rows that are
-  /// already ascending and skip the per-row sort.
+  /// Build from an undirected edge list over ids in [0, vertex_count). The
+  /// arrays are read, not kept: the result's edge list is its upper
+  /// triangle (for_each_edge), which is the input itself when the input is
+  /// (u, v)-sorted with u < v, as the projection emits it; such rows are
+  /// already ascending and skip the per-row sort. Self-loops, out-of-range
+  /// ids, and non-positive weights are rejected with std::invalid_argument;
+  /// a repeated edge stays a repeated entry.
   static CsrGraph build(std::size_t vertex_count, std::span<const std::uint32_t> edge_u,
                         std::span<const std::uint32_t> edge_v,
                         std::span<const double> edge_w,
                         std::span<const std::string> names = {});
 
-  /// The same, taking ownership of the edge arrays instead of copying them.
-  static CsrGraph build(std::size_t vertex_count, std::vector<std::uint32_t>&& edge_u,
-                        std::vector<std::uint32_t>&& edge_v, std::vector<double>&& edge_w,
-                        std::span<const std::string> names = {});
-
   std::size_t vertex_count() const noexcept { return vertex_count_; }
-  std::size_t edge_count() const noexcept { return edge_u_.size(); }
+  std::size_t edge_count() const noexcept { return edge_count_; }
 
-  std::span<const std::uint32_t> edge_u() const noexcept { return edge_u_; }
-  std::span<const std::uint32_t> edge_v() const noexcept { return edge_v_; }
-  std::span<const double> edge_w() const noexcept { return edge_w_; }
-
-  std::span<const std::uint64_t> offsets() const noexcept { return offsets_; }
+  /// Calls f(u, v, w) once per edge, u < v, in (u, v) order: the
+  /// adjacency's upper triangle, row by row, ascending within each row.
+  /// This is the graph's edge list, edge_count() edges long.
+  template <typename F>
+  void for_each_edge(F&& f) const {
+    for (std::uint32_t u = 0; u < vertex_count_; ++u) {
+      for (std::uint64_t i = offsets_[u]; i < offsets_[u + 1]; ++i) {
+        if (cols_[i] > u) f(u, cols_[i], adj_weights_[i]);
+      }
+    }
+  }
 
   std::span<const std::uint32_t> neighbors(std::uint32_t v) const noexcept {
     return cols_.subspan(offsets_[v], offsets_[v + 1] - offsets_[v]);
@@ -220,9 +222,6 @@ class CsrGraph {
   }
   /// Sum of incident edge weights over the sorted adjacency.
   double weighted_degree(std::uint32_t v) const noexcept { return weighted_deg_[v]; }
-  std::span<const double> weighted_degrees() const noexcept { return weighted_deg_; }
-
-  double total_weight() const noexcept { return total_weight_; }
 
   bool has_names() const noexcept { return name_offsets_.size() == vertex_count_ + 1; }
   std::string_view name(std::uint32_t v) const noexcept {
@@ -243,7 +242,7 @@ class CsrGraph {
   void save_file(const std::string& path) const;
   static CsrGraph load_file(const std::string& path);
 
-  /// True when the adjacency/edge spans read straight out of the file
+  /// True when the adjacency spans read straight out of the file
   /// mapping (the load took no per-element copy or parse).
   bool zero_copy() const noexcept { return zero_copy_; }
 
@@ -260,9 +259,6 @@ class CsrGraph {
   std::vector<std::uint64_t> own_offsets_;
   std::vector<std::uint32_t> own_cols_;
   std::vector<double> own_adj_weights_;
-  std::vector<std::uint32_t> own_edge_u_;
-  std::vector<std::uint32_t> own_edge_v_;
-  std::vector<double> own_edge_w_;
   std::vector<double> own_weighted_deg_;
   std::vector<char> own_name_blob_;
   std::vector<std::uint64_t> own_name_offsets_;
@@ -270,15 +266,12 @@ class CsrGraph {
   std::span<const std::uint64_t> offsets_;
   std::span<const std::uint32_t> cols_;
   std::span<const double> adj_weights_;
-  std::span<const std::uint32_t> edge_u_;
-  std::span<const std::uint32_t> edge_v_;
-  std::span<const double> edge_w_;
   std::span<const double> weighted_deg_;
   std::string_view name_blob_;
   std::span<const std::uint64_t> name_offsets_;
 
   std::size_t vertex_count_ = 0;
-  double total_weight_ = 0.0;
+  std::size_t edge_count_ = 0;
   bool zero_copy_ = false;
 };
 

@@ -192,6 +192,70 @@ TEST(ArtifactFuzz, BipartiteArenaStructuralDefects) {
   rejects("implausible left count", s);
 }
 
+// CSR arenas with a valid checksum but a structural defect, as above. The
+// base graph is the triangle 0-1-2 plus the isolated vertex 3; HEAD counts
+// three edges, and the adjacency holds three entries above its diagonal.
+struct CsrSections {
+  std::vector<std::uint64_t> head{4, 3};  // vertices, edges
+  std::vector<std::uint64_t> offsets{0, 2, 4, 6, 6};
+  std::vector<std::uint32_t> cols{1, 2, 0, 2, 0, 1};
+  std::vector<double> weights{0.5, 0.25, 0.5, 0.125, 0.25, 0.125};
+  std::vector<double> degrees{0.75, 0.625, 0.375, 0.0};
+};
+
+std::string csr_arena(const CsrSections& s) {
+  util::ArenaWriter w;
+  w.add_typed<std::uint64_t>(util::arena_tag("HEAD"), s.head);
+  w.add_typed<std::uint64_t>(util::arena_tag("OFFS"), s.offsets);
+  w.add_typed<std::uint32_t>(util::arena_tag("COLS"), s.cols);
+  w.add_typed<double>(util::arena_tag("AWGT"), s.weights);
+  w.add_typed<double>(util::arena_tag("WDEG"), s.degrees);
+  return w.container(util::kCsrGraphKind);
+}
+
+std::vector<graph::Edge> load_csr_edges(const std::string& bytes) {
+  const auto path = (fs::temp_directory_path() / "dnsembed_fuzz_csr_defect.csr").string();
+  util::fsio::atomic_write_file(path, bytes);
+  struct Remove {
+    std::string path;
+    ~Remove() { fs::remove(path); }
+  } remove{path};
+  return graph::edges_of(graph::load_csr_file(path));
+}
+
+TEST(ArtifactFuzz, CsrArenaStructuralDefects) {
+  const std::vector<graph::Edge> triangle = {{0, 1, 0.5}, {0, 2, 0.25}, {1, 2, 0.125}};
+  EXPECT_EQ(load_csr_edges(csr_arena({})), triangle);
+
+  const auto rejects = [](const std::string& what, const CsrSections& s) {
+    EXPECT_THROW(load_csr_edges(csr_arena(s)), util::CorruptArtifact) << what;
+  };
+  CsrSections s;
+  s.cols = {1, 2, 1, 2, 0, 1};  // still three entries above the diagonal
+  rejects("self-loop", s);
+  s = {};
+  s.cols = {1, 2, 0, 0, 0, 1};
+  rejects("upper triangle short of the edge count", s);
+  s = {};
+  s.cols = {1, 2, 2, 3, 0, 1};
+  rejects("upper triangle beyond the edge count", s);
+  s = {};
+  s.cols = {2, 1, 0, 2, 0, 1};
+  rejects("unsorted row", s);
+  s = {};
+  s.cols = {1, 4, 0, 2, 0, 1};
+  rejects("adjacency id out of range", s);
+  s = {};
+  s.offsets = {0, 4, 2, 6, 6};
+  rejects("non-monotone offsets", s);
+  s = {};
+  s.head = {4, 2};
+  rejects("edge count disagrees with the adjacency", s);
+  s = {};
+  s.degrees = {0.75, 0.625, 0.375};
+  rejects("degree section short of the vertex count", s);
+}
+
 TEST(ArtifactFuzz, CsrGraphArena) {
   // Binary mmap-loaded arena ("csr-graph"): damage must be caught by the
   // container digest or the arena's structural validation, never by a

@@ -28,12 +28,10 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-/// The graph's edges in edge order.
+/// The graph's edge list: its upper triangle in (u, v) order.
 inline std::vector<Edge> edges_of(const util::CsrGraph& g) {
   std::vector<Edge> out;
-  for (std::size_t i = 0; i < g.edge_count(); ++i) {
-    out.push_back({g.edge_u()[i], g.edge_v()[i], g.edge_w()[i]});
-  }
+  g.for_each_edge([&](VertexId u, VertexId v, double w) { out.push_back({u, v, w}); });
   return out;
 }
 

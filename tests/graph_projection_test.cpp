@@ -94,7 +94,7 @@ TEST(RowWiseProjection, MinSimilarityActuallyDropsEdges) {
   const auto all = graph::project_right(g);
   const auto filtered = graph::project_right(g, strict);
   EXPECT_LT(filtered.edge_count(), all.edge_count());
-  for (const double w : filtered.edge_w()) EXPECT_GE(w, 0.5);
+  for (const auto& e : graph::edges_of(filtered)) EXPECT_GE(e.weight, 0.5);
 }
 
 TEST(RowWiseProjection, MaxPivotDegreeActuallySkipsHubs) {
@@ -111,7 +111,7 @@ TEST(RowWiseProjection, MaxPivotDegreeActuallySkipsHubs) {
     options.threads = threads;
     const auto sim = graph::project_right(g, options);
     ASSERT_EQ(sim.edge_count(), 1u);
-    EXPECT_DOUBLE_EQ(sim.edge_w()[0], 2.0 / 4.0);  // inter 2, degrees 3+3
+    EXPECT_DOUBLE_EQ(graph::edges_of(sim)[0].weight, 2.0 / 4.0);  // inter 2, degrees 3+3
   }
 }
 
@@ -135,7 +135,7 @@ TEST(RowWiseProjection, DenseAndSparseRowsMatchReference) {
   // touched list otherwise; the graph must have rows of both kinds.
   const auto all = graph::project_right(g);
   std::vector<std::size_t> touched(g.right_count(), 0);
-  for (const auto u : all.edge_u()) ++touched[u];
+  for (const auto& e : graph::edges_of(all)) ++touched[e.u];
   std::size_t dense = 0;
   std::size_t sparse = 0;
   for (graph::VertexId u = 0; u < g.right_count(); ++u) {
@@ -166,7 +166,7 @@ TEST(RowWiseProjection, EmptyAndTinyGraphs) {
   tiny.finalize();
   const auto tiny_sim = graph::project_right(tiny, eight);  // threads > pivots
   ASSERT_EQ(tiny_sim.edge_count(), 1u);
-  EXPECT_DOUBLE_EQ(tiny_sim.edge_w()[0], 1.0);
+  EXPECT_DOUBLE_EQ(graph::edges_of(tiny_sim)[0].weight, 1.0);
 }
 
 }  // namespace

@@ -158,7 +158,6 @@ TEST(WeightedGraphTest, BasicEdgesAndDegrees) {
   EXPECT_EQ(a, 0u);  // names keep their ids
   EXPECT_EQ(g.degree(a), 2u);
   EXPECT_DOUBLE_EQ(g.weighted_degree(a), 0.75);
-  EXPECT_DOUBLE_EQ(g.total_weight(), 0.75);
   EXPECT_TRUE(g.has_edge(a, b));
   EXPECT_TRUE(g.has_edge(b, a));
   EXPECT_FALSE(g.has_edge(b, c));
@@ -209,7 +208,7 @@ TEST(Projection, IdenticalNeighborSetsGiveSimilarityOne) {
   g.finalize();
   const auto sim = project_right(g);
   ASSERT_EQ(sim.edge_count(), 1u);
-  EXPECT_DOUBLE_EQ(sim.edge_w()[0], 1.0);
+  EXPECT_DOUBLE_EQ(edges_of(sim)[0].weight, 1.0);
 }
 
 TEST(Projection, MinSimilarityDropsWeakEdges) {
@@ -235,7 +234,7 @@ TEST(Projection, MaxPivotDegreeSkipsHubs) {
   // Only the pair (x, y) is counted (hub skipped); intersection 2 of
   // degrees 3 and 3 -> 2/4.
   ASSERT_EQ(sim.edge_count(), 1u);
-  EXPECT_DOUBLE_EQ(sim.edge_w()[0], 0.5);
+  EXPECT_DOUBLE_EQ(edges_of(sim)[0].weight, 0.5);
 }
 
 TEST(Projection, EmptyGraphProjectsToEmpty) {
@@ -308,7 +307,7 @@ TEST(Projection, MeasuresAgreeOnIdenticalSets) {
     options.measure = measure;
     const auto sim = project_right(g, options);
     ASSERT_EQ(sim.edge_count(), 1u);
-    EXPECT_DOUBLE_EQ(sim.edge_w()[0], 1.0);
+    EXPECT_DOUBLE_EQ(edges_of(sim)[0].weight, 1.0);
   }
 }
 
@@ -323,7 +322,7 @@ TEST(Projection, OverlapDominatesJaccardDominatedByNothingAboveOne) {
     ProjectionOptions o;
     o.measure = m;
     const auto sim = project_right(g, o);
-    return sim.edge_w().front();
+    return edges_of(sim).front().weight;
   };
   const double j = get(SimilarityMeasure::kJaccard);
   const double c = get(SimilarityMeasure::kCosine);

@@ -93,6 +93,7 @@ std::uint64_t sample_seed(std::uint64_t base, std::uint64_t step) {
 }
 
 std::vector<float> reference_order(const util::CsrGraph& g, const LineConfig& config,
+                                   const std::vector<graph::Edge>& edges,
                                    const AliasTable& edge_sampler,
                                    const AliasTable& noise_sampler, std::size_t steps,
                                    std::size_t dim, bool second_order) {
@@ -122,8 +123,8 @@ std::vector<float> reference_order(const util::CsrGraph& g, const LineConfig& co
       const double lr = std::max(lr_floor, config.initial_lr * (1.0 - progress));
       const std::size_t edge = edge_sampler.sample(rng);
       const bool flip = rng.bernoulli(0.5);
-      const std::uint32_t src = flip ? g.edge_v()[edge] : g.edge_u()[edge];
-      const std::uint32_t dst = flip ? g.edge_u()[edge] : g.edge_v()[edge];
+      const std::uint32_t src = flip ? edges[edge].v : edges[edge].u;
+      const std::uint32_t dst = flip ? edges[edge].u : edges[edge].v;
       const float* const src_vec = vertex.data() + std::size_t{src} * dim;
       std::fill(grad.begin(), grad.end(), 0.0f);
       for (std::size_t k = 0; k <= config.negatives; ++k) {
@@ -162,7 +163,10 @@ EmbeddingMatrix reference_line(const util::CsrGraph& g, const LineConfig& config
   for (std::size_t v = 0; v < g.vertex_count(); ++v) {
     noise[v] = std::pow(g.weighted_degree(static_cast<std::uint32_t>(v)), config.noise_power);
   }
-  const AliasTable edge_sampler{g.edge_w()};
+  const auto edges = graph::edges_of(g);
+  std::vector<double> weights;
+  for (const auto& e : edges) weights.push_back(e.weight);
+  const AliasTable edge_sampler{weights};
   const AliasTable noise_sampler{noise};
   const std::size_t steps = std::max<std::size_t>(
       1, config.total_samples != 0 ? config.total_samples
@@ -170,7 +174,8 @@ EmbeddingMatrix reference_line(const util::CsrGraph& g, const LineConfig& config
 
   const auto train = [&](std::size_t dim, bool second_order, std::size_t offset) {
     const auto block =
-        reference_order(g, config, edge_sampler, noise_sampler, steps, dim, second_order);
+        reference_order(g, config, edges, edge_sampler, noise_sampler, steps, dim,
+                        second_order);
     for (std::size_t v = 0; v < g.vertex_count(); ++v) {
       if (g.degree(static_cast<std::uint32_t>(v)) == 0) continue;
       std::copy_n(block.data() + v * dim, dim, out.row(v).data() + offset);

@@ -54,7 +54,7 @@ TEST_F(ObsSidecarTest, PayloadRoundTripsCountersHistogramsRecordsSpans) {
   obs::metrics().append_record("sidecar.test.day", {{"day", 1.0}, {"alerts", 3.0}});
   { obs::Span span{"sidecar.test.span"}; }
 
-  const auto payload = obs::telemetry_sidecar_payload(true);
+  const auto payload = obs::telemetry_sidecar_payload();
   const auto sidecar = obs::parse_telemetry_sidecar(payload, "test");
 
   std::uint64_t counter = 0;
@@ -92,11 +92,6 @@ TEST_F(ObsSidecarTest, PayloadRoundTripsCountersHistogramsRecordsSpans) {
     EXPECT_LE(span.begin_ns, span.end_ns);
   }
   EXPECT_TRUE(found_span);
-
-  // Metrics-only payloads (the periodic in-flight flush) carry no spans.
-  const auto metrics_only =
-      obs::parse_telemetry_sidecar(obs::telemetry_sidecar_payload(false), "test");
-  EXPECT_TRUE(metrics_only.spans.empty());
 }
 
 TEST_F(ObsSidecarTest, MergeSumsCountersAndExactHistogramMicros) {
@@ -182,7 +177,7 @@ TEST_F(ObsSidecarTest, MalformedPayloadsThrowCorruptArtifact) {
 TEST_F(ObsSidecarTest, SidecarArtifactFileRoundTripsAndRejectsWrongKind) {
   const auto path = (fs::temp_directory_path() / "dnsembed_sidecar_rt.art").string();
   obs::metrics().counter("sidecar.file.counter").add(5);
-  obs::write_telemetry_sidecar(path, true);
+  obs::write_telemetry_sidecar(path);
   const auto sidecar = obs::load_telemetry_sidecar(path);
   std::uint64_t value = 0;
   for (const auto& [name, v] : sidecar.counters) {

@@ -214,12 +214,12 @@ TEST_F(RunResumeTest, DeadlineThrowsThenResumeCompletes) {
 /// their vertices are numbered.
 std::vector<std::tuple<std::string, std::string, double>> named_edges(const util::CsrGraph& g) {
   std::vector<std::tuple<std::string, std::string, double>> out;
-  for (std::size_t i = 0; i < g.edge_count(); ++i) {
-    std::string u{g.name(g.edge_u()[i])};
-    std::string v{g.name(g.edge_v()[i])};
+  g.for_each_edge([&](std::uint32_t a, std::uint32_t b, double w) {
+    std::string u{g.name(a)};
+    std::string v{g.name(b)};
     if (v < u) std::swap(u, v);
-    out.emplace_back(std::move(u), std::move(v), g.edge_w()[i]);
-  }
+    out.emplace_back(std::move(u), std::move(v), w);
+  });
   std::sort(out.begin(), out.end());
   return out;
 }

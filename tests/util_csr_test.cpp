@@ -1,8 +1,8 @@
 // CSR/dense-matrix arena tests: build invariants (sorted adjacency,
-// degrees, preserved edge order), input validation, payload round-trips,
-// mmap loads that are actually zero-copy, corruption rejection, and the
-// ArenaWriter/ArenaView section contract including the misaligned-body
-// fallback copy.
+// degrees, the edge list as the upper triangle), input validation, payload
+// round-trips, mmap loads that are actually zero-copy, loads of the former
+// layout, corruption rejection, and the ArenaWriter/ArenaView section
+// contract including the misaligned-body fallback copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 
 #include "graph/bipartite.hpp"
 #include "graph/io.hpp"
+#include "graph_compare.hpp"
 #include "util/artifact.hpp"
 #include "util/csr.hpp"
 #include "util/fsio.hpp"
@@ -29,14 +30,15 @@ std::string temp_path(const std::string& name) {
   return (fs::temp_directory_path() / ("dnsembed_csr_" + name)).string();
 }
 
+// Triangle plus a pendant and an isolated vertex; edge order is scrambled
+// relative to (u,v) order on purpose.
+const std::vector<std::uint32_t> kTriangleU = {2, 0, 1, 3};
+const std::vector<std::uint32_t> kTriangleV = {0, 1, 2, 1};
+const std::vector<double> kTriangleW = {0.5, 1.0, 0.25, 2.0};
+
 CsrGraph triangle_graph() {
-  // Triangle plus a pendant and an isolated vertex; edge order is scrambled
-  // relative to (u,v) order on purpose.
-  const std::vector<std::uint32_t> u = {2, 0, 1, 3};
-  const std::vector<std::uint32_t> v = {0, 1, 2, 1};
-  const std::vector<double> w = {0.5, 1.0, 0.25, 2.0};
   const std::vector<std::string> names = {"a.test", "b.test", "c.test", "d.test", "lone.test"};
-  return CsrGraph::build(5, u, v, w, names);
+  return CsrGraph::build(5, kTriangleU, kTriangleV, kTriangleW, names);
 }
 
 // ---------------------------------------------------------------------
@@ -59,12 +61,11 @@ TEST(CsrGraph, BuildProducesSortedAdjacencyAndDegrees) {
   EXPECT_DOUBLE_EQ(g.neighbor_weights(0)[1], 0.5);   // 0-2
   EXPECT_DOUBLE_EQ(g.weighted_degree(1), 1.0 + 0.25 + 2.0);
   EXPECT_DOUBLE_EQ(g.weighted_degree(4), 0.0);
-  EXPECT_DOUBLE_EQ(g.total_weight(), 0.5 + 1.0 + 0.25 + 2.0);
 
-  // Edge arrays preserve input order verbatim (samplers index by position).
-  EXPECT_EQ(g.edge_u()[0], 2u);
-  EXPECT_EQ(g.edge_v()[0], 0u);
-  EXPECT_DOUBLE_EQ(g.edge_w()[3], 2.0);
+  // The edge list is the upper triangle in row order, whatever the input
+  // order was.
+  const std::vector<graph::Edge> edges = {{0, 1, 1.0}, {0, 2, 0.5}, {1, 2, 0.25}, {1, 3, 2.0}};
+  EXPECT_EQ(graph::edges_of(g), edges);
 
   ASSERT_TRUE(g.has_names());
   EXPECT_EQ(g.name(0), "a.test");
@@ -91,11 +92,7 @@ TEST(CsrGraph, BuildRejectsMalformedEdges) {
 void expect_same_graph(const CsrGraph& got, const CsrGraph& want) {
   ASSERT_EQ(got.vertex_count(), want.vertex_count());
   ASSERT_EQ(got.edge_count(), want.edge_count());
-  for (std::size_t e = 0; e < want.edge_count(); ++e) {
-    EXPECT_EQ(got.edge_u()[e], want.edge_u()[e]);
-    EXPECT_EQ(got.edge_v()[e], want.edge_v()[e]);
-    EXPECT_EQ(got.edge_w()[e], want.edge_w()[e]);
-  }
+  EXPECT_EQ(graph::edges_of(got), graph::edges_of(want));
   for (std::uint32_t vertex = 0; vertex < want.vertex_count(); ++vertex) {
     ASSERT_EQ(got.degree(vertex), want.degree(vertex));
     for (std::size_t i = 0; i < want.degree(vertex); ++i) {
@@ -137,6 +134,51 @@ TEST(CsrGraph, CorruptFileIsRejected) {
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
   fsio::atomic_write_file(path, bytes);
   EXPECT_THROW(CsrGraph::load_file(path), CorruptArtifact);
+  fs::remove(path);
+}
+
+TEST(CsrGraph, ArenaWithFormerEdgeListSectionsLoads) {
+  // Until the edge list was defined as the adjacency's upper triangle, the
+  // arena also held the input edges as struct-of-arrays, in input order,
+  // and their total weight, in sections the arena no longer writes (the
+  // three after AWGT and the one after WDEG below). Workdirs written then
+  // must resume: that layout loads as the graph built from the same edges,
+  // and saves back in the current one.
+  const auto g = triangle_graph();
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<std::uint32_t> cols;
+  std::vector<double> weights;
+  std::vector<double> degrees;
+  for (std::uint32_t x = 0; x < g.vertex_count(); ++x) {
+    const auto row = g.neighbors(x);
+    const auto row_weights = g.neighbor_weights(x);
+    cols.insert(cols.end(), row.begin(), row.end());
+    weights.insert(weights.end(), row_weights.begin(), row_weights.end());
+    offsets.push_back(cols.size());
+    degrees.push_back(g.weighted_degree(x));
+  }
+  const NameTable names = build_name_table(g.names_copy());
+  const std::uint64_t head[2] = {5, 4};
+  const double total = 0.5 + 1.0 + 0.25 + 2.0;
+  ArenaWriter former;
+  former.add(arena_tag("HEAD"), head, sizeof(head));
+  former.add_typed<std::uint64_t>(arena_tag("OFFS"), offsets);
+  former.add_typed<std::uint32_t>(arena_tag("COLS"), cols);
+  former.add_typed<double>(arena_tag("AWGT"), weights);
+  former.add_typed<std::uint32_t>(arena_tag("EDGU"), kTriangleU);
+  former.add_typed<std::uint32_t>(arena_tag("EDGV"), kTriangleV);
+  former.add_typed<double>(arena_tag("EDGW"), kTriangleW);
+  former.add_typed<double>(arena_tag("WDEG"), degrees);
+  former.add(arena_tag("TOTW"), &total, sizeof(total));
+  former.add(arena_tag("NAMB"), names.blob.data(), names.blob.size());
+  former.add_typed<std::uint64_t>(arena_tag("NAMO"), names.offsets);
+
+  const auto path = temp_path("former_layout.csr");
+  former.save_file(path, kCsrGraphKind);
+  const auto loaded = CsrGraph::load_file(path);
+  EXPECT_TRUE(loaded.zero_copy());
+  expect_same_graph(loaded, g);
+  EXPECT_EQ(loaded.payload(), g.payload());
   fs::remove(path);
 }
 
@@ -329,6 +371,7 @@ TEST(CsrGraph, SortedEdgeListMatchesShuffledBuild) {
     ASSERT_TRUE(std::equal(aw.begin(), aw.end(), bw.begin(), bw.end())) << x;
     EXPECT_EQ(sorted.weighted_degree(x), shuffled.weighted_degree(x)) << x;
   }
+  EXPECT_EQ(sorted.payload(), shuffled.payload());
 }
 
 TEST(CsrGraph, MovedGraphKeepsShortNames) {

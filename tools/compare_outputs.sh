@@ -18,9 +18,11 @@
 #   faultsim  the degradation JSON at severities 0 and 0.5.
 #
 # Usage: tools/compare_outputs.sh PARENT_DNSEMBED CHANGE_DNSEMBED
-# Both arguments are dnsembed binaries (e.g. build/tools/dnsembed). Exits 0
-# when every output matches, 1 naming the first file that differs. Each
-# case runs the two builds side by side; the matrix takes a few minutes.
+# Both arguments are dnsembed binaries (e.g. build/tools/dnsembed). Every
+# case runs and every file is compared, each one that differs is named, and
+# the exit status is 0 only when every output matches (1 otherwise, or as
+# soon as a case fails to run). Each case runs the two builds side by side;
+# the matrix takes a few minutes.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -63,20 +65,28 @@ run_case() {
   done
 }
 
-# same FILE...: cmp each file (a path under both sides) or exit 1 naming it.
-same() {
-  local file
+# Set once anything differs; the exit status reads it.
+differs=0
+
+# check LABEL FILE...: cmp each file (a path under both sides), naming each
+# one that differs, then print one line for LABEL.
+check() {
+  local label="$1"
+  shift
+  local file ok=1
   for file in "$@"; do
     if ! cmp -s "$out/parent/$file" "$out/change/$file"; then
       echo "compare_outputs: DIFFERS: $file" >&2
-      exit 1
+      ok=0
+      differs=1
     fi
   done
+  if ((ok)); then echo "same: $label"; else echo "differs: $label"; fi
 }
 
-# same_tree NAME: the file lists of both sides' NAME directories match, and
-# so does every file in them, except sv/ and the captured stdout/stderr.
-same_tree() {
+# check_tree NAME: the file lists of both sides' NAME directories, and every
+# file in both, except sv/ and the captured stdout/stderr.
+check_tree() {
   local name="$1"
   local list_parent list_change
   list_parent="$(cd "$out/parent/$name" && find . -type f ! -path '*/sv/*' ! -name 'std*.txt' | sort)"
@@ -84,13 +94,14 @@ same_tree() {
   if [[ "$list_parent" != "$list_change" ]]; then
     echo "compare_outputs: DIFFERS: file list of $name" >&2
     diff <(echo "$list_parent") <(echo "$list_change") >&2 || true
-    exit 1
+    differs=1
   fi
+  local -a files=()
   local file
   while IFS= read -r file; do
-    same "$name/${file#./}"
-  done <<< "$list_parent"
-  echo "same: $name ($(wc -l <<< "$list_parent") files)"
+    files+=("$name/${file#./}")
+  done < <(comm -12 <(echo "$list_parent") <(echo "$list_change"))
+  check "$name (${#files[@]} files)" "${files[@]}"
 }
 
 runs=(
@@ -106,33 +117,33 @@ runs=(
 for spec in "${runs[@]}"; do
   read -r -a words <<< "$spec"
   run_case "${words[@]}"
-  same_tree "${words[0]}"
+  check_tree "${words[0]}"
 done
 
 run_case report report --out report.md --samples 300000
-same report/report.md
-echo "same: report/report.md"
+check report/report.md report/report.md
 
 run_case cli simulate --out t.log --labels l.csv --hosts 60 --days 2 --sites 300 --families 6
-same cli/t.log cli/l.csv
+check "simulated log and labels" cli/t.log cli/l.csv
 run_case cli graphs --log t.log --out-prefix g_
-same cli/g_hdbg.csv cli/g_dibg.csv cli/g_dtbg.csv
-same cli/g_query_sim.csv cli/g_ip_sim.csv cli/g_temporal_sim.csv
-echo "same: graphs CSVs"
+check "graphs CSVs" cli/g_hdbg.csv cli/g_dibg.csv cli/g_dtbg.csv \
+  cli/g_query_sim.csv cli/g_ip_sim.csv cli/g_temporal_sim.csv
 
 run_case cli embed --log t.log --out e.emb --dim 8 --samples 200000
 run_case cli detect --embeddings e.emb --labels l.csv --kfold 3
-same cli/stdout.txt
+check "detect stdout" cli/stdout.txt
 run_case cli cluster --embeddings e.emb --out c.csv --kmin 2 --kmax 12
-same cli/c.csv
+check "cluster CSV" cli/c.csv
 domains="$(grep ',1,' "$out/parent/cli/l.csv" | head -3 | cut -d, -f1 | paste -sd, -)"
 run_case cli score --embeddings e.emb --labels l.csv --domains "$domains,unknown.example"
-same cli/stdout.txt
-echo "same: detect stdout, cluster CSV, score output"
+check "score output" cli/stdout.txt
 
 run_case faultsim faultsim --out report.json --hosts 40 --days 2 --sites 150 --families 4 \
   --samples 150000 --severities 0,0.5
-same faultsim/report.json
-echo "same: faultsim/report.json"
+check faultsim/report.json faultsim/report.json
 
+if ((differs)); then
+  echo "compare_outputs: outputs differ (each file named above)" >&2
+  exit 1
+fi
 echo "compare_outputs: all outputs identical"
