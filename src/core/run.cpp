@@ -233,7 +233,7 @@ std::optional<Manifest> try_load_manifest(const std::string& workdir) {
 
 // ------------------------------------------------------------ validation
 
-std::string file_digest(const std::string& bytes) {
+std::string file_digest(std::string_view bytes) {
   return util::hex64(util::xxhash64(bytes));
 }
 
@@ -247,13 +247,15 @@ bool stage_artifacts_valid(const std::string& workdir, const StageRecord& record
     const auto& want = spec.artifacts[i];
     const auto& have = record.artifacts[i];
     if (have.file != want.file) return false;
+    OBS_SPAN("run.artifact.check");
     const auto path = join(workdir, want.file);
-    std::string bytes;
+    util::fsio::MappedFile mapped;
     try {
-      bytes = util::fsio::read_file(path);
+      mapped = util::fsio::map_file(path);
     } catch (const util::fsio::IoError&) {
       return false;  // missing or unreadable -> recompute
     }
+    const std::string_view bytes = mapped.bytes();
     if (file_digest(bytes) != have.digest) {
       util::fsio::note_corrupt_detected();
       util::log_warn() << "run: artifact " << path << " digest mismatch; recomputing stage '"
@@ -328,7 +330,11 @@ class StageDriver {
   /// Record a just-written artifact of the stage in flight: its digest,
   /// the test hooks, and a deadline poll.
   void commit(const std::string& file) {
-    pending_.push_back({file, file_digest(util::fsio::read_file(join(options_.workdir, file)))});
+    {
+      OBS_SPAN("run.artifact.digest");
+      pending_.push_back(
+          {file, file_digest(util::fsio::map_file(join(options_.workdir, file)).bytes())});
+    }
     if (!options_.crash_after_artifact.empty() && options_.crash_after_artifact == file) {
       util::log_warn() << "run: crash hook firing after " << file;
       std::_Exit(137);

@@ -187,7 +187,7 @@ bool outputs_valid(const WorkerTask& task, std::string& why) {
       continue;
     }
     try {
-      util::validate_artifact_view(util::fsio::read_file(output.path), output.kind,
+      util::validate_artifact_view(util::fsio::map_file(output.path).bytes(), output.kind,
                                    output.path);
     } catch (const util::CorruptArtifact& e) {
       why = e.path() + ": " + e.reason();

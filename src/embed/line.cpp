@@ -1,6 +1,7 @@
 #include "embed/line.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -74,25 +75,21 @@ struct alignas(32) EdgeBucket {
 static_assert(sizeof(EdgeBucket) == 32);
 
 /// Bucket i is edge i of the graph's edge list (CsrGraph::for_each_edge).
-/// The list is walked twice: the weights live only while the Walker table
-/// is built, and the buckets are filled after it, so the weights, the
-/// table's build scratch and the buckets are never held at once.
+/// One walk packs the endpoints with the weight in `prob`; build_walker then
+/// turns the weights into the Walker table in place, leaving each bucket's
+/// alias index in `alias_u`, and a last pass resolves that index into the
+/// alias edge's endpoints.
 std::vector<EdgeBucket> pack_edge_sampler(const util::CsrGraph& g) {
-  const AliasTable alias = [&] {
-    std::vector<double> weights;
-    weights.reserve(g.edge_count());
-    g.for_each_edge([&](std::uint32_t, std::uint32_t, double w) { weights.push_back(w); });
-    return AliasTable{weights};
-  }();
   std::vector<EdgeBucket> packed;
-  packed.reserve(alias.size());
-  g.for_each_edge([&](std::uint32_t u, std::uint32_t v, double) {
-    packed.push_back({alias.buckets()[packed.size()].prob, u, v, 0, 0});
+  packed.reserve(g.edge_count());
+  g.for_each_edge([&](std::uint32_t u, std::uint32_t v, double w) {
+    packed.push_back({w, u, v, 0, 0});
   });
-  for (std::size_t i = 0; i < packed.size(); ++i) {
-    const std::size_t a = alias.buckets()[i].alias;
-    packed[i].alias_u = packed[a].u;
-    packed[i].alias_v = packed[a].v;
+  build_walker(std::span{packed}, &EdgeBucket::alias_u);
+  for (EdgeBucket& e : packed) {
+    const EdgeBucket& alias = packed[e.alias_u];
+    e.alias_u = alias.u;
+    e.alias_v = alias.v;
   }
   return packed;
 }
@@ -117,9 +114,16 @@ struct PendingDraw {
   std::size_t bucket = 0;
 };
 
+/// The row width `run` trains at: its dimension 24 split between the two
+/// objectives. run_sgd is compiled for it with the width as a constant, and
+/// for any other width with the width read at run time.
+constexpr std::size_t kFixedWidth = 12;
+
 /// One SGD objective pass (first- or second-order) writing `dim`-wide rows
 /// into `vertex` (and using `context` when second_order), on the float
-/// kernels of one SIMD rung (a util::simd::kernels struct).
+/// kernels of one SIMD rung (a util::simd::kernels struct). kWidth is the
+/// row width when it is fixed at compile time (then `width` equals it), or
+/// 0 to read it from `width`.
 ///
 /// Batch-synchronous: steps run in batches, and every step of a batch reads
 /// the embedding as of the last barrier. A step emits its updates into the
@@ -128,9 +132,10 @@ struct PendingDraw {
 /// its own counter-based Rng (sample_seed), so step s + kDrawAhead's
 /// generator is seeded, and its bucket drawn and prefetched, while step s
 /// trains; every generator still makes the same draws in the same order.
-template <typename Kernels>
+template <typename Kernels, std::size_t kWidth>
 void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
-             std::vector<float>& context, std::size_t dim, bool second_order) {
+             std::vector<float>& context, std::size_t width, bool second_order) {
+  const std::size_t dim = kWidth != 0 ? kWidth : width;
   const auto& config = ctx.config;
   const auto& edges = ctx.edges;
   const auto& noise = ctx.noise_sampler;
@@ -156,8 +161,11 @@ void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
   const std::size_t slots = batch_size * (config.negatives + 2);
   std::vector<std::uint32_t> keys(slots);
   std::vector<float> deltas(slots * dim);
-  std::vector<float> grad_buffer(dim);
-  float* const grad = grad_buffer.data();
+  // At a fixed width the gradient is a local array, so zeroing and copying
+  // it are a few vector moves instead of memset and memcpy calls.
+  std::array<float, std::max<std::size_t>(kWidth, 1)> fixed_grad{};
+  std::vector<float> runtime_grad(kWidth != 0 ? 0 : dim);
+  float* const grad = kWidth != 0 ? fixed_grad.data() : runtime_grad.data();
   const float* const tgt_base = second_order ? context.data() : vertex.data();
 
   PendingDraw ring[kDrawAhead];
@@ -169,10 +177,24 @@ void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
   };
   for (std::size_t step = 0; step < std::min(total, kDrawAhead); ++step) draw_ahead(step);
 
+  // One target's update: its dot with the source row, the gradient into
+  // `grad` and the target's delta into the arena.
+  std::size_t used = 0;
+  const auto train_target = [&](const float* src_vec, std::uint32_t target, double label,
+                                double lr) {
+    const float* const tgt_vec = tgt_base + static_cast<std::size_t>(target) * dim;
+    const double dot = Kernels::dot(src_vec, tgt_vec, dim);
+    const auto coeff = static_cast<float>((label - sig(dot)) * lr);
+    Kernels::axpy(coeff, tgt_vec, grad, dim);
+    keys[used] = (target << 1) | target_tag;
+    Kernels::scale(coeff, src_vec, deltas.data() + used * dim, dim);
+    ++used;
+  };
+
   OBS_SPAN(second_order ? "embed.line.worker.order2" : "embed.line.worker.order1");
   for (std::size_t b0 = 0; b0 < total; b0 += batch_size) {
     const std::size_t b1 = std::min(total, b0 + batch_size);
-    std::size_t used = 0;
+    used = 0;
     for (std::size_t step = b0; step < b1; ++step) {
       util::Rng rng = ring[step % kDrawAhead].rng;
       const EdgeBucket& e = edges[ring[step % kDrawAhead].bucket];
@@ -180,36 +202,29 @@ void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
       const double progress = static_cast<double>(step) / static_cast<double>(total);
       const double lr = std::max(lr_floor, config.initial_lr * (1.0 - progress));
 
-      const bool own = rng.uniform() < e.prob;
-      // Random orientation: the graph is undirected, LINE's updates are not.
-      const bool flip = rng.bernoulli(0.5);
-      const std::uint32_t u = own ? e.u : e.alias_u;
-      const std::uint32_t v = own ? e.v : e.alias_v;
-      const std::uint32_t src = flip ? v : u;
-      const std::uint32_t dst = flip ? u : v;
+      // The edge coin and the random orientation (the graph is undirected,
+      // LINE's updates are not) are unpredictable, so they pick endpoints
+      // through all-ones-or-zero masks. The empty asm hides the masks'
+      // range from GCC, which would otherwise turn the selects back into
+      // branches.
+      std::uint32_t own = 0 - static_cast<std::uint32_t>(rng.uniform() < e.prob);
+      std::uint32_t flip = 0 - static_cast<std::uint32_t>(rng.bernoulli(0.5));
+      asm("" : "+r"(own), "+r"(flip));
+      const std::uint32_t u = e.alias_u ^ ((e.u ^ e.alias_u) & own);
+      const std::uint32_t v = e.alias_v ^ ((e.v ^ e.alias_v) & own);
+      const std::uint32_t swap = (u ^ v) & flip;
+      const std::uint32_t src = u ^ swap;
+      const std::uint32_t dst = v ^ swap;
 
       const float* const src_vec = vertex.data() + static_cast<std::size_t>(src) * dim;
       std::fill_n(grad, dim, 0.0f);
-
-      for (std::size_t k = 0; k <= config.negatives; ++k) {
-        std::uint32_t target = 0;
-        double label = 0.0;
-        if (k == 0) {
-          target = dst;
-          label = 1.0;
-        } else {
-          target = static_cast<std::uint32_t>(noise.sample(rng));
-          if (target == dst || target == src) continue;
-        }
-        const float* const tgt_vec = tgt_base + static_cast<std::size_t>(target) * dim;
-        const double dot = Kernels::dot(src_vec, tgt_vec, dim);
-        const auto coeff = static_cast<float>((label - sig(dot)) * lr);
-        Kernels::axpy(coeff, tgt_vec, grad, dim);
-        keys[used] = (static_cast<std::uint32_t>(target) << 1) | target_tag;
-        Kernels::scale(coeff, src_vec, deltas.data() + used * dim, dim);
-        ++used;
+      train_target(src_vec, dst, 1.0, lr);
+      for (std::size_t k = 0; k < config.negatives; ++k) {
+        const auto target = static_cast<std::uint32_t>(noise.sample(rng));
+        if (target == dst || target == src) continue;
+        train_target(src_vec, target, 0.0, lr);
       }
-      keys[used] = static_cast<std::uint32_t>(src) << 1;
+      keys[used] = src << 1;
       std::copy_n(grad, dim, deltas.data() + used * dim);
       ++used;
     }
@@ -221,6 +236,17 @@ void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
                          static_cast<std::size_t>(keys[i] >> 1) * dim;
       Kernels::axpy(1.0f, deltas.data() + i * dim, row, dim);
     }
+  }
+}
+
+/// run_sgd at kFixedWidth when `dim` is it, else at the run-time width.
+template <typename Kernels>
+void run_sgd_any_width(const TrainContext& ctx, std::vector<float>& vertex,
+                       std::vector<float>& context, std::size_t dim, bool second_order) {
+  if (dim == kFixedWidth) {
+    run_sgd<Kernels, kFixedWidth>(ctx, vertex, context, dim, second_order);
+  } else {
+    run_sgd<Kernels, 0>(ctx, vertex, context, dim, second_order);
   }
 }
 
@@ -238,7 +264,7 @@ __attribute__((flatten)) void run_sgd_scalar(const TrainContext& ctx,
                                              std::vector<float>& vertex,
                                              std::vector<float>& context, std::size_t dim,
                                              bool second_order) {
-  run_sgd<util::simd::kernels::Scalar>(ctx, vertex, context, dim, second_order);
+  run_sgd_any_width<util::simd::kernels::Scalar>(ctx, vertex, context, dim, second_order);
 }
 
 #ifdef DNSEMBED_SIMD_X86
@@ -246,7 +272,7 @@ __attribute__((flatten, target("sse2"))) void run_sgd_sse2(const TrainContext& c
                                                            std::vector<float>& vertex,
                                                            std::vector<float>& context,
                                                            std::size_t dim, bool second_order) {
-  run_sgd<util::simd::kernels::Sse2>(ctx, vertex, context, dim, second_order);
+  run_sgd_any_width<util::simd::kernels::Sse2>(ctx, vertex, context, dim, second_order);
 }
 
 __attribute__((flatten, target("avx2,fma"))) void run_sgd_avx2(const TrainContext& ctx,
@@ -254,7 +280,7 @@ __attribute__((flatten, target("avx2,fma"))) void run_sgd_avx2(const TrainContex
                                                                std::vector<float>& context,
                                                                std::size_t dim,
                                                                bool second_order) {
-  run_sgd<util::simd::kernels::Avx2>(ctx, vertex, context, dim, second_order);
+  run_sgd_any_width<util::simd::kernels::Avx2>(ctx, vertex, context, dim, second_order);
 }
 #endif
 

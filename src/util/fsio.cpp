@@ -271,17 +271,27 @@ std::string read_file(const std::string& path, const RetryPolicy& policy) {
       if (const int err = injected_errno(Op::kRead, path, attempt)) {
         last = OpFailure{Op::kRead, err};
       } else {
-        char buf[1 << 16];
+        // Sized once from fstat, with one spare byte so the read that sees
+        // EOF needs no growth, then read until EOF: a file that grew since
+        // is still read whole (the buffer doubles when full), and one that
+        // shrank is cut to what was read.
+        struct stat st {};
+        const std::size_t expected =
+            ::fstat(fd, &st) == 0 && st.st_size > 0 ? static_cast<std::size_t>(st.st_size) : 0;
+        content.resize(expected + 1);
+        std::size_t filled = 0;
         while (true) {
-          const ssize_t n = ::read(fd, buf, sizeof(buf));
+          if (filled == content.size()) content.resize(2 * content.size());
+          const ssize_t n = ::read(fd, content.data() + filled, content.size() - filled);
           if (n < 0) {
             if (errno == EINTR) continue;
             last = OpFailure{Op::kRead, errno};
             break;
           }
           if (n == 0) break;
-          content.append(buf, static_cast<std::size_t>(n));
+          filled += static_cast<std::size_t>(n);
         }
+        content.resize(filled);
       }
     }
     if (fd >= 0) ::close(fd);

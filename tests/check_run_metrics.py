@@ -12,7 +12,8 @@ step: three channels times two objectives times --samples. The same run's
 and clustering out of the stages. A renamed span would otherwise read as
 zero seconds without failing anything.
 A following `run --resume` over the same workdir must report all five
-stages resumed. --line-threads stays in the options to show the ignored flag
+stages resumed, and its --trace-out must hold one artifact check span for
+each artifact digest span of the first run. --line-threads stays in the options to show the ignored flag
 is still accepted.
 """
 import json
@@ -32,7 +33,8 @@ HISTOGRAMS.append("pipeline.svm.seconds")
 COUNTERS = ["graph.projection.pairs", "ml.kmeans.distances"]
 # Graph build, artifact I/O and clustering (DESIGN §7).
 SPANS = ["trace.graph_build", "graph.bipartite.save", "graph.bipartite.load",
-         "behavior.restrict", "graph.csr.save", "run.report.load", "ml.xmeans"]
+         "behavior.restrict", "graph.csr.save", "run.report.load", "ml.xmeans",
+         "run.artifact.digest"]
 # Three similarity channels, each trained for both LINE objectives.
 LINE_SAMPLES = 3 * 2 * SAMPLES
 
@@ -53,7 +55,9 @@ def main():
                         *OPTIONS],
                        check=True, stdout=subprocess.DEVNULL)
         metrics = json.loads(metrics_path.read_text())
-        spans = {event["name"] for event in json.loads(trace_path.read_text())["traceEvents"]}
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        spans = {event["name"] for event in events}
+        digests = sum(1 for event in events if event["name"] == "run.artifact.digest")
         for name in SPANS:
             if name not in spans:
                 fail(f"trace span '{name}' missing")
@@ -69,13 +73,19 @@ def main():
         if line_samples != LINE_SAMPLES:
             fail(f"counter 'embed.line.samples' is {line_samples}, expected {LINE_SAMPLES}")
 
+        resume_trace = Path(tmp) / "resume_trace.json"
         resumed = subprocess.run([cli, "run", "--workdir", str(workdir), "--resume",
-                                  *OPTIONS],
+                                  "--trace-out", str(resume_trace), *OPTIONS],
                                  check=True, capture_output=True, text=True)
         if "5/5 stages resumed" not in resumed.stdout:
             fail(f"`run --resume` did not resume every stage:\n{resumed.stdout}")
+        checks = sum(1 for event in json.loads(resume_trace.read_text())["traceEvents"]
+                     if event["name"] == "run.artifact.check")
+        if checks != digests:
+            fail(f"`run --resume` traced {checks} artifact checks, expected one per "
+                 f"artifact digest of the first run ({digests})")
     print(f"ok: {len(HISTOGRAMS)} histograms, {len(COUNTERS) + 1} counters, "
-          f"{len(SPANS)} spans, resume 5/5")
+          f"{len(SPANS)} spans, resume 5/5 with {checks} artifact checks")
 
 
 if __name__ == "__main__":

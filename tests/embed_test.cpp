@@ -4,8 +4,11 @@
 // different communities (LINE, DeepWalk, node2vec).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,6 +66,77 @@ TEST(Alias, RejectsInvalidWeights) {
   EXPECT_THROW((AliasTable{std::vector<double>{}}), std::invalid_argument);
   EXPECT_THROW((AliasTable{std::vector<double>{0.0, 0.0}}), std::invalid_argument);
   EXPECT_THROW((AliasTable{std::vector<double>{1.0, -1.0}}), std::invalid_argument);
+}
+
+/// Walker's construction as two growing vectors of indices and a separate
+/// scaled-mass array: the form build_walker replaced with one in-place pass
+/// and one worklist. `moves` counts large buckets that turned small and
+/// `leftovers` the residue that got probability 1.
+struct TwoStackWalker {
+  std::vector<double> prob;
+  std::vector<std::size_t> alias;
+  std::size_t moves = 0;
+  std::size_t leftovers = 0;
+};
+
+TwoStackWalker two_stack_walker(const std::vector<double>& weights) {
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  const std::size_t n = weights.size();
+  TwoStackWalker out{std::vector<double>(n, 0.0), std::vector<std::size_t>(n, 0)};
+  std::vector<double> scaled(n);
+  std::vector<std::size_t> small;
+  std::vector<std::size_t> large;
+  for (std::size_t i = 0; i < n; ++i) {
+    scaled[i] = weights[i] / total * static_cast<double>(n);
+    (scaled[i] < 1.0 ? small : large).push_back(i);
+  }
+  while (!small.empty() && !large.empty()) {
+    const std::size_t s = small.back();
+    small.pop_back();
+    const std::size_t l = large.back();
+    out.prob[s] = scaled[s];
+    out.alias[s] = l;
+    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+    if (scaled[l] < 1.0) {
+      large.pop_back();
+      small.push_back(l);
+      ++out.moves;
+    }
+  }
+  for (const std::size_t i : small) out.prob[i] = 1.0;
+  for (const std::size_t i : large) out.prob[i] = 1.0;
+  out.leftovers = small.size() + large.size();
+  return out;
+}
+
+TEST(Alias, InPlaceBuilderMatchesTwoStackConstruction) {
+  struct Entry {
+    double prob;
+    std::uint32_t alias;
+  };
+  util::Rng rng{31};
+  std::size_t moves = 0;
+  for (const std::size_t n : {1u, 2u, 3u, 17u, 1000u, 4096u}) {
+    for (int round = 0; round < 4; ++round) {
+      std::vector<double> weights(n);
+      for (auto& w : weights) w = std::pow(10.0, rng.uniform(-3.0, 3.0));
+      if (round == 3 && n > 2) weights[n / 2] = 0.0;
+      const auto want = two_stack_walker(weights);
+      std::vector<Entry> entries;
+      for (const double w : weights) entries.push_back({w, 7});
+      double total = 0.0;
+      for (const double w : weights) total += w;
+      EXPECT_EQ(build_walker(std::span{entries}, &Entry::alias), total);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(entries[i].prob, want.prob[i]) << "n=" << n << " bucket " << i;
+        EXPECT_EQ(entries[i].alias, want.alias[i]) << "n=" << n << " bucket " << i;
+      }
+      EXPECT_GE(want.leftovers, 1u) << "n=" << n;
+      moves += want.moves;
+    }
+  }
+  EXPECT_GT(moves, 1000u) << "the weights must move many buckets from large to small";
 }
 
 TEST(Embedding, RowAccessAndLookup) {

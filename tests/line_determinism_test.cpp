@@ -1,11 +1,13 @@
 // LINE against a plain reference trainer. The shipped trainer runs one
 // batch-synchronous lane with a preallocated delta arena, a packed edge
-// sampler and each step's edge bucket drawn several steps ahead; the
-// reference below is the same algorithm written plainly — every draw made
-// when its step runs, through AliasTable::sample, and push_back'd deltas
-// applied at each barrier. The two must agree bit for bit across orders,
-// dimensions that reach every SIMD remainder path, sample budgets around
-// the draw-ahead distance and the batch edges, and a graph with an isolated
+// sampler built in place and each step's edge bucket drawn several steps
+// ahead; the reference below is the same algorithm written plainly — every
+// draw made when its step runs, through AliasTable::sample, and push_back'd
+// deltas applied at each barrier. The two must agree bit for bit across
+// orders, dimensions that reach every SIMD remainder path and the
+// fixed-width step loop (dim 24 trains two 12-float halves under kBoth),
+// sample budgets around the draw-ahead distance and the batch edges, a
+// graph whose weights span six decades, and a graph with an isolated
 // vertex, on every SIMD rung the CPU supports (the trainer has one step
 // loop per rung, each inlining that rung's kernels).
 #include <gtest/gtest.h>
@@ -53,6 +55,24 @@ util::CsrGraph community_graph(std::size_t communities, std::size_t size_each,
   for (std::size_t c = 1; c < communities; ++c) {
     edges.push_back({static_cast<graph::VertexId>((c - 1) * size_each),
                      static_cast<graph::VertexId>(c * size_each), 0.05});
+  }
+  return graph::make_graph(names, edges);
+}
+
+/// A random graph whose edge weights span 1e-3 to 1e3, log-uniformly: its
+/// Walker build moves many buckets from the large stack to the small one
+/// and ends with residue left on a stack.
+util::CsrGraph wide_weight_graph(std::size_t vertices, double density, std::uint64_t seed) {
+  util::Rng rng{seed};
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < vertices; ++i) names.push_back("w" + std::to_string(i));
+  std::vector<graph::Edge> edges;
+  for (std::size_t i = 0; i < vertices; ++i) {
+    for (std::size_t j = i + 1; j < vertices; ++j) {
+      if (!rng.bernoulli(density)) continue;
+      edges.push_back({static_cast<graph::VertexId>(i), static_cast<graph::VertexId>(j),
+                       std::pow(10.0, rng.uniform(-3.0, 3.0))});
+    }
   }
   return graph::make_graph(names, edges);
 }
@@ -237,10 +257,10 @@ class RungGuard {
 /// The reference calls the dispatched kernels, so each of the trainer's
 /// per-rung step loops is held to its own rung's kernels.
 void expect_matches_reference_on_rung(const util::CsrGraph& g, const std::string& graph_name) {
-  // 24 and 25 vertices: batches of 64 steps.
+  // 24, 25 and 30 vertices: batches of 64 steps.
   constexpr std::size_t kBatch = 64;
   for (const LineOrder order : {LineOrder::kFirst, LineOrder::kSecond, LineOrder::kBoth}) {
-    for (const std::size_t dim : {8u, 12u, 13u, 128u}) {
+    for (const std::size_t dim : {8u, 12u, 13u, 24u, 128u}) {
       for (const std::size_t samples :
            {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9}, kBatch - 1,
             kBatch, kBatch + 1, 20 * kBatch + 3}) {
@@ -272,6 +292,10 @@ void expect_matches_reference(const util::CsrGraph& g, const std::string& graph_
 
 TEST(LineDeterminism, MatchesReferenceTrainer) {
   expect_matches_reference(community_graph(3, 8), "communities");
+}
+
+TEST(LineDeterminism, MatchesReferenceTrainerOnWideWeights) {
+  expect_matches_reference(wide_weight_graph(30, 0.4, 2718), "wide-weights");
 }
 
 TEST(LineDeterminism, MatchesReferenceTrainerWithIsolatedVertex) {

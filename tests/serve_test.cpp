@@ -344,6 +344,10 @@ TEST(ServeEngine, ReloadUnderLoadKeepsEveryLookupConsistent) {
       }
     });
   }
+  // Reload only once the readers are reading: 25 reloads can finish before
+  // a reader thread is first scheduled on a loaded machine, and then no
+  // lookup would overlap a reload.
+  while (lookups.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   for (int n = 0; n < kReloads; ++n) engine.reload();
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();

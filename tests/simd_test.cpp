@@ -2,8 +2,9 @@
 // supports must agree with the scalar reference — within 1 ulp of the
 // returned float for the double-accumulated reductions (dot, squared_l2),
 // bit-exactly for the element-wise float kernels (axpy, scale,
-// fused_sigmoid_step) — and each rung's one-to-many squared_l2_rows must
-// match its own pairwise squared_l2 bit for bit. Inputs sweep random data
+// fused_sigmoid_step) — each rung's float dot, axpy and scale must follow
+// its own operation order bit for bit, and each rung's one-to-many
+// squared_l2_rows must match its own pairwise squared_l2 bit for bit. Inputs sweep random data
 // plus the usual traps: denormals, signed zeros, large magnitudes, and
 // lengths that exercise every vector-width remainder path.
 #include <gtest/gtest.h>
@@ -96,7 +97,8 @@ std::vector<T> fuzz_vector(util::Rng& rng, std::size_t n) {
 }
 
 // Lengths covering empty input, scalar tails, and full vector widths.
-constexpr std::size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 67, 128};
+constexpr std::size_t kLengths[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,
+                                    12, 13, 15, 16, 17, 31, 64, 67, 128};
 
 /// Byte equality that is defined for empty vectors too: an empty vector's
 /// data() may be null, and memcmp on a null pointer is undefined even at
@@ -125,6 +127,95 @@ TEST(SimdParity, FloatReductionsWithinOneUlp) {
         EXPECT_LE(ulp_distance(got_sql2, ref_sql2), 1u)
             << level_name(rung.level) << " squared_l2 n=" << n << " got=" << got_sql2
             << " ref=" << ref_sql2;
+      }
+    }
+  }
+}
+
+/// A rung's float dot written out plainly: the scalar rung sums in index
+/// order; SSE2 keeps two 2-lane and AVX2 two 4-lane double accumulators over
+/// blocks of 4 and 8 elements, adds them lane by lane, reduces the lanes as
+/// l0 + l1 (SSE2) or (l0 + l1) + (l2 + l3) (AVX2), then adds the remaining
+/// products one at a time in index order. Float products are exact in
+/// double, so an FMA into an accumulator rounds like this add does.
+float reference_dot(Level level, const float* a, const float* b, std::size_t n) {
+  const auto product = [&](std::size_t i) {
+    return static_cast<double>(a[i]) * static_cast<double>(b[i]);
+  };
+  std::size_t i = 0;
+  double sum = 0.0;
+  if (level != Level::kScalar) {
+    const std::size_t lanes = level == Level::kAvx2 ? 4 : 2;
+    double acc0[4] = {};
+    double acc1[4] = {};
+    for (; i + 2 * lanes <= n; i += 2 * lanes) {
+      for (std::size_t j = 0; j < lanes; ++j) {
+        acc0[j] += product(i + j);
+        acc1[j] += product(i + lanes + j);
+      }
+    }
+    double l[4] = {};
+    for (std::size_t j = 0; j < lanes; ++j) l[j] = acc0[j] + acc1[j];
+    sum = lanes == 4 ? (l[0] + l[1]) + (l[2] + l[3]) : l[0] + l[1];
+  }
+  for (; i < n; ++i) sum += product(i);
+  return static_cast<float>(sum);
+}
+
+/// Entries of ±2^30 among small ones: products of ±2^60 cancel exactly and
+/// absorb the small products they meet, so the float a dot returns depends
+/// on the order of its additions (random magnitudes almost never show a
+/// reordering once the double sum is rounded to float).
+std::vector<float> cancelling_vector(util::Rng& rng, std::size_t n) {
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    x = rng.bernoulli(0.4) ? (rng.bernoulli(0.5) ? 0x1.0p30f : -0x1.0p30f)
+                           : static_cast<float>(rng.uniform(-8.0, 8.0));
+  }
+  return v;
+}
+
+// Each rung's float dot, axpy and scale against its own operation order,
+// bit for bit: a rung that reorders its reduction or its tail fails here
+// even when the result stays within an ulp of the scalar rung.
+TEST(SimdParity, FloatKernelsFollowTheirRungsOperationOrder) {
+  struct FloatRung {
+    Level level;
+    float (*dot)(const float*, const float*, std::size_t) noexcept;
+    void (*axpy)(float, const float*, float*, std::size_t) noexcept;
+    void (*scale)(float, const float*, float*, std::size_t) noexcept;
+  };
+  std::vector<FloatRung> rungs{
+      {Level::kScalar, dot_f32_scalar, axpy_f32_scalar, scale_f32_scalar}};
+  for (const auto& rung : supported_rungs()) {
+    rungs.push_back({rung.level, rung.dot_f32, rung.axpy, rung.scale});
+  }
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+
+  util::Rng rng{0x0DE12};
+  for (int round = 0; round < 400; ++round) {
+    for (const std::size_t n : kLengths) {
+      const bool cancelling = round % 2 == 1;
+      const auto a = cancelling ? cancelling_vector(rng, n) : fuzz_vector<float>(rng, n);
+      const auto b = cancelling ? cancelling_vector(rng, n) : fuzz_vector<float>(rng, n);
+      const auto y0 = fuzz_vector<float>(rng, n);
+      const auto alpha = static_cast<float>(rng.uniform(-2.0, 2.0));
+      auto y_ref = y0;
+      std::vector<float> scaled_ref(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        y_ref[i] += alpha * a[i];
+        scaled_ref[i] = alpha * a[i];
+      }
+      for (const auto& rung : rungs) {
+        EXPECT_EQ(bits(rung.dot(a.data(), b.data(), n)),
+                  bits(reference_dot(rung.level, a.data(), b.data(), n)))
+            << level_name(rung.level) << " dot n=" << n << (cancelling ? " cancelling" : "");
+        auto y = y0;
+        rung.axpy(alpha, a.data(), y.data(), n);
+        EXPECT_TRUE(same_bytes(y, y_ref)) << level_name(rung.level) << " axpy n=" << n;
+        std::vector<float> scaled(n);
+        rung.scale(alpha, a.data(), scaled.data(), n);
+        EXPECT_TRUE(same_bytes(scaled, scaled_ref)) << level_name(rung.level) << " scale n=" << n;
       }
     }
   }

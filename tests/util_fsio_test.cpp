@@ -6,9 +6,15 @@
 // parser.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "fault/io_faults.hpp"
 #include "util/artifact.hpp"
@@ -87,6 +93,43 @@ TEST(Fsio, AtomicWriteRoundTrip) {
   EXPECT_EQ(fsio::read_file(path), payload);
   EXPECT_EQ(fsio::stats().atomic_renames, 1u);
   EXPECT_EQ(fsio::stats().retries, 0u);
+}
+
+// read_file sizes its buffer from fstat: a multi-MB payload with every byte
+// value (NULs included), an empty file, and a pipe, whose fstat size is 0,
+// so its bytes are only read whole if the buffer grows past that size.
+TEST(Fsio, ReadFileRoundTripsLargeEmptyAndGrowingFiles) {
+  TempDir dir{"fsio_read_sizes"};
+  util::Rng rng{77};
+  std::string large(3 * 1024 * 1024 + 17, '\0');
+  for (auto& c : large) c = static_cast<char>(rng.uniform_index(256));
+  const auto large_path = dir.file("large.bin");
+  fsio::atomic_write_file(large_path, large);
+  EXPECT_EQ(fsio::read_file(large_path), large);
+  EXPECT_EQ(fsio::map_file(large_path).bytes(), large);
+
+  const auto empty_path = dir.file("empty.bin");
+  fsio::atomic_write_file(empty_path, "");
+  EXPECT_EQ(fsio::read_file(empty_path), "");
+  EXPECT_TRUE(fsio::map_file(empty_path).bytes().empty());
+
+  const auto fifo_path = dir.file("growing.fifo");
+  ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0) << std::strerror(errno);
+  const std::string streamed = large.substr(0, 300'001);
+  std::thread writer{[&] {
+    const int fd = ::open(fifo_path.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd < 0) return;
+    std::size_t written = 0;
+    while (written < streamed.size()) {
+      const ssize_t n = ::write(fd, streamed.data() + written, streamed.size() - written);
+      if (n <= 0) break;
+      written += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  }};
+  const std::string got = fsio::read_file(fifo_path);
+  writer.join();
+  EXPECT_EQ(got, streamed);
 }
 
 TEST(Fsio, FailedCommitPreservesPreviousFile) {

@@ -47,7 +47,14 @@
 #   7. concurrency label (parallel projection, SVM kernel fill, sharded
 #      metrics, loader fuzzers, serve engine) under ThreadSanitizer
 #
-# Usage: tools/ci_check.sh [--skip-sanitizers]
+# With --full-bench, micro_line and micro_graph also run in full mode
+# after the smoke steps (before the sanitizer passes), so their timing
+# gates can fail: micro_line's widest rung must be at least 1.5x scalar at
+# dim 128, and micro_graph's projection at T=max must take at most
+# 1/0.9 of its T=1 wall time.
+# Their JSON goes to temp files; the committed BENCH_*.json stay as they are.
+#
+# Usage: tools/ci_check.sh [--skip-sanitizers] [--full-bench]
 # Runs from any directory; build trees land in <repo>/build[-asan|-tsan].
 set -euo pipefail
 
@@ -56,7 +63,14 @@ cd "$repo"
 
 jobs="$(nproc 2>/dev/null || echo 4)"
 skip_sanitizers=0
-[[ "${1:-}" == "--skip-sanitizers" ]] && skip_sanitizers=1
+full_bench=0
+for arg in "$@"; do
+  case "$arg" in
+    --skip-sanitizers) skip_sanitizers=1 ;;
+    --full-bench) full_bench=1 ;;
+    *) echo "usage: $0 [--skip-sanitizers] [--full-bench]" >&2; exit 2 ;;
+  esac
+done
 
 step() { printf '\n==== %s ====\n' "$*"; }
 
@@ -105,6 +119,14 @@ ctest --preset default -j "$jobs" -L serving
 
 step "micro_serve smoke (daemon/batch score parity + reload under load)"
 DNSEMBED_BENCH_SMOKE=1 DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_serve
+
+if [[ "$full_bench" == 1 ]]; then
+  step "micro_line full mode (timing gate: widest rung >= 1.5x scalar at dim 128)"
+  DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_line
+
+  step "micro_graph full mode (timing gate: projection thread scaling)"
+  DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_graph
+fi
 
 if [[ "$skip_sanitizers" == 1 ]]; then
   step "sanitizer passes skipped (--skip-sanitizers)"
