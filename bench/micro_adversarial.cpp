@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/clustering.hpp"
 #include "core/detector.hpp"
 #include "core/pipeline.hpp"
@@ -214,9 +215,10 @@ int main() {
     std::fprintf(stderr, "micro_adversarial: cannot write %s\n", json_path);
     return 1;
   }
+  std::fprintf(out, "{\n  \"smoke\": %s,\n  ", smoke ? "true" : "false");
+  bench::write_machine_json(out);
   std::fprintf(out,
-               "{\n"
-               "  \"smoke\": %s,\n"
+               ",\n"
                "  \"default_mimicry\": %.2f,\n"
                "  \"evasion_recall_floor\": %.2f,\n"
                "  \"clean_auc_slack\": %.2f,\n"
@@ -227,7 +229,7 @@ int main() {
                "    \"evasion_recall_above_floor\": %s\n"
                "  },\n"
                "  \"sweep\": [\n",
-               smoke ? "true" : "false", kDefaultMimicry, kEvasionRecallFloor, kCleanAucSlack,
+               kDefaultMimicry, kEvasionRecallFloor, kCleanAucSlack,
                clean.combined_auc, clean.wall_ms, clean_auc_ok ? "true" : "false",
                zero_day_ok ? "true" : "false", evasion_ok ? "true" : "false");
   for (std::size_t i = 0; i < sweep.size(); ++i) {

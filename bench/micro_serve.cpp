@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "embed/embedding.hpp"
 #include "ml/dataset.hpp"
 #include "ml/svm.hpp"
@@ -294,9 +295,10 @@ int main() {
     std::fprintf(stderr, "micro_serve: cannot write %s\n", json_path);
     return 1;
   }
+  std::fprintf(out, "{\n  \"smoke\": %s,\n  ", smoke ? "true" : "false");
+  bench::write_machine_json(out);
   std::fprintf(out,
-               "{\n"
-               "  \"smoke\": %s,\n"
+               ",\n"
                "  \"domains\": %zu,\n"
                "  \"indexed_domains\": %zu,\n"
                "  \"dimension\": %zu,\n"
@@ -324,7 +326,7 @@ int main() {
                "  \"timing_gates_enforced\": %s,\n"
                "  \"gates_passed\": %s\n"
                "}\n",
-               smoke ? "true" : "false", rows, indexed, dim, setup_ms, hot_requests, hot_wall_ms,
+               rows, indexed, dim, setup_ms, hot_requests, hot_wall_ms,
                lookups_per_sec, p50, p99, p999, mixed_requests, mixed_threads, mixed_wall_ms,
                mixed_lookups_per_sec,
                static_cast<unsigned long long>(mixed_batch_scored), reloads, reload_wall_ms,

@@ -1,7 +1,9 @@
 // Lloyd's k-means with k-means++ seeding — the workhorse under X-Means
 // (paper §7.1 clusters domain embeddings to surface malware families).
-// Passes after the first skip the distances that Elkan's triangle-inequality
-// bounds rule out; the result is the plain scan's, bit for bit (DESIGN §11).
+// The first pass reuses k-means++'s distance rows; later passes skip the
+// distances that Elkan's triangle-inequality bounds rule out and re-sum only
+// the clusters whose membership changed. The result is the plain scan's, bit
+// for bit (DESIGN §11).
 #pragma once
 
 #include <cstdint>

@@ -70,9 +70,9 @@ XMeansResult xmeans(const Matrix& x, const XMeansConfig& config) {
     for (std::size_t c = 0; c < members.size(); ++c) {
       const auto& idx = members[c];
       bool split = false;
-      if (idx.size() >= 4 && current.centroids.rows() + new_centroid_sets.size() -
-                                  static_cast<std::size_t>(c < new_centroid_sets.size()) <
-                              config.k_max) {
+      // new_centroid_sets holds c sets here, so this tests k + c < k_max: only
+      // the first k_max - k clusters of a round may try a split.
+      if (idx.size() >= 4 && current.centroids.rows() + new_centroid_sets.size() < config.k_max) {
         Matrix local = x.select_rows(idx);
         // Parent BIC: one cluster.
         Matrix parent_centroid{1, x.cols()};

@@ -445,6 +445,40 @@ TEST(KMeansBounds, MatchesThePlainScanBitForBit) {
   util::simd::force_level(original);
 }
 
+// An embedding-shaped input at `run`'s scale of k: 640 points in 72
+// dimensions around 48 loose centers. At k = 65 and 130 the candidate mask
+// spans two and three 64-bit words, and the long tails of passes where few
+// points move run the clean-cluster path.
+TEST(KMeansBounds, EmbeddingScaleMatchesThePlainScanBitForBit) {
+  util::Rng rng{131};
+  Matrix centers{48, 72};
+  for (std::size_t c = 0; c < centers.rows(); ++c) {
+    for (double& v : centers.row(c)) v = rng.normal() * 0.5;
+  }
+  const Matrix x = blobs(centers, 640 / 48 + 1, 0.8, 137);
+  const Level original = util::simd::active_level();
+  for (const Level level : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+    if (!util::simd::level_supported(level)) continue;
+    util::simd::force_level(level);
+    for (const std::size_t k : {std::size_t{40}, std::size_t{65}, std::size_t{130}}) {
+      KMeansConfig config;
+      config.k = k;
+      config.restarts = 2;
+      config.seed = 41 + k;
+      const auto want = reference_kmeans(x, config);
+      const auto got = kmeans(x, config);
+      const std::string where =
+          std::string{util::simd::level_name(level)} + " k=" + std::to_string(k);
+      EXPECT_EQ(got.assignment, want.assignment) << where;
+      EXPECT_TRUE(same_bytes(got.centroids, want.centroids)) << where;
+      EXPECT_TRUE(same_bits(got.inertia, want.inertia)) << where;
+      EXPECT_EQ(got.iterations, want.iterations) << where;
+      EXPECT_GT(got.iterations, 5u) << where;
+    }
+  }
+  util::simd::force_level(original);
+}
+
 // Many tiny inputs on coarse grids of non-representable steps (0.1, 0.3,
 // 1/7), some offset by 1e3: distances tie up to rounding, where textbook
 // Elkan bounds (no margin, no outward rounding) skip a candidate the plain

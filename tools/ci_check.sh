@@ -2,9 +2,10 @@
 # One-shot local CI: the checks a change must pass before it lands.
 #
 #   1. tier-1: default preset build + full ctest suite
-#   2. simd label (kernel parity fuzz + LINE vs its reference trainer) on the native
-#      dispatch rung, then the full tier-1 suite again with
-#      DNSEMBED_FORCE_SCALAR=1 so the scalar fallback stays correct
+#   2. simd label (kernel parity fuzz; LINE vs its reference trainer;
+#      k-means, X-Means and SMO vs their plain-loop references on every
+#      rung) on the native dispatch rung, then the full tier-1 suite again
+#      with DNSEMBED_FORCE_SCALAR=1 so the scalar fallback stays correct
 #   3. projection label (row-wise exact engine, CSR arenas) as its own
 #      gate, then the micro_graph smoke: the projection must emit a
 #      non-trivial similarity graph end to end at smoke scale (no timing
@@ -81,7 +82,7 @@ cmake --build --preset default -j "$jobs"
 step "tier-1: full test suite"
 ctest --preset default -j "$jobs"
 
-step "simd label (kernel parity + LINE vs reference trainer)"
+step "simd label (kernel parity; LINE, k-means and SMO vs their references)"
 ctest --preset default -j "$jobs" -L simd
 
 step "tier-1 suite again with the scalar rung forced"
