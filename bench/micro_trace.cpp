@@ -1,8 +1,10 @@
-// Microbenchmarks: trace generation and capture throughput.
+// Microbenchmarks: trace generation, the trace stage's graph build and
+// capture throughput.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 
+#include "core/behavior.hpp"
 #include "dns/capture_io.hpp"
 #include "trace/generator.hpp"
 #include "trace/pcap_sink.hpp"
@@ -45,6 +47,34 @@ void BM_TraceGeneration(benchmark::State& state) {
   state.counters["events"] = static_cast<double>(events);
 }
 BENCHMARK(BM_TraceGeneration)->Arg(50)->Arg(200)->Unit(benchmark::kMillisecond);
+
+/// `dnsembed run --seed 11`'s trace at the CLI defaults.
+trace::TraceConfig run_config() {
+  trace::TraceConfig config;
+  config.seed = 11;
+  config.hosts = 200;
+  config.days = 4;
+  config.benign_sites = 1000;
+  config.malware_families = 8;
+  return config;
+}
+
+/// `run`'s trace stage without its saves: the generator into the graph
+/// sink, then the three finalized graphs (span "trace.graph_build").
+/// BM_TraceGeneration times the generator alone, with a CountSink.
+void BM_TraceGraphBuild(benchmark::State& state) {
+  const auto config = run_config();
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    core::GraphBuilderSink sink;
+    benchmark::DoNotOptimize(trace::generate_trace(config, sink));
+    edges = sink.take_hdbg().edge_count() + sink.take_dibg().edge_count() +
+            sink.take_dtbg().edge_count();
+    benchmark::DoNotOptimize(edges);
+  }
+  state.counters["edges"] = static_cast<double>(edges);
+}
+BENCHMARK(BM_TraceGraphBuild)->Unit(benchmark::kMillisecond);
 
 void BM_PcapStreaming(benchmark::State& state) {
   const auto config = micro_config(50);

@@ -15,29 +15,38 @@ GraphBuilderSink::GraphBuilderSink(std::int64_t bucket_seconds, const dns::Publi
 }
 
 void GraphBuilderSink::on_dns(const dns::LogEntry& entry) {
-  auto qname = qnames_.find(entry.qname);
-  if (qname == qnames_.end()) {
-    const std::string e2ld = psl_->e2ld_or_self(entry.qname);
-    qname = qnames_
-                .emplace(entry.qname,
-                         QnameIds{hdbg_.add_right(e2ld), dtbg_.add_right(e2ld), kNoVertex})
-                .first;
+  if (qname_ids_ == nullptr || entry.qname != qname_) {
+    auto qname = qnames_.find(entry.qname);
+    if (qname == qnames_.end()) {
+      const std::string e2ld = psl_->e2ld_or_self(entry.qname);
+      qname = qnames_
+                  .emplace(entry.qname,
+                           QnameIds{hdbg_.add_right(e2ld), dtbg_.add_right(e2ld), kNoVertex, {}})
+                  .first;
+    }
+    qname_ = entry.qname;
+    qname_ids_ = &qname->second;
   }
-  QnameIds& ids = qname->second;
-  hdbg_.add_edge(hdbg_.add_left(entry.host), ids.hdbg);
+  QnameIds& ids = *qname_ids_;
+  if (host_id_ == kNoVertex || entry.host != host_) {
+    host_ = entry.host;
+    host_id_ = hdbg_.add_left(entry.host);
+  }
+  hdbg_.add_edge(host_id_, ids.hdbg);
 
   const std::int64_t bucket = entry.timestamp / bucket_seconds_;
   auto [minute, new_minute] = minutes_.try_emplace(bucket);
   if (new_minute) minute->second = dtbg_.add_left("m" + std::to_string(bucket));
   dtbg_.add_edge(minute->second, ids.dtbg);
 
-  if (entry.addresses.empty()) return;
+  if (entry.addresses.empty() || entry.addresses == ids.addresses) return;
   if (ids.dibg == kNoVertex) ids.dibg = dibg_.add_right(hdbg_.right_names().name(ids.hdbg));
   for (const auto& address : entry.addresses) {
     auto [ip, new_ip] = ips_.try_emplace(address.value());
     if (new_ip) ip->second = dibg_.add_left(address.to_string());
     dibg_.add_edge(ip->second, ids.dibg);
   }
+  ids.addresses = entry.addresses;
 }
 
 graph::BipartiteGraph GraphBuilderSink::take_hdbg() {

@@ -31,12 +31,24 @@ namespace dnsembed::core {
 /// interned only the first time a graph sees it, in the order the by-name
 /// build (`add_edge(host, e2ld)`, `add_edge("m<bucket>", e2ld)`, then
 /// `add_edge(ip, e2ld)` per address) interns it — so every id, name and
-/// adjacency list is that build's.
+/// adjacency list is that build's. Caches skip the lookups whose answer is
+/// known: the previous event's host id (the generator emits host-major
+/// runs) and qname entry (a polling app repeats its query), and per qname
+/// the addresses of its last answered event, whose DIBG edges are all
+/// present already (a site answers with the same addresses almost every
+/// time).
 class GraphBuilderSink final : public trace::TraceSink {
  public:
   /// Time-bucket width for the DTBG (paper: one minute).
   explicit GraphBuilderSink(std::int64_t bucket_seconds = 60,
                             const dns::PublicSuffixList& psl = dns::PublicSuffixList::builtin());
+
+  // Not copyable: the qname cache points into qnames_, whose nodes a move
+  // hands over as they are.
+  GraphBuilderSink(const GraphBuilderSink&) = delete;
+  GraphBuilderSink& operator=(const GraphBuilderSink&) = delete;
+  GraphBuilderSink(GraphBuilderSink&&) = default;
+  GraphBuilderSink& operator=(GraphBuilderSink&&) = default;
 
   void on_dns(const dns::LogEntry& entry) override;
 
@@ -48,11 +60,13 @@ class GraphBuilderSink final : public trace::TraceSink {
  private:
   /// A raw qname's e2LD as a right vertex of each graph. The DIBG id stays
   /// kNoVertex until an event of the qname has addresses: the DIBG interns
-  /// an e2LD at its first event that has addresses.
+  /// an e2LD at its first event that has addresses. `addresses` are those
+  /// of that event or of a later one, each joined to the e2LD in the DIBG.
   struct QnameIds {
     graph::VertexId hdbg;
     graph::VertexId dtbg;
     graph::VertexId dibg;
+    std::vector<dns::Ipv4> addresses;
   };
   static constexpr graph::VertexId kNoVertex = ~graph::VertexId{0};
 
@@ -61,6 +75,10 @@ class GraphBuilderSink final : public trace::TraceSink {
   graph::BipartiteGraph hdbg_;  // host x e2LD
   graph::BipartiteGraph dibg_;  // IP x e2LD
   graph::BipartiteGraph dtbg_;  // minute-bucket x e2LD
+  std::string host_;                     // the previous event's host
+  graph::VertexId host_id_ = kNoVertex;  // its HDBG left id
+  std::string qname_;                    // the previous event's qname
+  QnameIds* qname_ids_ = nullptr;        // its entry in qnames_
   std::unordered_map<std::string, QnameIds, util::StringViewHash, std::equal_to<>> qnames_;
   std::unordered_map<std::int64_t, graph::VertexId> minutes_;  // bucket -> DTBG left id
   std::unordered_map<std::uint32_t, graph::VertexId> ips_;     // IPv4 -> DIBG left id

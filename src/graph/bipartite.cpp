@@ -2,32 +2,45 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+
+#include "obs/span.hpp"
 
 namespace dnsembed::graph {
 
+namespace {
+
+constexpr VertexId kNoVertex = ~VertexId{0};
+
+}  // namespace
+
 VertexId BipartiteGraph::add_left(std::string_view name) {
   const VertexId id = left_names_.intern(name);
-  if (id >= left_adj_.size()) left_adj_.resize(id + 1);
+  if (id == last_right_.size()) {
+    last_right_.push_back(kNoVertex);
+    if (finalized_) left_.offsets.push_back(left_.offsets.back());  // an edgeless row
+  }
   return id;
 }
 
 VertexId BipartiteGraph::add_right(std::string_view name) {
   const VertexId id = right_names_.intern(name);
-  if (id >= right_adj_.size()) right_adj_.resize(id + 1);
+  if (finalized_ && id + 1 == right_.offsets.size()) {
+    right_.offsets.push_back(right_.offsets.back());
+  }
   return id;
 }
 
 void BipartiteGraph::add_edge(VertexId left, VertexId right) {
-  if (left >= left_adj_.size() || right >= right_adj_.size()) {
+  if (left >= left_count() || right >= right_count()) {
     throw std::out_of_range{"BipartiteGraph::add_edge: unknown vertex id"};
   }
-  finalized_ = false;
-  // A repeat of a row's last entry is dropped here rather than at
+  if (finalized_) unfinalize();
+  // A repeat of a left's last right is dropped here rather than at
   // finalize(): builders add the same interaction in runs.
-  auto& row = left_adj_[left];
-  if (!row.empty() && row.back() == right) return;
-  row.push_back(right);
-  right_adj_[right].push_back(left);
+  if (last_right_[left] == right) return;
+  last_right_[left] = right;
+  keys_.push_back(std::uint64_t{left} << 32 | right);
 }
 
 void BipartiteGraph::add_edge(std::string_view left, std::string_view right) {
@@ -38,18 +51,108 @@ void BipartiteGraph::add_edge(std::string_view left, std::string_view right) {
 
 void BipartiteGraph::finalize() {
   if (finalized_) return;
-  edge_count_ = 0;
-  const auto sort_unique = [](std::vector<VertexId>& adj) {
-    if (!std::is_sorted(adj.begin(), adj.end())) std::sort(adj.begin(), adj.end());
-    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
-    adj.shrink_to_fit();
-  };
-  for (auto& adj : left_adj_) {
-    sort_unique(adj);
-    edge_count_ += adj.size();
+  OBS_SPAN("graph.bipartite.finalize");
+  const std::size_t left_n = left_count();
+  const std::size_t right_n = right_count();
+  // Counting pass: where each right's keys and each left's raw row start.
+  std::vector<std::size_t> by_right(right_n + 1, 0);
+  std::vector<std::size_t> raw(left_n + 1, 0);
+  for (const std::uint64_t key : keys_) {
+    ++by_right[(key & 0xFFFFFFFFu) + 1];
+    ++raw[(key >> 32) + 1];
   }
-  for (auto& adj : right_adj_) sort_unique(adj);
+  for (std::size_t r = 0; r < right_n; ++r) by_right[r + 1] += by_right[r];
+  for (std::size_t l = 0; l < left_n; ++l) raw[l + 1] += raw[l];
+
+  // Bucket the keys' lefts by right, then free the keys.
+  std::vector<VertexId> lefts(keys_.size());
+  {
+    std::vector<std::size_t> next(by_right.begin(), by_right.end() - 1);
+    for (const std::uint64_t key : keys_) {
+      lefts[next[key & 0xFFFFFFFFu]++] = static_cast<VertexId>(key >> 32);
+    }
+  }
+  std::vector<std::uint64_t>().swap(keys_);
+
+  // Walk the rights upward, appending each to its lefts' raw rows: every
+  // row comes out ascending, and a repeated edge is a repeat of its row's
+  // last entry.
+  std::vector<VertexId> rows(lefts.size());
+  std::vector<std::size_t> end(raw.begin(), raw.end() - 1);
+  for (VertexId r = 0; r < right_n; ++r) {
+    for (std::size_t i = by_right[r]; i < by_right[r + 1]; ++i) {
+      const VertexId l = lefts[i];
+      if (end[l] != raw[l] && rows[end[l] - 1] == r) continue;
+      rows[end[l]++] = r;
+    }
+  }
+
+  // Close the gaps the dropped repeats left.
+  left_.offsets.resize(left_n + 1);
+  left_.offsets[0] = 0;
+  for (std::size_t l = 0; l < left_n; ++l) {
+    left_.offsets[l + 1] = left_.offsets[l] + (end[l] - raw[l]);
+  }
+  left_.ids.resize(left_.offsets[left_n]);
+  for (std::size_t l = 0; l < left_n; ++l) {
+    std::copy(rows.begin() + static_cast<std::ptrdiff_t>(raw[l]),
+              rows.begin() + static_cast<std::ptrdiff_t>(end[l]),
+              left_.ids.begin() + static_cast<std::ptrdiff_t>(left_.offsets[l]));
+  }
+  transpose_left_rows();
   finalized_ = true;
+}
+
+void BipartiteGraph::assign_rows(std::vector<std::size_t> offsets,
+                                 std::vector<VertexId> right_ids) {
+  const std::size_t left_n = left_count();
+  if (offsets.size() != left_n + 1 || offsets.front() != 0 ||
+      offsets.back() != right_ids.size()) {
+    throw std::invalid_argument{"bipartite rows: offsets do not cover the right ids"};
+  }
+  // Monotone from 0 to right_ids.size(): every row then lies inside it.
+  for (std::size_t l = 0; l < left_n; ++l) {
+    if (offsets[l] > offsets[l + 1]) {
+      throw std::invalid_argument{"bipartite rows: offsets not monotone"};
+    }
+  }
+  for (std::size_t l = 0; l < left_n; ++l) {
+    for (std::size_t i = offsets[l]; i < offsets[l + 1]; ++i) {
+      if (right_ids[i] >= right_count()) {
+        throw std::invalid_argument{"bipartite rows: right id out of range"};
+      }
+      if (i > offsets[l] && right_ids[i - 1] >= right_ids[i]) {
+        throw std::invalid_argument{"bipartite rows: row not strictly ascending"};
+      }
+    }
+  }
+  std::vector<std::uint64_t>().swap(keys_);
+  left_.offsets = std::move(offsets);
+  left_.ids = std::move(right_ids);
+  transpose_left_rows();
+  finalized_ = true;
+}
+
+void BipartiteGraph::transpose_left_rows() {
+  const std::size_t right_n = right_count();
+  right_.offsets.assign(right_n + 1, 0);
+  for (const VertexId r : left_.ids) ++right_.offsets[r + 1];
+  for (std::size_t r = 0; r < right_n; ++r) right_.offsets[r + 1] += right_.offsets[r];
+  right_.ids.resize(left_.ids.size());
+  std::vector<std::size_t> next(right_.offsets.begin(), right_.offsets.end() - 1);
+  for (VertexId l = 0; l < left_count(); ++l) {
+    for (const VertexId r : left_.row(l)) right_.ids[next[r]++] = l;
+  }
+}
+
+void BipartiteGraph::unfinalize() {
+  keys_.reserve(left_.ids.size());
+  for (VertexId l = 0; l < left_count(); ++l) {
+    for (const VertexId r : left_.row(l)) keys_.push_back(std::uint64_t{l} << 32 | r);
+  }
+  left_ = {};
+  right_ = {};
+  finalized_ = false;
 }
 
 void BipartiteGraph::ensure_finalized(const char* op) const {
@@ -60,40 +163,54 @@ void BipartiteGraph::ensure_finalized(const char* op) const {
 
 std::size_t BipartiteGraph::edge_count() const {
   ensure_finalized("edge_count");
-  return edge_count_;
+  return left_.ids.size();
 }
 
 std::span<const VertexId> BipartiteGraph::left_neighbors(VertexId left) const {
   ensure_finalized("left_neighbors");
-  if (left >= left_adj_.size()) throw std::out_of_range{"BipartiteGraph: bad left id"};
-  return left_adj_[left];
+  if (left >= left_count()) throw std::out_of_range{"BipartiteGraph: bad left id"};
+  return left_.row(left);
 }
 
 std::span<const VertexId> BipartiteGraph::right_neighbors(VertexId right) const {
   ensure_finalized("right_neighbors");
-  if (right >= right_adj_.size()) throw std::out_of_range{"BipartiteGraph: bad right id"};
-  return right_adj_[right];
+  if (right >= right_count()) throw std::out_of_range{"BipartiteGraph: bad right id"};
+  return right_.row(right);
 }
 
 BipartiteGraph BipartiteGraph::filter_right(const std::vector<bool>& keep) const {
   ensure_finalized("filter_right");
-  if (keep.size() != right_names_.size()) {
+  if (keep.size() != right_count()) {
     throw std::invalid_argument{"BipartiteGraph::filter_right: keep mask size mismatch"};
   }
-  // Copy the kept edges by id; each name is interned once, at the first
-  // kept edge that touches it.
-  constexpr VertexId kUnseen = ~VertexId{0};
-  std::vector<VertexId> left_id(left_adj_.size(), kUnseen);
+  // Intern the kept names in the order a right-major re-add of the kept
+  // edges meets them, each name once.
+  std::vector<VertexId> right_id(right_count(), kNoVertex);
+  std::vector<VertexId> left_id(left_count(), kNoVertex);
+  std::vector<VertexId> kept_lefts;  // new left id -> old left id
   BipartiteGraph out;
-  for (VertexId r = 0; r < right_adj_.size(); ++r) {
-    if (!keep[r] || right_adj_[r].empty()) continue;
-    const VertexId out_r = out.add_right(right_names_.name(r));
-    for (const VertexId l : right_adj_[r]) {
-      if (left_id[l] == kUnseen) left_id[l] = out.add_left(left_names_.name(l));
-      out.add_edge(left_id[l], out_r);
+  for (VertexId r = 0; r < right_count(); ++r) {
+    const auto lefts = right_.row(r);
+    if (!keep[r] || lefts.empty()) continue;
+    right_id[r] = out.add_right(right_names_.name(r));
+    for (const VertexId l : lefts) {
+      if (left_id[l] != kNoVertex) continue;
+      left_id[l] = out.add_left(left_names_.name(l));
+      kept_lefts.push_back(l);
     }
   }
-  out.finalize();
+  // A kept left's row is its row's kept rights: kept rights are numbered
+  // in id order, so the row stays ascending.
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(kept_lefts.size() + 1);
+  std::vector<VertexId> right_ids;
+  for (const VertexId l : kept_lefts) {
+    for (const VertexId r : left_.row(l)) {
+      if (right_id[r] != kNoVertex) right_ids.push_back(right_id[r]);
+    }
+    offsets.push_back(right_ids.size());
+  }
+  out.assign_rows(std::move(offsets), std::move(right_ids));
   return out;
 }
 

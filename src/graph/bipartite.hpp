@@ -1,14 +1,18 @@
 // Bipartite graph between two named vertex sets, e.g. hosts x domains
 // (HDBG), domains x IPs (DIBG), domains x minute-buckets (DTBG).
 //
-// Build phase: add_edge() accumulates (duplicates allowed — a host may query
-// the same domain many times). finalize() deduplicates and sorts adjacency;
-// queries require a finalized graph. Builders that already hold vertex ids
+// Build phase: add_edge() appends one `left << 32 | right` key to a flat
+// list (duplicates allowed — a host may query the same domain many times;
+// a left's repeat of its last right is dropped at once). finalize() turns
+// the list into sorted, distinct CSR rows for both sides with counting
+// passes; queries require a finalized graph, and adding an edge after
+// finalize() un-finalizes it. Builders that already hold vertex ids
 // (core::GraphBuilderSink caches them per raw name) intern each name once
 // with add_left()/add_right() and add edges by id; the string add_edge() is
 // the same thing in one call.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -34,11 +38,19 @@ class BipartiteGraph {
   /// add_edge(add_left(left), add_right(right)).
   void add_edge(std::string_view left, std::string_view right);
 
-  /// Deduplicate and sort adjacency lists. Idempotent; called automatically
-  /// by accessors via assertion in debug, but callers should finalize once
-  /// after the build loop.
+  /// Sort and deduplicate the edges into both sides' rows (traced as span
+  /// "graph.bipartite.finalize"). Idempotent; callers finalize once after
+  /// the build loop.
   void finalize();
   bool finalized() const noexcept { return finalized_; }
+
+  /// Replace every edge by the left-major rows `right_ids`: row l is
+  /// right_ids[offsets[l], offsets[l + 1]). Throws std::invalid_argument
+  /// unless `offsets` has left_count() + 1 entries, runs monotone from 0 to
+  /// right_ids.size(), and each row is strictly ascending and in range.
+  /// The result is finalized: the direct path of loaders and filters,
+  /// which already hold sorted rows.
+  void assign_rows(std::vector<std::size_t> offsets, std::vector<VertexId> right_ids);
 
   std::size_t left_count() const noexcept { return left_names_.size(); }
   std::size_t right_count() const noexcept { return right_names_.size(); }
@@ -64,13 +76,29 @@ class BipartiteGraph {
   BipartiteGraph filter_right(const std::vector<bool>& keep) const;
 
  private:
+  /// One side's adjacency: row v is ids[offsets[v], offsets[v + 1]).
+  struct Rows {
+    std::vector<std::size_t> offsets{0};
+    std::vector<VertexId> ids;
+
+    std::span<const VertexId> row(VertexId v) const {
+      return {ids.data() + offsets[v], offsets[v + 1] - offsets[v]};
+    }
+  };
+
   void ensure_finalized(const char* op) const;
+  /// Back to the build phase: the rows become keys again.
+  void unfinalize();
+  /// The right side's rows from the left side's (a counting transpose, so
+  /// each right row comes out ascending).
+  void transpose_left_rows();
 
   util::StringInterner left_names_;
   util::StringInterner right_names_;
-  std::vector<std::vector<VertexId>> left_adj_;   // left id -> right ids
-  std::vector<std::vector<VertexId>> right_adj_;  // right id -> left ids
-  std::size_t edge_count_ = 0;
+  std::vector<std::uint64_t> keys_;   // build phase: left << 32 | right
+  std::vector<VertexId> last_right_;  // each left's last added right
+  Rows left_;                         // finalized: left id -> right ids
+  Rows right_;                        // finalized: right id -> left ids
   bool finalized_ = false;
 };
 

@@ -139,15 +139,6 @@ BipartiteGraph load_bipartite_file(const std::string& path) {
   if (row_offsets.size() != left_count + 1 || right_ids.size() != edge_count) {
     bad_payload(path, "bipartite: section sizes disagree with the header");
   }
-  if (row_offsets[0] != 0 || row_offsets[left_count] != edge_count) {
-    bad_payload(path, "bipartite: row offsets do not cover the right ids");
-  }
-  // Monotone from 0 to edge_count: every row then lies inside right_ids.
-  for (std::uint64_t l = 0; l < left_count; ++l) {
-    if (row_offsets[l] > row_offsets[l + 1]) {
-      bad_payload(path, "bipartite: row offsets not monotone");
-    }
-  }
 
   BipartiteGraph g;
   const auto name = [](std::string_view blob, std::span<const std::uint64_t> offsets,
@@ -164,16 +155,14 @@ BipartiteGraph load_bipartite_file(const std::string& path) {
       bad_payload(path, "bipartite: duplicate right name");
     }
   }
-  for (std::uint64_t l = 0; l < left_count; ++l) {
-    for (std::uint64_t i = row_offsets[l]; i < row_offsets[l + 1]; ++i) {
-      if (right_ids[i] >= right_count) bad_payload(path, "bipartite: right id out of range");
-      if (i > row_offsets[l] && right_ids[i - 1] >= right_ids[i]) {
-        bad_payload(path, "bipartite: row not strictly ascending");
-      }
-      g.add_edge(static_cast<VertexId>(l), right_ids[i]);
-    }
+  // The rows are the graph's left rows as they are; assign_rows checks
+  // them (offsets, id range, strict order).
+  try {
+    g.assign_rows(std::vector<std::size_t>(row_offsets.begin(), row_offsets.end()),
+                  std::vector<VertexId>(right_ids.begin(), right_ids.end()));
+  } catch (const std::invalid_argument& defect) {
+    bad_payload(path, defect.what());
   }
-  g.finalize();
   return g;
 }
 

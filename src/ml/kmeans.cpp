@@ -73,26 +73,39 @@ Matrix kmeanspp_init(const Matrix& x, std::size_t k, util::Rng& rng,
 
 /// half[a * k + c] <= (1 - kMargin) |c_a - c_c| / 2, with an infinite
 /// diagonal so a point never tests its own centroid; reach[a] is the
-/// smallest of half[a * k + c] over c != a (infinite when k = 1).
-void centroid_halves(const Matrix& centroids, std::vector<double>& half,
-                     std::vector<double>& reach, std::uint64_t& distances) {
+/// smallest of half[a * k + c] over c != a (infinite when k = 1). Only the
+/// pairs with a centroid that `moved` (was rewritten) since the last call
+/// are recomputed: a pair of kept centroids keeps its half, bit for bit.
+void centroid_halves(const Matrix& centroids, const std::vector<char>& moved,
+                     std::vector<double>& half, std::vector<double>& reach,
+                     std::uint64_t& distances) {
   const std::size_t k = centroids.rows();
   const std::size_t d = centroids.cols();
+  const double* const cs = centroids.data();
   std::vector<double> dist(k);
-  std::fill(reach.begin(), reach.end(), kInfinity);
+  const auto set_pair = [&](std::size_t a, std::size_t c, double squared) {
+    const double h = 0.5 * lower_of(squared);
+    half[a * k + c] = h;
+    half[c * k + a] = h;
+  };
   for (std::size_t a = 0; a < k; ++a) half[a * k + a] = kInfinity;
   for (std::size_t a = 0; a + 1 < k; ++a) {
-    util::simd::squared_l2_rows(centroids.data() + a * d, centroids.data() + (a + 1) * d,
-                                k - a - 1, d, dist.data());
+    if (moved[a] != 0) {
+      util::simd::squared_l2_rows(cs + a * d, cs + (a + 1) * d, k - a - 1, d, dist.data());
+      for (std::size_t c = a + 1; c < k; ++c) set_pair(a, c, dist[c - a - 1]);
+      distances += k - a - 1;
+      continue;
+    }
     for (std::size_t c = a + 1; c < k; ++c) {
-      const double h = 0.5 * lower_of(dist[c - a - 1]);
-      half[a * k + c] = h;
-      half[c * k + a] = h;
-      reach[a] = std::min(reach[a], h);
-      reach[c] = std::min(reach[c], h);
+      if (moved[c] == 0) continue;
+      set_pair(a, c, util::simd::squared_l2(cs + a * d, cs + c * d, d));
+      ++distances;
     }
   }
-  distances += k * (k - 1) / 2;
+  for (std::size_t a = 0; a < k; ++a) {
+    reach[a] = *std::min_element(half.begin() + static_cast<std::ptrdiff_t>(a * k),
+                                 half.begin() + static_cast<std::ptrdiff_t>((a + 1) * k));
+  }
 }
 
 /// Lloyd's iterations. The first pass takes every point-centroid distance
@@ -120,6 +133,9 @@ KMeansResult lloyd(const Matrix& x, Matrix centroids, std::vector<double>& seed_
   // every cluster is after the first. A clean, non-empty cluster keeps its
   // members in point order, so its sum and centroid keep their bits.
   std::vector<char> dirty(k, 1);
+  // A centroid moved when the last update rewrote it (every one after the
+  // first pass); centroid_halves keeps the pairs of the others.
+  std::vector<char> moved(k, 1);
   std::vector<std::size_t> counts(k, 0);
   Matrix sums{k, d};
   std::vector<double> previous(d);
@@ -150,7 +166,7 @@ KMeansResult lloyd(const Matrix& x, Matrix centroids, std::vector<double>& seed_
         ++counts[best_c];
       }
     } else {
-      centroid_halves(centroids, half, reach, distances);
+      centroid_halves(centroids, moved, half, reach, distances);
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t from = result.assignment[i];
         std::size_t a = from;
@@ -215,7 +231,8 @@ KMeansResult lloyd(const Matrix& x, Matrix centroids, std::vector<double>& seed_
       if (dirty[c] != 0) util::simd::add(x.data() + i * d, sums.row(c).data(), d);
     }
     for (std::size_t c = 0; c < k; ++c) {
-      if (dirty[c] == 0 && counts[c] != 0) {
+      moved[c] = dirty[c] != 0 || counts[c] == 0;
+      if (moved[c] == 0) {
         drift[c] = 0.0;
         continue;
       }

@@ -4,8 +4,10 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -559,11 +561,13 @@ class Generator {
 
   // ------------------------------------------------------------ emission
 
-  void emit_dns(std::int64_t ts, const std::string& host, const std::string& fqdn,
-                std::uint32_t ttl, const std::vector<dns::Ipv4>& addresses,
-                std::vector<std::string> cnames = {},
-                dns::RCode rcode = dns::RCode::kNoError) {
-    dns::LogEntry entry;
+  /// One event, written into the reused entry_ (its strings and vectors
+  /// keep their capacity from event to event). `cname` is the one CNAME
+  /// target, empty for none.
+  void emit_dns(std::int64_t ts, const std::string& host, std::string_view fqdn,
+                std::uint32_t ttl, std::span<const dns::Ipv4> addresses,
+                std::string_view cname = {}, dns::RCode rcode = dns::RCode::kNoError) {
+    dns::LogEntry& entry = entry_;
     entry.timestamp = ts;
     entry.host = host;
     entry.qname = fqdn;
@@ -574,8 +578,13 @@ class Generator {
     entry.ttl = rcode == dns::RCode::kNoError && ttl > 0
                     ? 1 + static_cast<std::uint32_t>(obs_rng_.uniform_index(ttl))
                     : 0;
-    if (rcode == dns::RCode::kNoError) entry.addresses = addresses;
-    entry.cnames = std::move(cnames);
+    if (rcode == dns::RCode::kNoError) {
+      entry.addresses.assign(addresses.begin(), addresses.end());
+    } else {
+      entry.addresses.clear();
+    }
+    entry.cnames.resize(cname.empty() ? 0 : 1);
+    if (!cname.empty()) entry.cnames.front() = cname;
     if (rcode == dns::RCode::kNxDomain) ++result_.nxdomain_events;
     ++result_.dns_events;
     sink_->on_dns(entry);
@@ -651,9 +660,9 @@ class Generator {
       emit_dns(ts, host.id, site.fqdn, 0, {}, {}, dns::RCode::kNxDomain);
       return;
     }
-    std::vector<std::string> cnames;
-    if (site.cdn != SIZE_MAX) cnames.push_back(third_parties_[site.cdn].fqdn);
-    emit_dns(ts, host.id, site.fqdn, site.ttl, site.ips, std::move(cnames));
+    const std::string_view cname =
+        site.cdn != SIZE_MAX ? std::string_view{third_parties_[site.cdn].fqdn} : std::string_view{};
+    emit_dns(ts, host.id, site.fqdn, site.ttl, site.ips, cname);
     // Page assets from sibling hostnames of the same e2LD.
     for (const auto& hostname : site.extra_hostnames) {
       if (!rng.bernoulli(0.5)) continue;
@@ -775,7 +784,7 @@ class Generator {
           const std::string& domain =
               family.info.domains[rng.uniform_index(family.info.domains.size())];
           const dns::Ipv4 ip = family_ip_for(family, domain, rng);
-          emit_dns(t, host.id, domain, family_ttl(family, day), {ip});
+          emit_dns(t, host.id, domain, family_ttl(family, day), {&ip, 1});
           emit_flow(t + 1, host.id, ip, family.info.port,
                     500 + static_cast<std::uint32_t>(rng.uniform_index(5000)), true, rng);
           t += 2 + static_cast<std::int64_t>(rng.uniform_index(5));
@@ -836,7 +845,7 @@ class Generator {
         const std::string& domain =
             family.info.domains[rng.uniform_index(family.info.domains.size())];
         const dns::Ipv4 ip = family_ip_for(family, domain, rng);
-        emit_dns(t, host.id, domain, family_ttl(family, day), {ip});
+        emit_dns(t, host.id, domain, family_ttl(family, day), {&ip, 1});
         emit_flow(t + 1, host.id, ip, family.info.port,
                   1000 + static_cast<std::uint32_t>(rng.uniform_index(20000)), true, rng);
       }
@@ -878,7 +887,7 @@ class Generator {
         }
         const std::size_t hit = rng.uniform_index(active);
         const dns::Ipv4 ip = family_ip_for(family, today[hit], rng);
-        emit_dns(probe, host.id, today[hit], family_ttl(family, day), {ip});
+        emit_dns(probe, host.id, today[hit], family_ttl(family, day), {&ip, 1});
         emit_flow(probe + 1, host.id, ip, family.info.port,
                   200 + static_cast<std::uint32_t>(rng.uniform_index(2000)), true, rng);
         t += static_cast<std::int64_t>(family.beacon_seconds * rng.uniform(0.5, 1.5));
@@ -899,7 +908,7 @@ class Generator {
       const std::string& domain =
           family.info.domains[rng.uniform_index(family.info.domains.size())];
       const dns::Ipv4 ip = family_ip_for(family, domain, rng);
-      emit_dns(t, host.id, domain, family_ttl(family, day), {ip});
+      emit_dns(t, host.id, domain, family_ttl(family, day), {&ip, 1});
     }
     for (const std::size_t v : family.victim_hosts) {
       const Host& host = hosts_[v];
@@ -911,7 +920,7 @@ class Generator {
           const std::string& domain =
               family.info.domains[rng.uniform_index(family.info.domains.size())];
           const dns::Ipv4 ip = family_ip_for(family, domain, rng);
-          emit_dns(t, host.id, domain, family_ttl(family, day), {ip});
+          emit_dns(t, host.id, domain, family_ttl(family, day), {&ip, 1});
           emit_flow(t + 1, host.id, ip, family.info.port,
                     500 + static_cast<std::uint32_t>(rng.uniform_index(5000)), true, rng);
           t += 2 + static_cast<std::int64_t>(rng.uniform_index(5));
@@ -937,7 +946,7 @@ class Generator {
           answers.push_back(family.info.ips[(window + k * 7) % family.info.ips.size()]);
         }
         // Fast-flux fronts commonly answer through a CNAME layer, like CDNs.
-        emit_dns(t, host.id, domain, family_ttl(family, day), answers, {"edge." + domain});
+        emit_dns(t, host.id, domain, family_ttl(family, day), answers, "edge." + domain);
         emit_flow(t + 1, host.id, answers.front(), family.info.port,
                   300 + static_cast<std::uint32_t>(rng.uniform_index(3000)), true, rng);
       }
@@ -959,7 +968,7 @@ class Generator {
         const std::string& domain =
             family.info.domains[rng.uniform_index(family.info.domains.size())];
         const dns::Ipv4 ip = family_ip_for(family, domain, rng);
-        emit_dns(t, host.id, domain, family_ttl(family, day), {ip});
+        emit_dns(t, host.id, domain, family_ttl(family, day), {&ip, 1});
         emit_flow(t + 1, host.id, ip, family.info.port,
                   100 + static_cast<std::uint32_t>(rng.uniform_index(400)), true, rng);
         t += static_cast<std::int64_t>(family.beacon_seconds * rng.uniform(0.7, 1.3));
@@ -971,6 +980,7 @@ class Generator {
   TraceSink* sink_;
   TraceResult result_;
   util::Rng obs_rng_{0xCAC4EDECULL};  // resolver-cache observation noise
+  dns::LogEntry entry_;               // every DNS event, refilled in place
 
   std::vector<ThirdParty> third_parties_;
   std::vector<ThirdParty> iot_endpoints_;

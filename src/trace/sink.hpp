@@ -26,7 +26,9 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
 
-  /// One joined DNS query/response event.
+  /// One joined DNS query/response event. The entry is valid only during
+  /// the call: the generator refills one entry in place for every event,
+  /// so a sink copies whatever it keeps (a string, not a view into it).
   virtual void on_dns(const dns::LogEntry& entry) = 0;
 
   /// One flow record (only when TraceConfig::emit_netflow).

@@ -32,9 +32,9 @@ HISTOGRAMS = [f"run.{stage}.seconds"
 HISTOGRAMS.append("pipeline.svm.seconds")
 COUNTERS = ["graph.projection.pairs", "ml.kmeans.distances"]
 # Graph build, artifact I/O and clustering (DESIGN §7).
-SPANS = ["trace.graph_build", "graph.bipartite.save", "graph.bipartite.load",
-         "behavior.restrict", "graph.csr.save", "run.report.load", "ml.xmeans",
-         "run.artifact.digest"]
+SPANS = ["trace.graph_build", "graph.bipartite.finalize", "graph.bipartite.save",
+         "graph.bipartite.load", "behavior.restrict", "graph.csr.save", "run.report.load",
+         "ml.xmeans", "run.artifact.digest"]
 # Three similarity channels, each trained for both LINE objectives.
 LINE_SAMPLES = 3 * 2 * SAMPLES
 

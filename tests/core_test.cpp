@@ -3,6 +3,9 @@
 // campus, and the headline ordering of the paper's results.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <unordered_set>
 
 #include "core/behavior.hpp"
@@ -10,8 +13,10 @@
 #include "core/detector.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "graph/io.hpp"
 #include "graph_compare.hpp"
 #include "trace/generator.hpp"
+#include "util/artifact.hpp"
 
 #include <sstream>
 
@@ -161,6 +166,32 @@ TEST(GraphBuilder, IdBuildMatchesByNameBuildOnSimulatedTrace) {
   EXPECT_TRUE(graph::same_bipartite(ids.hdbg, names.hdbg));
   EXPECT_TRUE(graph::same_bipartite(ids.dibg, names.dibg));
   EXPECT_TRUE(graph::same_bipartite(ids.dtbg, names.dtbg));
+}
+
+TEST(GraphBuilder, GoldenArenaDigest) {
+  // `dnsembed run --seed 11`'s trace stage: the payload digests its
+  // manifest records for hdbg.bg, dibg.bg and dtbg.bg. Pinned, so that a
+  // refactor of the sink or of the graph store keeps every id and row.
+  trace::TraceConfig config;
+  config.seed = 11;
+  config.hosts = 200;
+  config.days = 4;
+  config.benign_sites = 1000;
+  config.malware_families = 8;
+  GraphBuilderSink sink;
+  trace::generate_trace(config, sink);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("dnsembed_golden_bg_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto digest = [&](const graph::BipartiteGraph& g, const char* file) {
+    const std::string path = (dir / file).string();
+    graph::save_bipartite_file(path, g);
+    return util::payload_digest(util::load_artifact(path, graph::kBipartiteArenaKind));
+  };
+  EXPECT_EQ(digest(sink.take_hdbg(), "hdbg.bg"), "250cd87d36f734ac");
+  EXPECT_EQ(digest(sink.take_dibg(), "dibg.bg"), "b50bc568e42e5ecd");
+  EXPECT_EQ(digest(sink.take_dtbg(), "dtbg.bg"), "1d5059a52a28f04d");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BehaviorModelTest, PruningAppliesAcrossAllGraphs) {

@@ -2,12 +2,20 @@
 // similarity graph (util::CsrGraph), pruning masks, and graph statistics.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <iterator>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/bipartite.hpp"
+#include "graph/io.hpp"
 #include "graph/projection.hpp"
 #include "graph/stats.hpp"
 #include "graph_compare.hpp"
@@ -144,6 +152,172 @@ TEST(Bipartite, OutOfRangeIdsThrow) {
   const auto g = sample_hdbg();
   EXPECT_THROW(g.left_neighbors(99), std::out_of_range);
   EXPECT_THROW(g.right_neighbors(99), std::out_of_range);
+}
+
+/// The reference store: each side's names in first-seen order and the
+/// distinct edges in a std::set.
+struct SetBipartite {
+  std::vector<std::string> left;
+  std::vector<std::string> right;
+  std::map<std::string, VertexId> left_id;
+  std::map<std::string, VertexId> right_id;
+  std::set<std::pair<VertexId, VertexId>> edges;  // (left, right)
+
+  VertexId add_left(const std::string& name) {
+    const auto [it, fresh] = left_id.try_emplace(name, static_cast<VertexId>(left.size()));
+    if (fresh) left.push_back(name);
+    return it->second;
+  }
+  VertexId add_right(const std::string& name) {
+    const auto [it, fresh] = right_id.try_emplace(name, static_cast<VertexId>(right.size()));
+    if (fresh) right.push_back(name);
+    return it->second;
+  }
+
+  std::vector<std::vector<VertexId>> rows() const {
+    std::vector<std::vector<VertexId>> out(left.size());
+    for (const auto& [l, r] : edges) out[l].push_back(r);
+    return out;
+  }
+  std::vector<std::vector<VertexId>> columns() const {
+    std::vector<std::vector<VertexId>> out(right.size());
+    for (const auto& [l, r] : edges) out[r].push_back(l);
+    return out;
+  }
+
+  /// filter_right's contract: the kept edges re-added by name,
+  /// right-major, in id order.
+  SetBipartite filter_right(const std::vector<bool>& keep) const {
+    SetBipartite out;
+    const auto cols = columns();
+    for (VertexId r = 0; r < right.size(); ++r) {
+      if (!keep[r]) continue;
+      for (const VertexId l : cols[r]) {
+        out.edges.insert({out.add_left(left[l]), out.add_right(right[r])});
+      }
+    }
+    return out;
+  }
+
+  /// The bipartite arena's numbering: lefts as they are, rights in first
+  /// appearance of a left-major scan, edgeless rights last in id order.
+  SetBipartite left_major() const {
+    SetBipartite out;
+    for (const auto& name : left) out.add_left(name);
+    const auto by_left = rows();
+    for (VertexId l = 0; l < left.size(); ++l) {
+      for (const VertexId r : by_left[l]) out.edges.insert({l, out.add_right(right[r])});
+    }
+    for (const auto& name : right) out.add_right(name);
+    return out;
+  }
+};
+
+::testing::AssertionResult matches(const BipartiteGraph& g, const SetBipartite& ref) {
+  if (g.left_names().names() != ref.left || g.right_names().names() != ref.right) {
+    return ::testing::AssertionFailure() << "names or ids differ";
+  }
+  if (g.edge_count() != ref.edges.size()) {
+    return ::testing::AssertionFailure()
+           << "edge count " << g.edge_count() << " vs " << ref.edges.size();
+  }
+  const auto rows = ref.rows();
+  for (VertexId l = 0; l < rows.size(); ++l) {
+    const auto got = g.left_neighbors(l);
+    if (!std::equal(got.begin(), got.end(), rows[l].begin(), rows[l].end())) {
+      return ::testing::AssertionFailure() << "row of left " << l << " differs";
+    }
+  }
+  const auto cols = ref.columns();
+  for (VertexId r = 0; r < cols.size(); ++r) {
+    const auto got = g.right_neighbors(r);
+    if (!std::equal(got.begin(), got.end(), cols[r].begin(), cols[r].end())) {
+      return ::testing::AssertionFailure() << "column of right " << r << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Bipartite, RandomizedAgainstSetReference) {
+  std::mt19937 rng{20261019};
+  const auto path =
+      (std::filesystem::temp_directory_path() /
+       ("dnsembed_bg_random_" + std::to_string(::getpid()) + ".bg"))
+          .string();
+  for (int round = 0; round < 24; ++round) {
+    BipartiteGraph g;
+    SetBipartite ref;
+    const unsigned lefts = 1 + rng() % 40;
+    const unsigned rights = 1 + rng() % 80;
+    const auto left_name = [&] { return "h" + std::to_string(rng() % lefts); };
+    const auto right_name = [&] { return "d" + std::to_string(rng() % rights) + ".test"; };
+    std::pair<VertexId, VertexId> last{0, 0};
+    const int ops = static_cast<int>(rng() % 1500);
+    for (int op = 0; op < ops; ++op) {
+      const unsigned kind = rng() % 100;
+      if (kind < 6) {
+        // A vertex without edges (it may gain some later), also after
+        // finalize(), which keeps the graph finalized.
+        const std::string name = kind % 2 ? left_name() : right_name();
+        const VertexId id = kind % 2 ? g.add_left(name) : g.add_right(name);
+        ASSERT_EQ(id, kind % 2 ? ref.add_left(name) : ref.add_right(name));
+        if (g.finalized()) {
+          ASSERT_TRUE(matches(g, ref)) << "round " << round;
+        }
+      } else if (kind < 30 && !ref.edges.empty()) {
+        // A repeated edge: the last one (a run) or any earlier one.
+        auto edge = last;
+        if (kind >= 18) edge = *std::next(ref.edges.begin(), rng() % ref.edges.size());
+        g.add_edge(edge.first, edge.second);
+        last = edge;
+      } else if (kind < 34) {
+        // Finalize mid-build; the next edge un-finalizes.
+        g.finalize();
+        g.finalize();
+        ASSERT_TRUE(matches(g, ref)) << "round " << round << " op " << op;
+      } else {
+        const std::string l = left_name();
+        const std::string r = right_name();
+        const bool was_finalized = g.finalized();
+        g.add_edge(l, r);
+        last = {ref.add_left(l), ref.add_right(r)};
+        ref.edges.insert(last);
+        if (was_finalized) {
+          ASSERT_THROW(g.edge_count(), std::logic_error);
+        }
+      }
+    }
+    g.finalize();
+    ASSERT_TRUE(matches(g, ref)) << "round " << round;
+
+    std::vector<bool> keep(ref.right.size());
+    for (std::size_t r = 0; r < keep.size(); ++r) keep[r] = rng() % 3 != 0;
+    EXPECT_TRUE(matches(g.filter_right(keep), ref.filter_right(keep))) << "round " << round;
+
+    save_bipartite_file(path, g);
+    EXPECT_TRUE(matches(load_bipartite_file(path), ref.left_major())) << "round " << round;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Bipartite, AssignRowsRejectsMalformedRows) {
+  BipartiteGraph g;
+  g.add_left("h1");
+  g.add_left("h2");
+  g.add_right("a.com");
+  g.add_right("b.com");
+  EXPECT_THROW(g.assign_rows({0, 1}, {0}), std::invalid_argument);        // too few offsets
+  EXPECT_THROW(g.assign_rows({0, 2, 1}, {0, 1}), std::invalid_argument);  // ends short
+  EXPECT_THROW(g.assign_rows({0, 2, 1}, {0}), std::invalid_argument);     // not monotone
+  EXPECT_THROW(g.assign_rows({0, 1, 2}, {0, 2}), std::invalid_argument);  // id out of range
+  EXPECT_THROW(g.assign_rows({0, 2, 2}, {1, 1}), std::invalid_argument);  // repeated id
+  EXPECT_THROW(g.assign_rows({0, 2, 2}, {1, 0}), std::invalid_argument);  // descending
+  EXPECT_FALSE(g.finalized());
+  g.assign_rows({0, 2, 3}, {0, 1, 1});
+  ASSERT_TRUE(g.finalized());
+  EXPECT_EQ(g.edge_count(), 3u);
+  const auto b = g.right_neighbors(1);
+  EXPECT_EQ(std::vector<VertexId>(b.begin(), b.end()), (std::vector<VertexId>{0, 1}));
 }
 
 // The weighted similarity graph is the CSR arena: these cases pin the

@@ -16,6 +16,7 @@
 
 #include <sstream>
 #include "trace/namegen.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -364,6 +365,91 @@ TEST(TraceDeterminism, SameSeedSameTrace) {
     ASSERT_EQ(a.dns()[i], b.dns()[i]) << "at index " << i;
   }
   EXPECT_EQ(a.flows().size(), b.flows().size());
+}
+
+/// `dnsembed run`'s trace at its CLI defaults.
+TraceConfig run_config(std::uint64_t seed) {
+  TraceConfig config;
+  config.seed = seed;
+  config.hosts = 200;
+  config.days = 4;
+  config.benign_sites = 1000;
+  config.malware_families = 8;
+  return config;
+}
+
+/// Chains an XXH64 over every field of every event, lease and flow in
+/// emission order (each record serialized, then hashed with the digest so
+/// far as its seed).
+class DigestSink final : public TraceSink {
+ public:
+  void on_dns(const dns::LogEntry& e) override {
+    begin('D');
+    put(e.timestamp);
+    put(e.host);
+    put(e.qname);
+    put(static_cast<std::uint16_t>(e.qtype));
+    put(static_cast<std::uint8_t>(e.rcode));
+    put(e.ttl);
+    put(static_cast<std::uint64_t>(e.addresses.size()));
+    for (const auto& ip : e.addresses) put(ip.value());
+    put(static_cast<std::uint64_t>(e.cnames.size()));
+    for (const auto& cname : e.cnames) put(cname);
+    fold();
+    ++dns_events;
+  }
+  void on_flow(const NetflowRecord& f) override {
+    begin('F');
+    put(f.timestamp);
+    put(f.host);
+    put(f.dst_ip.value());
+    put(f.dst_port);
+    put(f.bytes);
+    fold();
+  }
+  void on_dhcp(const dns::DhcpLease& lease) override {
+    begin('L');
+    put(lease.mac);
+    put(lease.ip.value());
+    put(lease.start);
+    put(lease.end);
+    fold();
+  }
+
+  std::string digest() const { return util::hex64(digest_); }
+  std::size_t dns_events = 0;
+
+ private:
+  void begin(char tag) {
+    record_.clear();
+    record_.push_back(tag);
+  }
+  template <typename T>
+  void put(T value) {
+    record_.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  }
+  void put(const std::string& text) {
+    put(static_cast<std::uint64_t>(text.size()));
+    record_.append(text);
+  }
+  void fold() { digest_ = util::xxhash64(record_, digest_); }
+
+  std::string record_;
+  std::uint64_t digest_ = 0;
+};
+
+TEST(TraceDeterminism, GoldenEventDigest) {
+  // Pinned values: every artifact of a run follows from this stream, so a
+  // refactor of emission or of the log entry must leave them as they are.
+  DigestSink small;
+  generate_trace(small_config(), small);
+  EXPECT_EQ(small.dns_events, 38675u);
+  EXPECT_EQ(small.digest(), "e86aa5f8cc063243");
+  DigestSink run;
+  const auto result = generate_trace(run_config(11), run);
+  EXPECT_EQ(run.dns_events, result.dns_events);
+  EXPECT_EQ(run.dns_events, 362766u);
+  EXPECT_EQ(run.digest(), "05f601cd61cae366");
 }
 
 TEST(TraceDeterminism, DifferentSeedDifferentTrace) {

@@ -41,7 +41,10 @@
 #      label reruns under ASan in step 6
 #   6. robustness label (fault injection, loader fuzz, crash recovery)
 #      under Address+UB sanitizers — the scenario suite carries the
-#      robustness label too, so it reruns sanitized — plus one
+#      robustness label too, so it reruns sanitized, and so do graph_test,
+#      graph_io_test, trace_test and core_test, so the bipartite store's
+#      key and row-offset arithmetic and the generator's reused log entry
+#      run sanitized — plus one
 #      distributed-label pass under ASan so the fork/waitpid/heartbeat
 #      paths run sanitized, and one serving-label pass under ASan so the
 #      daemon's stdin parsing into stack buffers runs sanitized
