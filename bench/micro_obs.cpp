@@ -20,14 +20,17 @@
 //     Always enforced, even in smoke mode.
 //  3. Cost: the sidecar work telemetry adds to a supervised run, timed
 //     directly rather than read off two noisy run walls. Each task costs
-//     one sidecar write in the worker, after its body returns, and one
-//     load + merge in the supervisor. Right after each run, both operations
-//     are timed on the sidecar each task wrote, with this process's
-//     telemetry put back into the worker's state first, so a run and its
-//     sidecar cost share the disk's and the vCPU's current speed. The sum,
-//     counted as if none of it overlapped other work (an upper bound: two
-//     workers run side by side), over the rest of that run's wall is the
-//     round's overhead; the gate reads the median over the rounds.
+//     one sidecar encode in the worker, after its body returns, and one
+//     decode + merge + lane import in the supervisor; the bytes travel on
+//     the worker's pipe, and no file is written. Right after each run, both
+//     operations are timed once per task on that task's spans (its trace
+//     lane of the run) with the whole single-process run's counters,
+//     histograms and records (an upper bound: a task records only its own
+//     share), put back into this process's registry first, so a run and
+//     its sidecar cost share the vCPU's current speed. The sum, counted as
+//     if none of it overlapped other work (an upper bound too: two workers
+//     run side by side), over the rest of that run's wall is the round's
+//     overhead; the gate reads the median over the rounds.
 // Timing gates are skipped under DNSEMBED_BENCH_SMOKE=1, which runs one
 // round of each.
 //
@@ -156,46 +159,42 @@ struct PipelineCounters {
   bool operator==(const PipelineCounters&) const = default;
 };
 
-/// One task's sidecar operations, timed in this process on the sidecar
-/// that task wrote: the fastest of a few repetitions of each.
+/// One task's sidecar operations, timed in this process: the fastest of a
+/// few repetitions of each.
 struct SidecarOps {
-  double write_ms = 0.0;  // the worker's sidecar write
-  double merge_ms = 0.0;  // the supervisor's load + merge + lane import
+  double encode_ms = 0.0;  // the worker's encode
+  double merge_ms = 0.0;   // the supervisor's decode + merge + lane import
 };
 
-/// Before every write this process's registry and span buffer are put
-/// back into the state the worker held (untimed): the sidecar's counters,
-/// histograms, records and spans. Each write goes to a new file
-/// (`out_prefix` + repetition), as a worker's write does.
-SidecarOps time_task_sidecar(const std::string& sidecar_path, const std::string& out_prefix,
-                             int repetitions) {
-  const auto sidecar = obs::load_telemetry_sidecar(sidecar_path);
+/// Before every encode this process's registry and span buffer are put
+/// back into the state `telemetry` describes (untimed): its counters,
+/// histograms, records and spans.
+SidecarOps time_task_sidecar(const obs::TelemetrySidecar& telemetry, int repetitions) {
   const auto worker_state = [&] {
     obs::metrics().reset_values();
     auto& recorder = obs::SpanRecorder::instance();
     recorder.clear();
-    obs::merge_sidecar_metrics(sidecar);
-    for (const auto& record : sidecar.records) {
+    obs::merge_sidecar_metrics(telemetry);
+    for (const auto& record : telemetry.records) {
       obs::metrics().append_record(record.name, record.fields);
     }
-    for (const auto& event : sidecar.spans) {
+    for (const auto& event : telemetry.spans) {
       recorder.record(event.name, event.begin_ns, event.end_ns, event.seq);
     }
   };
-  std::vector<double> write_ms, merge_ms;
+  std::vector<double> encode_ms, merge_ms;
   for (int k = 0; k < repetitions; ++k) {
-    const std::string path = out_prefix + std::to_string(k);
     worker_state();
-    util::Stopwatch write;
-    obs::write_telemetry_sidecar(path);
-    write_ms.push_back(write.millis());
+    util::Stopwatch encode;
+    const std::string bytes = obs::encode_telemetry_sidecar();
+    encode_ms.push_back(encode.millis());
     util::Stopwatch merge;
-    auto merged = obs::load_telemetry_sidecar(path);
+    auto merged = obs::decode_telemetry_sidecar(bytes, "bench");
     obs::merge_sidecar_metrics(merged);
     obs::SpanRecorder::instance().add_process_lane("bench", std::move(merged.spans));
     merge_ms.push_back(merge.millis());
   }
-  return {bench::summarize(std::move(write_ms)).min_ms,
+  return {bench::summarize(std::move(encode_ms)).min_ms,
           bench::summarize(std::move(merge_ms)).min_ms};
 }
 
@@ -208,9 +207,9 @@ struct SupervisedTelemetry {
   std::size_t lanes = 0, tasks_run = 0;
   // Per round, over that round's tasks:
   bench::Timing wall;        // the supervised run
-  bench::Timing write;       // final writes, summed
-  bench::Timing merge;       // merges, summed
-  bench::Timing sidecar;     // writes and merges, summed
+  bench::Timing encode;      // encodes, summed
+  bench::Timing merge;       // decodes + merges, summed
+  bench::Timing sidecar;     // encodes and merges, summed
   double overhead = 0.0;     // median over rounds of sidecar / other wall
   bool counters_match = false;
 };
@@ -228,18 +227,23 @@ SupervisedTelemetry measure_supervised_telemetry(int rounds, int repetitions) {
     obs::SpanRecorder::instance().clear();
   };
 
-  // Single-process totals of the deterministic pipeline telemetry.
+  // Single-process totals of the deterministic pipeline telemetry, and the
+  // whole run's counters, histograms and records, which each task's
+  // sidecar is timed with.
   telemetry(true);
   auto single = mini_run_options(scratch + "/single");
   single.supervise.workers = 0;
   (void)core::run_resumable(single);
   result.single = PipelineCounters::of(obs::metrics().snapshot());
+  auto run_metrics = obs::decode_telemetry_sidecar(obs::encode_telemetry_sidecar(), "single");
+  run_metrics.spans.clear();
 
   // Supervised runs with telemetry on; the first supplies the merged
-  // counters and trace lanes. Right after each run its own sidecars are
-  // timed, so the run's wall and its sidecar cost share the disk's and the
-  // vCPU's current speed: each task costs one write and one merge.
-  std::vector<double> walls, writes, merges, sidecars, ratios;
+  // counters and trace lanes. Right after each run the sidecar operations
+  // are timed, so the run's wall and its sidecar cost share the vCPU's
+  // current speed: each task (one trace lane) costs one encode and one
+  // merge.
+  std::vector<double> walls, encodes, merges, sidecars, ratios;
   for (int r = 0; r < rounds; ++r) {
     telemetry(true);
     const auto workdir = scratch + "/run" + std::to_string(r);
@@ -251,16 +255,17 @@ SupervisedTelemetry measure_supervised_telemetry(int rounds, int repetitions) {
       result.lanes = obs::SpanRecorder::instance().process_lanes().size();
       result.tasks_run = summary.supervision.tasks_run;
     }
-    double write_ms = 0.0, merge_ms = 0.0, sidecar_ms = 0.0;
-    for (const auto& task : summary.supervision.resources) {
-      const auto ops = time_task_sidecar(workdir + "/sv/tm." + task.task,
-                                         workdir + "/sv/bench." + task.task + ".", repetitions);
-      write_ms += ops.write_ms;
+    double encode_ms = 0.0, merge_ms = 0.0, sidecar_ms = 0.0;
+    for (auto& lane : obs::SpanRecorder::instance().process_lanes()) {
+      auto task_telemetry = run_metrics;
+      task_telemetry.spans = std::move(lane.events);
+      const auto ops = time_task_sidecar(task_telemetry, repetitions);
+      encode_ms += ops.encode_ms;
       merge_ms += ops.merge_ms;
-      sidecar_ms += ops.write_ms + ops.merge_ms;
+      sidecar_ms += ops.encode_ms + ops.merge_ms;
     }
     walls.push_back(wall_ms);
-    writes.push_back(write_ms);
+    encodes.push_back(encode_ms);
     merges.push_back(merge_ms);
     sidecars.push_back(sidecar_ms);
     ratios.push_back(sidecar_ms / (wall_ms - sidecar_ms));
@@ -269,7 +274,7 @@ SupervisedTelemetry measure_supervised_telemetry(int rounds, int repetitions) {
   std::filesystem::remove_all(scratch);
 
   result.wall = bench::summarize(std::move(walls));
-  result.write = bench::summarize(std::move(writes));
+  result.encode = bench::summarize(std::move(encodes));
   result.merge = bench::summarize(std::move(merges));
   result.sidecar = bench::summarize(std::move(sidecars));
   result.overhead = median(std::move(ratios));
@@ -360,7 +365,7 @@ int write_obs_json() {
                supervised.tasks_run, run_rounds);
   write_timing(out, "wall", supervised.wall);
   std::fprintf(out, ",\n    \"repetitions\": %d, ", repetitions);
-  write_timing(out, "write", supervised.write);
+  write_timing(out, "encode", supervised.encode);
   std::fprintf(out, ", ");
   write_timing(out, "merge", supervised.merge);
   std::fprintf(out, ", ");
@@ -390,7 +395,7 @@ int write_obs_json() {
     rc = 1;
   };
   timing_gate(project_overhead, "enabled metrics on project_right");
-  timing_gate(supervised.overhead, "sidecar write+merge on the supervised mini-run");
+  timing_gate(supervised.overhead, "sidecar encode+merge on the supervised mini-run");
   if (!supervised.counters_match) {
     const auto& merged = supervised.merged;
     const auto& single = supervised.single;

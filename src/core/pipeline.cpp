@@ -81,8 +81,7 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
   EntryStore entry_store;
   {
     obs::StageSpan span{"pipeline.trace"};
-    std::vector<trace::TraceSink*> sinks{&graphs};
-    if (config.keep_flows) sinks.push_back(&flow_store);
+    std::vector<trace::TraceSink*> sinks{&graphs, &flow_store};
     if (config.keep_entries) sinks.push_back(&entry_store);
     trace::TeeSink tee{sinks};
     result.trace = trace::generate_trace(config.trace, tee);
@@ -90,7 +89,7 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
   util::log_info() << "pipeline: trace " << result.trace.dns_events << " dns events";
   obs::metrics().gauge("pipeline.trace.dns_events").set(
       static_cast<std::int64_t>(result.trace.dns_events));
-  if (config.keep_flows) result.flows = std::move(flow_store).take();
+  result.flows = std::move(flow_store).take();
   if (config.keep_entries) result.entries = std::move(entry_store).take();
 
   {

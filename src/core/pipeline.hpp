@@ -35,9 +35,6 @@ struct PipelineConfig {
 
   ml::XMeansConfig xmeans;
 
-  /// Retain netflow records for cluster traffic analysis (§7.2.2).
-  bool keep_flows = true;
-
   /// Retain the raw DNS log entries (streaming-detector replays split
   /// them by day; off by default — full traces are large).
   bool keep_entries = false;

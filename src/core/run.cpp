@@ -498,7 +498,7 @@ class StageDriver {
 class Executor {
  public:
   Executor(const RunOptions& options, StageDriver& driver) : driver_{driver} {
-    if (options.supervise.workers > 0) supervisor_.emplace(options.workdir, options.supervise);
+    if (options.supervise.workers > 0) supervisor_.emplace(options.supervise);
   }
 
   /// Run one round; returns the tasks quarantined in it.

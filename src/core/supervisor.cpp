@@ -1,7 +1,7 @@
 #include "core/supervisor.hpp"
 
-#include <dirent.h>
 #include <fcntl.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "fault/process_faults.hpp"
@@ -41,42 +43,35 @@ util::fsio::RetryPolicy task_retry_policy(std::size_t max_retries) {
   return policy;
 }
 
-// ------------------------------------------------------------ heartbeats
+/// A duration in the supervisor's clock, capped at a million seconds so an
+/// absurd interval or timeout can overflow neither the time arithmetic nor
+/// poll(2)'s int milliseconds.
+Clock::duration clock_seconds(double seconds) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>{std::min(seconds, 1e6)});
+}
+
+// -------------------------------------------------------------- the pipe
 //
-// A heartbeat is a tiny plain file the child overwrites with an increasing
-// sequence number. Plain POSIX writes on purpose: heartbeats are advisory
-// liveness signals, not durable state, so they skip fsio (no fsync cost, no
-// injected-fault interference) and the reader only cares whether the
-// content CHANGED since it last looked.
+// A worker writes two things to its pipe (util::ChildProcess): one kBeat
+// byte per heartbeat interval from its beat thread, then, once the body's
+// threads have joined, its telemetry sidecar container. The supervisor
+// counts any byte as a heartbeat; every beat precedes the sidecar, whose
+// container header never starts with kBeat.
 
-void write_heartbeat(const std::string& path, std::uint64_t beat) {
-  const std::string text = "beat " + std::to_string(beat) + "\n";
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return;  // best effort; a missing heartbeat reads as stale
-  (void)!::write(fd, text.data(), text.size());
-  ::close(fd);
-}
+constexpr char kBeat = '\0';
 
-std::string read_heartbeat(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return {};
-  char buf[64];
-  const ssize_t n = ::read(fd, buf, sizeof(buf));
-  ::close(fd);
-  return n > 0 ? std::string(buf, static_cast<std::size_t>(n)) : std::string{};
-}
-
-/// Unlink every regular file directly under `dir` (scratch holds no
-/// subdirectories).
-void wipe_directory(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return;
-  while (const dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name == "." || name == "..") continue;
-    ::unlink((dir + "/" + name).c_str());
+/// Write all of `bytes`; false when the pipe failed.
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
   }
-  ::closedir(d);
+  return true;
 }
 
 // ------------------------------------------------------------ child side
@@ -88,11 +83,11 @@ bool has_container_output(const WorkerTask& task) {
   return false;
 }
 
-/// The forked child's whole life: decide the injected fault, keep the
-/// heartbeat fresh on a side thread, run the task body, write the telemetry
-/// sidecar, exit.
+/// The forked child's whole life: decide the injected fault, beat down the
+/// pipe on a side thread, run the task body, write the telemetry sidecar
+/// down the pipe, exit.
 int run_child(const WorkerTask& task, std::size_t attempt, const SupervisorOptions& options,
-              const std::string& heartbeat_path, const std::string& sidecar_path) {
+              int pipe_fd) {
   // The fork inherited the parent's accumulated metrics and spans; drop
   // them so the sidecar carries exactly this attempt's telemetry (clear()
   // also re-arms the span epoch, which is what the parent's rebase offset
@@ -108,7 +103,6 @@ int run_child(const WorkerTask& task, std::size_t attempt, const SupervisorOptio
   if (injected == fault::ProcessFault::kGarbage && !has_container_output(task)) {
     injected = fault::ProcessFault::kCrash;
   }
-  write_heartbeat(heartbeat_path, 0);
   if (injected == fault::ProcessFault::kCrash) {
     util::log_warn() << "worker " << task.name << ": injected crash (attempt " << attempt
                      << ")";
@@ -128,11 +122,10 @@ int run_child(const WorkerTask& task, std::size_t attempt, const SupervisorOptio
   bool stop = false;
   const auto interval = std::chrono::duration<double>{options.heartbeat_interval_seconds};
   std::thread beat{[&] {
-    std::uint64_t n = 1;
     std::unique_lock lock{stop_mutex};
     while (!stop_cv.wait_for(lock, interval, [&] { return stop; })) {
       lock.unlock();
-      write_heartbeat(heartbeat_path, n++);
+      (void)write_all(pipe_fd, {&kBeat, 1});
       lock.lock();
     }
   }};
@@ -164,13 +157,8 @@ int run_child(const WorkerTask& task, std::size_t attempt, const SupervisorOptio
   }
   stop_cv.notify_one();
   beat.join();
-  if (telemetry) {
-    try {
-      obs::write_telemetry_sidecar(sidecar_path);
-    } catch (const std::exception& e) {
-      util::log_warn() << "worker " << task.name << ": telemetry sidecar write failed: "
-                       << e.what();
-    }
+  if (telemetry && !write_all(pipe_fd, obs::encode_telemetry_sidecar())) {
+    util::log_warn() << "worker " << task.name << ": telemetry sidecar write failed";
   }
   return rc;
 }
@@ -206,19 +194,12 @@ SupervisorError::SupervisorError(std::string task, const std::string& detail)
     : std::runtime_error{"supervisor: task '" + task + "' failed permanently: " + detail},
       task_{std::move(task)} {}
 
-Supervisor::Supervisor(std::string workdir, SupervisorOptions options)
-    : workdir_{std::move(workdir)}, options_{options} {
+Supervisor::Supervisor(SupervisorOptions options) : options_{std::move(options)} {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.heartbeat_interval_seconds <= 0.0) options_.heartbeat_interval_seconds = 0.25;
   if (options_.heartbeat_timeout_seconds <= 0.0) {
     options_.heartbeat_timeout_seconds = 10.0 * options_.heartbeat_interval_seconds;
   }
-  util::fsio::create_directories(workdir_ + "/sv");
-  wipe_directory(workdir_ + "/sv");
-}
-
-std::string Supervisor::scratch_path(const std::string& file) const {
-  return workdir_ + "/sv/" + file;
 }
 
 TaskResources& Supervisor::resources_for(const std::string& task) {
@@ -250,13 +231,7 @@ void Supervisor::set_status(const std::string& task, const char* state, std::siz
 }
 
 void Supervisor::write_status(bool force) {
-  if (options_.status_path.empty()) return;
-  const auto now = Clock::now();
-  if (!force && !status_dirty_ &&
-      std::chrono::duration<double>(now - last_status_write_).count() <
-          options_.heartbeat_interval_seconds) {
-    return;
-  }
+  if (options_.status_path.empty() || !(force || status_dirty_)) return;
   std::ostringstream out;
   out << "{\n  \"workers\": " << options_.workers << ",\n  \"tasks\": [";
   for (std::size_t i = 0; i < status_.size(); ++i) {
@@ -280,9 +255,9 @@ void Supervisor::write_status(bool force) {
     out << "}";
   }
   out << (status_.empty() ? "]\n" : "\n  ]\n") << "}\n";
-  // Plain-POSIX temp + rename (the heartbeat idiom): the status file is an
-  // advisory view for operators, so it skips fsio's fsync cost and fault
-  // injection, but readers still never observe a torn write.
+  // Plain-POSIX temp + rename: the status file is an advisory view for
+  // operators, so it skips fsio's fsync cost and fault injection, but
+  // readers still never observe a torn write.
   const std::string text = out.str();
   const std::string tmp = options_.status_path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
@@ -291,7 +266,6 @@ void Supervisor::write_status(bool force) {
   ::close(fd);
   ::rename(tmp.c_str(), options_.status_path.c_str());
   status_dirty_ = false;
-  last_status_write_ = now;
 }
 
 void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
@@ -315,8 +289,8 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
   obs::metrics().gauge("supervisor.workers").set(static_cast<std::int64_t>(options_.workers));
 
   const auto policy = task_retry_policy(options_.max_retries);
-  const auto heartbeat_timeout =
-      std::chrono::duration<double>{options_.heartbeat_timeout_seconds};
+  const auto interval = clock_seconds(options_.heartbeat_interval_seconds);
+  const auto heartbeat_timeout = clock_seconds(options_.heartbeat_timeout_seconds);
 
   struct TaskState {
     std::size_t failures = 0;
@@ -330,8 +304,8 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
     std::size_t attempt = 0;
     util::ChildProcess child;
     Clock::time_point spawned;
-    std::string heartbeat;
-    Clock::time_point heartbeat_changed;
+    Clock::time_point last_byte;  // the last heartbeat
+    std::string received;         // every byte from the pipe: beats, then the sidecar
     std::uint64_t span_begin = 0;
     std::uint64_t span_seq = 0;
   };
@@ -390,13 +364,14 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
   std::vector<std::pair<std::string, std::vector<obs::MetricRecord>>> worker_records;
 
   /// Fold a successful worker's telemetry sidecar into this process's
-  /// registry/recorder. A corrupt or unreadable sidecar costs only that
-  /// worker's telemetry — warn, count, continue; never abort the merge.
+  /// registry/recorder. A corrupt sidecar costs only that worker's
+  /// telemetry — warn, count, continue; never abort the merge.
   const auto merge_sidecar = [&](const InFlight& flight, const WorkerTask& task) {
     if (!obs::metrics_enabled() && !obs::trace_enabled()) return;
-    const auto path = scratch_path("tm." + task.name);
+    std::string_view bytes = flight.received;
+    bytes.remove_prefix(std::min(bytes.find_first_not_of(kBeat), bytes.size()));
     try {
-      const auto sidecar = obs::load_telemetry_sidecar(path);
+      const auto sidecar = obs::decode_telemetry_sidecar(bytes, task.name + " sidecar");
       if (obs::metrics_enabled()) {
         obs::merge_sidecar_metrics(sidecar);
         if (!sidecar.records.empty()) {
@@ -418,9 +393,6 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
       sidecar_corrupt_counter.add(1);
       util::log_warn() << "supervisor: telemetry sidecar for '" << task.name << "' corrupt ("
                        << e.reason() << "); worker telemetry dropped";
-    } catch (const util::fsio::IoError& e) {
-      util::log_warn() << "supervisor: telemetry sidecar for '" << task.name
-                       << "' unreadable; worker telemetry dropped (" << e.what() << ")";
     }
   };
 
@@ -457,54 +429,21 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
     merge_sidecar(flight, task);
   };
 
+  // One poll(2) over the workers' pipes sleeps until a worker writes or
+  // exits, or until the next deadline: a heartbeat timeout, the end of a
+  // backoff, or the once-per-interval tick that checks the stage deadline
+  // and rewrites the status file.
+  std::vector<pollfd> fds;
+  std::vector<char> buffer(std::size_t{1} << 16);
+  auto next_tick = Clock::now();
   try {
     for (;;) {
-      poll();  // stage-deadline watchdog; may throw
-
-      // Reap / watch children. swap-erase keeps the scan O(in-flight).
-      const auto now = Clock::now();
-      std::int64_t max_age_ms = 0;
-      for (std::size_t f = 0; f < running.size();) {
-        auto& flight = running[f];
-        if (const auto status = flight.child.try_wait()) {
-          reaped(flight, *status);
-          running[f] = std::move(running.back());
-          running.pop_back();
-          continue;
-        }
-        const auto beat = read_heartbeat(scratch_path("hb." + tasks[flight.index].name));
-        if (beat != flight.heartbeat) {
-          flight.heartbeat = beat;
-          flight.heartbeat_changed = now;
-        }
-        const auto age = std::chrono::duration<double>{now - flight.heartbeat_changed};
-        const auto age_ms = static_cast<std::int64_t>(age.count() * 1000.0);
-        max_age_ms = std::max(max_age_ms, age_ms);
-        status_row(tasks[flight.index].name).heartbeat_age_ms = age_ms;
-        if (age >= heartbeat_timeout) {
-          util::log_warn() << "supervisor: task '" << tasks[flight.index].name
-                           << "' heartbeat stale for " << age.count() << "s; killing";
-          flight.child.kill();
-          account(flight, flight.child.wait());
-          ++stats_.hangs_killed;
-          hangs_counter.add(1);
-          if (obs::trace_enabled()) {
-            auto& recorder = obs::SpanRecorder::instance();
-            recorder.record("supervisor." + tasks[flight.index].name, flight.span_begin,
-                            recorder.now_ns(), flight.span_seq);
-          }
-          failed(flight.index, "hung (stale heartbeat)");
-          running[f] = std::move(running.back());
-          running.pop_back();
-          continue;
-        }
-        ++f;
+      auto now = Clock::now();
+      const bool tick = now >= next_tick;
+      if (tick) {
+        poll();  // stage-deadline watchdog; may throw
+        next_tick = now + interval;
       }
-      // Sampled every poll tick while children are in flight, so the
-      // export carries a p99-capable staleness distribution instead of a
-      // last-write gauge.
-      if (!running.empty()) heartbeat_hist.observe(static_cast<double>(max_age_ms));
-      write_status(false);
 
       // Spawn ready tasks into free slots, in task order (start order is
       // deterministic; completion order is not, and does not matter —
@@ -512,16 +451,13 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
       for (std::size_t i = 0; i < tasks.size() && running.size() < options_.workers; ++i) {
         auto& ts = state[i];
         if (ts.done || ts.quarantined || ts.running) continue;
-        if (ts.eligible > Clock::now()) continue;
+        if (ts.eligible > now) continue;
         const std::size_t attempt = ts.failures;
-        const auto heartbeat_path = scratch_path("hb." + tasks[i].name);
-        write_heartbeat(heartbeat_path, 0);
         InFlight flight;
         flight.index = i;
         flight.attempt = attempt;
         flight.spawned = Clock::now();
-        flight.heartbeat = read_heartbeat(heartbeat_path);
-        flight.heartbeat_changed = flight.spawned;
+        flight.last_byte = flight.spawned;
         if (obs::trace_enabled()) {
           auto& recorder = obs::SpanRecorder::instance();
           flight.span_begin = recorder.now_ns();
@@ -530,13 +466,11 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
         try {
           const WorkerTask* task = &tasks[i];
           const SupervisorOptions* options = &options_;
-          const auto sidecar_path = scratch_path("tm." + tasks[i].name);
-          flight.child = util::ChildProcess::spawn(
-              [task, attempt, options, heartbeat_path, sidecar_path] {
-                return run_child(*task, attempt, *options, heartbeat_path, sidecar_path);
-              });
+          flight.child = util::ChildProcess::spawn([task, attempt, options](int pipe_fd) {
+            return run_child(*task, attempt, *options, pipe_fd);
+          });
         } catch (const std::system_error& e) {
-          failed(i, std::string{"fork: "} + e.what());
+          failed(i, e.what());
           continue;
         }
         ts.running = true;
@@ -548,10 +482,76 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
         bool pending = false;
         for (const auto& ts : state) pending = pending || !(ts.done || ts.quarantined);
         if (!pending) break;
-        // Nothing in flight but tasks remain: they are backing off; keep
-        // polling until the earliest becomes eligible.
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds{5});
+
+      // Heartbeat ages are observed once per wake while children are in
+      // flight, so the export carries a p99-capable staleness distribution
+      // instead of a last-write gauge.
+      now = Clock::now();
+      std::int64_t max_age_ms = 0;
+      auto wake = next_tick;
+      fds.clear();
+      for (const auto& flight : running) {
+        const auto age_ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(now - flight.last_byte)
+                .count();
+        max_age_ms = std::max<std::int64_t>(max_age_ms, age_ms);
+        status_row(tasks[flight.index].name).heartbeat_age_ms = age_ms;
+        wake = std::min(wake, flight.last_byte + heartbeat_timeout);
+        fds.push_back({flight.child.read_fd(), POLLIN, 0});
+      }
+      if (!running.empty()) heartbeat_hist.observe(static_cast<double>(max_age_ms));
+      write_status(tick);
+      if (running.size() < options_.workers) {
+        for (const auto& ts : state) {
+          if (!(ts.done || ts.quarantined || ts.running)) wake = std::min(wake, ts.eligible);
+        }
+      }
+      const int timeout_ms = static_cast<int>(std::max<std::int64_t>(
+          std::chrono::ceil<std::chrono::milliseconds>(wake - Clock::now()).count(), 0));
+      if (::poll(fds.data(), fds.size(), timeout_ms) < 0 && errno != EINTR) {
+        throw std::system_error{errno, std::generic_category(), "supervisor: poll"};
+      }
+
+      // Read every readable pipe; any byte is a heartbeat. Walk backwards,
+      // so a swap-erase moves only a slot already visited.
+      now = Clock::now();
+      for (std::size_t f = running.size(); f-- > 0;) {
+        auto& flight = running[f];
+        if (fds[f].revents != 0) {
+          const ssize_t n = ::read(flight.child.read_fd(), buffer.data(), buffer.size());
+          if (n > 0) {
+            flight.received.append(buffer.data(), static_cast<std::size_t>(n));
+            flight.last_byte = now;
+            continue;
+          }
+          if (n < 0 && errno == EINTR) continue;
+          // End of file: the worker has exited. The kernel closes a
+          // process's files before it becomes reapable, so reap with a
+          // blocking wait. A pipe that fails to read fails the attempt.
+          if (n < 0) flight.child.kill();
+          reaped(flight, flight.child.wait());
+        } else if (now - flight.last_byte >= heartbeat_timeout) {
+          util::log_warn() << "supervisor: task '" << tasks[flight.index].name
+                           << "' heartbeat stale for "
+                           << std::chrono::duration<double>(now - flight.last_byte).count()
+                           << "s; killing";
+          flight.child.kill();
+          account(flight, flight.child.wait());
+          ++stats_.hangs_killed;
+          hangs_counter.add(1);
+          if (obs::trace_enabled()) {
+            auto& recorder = obs::SpanRecorder::instance();
+            recorder.record("supervisor." + tasks[flight.index].name, flight.span_begin,
+                            recorder.now_ns(), flight.span_seq);
+          }
+          failed(flight.index, "hung (stale heartbeat)");
+        } else {
+          continue;
+        }
+        running[f] = std::move(running.back());
+        running.pop_back();
+      }
     }
   } catch (...) {
     for (auto& flight : running) {

@@ -1,9 +1,10 @@
 // Process supervision for the resumable runner: forks worker processes to
-// execute pipeline tasks, watches them for crash (waitpid), hang (stale
-// heartbeat file -> SIGKILL), and corrupt output (container validation
-// after exit), retries failures with the fsio bounded-backoff schedule, and
-// quarantines a projection task once its retry budget is exhausted so the
-// run degrades to a partial-but-flagged report instead of dying.
+// execute pipeline tasks, watches them for crash (exit status), hang (no
+// byte on the worker's pipe for the heartbeat timeout -> SIGKILL), and
+// corrupt output (container validation after exit), retries failures with
+// the fsio bounded-backoff schedule, and quarantines a projection task once
+// its retry budget is exhausted so the run degrades to a
+// partial-but-flagged report instead of dying.
 //
 // The supervisor is deliberately ignorant of pipeline semantics: it runs
 // WorkerTasks — a name, a child-side body, and the list of artifact files
@@ -12,18 +13,26 @@
 // them; workers exchange results exclusively through the checksummed
 // artifact container, never through memory.
 //
+// Each worker has one pipe to the supervisor (util::ChildProcess). Its beat
+// thread writes one byte per heartbeat interval, and once the body's
+// threads have joined it writes its telemetry sidecar (obs/sidecar.hpp).
+// The supervisor sleeps in one poll(2) over the pipes until a worker
+// writes, a worker exits (end of file), or its next deadline comes: a
+// heartbeat timeout, the end of a backoff, or the once-per-interval tick
+// that checks the stage deadline and rewrites the status file. A supervised
+// run writes nothing but its artifacts, manifest.run and the optional
+// status file.
+//
 // Every supervision event flows through the obs registry:
 //   supervisor.restarts / .crashes / .hangs_killed / .corrupt_outputs
 //   supervisor.quarantined, supervisor.tasks.run,
 //   supervisor.sidecar_corrupt, supervisor.heartbeat_age_ms le-histogram
-//   (sampled every poll tick), supervisor.task.{cpu_seconds,wall_seconds,
+//   (observed once per wake), supervisor.task.{cpu_seconds,wall_seconds,
 //   max_rss_kb} per-attempt rusage histograms, "supervisor.<task>" trace
-//   spans — and, because each worker writes a telemetry sidecar the
-//   supervisor merges back (obs/sidecar.hpp), everything the workers
-//   themselves recorded.
+//   spans — and, because the supervisor merges back each worker's
+//   telemetry sidecar, everything the workers themselves recorded.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -44,11 +53,11 @@ struct SupervisorOptions {
   /// 1 + max_retries times is quarantined (projection tasks) or fatal.
   std::size_t max_retries = 2;
 
-  /// Seconds between worker heartbeat writes.
+  /// Seconds between worker heartbeat bytes.
   double heartbeat_interval_seconds = 0.25;
 
-  /// A worker whose heartbeat has not advanced for this long is declared
-  /// hung and SIGKILLed. 0 = 10x the heartbeat interval.
+  /// A worker that has written nothing to its pipe for this long is
+  /// declared hung and SIGKILLed. 0 = 10x the heartbeat interval.
   double heartbeat_timeout_seconds = 0.0;
 
   /// Seeded process fault injection (proc_* channels); all-zero rates by
@@ -57,9 +66,8 @@ struct SupervisorOptions {
 
   /// Live run status file (`run --status-out FILE`): atomically rewritten
   /// JSON with per-task state/attempt/heartbeat age/quarantine/rusage,
-  /// refreshed on every state change and at least once per heartbeat
-  /// interval. Empty = disabled. Advisory plain-POSIX writes, like the
-  /// heartbeat files.
+  /// refreshed on every state change and once per heartbeat interval.
+  /// Empty = disabled. Advisory plain-POSIX writes (no fsync).
   std::string status_path;
 };
 
@@ -91,8 +99,8 @@ struct SupervisionStats {
 
 /// One unit of supervised work.
 struct WorkerTask {
-  /// Unique name, e.g. "behavior.query". Keys the heartbeat file, the
-  /// backoff jitter, fault-injection draws, metrics, and quarantine rows.
+  /// Unique name, e.g. "behavior.query". Keys the backoff jitter,
+  /// fault-injection draws, metrics, trace lanes and quarantine rows.
   std::string name;
 
   /// Quarantinable tasks (the channel projections) degrade the run when
@@ -127,15 +135,13 @@ class SupervisorError : public std::runtime_error {
 
 class Supervisor {
  public:
-  /// `workdir` is the run's working directory. Scratch state (heartbeats
-  /// and telemetry sidecars) lives under workdir/sv, which the constructor
-  /// creates and empties, so no file in it comes from an earlier run.
-  Supervisor(std::string workdir, SupervisorOptions options);
+  explicit Supervisor(SupervisorOptions options);
 
   /// Run every task to completion (done or quarantined) with up to
-  /// options.workers children in flight. `poll` is invoked on every
-  /// scheduling round; it may throw (the stage-deadline watchdog does) and
-  /// all children are SIGKILLed and reaped before the exception escapes.
+  /// options.workers children in flight. `poll` is invoked on entry and
+  /// once per heartbeat interval; it may throw (the stage-deadline watchdog
+  /// does) and all children are SIGKILLed and reaped before the exception
+  /// escapes.
   /// Throws SupervisorError when a non-quarantinable task exhausts its
   /// retries. Quarantined task names accumulate in stats().
   void run_tasks(const std::vector<WorkerTask>& tasks, const std::function<void()>& poll);
@@ -152,23 +158,18 @@ class Supervisor {
     std::int64_t heartbeat_age_ms = -1;  // -1 when not running
   };
 
-  /// workdir/sv/<file>.
-  std::string scratch_path(const std::string& file) const;
-
   TaskResources& resources_for(const std::string& task);
   TaskStatus& status_row(const std::string& task);
   void set_status(const std::string& task, const char* state, std::size_t attempt,
                   std::int64_t heartbeat_age_ms);
-  /// Atomic-rewrite the status file. Throttled: writes when a state changed
-  /// (set_status marks dirty) or a heartbeat interval elapsed; `force`
-  /// bypasses the throttle (batch completion).
+  /// Atomic-rewrite the status file when a state changed (set_status marks
+  /// it dirty) or when `force` is set (once per heartbeat interval, and at
+  /// batch completion).
   void write_status(bool force);
 
-  std::string workdir_;
   SupervisorOptions options_;
   SupervisionStats stats_;
   std::vector<TaskStatus> status_;
-  std::chrono::steady_clock::time_point last_status_write_{};
   bool status_dirty_ = false;
 };
 

@@ -78,9 +78,9 @@ struct FaultPlan {
   /// Probability that a worker attempt dies immediately (exit 137, as if
   /// SIGKILLed mid-task).
   double proc_crash_rate = 0.0;
-  /// Probability that a worker attempt hangs after its first heartbeat
-  /// (stops beating and never finishes; the supervisor's staleness watchdog
-  /// must SIGKILL it).
+  /// Probability that a worker attempt hangs at task start (never beats
+  /// and never finishes; the supervisor's staleness watchdog must SIGKILL
+  /// it).
   double proc_hang_rate = 0.0;
   /// Probability that a worker attempt commits garbage bytes over its
   /// output artifacts and reports success (must be caught by container

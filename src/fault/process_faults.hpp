@@ -1,8 +1,8 @@
 // Seeded process fault channel: interprets a FaultPlan's proc_* rates as
 // worker-task failures under the pipeline supervisor — crash at task start
-// (exit 137), hang after the first heartbeat (stale-heartbeat SIGKILL
-// path), and garbage output committed over the task's artifacts (container
-// validation path).
+// (exit 137), hang at task start without a heartbeat (stale-heartbeat
+// SIGKILL path), and garbage output committed over the task's artifacts
+// (container validation path).
 //
 // decide() is a pure function of (plan, task name, attempt): the child
 // process and the supervisor can both evaluate it and agree, nothing is
@@ -21,7 +21,7 @@ namespace dnsembed::fault {
 enum class ProcessFault {
   kNone,
   kCrash,    // _Exit(137) before any output
-  kHang,     // heartbeat once, then sleep forever (supervisor must SIGKILL)
+  kHang,     // sleep forever without a heartbeat (supervisor must SIGKILL)
   kGarbage,  // overwrite output artifacts with garbage, report success
 };
 

@@ -79,29 +79,33 @@ void save_bipartite_file(const std::string& path, const BipartiteGraph& g) {
   // Right ids are renumbered to their first appearance in a left-major
   // scan, the order a loader of the "left,right" edge list assigns, so a
   // loaded graph has the ids the CSV round trip gives; right vertices
-  // without edges follow in id order.
-  constexpr VertexId kUnseen = ~VertexId{0};
-  std::vector<VertexId> renumbered(g.right_count(), kUnseen);
-  util::NameTable right_names;
-  std::vector<std::uint64_t> row_offsets{0};
-  std::vector<std::uint32_t> right_ids;
-  row_offsets.reserve(g.left_count() + 1);
-  right_ids.reserve(g.edge_count());
-  VertexId next = 0;
+  // without edges follow in id order. One counting pass then fills the
+  // rows: walking the new ids upward over each right's lefts appends to
+  // every row in ascending order.
+  std::vector<char> numbered(g.right_count(), 0);
+  std::vector<VertexId> by_new_id;  // the old id of each new id
+  by_new_id.reserve(g.right_count());
   const auto number = [&](VertexId r) {
-    if (renumbered[r] == kUnseen) {
-      renumbered[r] = next++;
-      right_names.add(g.right_names().name(r));
-    }
-    return renumbered[r];
+    if (numbered[r] != 0) return;
+    numbered[r] = 1;
+    by_new_id.push_back(r);
   };
   for (VertexId l = 0; l < g.left_count(); ++l) {
-    for (const VertexId r : g.left_neighbors(l)) right_ids.push_back(number(r));
-    std::sort(right_ids.begin() + static_cast<std::ptrdiff_t>(row_offsets.back()),
-              right_ids.end());
-    row_offsets.push_back(right_ids.size());
+    for (const VertexId r : g.left_neighbors(l)) number(r);
   }
   for (VertexId r = 0; r < g.right_count(); ++r) number(r);
+
+  std::vector<std::uint64_t> row_offsets(g.left_count() + 1, 0);
+  for (VertexId l = 0; l < g.left_count(); ++l) {
+    row_offsets[l + 1] = row_offsets[l] + g.left_degree(l);
+  }
+  std::vector<std::uint64_t> fill(row_offsets.begin(), row_offsets.end() - 1);
+  std::vector<std::uint32_t> right_ids(row_offsets.back());
+  util::NameTable right_names;
+  for (VertexId id = 0; id < by_new_id.size(); ++id) {
+    right_names.add(g.right_names().name(by_new_id[id]));
+    for (const VertexId l : g.right_neighbors(by_new_id[id])) right_ids[fill[l]++] = id;
+  }
   const util::NameTable left_names = util::build_name_table(g.left_names().names());
 
   const std::uint64_t head[3] = {g.left_count(), g.right_count(), g.edge_count()};

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "util/artifact.hpp"
-#include "util/fsio.hpp"
+#include "util/log.hpp"
 
 namespace dnsembed::obs {
 
@@ -49,9 +49,8 @@ std::string telemetry_sidecar_payload() {
   return out.str();
 }
 
-void write_telemetry_sidecar(const std::string& path) {
-  util::fsio::atomic_replace_file(
-      path, util::make_artifact(kTelemetrySidecarKind, telemetry_sidecar_payload()));
+std::string encode_telemetry_sidecar() {
+  return util::make_artifact(kTelemetrySidecarKind, telemetry_sidecar_payload());
 }
 
 TelemetrySidecar parse_telemetry_sidecar(const std::string& payload,
@@ -113,8 +112,9 @@ TelemetrySidecar parse_telemetry_sidecar(const std::string& payload,
   return sidecar;
 }
 
-TelemetrySidecar load_telemetry_sidecar(const std::string& path) {
-  return parse_telemetry_sidecar(util::load_artifact(path, kTelemetrySidecarKind), path);
+TelemetrySidecar decode_telemetry_sidecar(std::string_view bytes, const std::string& source) {
+  return parse_telemetry_sidecar(
+      util::validate_artifact_bytes(bytes, kTelemetrySidecarKind, source), source);
 }
 
 void merge_sidecar_metrics(const TelemetrySidecar& sidecar) {

@@ -1,11 +1,12 @@
 // Telemetry sidecars: the cross-process half of the obs subsystem. The
 // metrics registry and span recorder are process-wide, so everything a
 // supervised worker records would die with the child; instead each worker
-// serializes its full registry snapshot + span buffer into a checksummed
-// "telemetry-sidecar" artifact under the supervisor's scratch directory
-// (workdir/sv/tm.<task>), and the supervisor folds the sidecar of every
-// successful attempt back into its own registry/recorder. The merged view
-// is what --metrics-out / --trace-out export.
+// encodes its full registry snapshot + span buffer as a checksummed
+// "telemetry-sidecar" artifact container and writes it down its pipe to
+// the supervisor (core/supervisor.hpp), which decodes the sidecar of every
+// successful attempt from memory and folds it back into its own
+// registry/recorder. The merged view is what --metrics-out / --trace-out
+// export.
 //
 // Merge semantics (see DESIGN.md §14):
 //  - counters: summed by name (Counter::add_raw, so deterministic pipeline
@@ -20,13 +21,15 @@
 //
 // The payload is a line-oriented text table (names are dotted identifiers,
 // never containing whitespace); the container layer supplies versioning and
-// corruption detection, and parse errors throw util::CorruptArtifact so a
-// damaged sidecar is indistinguishable from a damaged container: the
-// supervisor warns, drops that worker's telemetry, and continues.
+// corruption detection, so a truncated or damaged sidecar fails as a whole,
+// and parse errors throw util::CorruptArtifact so a damaged payload is
+// indistinguishable from a damaged container: the supervisor warns, drops
+// that worker's telemetry, and continues.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,20 +60,19 @@ struct TelemetrySidecar {
 /// histograms are skipped.
 std::string telemetry_sidecar_payload();
 
-/// Atomically write the current telemetry as a sidecar artifact at `path`,
-/// without fsync (util::fsio::atomic_replace_file): the supervisor reads it
-/// back within the run, and nothing reads it after a crash. Throws
-/// util::fsio::IoError on I/O failure.
-void write_telemetry_sidecar(const std::string& path);
+/// The current telemetry as sidecar container bytes: the payload of
+/// telemetry_sidecar_payload() in a checksummed "telemetry-sidecar"
+/// artifact container (util::make_artifact).
+std::string encode_telemetry_sidecar();
 
 /// Parse a sidecar payload; throws util::CorruptArtifact (tagged with
 /// `path`) on any malformed content.
 TelemetrySidecar parse_telemetry_sidecar(const std::string& payload,
                                          const std::string& path);
 
-/// Load + validate + parse a sidecar artifact file. Throws
-/// util::CorruptArtifact on damage and util::fsio::IoError on I/O failure.
-TelemetrySidecar load_telemetry_sidecar(const std::string& path);
+/// Validate + parse sidecar container bytes. Throws util::CorruptArtifact
+/// (tagged with `source`) on damage, truncation or a wrong kind.
+TelemetrySidecar decode_telemetry_sidecar(std::string_view bytes, const std::string& source);
 
 /// Fold a worker's counters and histograms into this process's registry
 /// (ungated adds). Records and spans are left to the caller: records need

@@ -56,12 +56,10 @@ void backoff_sleep(const RetryPolicy& policy, const std::string& path, std::size
   if (delay.count() > 0) std::this_thread::sleep_for(delay);
 }
 
-/// One full attempt of the temp-write-fsync-rename sequence (without the
-/// fsyncs unless `durable`). Returns nullopt on success. The temp file is
-/// always cleaned up on failure.
+/// One full attempt of the temp-write-fsync-rename sequence. Returns
+/// nullopt on success. The temp file is always cleaned up on failure.
 std::optional<OpFailure> try_write_once(const std::string& path, const std::string& tmp,
-                                        std::string_view payload, std::size_t attempt,
-                                        bool durable) {
+                                        std::string_view payload, std::size_t attempt) {
   const auto fault = [&](Op op) -> std::optional<OpFailure> {
     if (const int err = injected_errno(op, path, attempt)) return OpFailure{op, err};
     return std::nullopt;
@@ -90,10 +88,8 @@ std::optional<OpFailure> try_write_once(const std::string& path, const std::stri
     remaining -= static_cast<std::size_t>(n);
   }
 
-  if (durable) {
-    if (auto failure = fault(Op::kFsync)) return fail_with(failure->op, failure->error_code);
-    if (::fsync(fd) != 0) return fail_with(Op::kFsync, errno);
-  }
+  if (auto failure = fault(Op::kFsync)) return fail_with(failure->op, failure->error_code);
+  if (::fsync(fd) != 0) return fail_with(Op::kFsync, errno);
   if (::close(fd) != 0) {
     ::unlink(tmp.c_str());
     return OpFailure{Op::kWrite, errno};
@@ -108,7 +104,6 @@ std::optional<OpFailure> try_write_once(const std::string& path, const std::stri
     ::unlink(tmp.c_str());
     return OpFailure{Op::kRename, err};
   }
-  if (!durable) return std::nullopt;
 
   // Durability of the rename itself: fsync the containing directory. Best
   // effort — some filesystems refuse O_RDONLY fsync on directories; the
@@ -200,10 +195,8 @@ void note_corrupt_detected() noexcept {
   counters().corrupt_detected.fetch_add(1, std::memory_order_relaxed);
 }
 
-namespace {
-
-void write_atomically(const std::string& path, std::string_view payload,
-                      const RetryPolicy& policy, bool durable) {
+void atomic_write_file(const std::string& path, std::string_view payload,
+                       const RetryPolicy& policy) {
   static std::atomic<std::uint64_t> sequence{0};
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
                           std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
@@ -221,7 +214,7 @@ void write_atomically(const std::string& path, std::string_view payload,
       if (injector->mutate_payload(path, mutated)) bytes = mutated;
     }
 
-    last = try_write_once(path, tmp, bytes, attempt, durable);
+    last = try_write_once(path, tmp, bytes, attempt);
     if (!last) {
       counters().atomic_renames.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -239,18 +232,6 @@ void write_atomically(const std::string& path, std::string_view payload,
   }
   throw IoError{last->op, path, last->error_code,
                 "atomic write failed after " + std::to_string(attempts) + " attempts"};
-}
-
-}  // namespace
-
-void atomic_write_file(const std::string& path, std::string_view payload,
-                       const RetryPolicy& policy) {
-  write_atomically(path, payload, policy, /*durable=*/true);
-}
-
-void atomic_replace_file(const std::string& path, std::string_view payload,
-                         const RetryPolicy& policy) {
-  write_atomically(path, payload, policy, /*durable=*/false);
 }
 
 std::string read_file(const std::string& path, const RetryPolicy& policy) {

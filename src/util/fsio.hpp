@@ -1,8 +1,10 @@
-// Crash-safe file I/O: every durable artifact in the pipeline goes through
+// Crash-safe file I/O: every artifact in the pipeline goes through
 // atomic_write_file (write to a temp file in the same directory, fsync,
 // rename over the target, fsync the directory), so a crash or power cut at
 // any instant leaves either the old complete file or the new complete file
-// — never a torn mix.
+// — never a torn mix. It is the one write path, and it is always durable:
+// what a run needs only while it runs (worker heartbeats and telemetry)
+// travels on the supervisor's pipes, not through files.
 //
 // Transient failures (EIO from a flaky disk, EAGAIN/EINTR) are retried with
 // bounded exponential backoff plus deterministic jitter; permanent failures
@@ -115,13 +117,6 @@ void note_corrupt_detected() noexcept;
 /// is untouched.
 void atomic_write_file(const std::string& path, std::string_view payload,
                        const RetryPolicy& policy = {});
-
-/// atomic_write_file without its two fsyncs: every reader on this machine
-/// sees the old or the new content, never a mix, but a power cut may lose
-/// the new content. For scratch files that another process of the same run
-/// reads back and nothing reads after a crash (telemetry sidecars).
-void atomic_replace_file(const std::string& path, std::string_view payload,
-                         const RetryPolicy& policy = {});
 
 /// Read a whole file, retrying transient failures. Throws IoError on
 /// missing/unreadable paths.

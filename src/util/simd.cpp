@@ -31,15 +31,6 @@ double dot_f64_scalar(const double* a, const double* b, std::size_t n) noexcept 
   return acc;
 }
 
-float squared_l2_f32_scalar(const float* a, const float* b, std::size_t n) noexcept {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    acc += d * d;
-  }
-  return static_cast<float>(acc);
-}
-
 double squared_l2_f64_scalar(const double* a, const double* b, std::size_t n) noexcept {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -147,32 +138,6 @@ __attribute__((target("sse2"))) double dot_f64_sse2(const double* a, const doubl
   double sum = lanes[0] + lanes[1];
   for (; i < n; ++i) sum += a[i] * b[i];
   return sum;
-}
-
-__attribute__((target("sse2"))) float squared_l2_f32_sse2(const float* a, const float* b,
-                                                          std::size_t n) noexcept {
-  __m128d acc0 = _mm_setzero_pd();
-  __m128d acc1 = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 va = _mm_loadu_ps(a + i);
-    const __m128 vb = _mm_loadu_ps(b + i);
-    const __m128d d0 = _mm_sub_pd(_mm_cvtps_pd(va), _mm_cvtps_pd(vb));
-    acc0 = _mm_add_pd(acc0, _mm_mul_pd(d0, d0));
-    const __m128 va_hi = _mm_movehl_ps(va, va);
-    const __m128 vb_hi = _mm_movehl_ps(vb, vb);
-    const __m128d d1 = _mm_sub_pd(_mm_cvtps_pd(va_hi), _mm_cvtps_pd(vb_hi));
-    acc1 = _mm_add_pd(acc1, _mm_mul_pd(d1, d1));
-  }
-  const __m128d acc = _mm_add_pd(acc0, acc1);
-  double lanes[2];
-  _mm_storeu_pd(lanes, acc);
-  double sum = lanes[0] + lanes[1];
-  for (; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    sum += d * d;
-  }
-  return static_cast<float>(sum);
 }
 
 __attribute__((target("sse2"))) double squared_l2_f64_sse2(const double* a, const double* b,
@@ -289,30 +254,6 @@ __attribute__((target("avx2"))) double dot_f64_avx2(const double* a, const doubl
   double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
   for (; i < n; ++i) sum += a[i] * b[i];
   return sum;
-}
-
-__attribute__((target("avx2"))) float squared_l2_f32_avx2(const float* a, const float* b,
-                                                          std::size_t n) noexcept {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i)),
-                                     _mm256_cvtps_pd(_mm_loadu_ps(b + i)));
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
-    const __m256d d1 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i + 4)),
-                                     _mm256_cvtps_pd(_mm_loadu_ps(b + i + 4)));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    sum += d * d;
-  }
-  return static_cast<float>(sum);
 }
 
 __attribute__((target("avx2"))) double squared_l2_f64_avx2(const double* a, const double* b,
@@ -583,7 +524,6 @@ namespace {
 struct Kernels {
   float (*dot_f32)(const float*, const float*, std::size_t) noexcept;
   double (*dot_f64)(const double*, const double*, std::size_t) noexcept;
-  float (*squared_l2_f32)(const float*, const float*, std::size_t) noexcept;
   double (*squared_l2_f64)(const double*, const double*, std::size_t) noexcept;
   void (*squared_l2_rows_f64)(const double*, const double*, std::size_t, std::size_t,
                               double*) noexcept;
@@ -601,33 +541,30 @@ struct Kernels {
 
 constexpr Kernels kScalarKernels{
     detail::dot_f32_scalar,           detail::dot_f64_scalar,
-    detail::squared_l2_f32_scalar,    detail::squared_l2_f64_scalar,
-    detail::squared_l2_rows_f64_scalar, detail::axpy_f32_scalar,
-    detail::scale_f32_scalar,         detail::fused_step_scalar,
-    detail::add_f64_scalar,           detail::loosen_bounds_scalar,
-    detail::candidate_mask_scalar,    detail::max_violating_pair_scalar,
-    detail::smo_gradient_step_scalar,
+    detail::squared_l2_f64_scalar,    detail::squared_l2_rows_f64_scalar,
+    detail::axpy_f32_scalar,          detail::scale_f32_scalar,
+    detail::fused_step_scalar,        detail::add_f64_scalar,
+    detail::loosen_bounds_scalar,     detail::candidate_mask_scalar,
+    detail::max_violating_pair_scalar, detail::smo_gradient_step_scalar,
 };
 
 #ifdef DNSEMBED_SIMD_X86
 constexpr Kernels kSse2Kernels{
     detail::dot_f32_sse2,           detail::dot_f64_sse2,
-    detail::squared_l2_f32_sse2,    detail::squared_l2_f64_sse2,
-    detail::squared_l2_rows_f64_sse2, detail::axpy_f32_sse2,
-    detail::scale_f32_sse2,         detail::fused_step_sse2,
-    detail::add_f64_scalar,         detail::loosen_bounds_scalar,
-    detail::candidate_mask_scalar,  detail::max_violating_pair_scalar,
-    detail::smo_gradient_step_scalar,
+    detail::squared_l2_f64_sse2,    detail::squared_l2_rows_f64_sse2,
+    detail::axpy_f32_sse2,          detail::scale_f32_sse2,
+    detail::fused_step_sse2,        detail::add_f64_scalar,
+    detail::loosen_bounds_scalar,   detail::candidate_mask_scalar,
+    detail::max_violating_pair_scalar, detail::smo_gradient_step_scalar,
 };
 
 constexpr Kernels kAvx2Kernels{
     detail::dot_f32_avx2,           detail::dot_f64_avx2,
-    detail::squared_l2_f32_avx2,    detail::squared_l2_f64_avx2,
-    detail::squared_l2_rows_f64_avx2, detail::axpy_f32_avx2,
-    detail::scale_f32_avx2,         detail::fused_step_avx2,
-    detail::add_f64_avx2,           detail::loosen_bounds_avx2,
-    detail::candidate_mask_avx2,    detail::max_violating_pair_avx2,
-    detail::smo_gradient_step_avx2,
+    detail::squared_l2_f64_avx2,    detail::squared_l2_rows_f64_avx2,
+    detail::axpy_f32_avx2,          detail::scale_f32_avx2,
+    detail::fused_step_avx2,        detail::add_f64_avx2,
+    detail::loosen_bounds_avx2,     detail::candidate_mask_avx2,
+    detail::max_violating_pair_avx2, detail::smo_gradient_step_avx2,
 };
 #endif
 
@@ -647,16 +584,12 @@ bool force_scalar_env() noexcept {
 }
 
 Level detect_level() noexcept {
-#ifdef DNSEMBED_FORCE_SCALAR
-  return Level::kScalar;
-#else
   if (force_scalar_env()) return Level::kScalar;
 #ifdef DNSEMBED_SIMD_X86
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return Level::kAvx2;
   if (__builtin_cpu_supports("sse2")) return Level::kSse2;
 #endif
   return Level::kScalar;
-#endif
 }
 
 // Dispatch state: resolved once, re-pointable by force_level(). The obs
@@ -719,10 +652,6 @@ float dot(const float* a, const float* b, std::size_t n) noexcept {
 
 double dot(const double* a, const double* b, std::size_t n) noexcept {
   return resolve().dot_f64(a, b, n);
-}
-
-float squared_l2(const float* a, const float* b, std::size_t n) noexcept {
-  return resolve().squared_l2_f32(a, b, n);
 }
 
 double squared_l2(const double* a, const double* b, std::size_t n) noexcept {

@@ -10,17 +10,16 @@
 // active_level().
 //
 // Dispatch is resolved once at first use, walking the ladder
-// AVX2 (+FMA) -> SSE2 -> scalar by runtime CPU detection. Two overrides pin
-// the scalar rung: the DNSEMBED_FORCE_SCALAR CMake option (compile-time,
-// bakes the scalar kernels in) and the DNSEMBED_FORCE_SCALAR environment
-// variable (runtime, any value except "" or "0"). The selected rung is
-// republished by the obs registry as the `simd.level` gauge at snapshot
-// time (0 = scalar, 1 = sse2, 2 = avx2) — util cannot depend on obs.
+// AVX2 (+FMA) -> SSE2 -> scalar by runtime CPU detection. The
+// DNSEMBED_FORCE_SCALAR environment variable (any value except "" or "0")
+// pins the scalar rung. The selected rung is republished by the obs
+// registry as the `simd.level` gauge at snapshot time (0 = scalar,
+// 1 = sse2, 2 = avx2) — util cannot depend on obs.
 //
 // Numeric contract (the parity fuzz test in tests/simd_test.cpp enforces
-// it): float `dot` and `squared_l2` accumulate in double in every rung —
-// float products widen exactly, so rungs differ only in double summation
-// order and agree within 1 ulp of the returned float. `axpy`, `scale`, and
+// it): float `dot` accumulates in double in every rung — float products
+// widen exactly, so rungs differ only in double summation order and agree
+// within 1 ulp of the returned float. `axpy`, `scale`, and
 // `fused_sigmoid_step` are element-wise mul+add with no FMA contraction, so
 // all rungs are bit-identical. Double `dot`/`squared_l2` reassociate the
 // accumulation across lanes; rungs agree to a few ulps but are not
@@ -66,10 +65,7 @@ float dot(const float* a, const float* b, std::size_t n) noexcept;
 /// Inner product of double vectors.
 double dot(const double* a, const double* b, std::size_t n) noexcept;
 
-/// Squared L2 distance |a - b|^2, accumulated in double.
-float squared_l2(const float* a, const float* b, std::size_t n) noexcept;
-
-/// Squared L2 distance of double vectors.
+/// Squared L2 distance |a - b|^2 of double vectors.
 double squared_l2(const double* a, const double* b, std::size_t n) noexcept;
 
 /// out[j] = squared_l2(a, rows + j * n, n) for j < m: one vector's distances
@@ -156,7 +152,6 @@ namespace detail {
 
 float dot_f32_scalar(const float* a, const float* b, std::size_t n) noexcept;
 double dot_f64_scalar(const double* a, const double* b, std::size_t n) noexcept;
-float squared_l2_f32_scalar(const float* a, const float* b, std::size_t n) noexcept;
 double squared_l2_f64_scalar(const double* a, const double* b, std::size_t n) noexcept;
 void squared_l2_rows_f64_scalar(const double* a, const double* rows, std::size_t m,
                                 std::size_t n, double* out) noexcept;
@@ -179,7 +174,6 @@ void smo_gradient_step_scalar(double step, const double* y, const double* ki,
 #if defined(__x86_64__) || defined(__i386__)
 float dot_f32_sse2(const float* a, const float* b, std::size_t n) noexcept;
 double dot_f64_sse2(const double* a, const double* b, std::size_t n) noexcept;
-float squared_l2_f32_sse2(const float* a, const float* b, std::size_t n) noexcept;
 double squared_l2_f64_sse2(const double* a, const double* b, std::size_t n) noexcept;
 void squared_l2_rows_f64_sse2(const double* a, const double* rows, std::size_t m,
                               std::size_t n, double* out) noexcept;
@@ -190,7 +184,6 @@ void fused_step_sse2(float coeff, const float* src, float* tgt, float* grad,
 
 float dot_f32_avx2(const float* a, const float* b, std::size_t n) noexcept;
 double dot_f64_avx2(const double* a, const double* b, std::size_t n) noexcept;
-float squared_l2_f32_avx2(const float* a, const float* b, std::size_t n) noexcept;
 double squared_l2_f64_avx2(const double* a, const double* b, std::size_t n) noexcept;
 void squared_l2_rows_f64_avx2(const double* a, const double* rows, std::size_t m,
                               std::size_t n, double* out) noexcept;

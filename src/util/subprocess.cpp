@@ -1,5 +1,6 @@
 #include "util/subprocess.hpp"
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/time.h>
@@ -45,36 +46,41 @@ ChildProcess::ChildProcess(ChildProcess&& other) noexcept { *this = std::move(ot
 
 ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
   if (this != &other) {
-    if (running()) {
-      kill();
-      wait();
-    }
+    if (running()) kill();
+    wait();
     pid_ = std::exchange(other.pid_, -1);
+    read_fd_ = std::exchange(other.read_fd_, -1);
     reaped_ = std::exchange(other.reaped_, std::nullopt);
   }
   return *this;
 }
 
 ChildProcess::~ChildProcess() {
-  if (running()) {
-    kill();
-    wait();
-  }
+  if (running()) kill();
+  wait();
 }
 
-ChildProcess ChildProcess::spawn(const std::function<int()>& body) {
+ChildProcess ChildProcess::spawn(const std::function<int(int write_fd)>& body) {
+  int fds[2];
+  if (::pipe2(fds, O_CLOEXEC) != 0) {
+    throw std::system_error{errno, std::generic_category(), "pipe"};
+  }
   // Flush stdio before forking so buffered parent output is not duplicated
   // into the child's _Exit path.
   std::fflush(stdout);
   std::fflush(stderr);
   const pid_t pid = ::fork();
   if (pid < 0) {
-    throw std::system_error{errno, std::generic_category(), "fork"};
+    const int err = errno;
+    ::close(fds[0]);
+    ::close(fds[1]);
+    throw std::system_error{err, std::generic_category(), "fork"};
   }
   if (pid == 0) {
+    ::close(fds[0]);
     int code = 1;
     try {
-      code = body();
+      code = body(fds[1]);
     } catch (const std::exception& e) {
       log_error() << "worker: uncaught exception: " << e.what();
       code = 1;
@@ -86,27 +92,17 @@ ChildProcess ChildProcess::spawn(const std::function<int()>& body) {
     std::fflush(stderr);
     std::_Exit(code);
   }
+  // Only the child may hold the write end, or end of file would wait for
+  // every holder, this process and later children included.
+  ::close(fds[1]);
   ChildProcess child;
   child.pid_ = pid;
+  child.read_fd_ = fds[0];
   return child;
 }
 
-std::optional<ExitStatus> ChildProcess::try_wait() {
-  if (pid_ <= 0) return std::nullopt;
-  int status = 0;
-  struct rusage usage = {};
-  const pid_t r = ::wait4(pid_, &status, WNOHANG, &usage);
-  if (r == 0) return std::nullopt;  // still running
-  pid_ = -1;
-  if (r < 0) {
-    reaped_ = ExitStatus{.code = -1, .signaled = false};  // ECHILD: lost to reaper
-  } else {
-    reaped_ = from_wait_status(status, usage);
-  }
-  return reaped_;
-}
-
 ExitStatus ChildProcess::wait() {
+  if (read_fd_ >= 0) ::close(std::exchange(read_fd_, -1));
   if (pid_ <= 0) return reaped_.value_or(ExitStatus{.code = -1, .signaled = false});
   int status = 0;
   struct rusage usage = {};

@@ -7,8 +7,12 @@
 // Fork-without-exec is safe here because the supervisor process holds no
 // persistent threads while spawning: thread pools in this codebase are
 // scoped and joined, and the obs registries are passive data the child only
-// writes to its own copy of. Children communicate results exclusively
-// through checksummed artifact files, never through shared memory.
+// writes to its own copy of. Each child gets one pipe: the child writes to
+// it (the supervisor's heartbeats and telemetry sidecar), the parent reads
+// it. The parent closes its copy of the write end right after the fork, so
+// end of file on the read end means the child has exited. Task results
+// still travel only through checksummed artifact files, never through
+// shared memory.
 #pragma once
 
 #include <sys/types.h>
@@ -34,9 +38,9 @@ struct ExitStatus {
   bool success() const noexcept { return !signaled && code == 0; }
 };
 
-/// One forked child. Movable, not copyable; the destructor SIGKILLs and
-/// reaps a still-running child so a throwing supervisor never leaks
-/// processes.
+/// One forked child and the read end of its pipe. Movable, not copyable;
+/// the destructor SIGKILLs and reaps a still-running child and closes the
+/// pipe, so a throwing supervisor never leaks processes or descriptors.
 class ChildProcess {
  public:
   ChildProcess() = default;
@@ -46,20 +50,21 @@ class ChildProcess {
   ChildProcess& operator=(const ChildProcess&) = delete;
   ~ChildProcess();
 
-  /// Fork and run `body` in the child; the child exits with body's return
-  /// value via std::_Exit (buffered stdio in the child is flushed first).
-  /// Throws std::system_error when fork itself fails (EAGAIN/ENOMEM), which
-  /// the supervisor treats like any other transient task failure.
-  static ChildProcess spawn(const std::function<int()>& body);
+  /// Make a pipe, fork, and run `body` in the child with the pipe's write
+  /// end; the child exits with body's return value via std::_Exit
+  /// (buffered stdio in the child is flushed first). Throws
+  /// std::system_error when pipe or fork fails (EMFILE/EAGAIN/ENOMEM),
+  /// which the supervisor treats like any other transient task failure.
+  static ChildProcess spawn(const std::function<int(int write_fd)>& body);
 
   bool running() const noexcept { return pid_ > 0; }
   pid_t pid() const noexcept { return pid_; }
 
-  /// Non-blocking reap. Returns the exit status once, when the child has
-  /// ended; nullopt while it is still running (or was already reaped).
-  std::optional<ExitStatus> try_wait();
+  /// The read end of the child's pipe (-1 for an empty ChildProcess). Reads
+  /// return 0 (end of file) once the child has exited.
+  int read_fd() const noexcept { return read_fd_; }
 
-  /// Blocking reap; returns immediately if already reaped.
+  /// Blocking reap; returns immediately if already reaped. Closes the pipe.
   ExitStatus wait();
 
   /// Send `signal` (default SIGKILL) to a running child. No-op otherwise.
@@ -68,6 +73,7 @@ class ChildProcess {
 
  private:
   pid_t pid_ = -1;
+  int read_fd_ = -1;
   std::optional<ExitStatus> reaped_;
 };
 

@@ -37,13 +37,12 @@ namespace fs = std::filesystem;
 
 constexpr int kRoundsPerMode = 48;
 
-/// Writes `pristine` with seeded damage applied, then calls `load` and
-/// checks the contract: CorruptArtifact on real damage, clean load when the
-/// damage was a no-op. Any other exception (or a crash) fails the test.
-void fuzz_loader(const std::string& name, const std::string& pristine,
-                 const std::function<void(const std::string&)>& load) {
-  const auto path =
-      (fs::temp_directory_path() / ("dnsembed_fuzz_" + name + ".art")).string();
+/// Applies seeded damage to `pristine`, then calls `decode` on the damaged
+/// bytes and checks the contract: CorruptArtifact on real damage, clean
+/// decode when the damage was a no-op. Any other exception (or a crash)
+/// fails the test.
+void fuzz_bytes(const std::string& name, const std::string& pristine,
+                const std::function<void(const std::string&)>& decode) {
   util::Rng rng{0xF022 + std::hash<std::string>{}(name)};
 
   std::size_t rejected = 0;
@@ -54,9 +53,8 @@ void fuzz_loader(const std::string& name, const std::string& pristine,
     } else {
       fault::flip_random_bits(damaged, rng, 1 + round % 8);
     }
-    util::fsio::atomic_write_file(path, damaged);
     try {
-      load(path);
+      decode(damaged);
       EXPECT_EQ(damaged, pristine)
           << name << " round " << round << ": damaged container loaded cleanly";
     } catch (const util::CorruptArtifact& e) {
@@ -66,6 +64,18 @@ void fuzz_loader(const std::string& name, const std::string& pristine,
     // Any other exception type escapes and fails the test.
   }
   EXPECT_GT(rejected, 0u) << name << ": no damage was ever detected";
+}
+
+/// fuzz_bytes through a file: each damaged container is written to disk
+/// and handed to the file loader `load`.
+void fuzz_loader(const std::string& name, const std::string& pristine,
+                 const std::function<void(const std::string&)>& load) {
+  const auto path =
+      (fs::temp_directory_path() / ("dnsembed_fuzz_" + name + ".art")).string();
+  fuzz_bytes(name, pristine, [&](const std::string& damaged) {
+    util::fsio::atomic_write_file(path, damaged);
+    load(path);
+  });
   fs::remove(path);
 }
 
@@ -374,9 +384,10 @@ TEST(ArtifactFuzz, GroundTruth) {
 }
 
 TEST(ArtifactFuzz, TelemetrySidecar) {
-  // A worker's telemetry sidecar: damage must surface as CorruptArtifact so
-  // the supervisor can warn, drop that worker's telemetry, and keep the
-  // merge going — it must never crash or misparse into bogus metrics.
+  // A worker's telemetry sidecar, as the supervisor reads it off the
+  // worker's pipe: damage must surface as CorruptArtifact so the supervisor
+  // can warn, drop that worker's telemetry, and keep the merge going — it
+  // must never crash or misparse into bogus metrics.
   const std::string payload =
       "telemetry 1\n"
       "counter graph.projection.edges 1234\n"
@@ -384,11 +395,10 @@ TEST(ArtifactFuzz, TelemetrySidecar) {
       "histogram supervisor.task.cpu_seconds 2 0.5 1 3 1 2 0 1500000\n"
       "record streaming.day 2 day 1 alerts 3\n"
       "span embed.line 100 200 4 0\n";
-  const auto pristine = artifact_bytes_of([&](const std::string& p) {
-    util::save_artifact(p, obs::kTelemetrySidecarKind, payload);
-  });
-  fuzz_loader("sidecar", pristine,
-              [](const std::string& p) { (void)obs::load_telemetry_sidecar(p); });
+  fuzz_bytes("sidecar", util::make_artifact(obs::kTelemetrySidecarKind, payload),
+             [](const std::string& bytes) {
+               (void)obs::decode_telemetry_sidecar(bytes, "sidecar");
+             });
 }
 
 TEST(ArtifactFuzz, StreamingCheckpoint) {

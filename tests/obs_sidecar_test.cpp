@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -19,8 +18,6 @@ namespace obs = dnsembed::obs;
 namespace util = dnsembed::util;
 
 namespace {
-
-namespace fs = std::filesystem;
 
 class ObsSidecarTest : public ::testing::Test {
  protected:
@@ -175,10 +172,10 @@ TEST_F(ObsSidecarTest, MalformedPayloadsThrowCorruptArtifact) {
 }
 
 TEST_F(ObsSidecarTest, SidecarArtifactFileRoundTripsAndRejectsWrongKind) {
-  const auto path = (fs::temp_directory_path() / "dnsembed_sidecar_rt.art").string();
+  // The container bytes a worker writes down its pipe decode to what it
+  // recorded.
   obs::metrics().counter("sidecar.file.counter").add(5);
-  obs::write_telemetry_sidecar(path);
-  const auto sidecar = obs::load_telemetry_sidecar(path);
+  const auto sidecar = obs::decode_telemetry_sidecar(obs::encode_telemetry_sidecar(), "test");
   std::uint64_t value = 0;
   for (const auto& [name, v] : sidecar.counters) {
     if (name == "sidecar.file.counter") value = v;
@@ -186,9 +183,10 @@ TEST_F(ObsSidecarTest, SidecarArtifactFileRoundTripsAndRejectsWrongKind) {
   EXPECT_EQ(value, 5u);
 
   // A valid container of a different kind must be rejected as corrupt.
-  util::save_artifact(path, "label-csv", "domain,label\n");
-  EXPECT_THROW((void)obs::load_telemetry_sidecar(path), util::CorruptArtifact);
-  fs::remove(path);
+  EXPECT_THROW(
+      (void)obs::decode_telemetry_sidecar(util::make_artifact("label-csv", "domain,label\n"),
+                                          "test"),
+      util::CorruptArtifact);
 }
 
 }  // namespace

@@ -90,6 +90,16 @@ class RunSupervisorTest : public ::testing::Test {
     return util::fsio::read_file(dir_ + "_ref/manifest.run");
   }
 
+  /// The names of the files and directories directly under `dir`, sorted.
+  static std::vector<std::string> entries(const std::string& dir) {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator{dir}) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
   std::string dir_;
 };
 
@@ -103,6 +113,10 @@ TEST_F(RunSupervisorTest, SupervisedReportMatchesSingleProcess) {
   EXPECT_EQ(summary.supervision.restarts, 0u);
   EXPECT_EQ(summary.supervision.crashes, 0u);
   EXPECT_TRUE(summary.quarantined.empty());
+  // Heartbeats and telemetry travel on pipes: the supervised workdir holds
+  // exactly the inline run's files, and no scratch directory.
+  EXPECT_EQ(entries(dir_), entries(dir_ + "_ref"));
+  EXPECT_FALSE(fs::exists(dir_ + "/sv"));
 
   // A supervised --resume over the completed workdir skips every stage and
   // runs no worker at all.
@@ -121,7 +135,7 @@ TEST_F(RunSupervisorTest, WorkerExitsWhenItsBodyReturns) {
   SupervisorOptions options;
   options.workers = 1;
   options.heartbeat_interval_seconds = 5.0;
-  Supervisor supervisor{dir_, options};
+  Supervisor supervisor{options};
   WorkerTask task;
   task.name = "noop";
   task.body = [](const auto&) {};
@@ -131,6 +145,39 @@ TEST_F(RunSupervisorTest, WorkerExitsWhenItsBodyReturns) {
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed.count(), 2.5);
   EXPECT_EQ(supervisor.stats().tasks_run, 1u);
+}
+
+TEST_F(RunSupervisorTest, SidecarLargerThanThePipeBufferArrivesWhole) {
+  // 20,000 spans make a sidecar of ~0.9 MB, many times a pipe's 64 KiB
+  // buffer. The worker can finish writing it only while the supervisor
+  // reads: a supervisor that waited for the exit before reading would see
+  // no byte until the heartbeat timeout and kill the worker as hung (with
+  // no retries, a SupervisorError).
+  auto& recorder = obs::SpanRecorder::instance();
+  recorder.set_enabled(true);
+  recorder.clear();
+  SupervisorOptions options;
+  options.workers = 1;
+  options.max_retries = 0;
+  options.heartbeat_interval_seconds = 0.05;
+  options.heartbeat_timeout_seconds = 0.5;
+  Supervisor supervisor{options};
+  WorkerTask task;
+  task.name = "spans";
+  task.body = [](const auto&) {
+    for (int i = 0; i < 20'000; ++i) obs::Span span{"spans.step"};
+  };
+
+  EXPECT_NO_THROW(supervisor.run_tasks({task}, [] {}));
+  EXPECT_EQ(supervisor.stats().tasks_run, 1u);
+  EXPECT_EQ(supervisor.stats().hangs_killed, 0u);
+  const auto lanes = recorder.process_lanes();
+  ASSERT_EQ(lanes.size(), 1u);
+  EXPECT_EQ(lanes[0].name, "spans");
+  EXPECT_EQ(lanes[0].events.size(), 20'001u);  // the steps and the task's root span
+
+  recorder.set_enabled(false);
+  recorder.clear();
 }
 
 TEST_F(RunSupervisorTest, CrashedWorkersAreRetriedToIdenticalReport) {

@@ -1,7 +1,6 @@
 // Parity fuzz for the util/simd dispatch ladder: every rung the CPU
 // supports must agree with the scalar reference — within 1 ulp of the
-// returned float for the double-accumulated reductions (dot, squared_l2),
-// bit-exactly for the element-wise float kernels (axpy, scale,
+// returned float for the double-accumulated float dot, bit-exactly for the element-wise float kernels (axpy, scale,
 // fused_sigmoid_step) and for the k-means and SMO kernels (add,
 // loosen_bounds, candidate_mask, max_violating_pair, smo_gradient_step) —
 // each rung's float dot, axpy and scale must follow its own operation order
@@ -32,14 +31,12 @@ using detail::dot_f32_scalar;
 using detail::dot_f64_scalar;
 using detail::fused_step_scalar;
 using detail::scale_f32_scalar;
-using detail::squared_l2_f32_scalar;
 using detail::squared_l2_f64_scalar;
 
 struct Rung {
   Level level;
   float (*dot_f32)(const float*, const float*, std::size_t) noexcept;
   double (*dot_f64)(const double*, const double*, std::size_t) noexcept;
-  float (*sql2_f32)(const float*, const float*, std::size_t) noexcept;
   double (*sql2_f64)(const double*, const double*, std::size_t) noexcept;
   void (*axpy)(float, const float*, float*, std::size_t) noexcept;
   void (*scale)(float, const float*, float*, std::size_t) noexcept;
@@ -51,13 +48,13 @@ std::vector<Rung> supported_rungs() {
 #if defined(__x86_64__) || defined(__i386__)
   if (level_supported(Level::kSse2)) {
     rungs.push_back({Level::kSse2, detail::dot_f32_sse2, detail::dot_f64_sse2,
-                     detail::squared_l2_f32_sse2, detail::squared_l2_f64_sse2,
-                     detail::axpy_f32_sse2, detail::scale_f32_sse2, detail::fused_step_sse2});
+                     detail::squared_l2_f64_sse2, detail::axpy_f32_sse2,
+                     detail::scale_f32_sse2, detail::fused_step_sse2});
   }
   if (level_supported(Level::kAvx2)) {
     rungs.push_back({Level::kAvx2, detail::dot_f32_avx2, detail::dot_f64_avx2,
-                     detail::squared_l2_f32_avx2, detail::squared_l2_f64_avx2,
-                     detail::axpy_f32_avx2, detail::scale_f32_avx2, detail::fused_step_avx2});
+                     detail::squared_l2_f64_avx2, detail::axpy_f32_avx2,
+                     detail::scale_f32_avx2, detail::fused_step_avx2});
   }
 #endif
   return rungs;
@@ -120,16 +117,11 @@ TEST(SimdParity, FloatReductionsWithinOneUlp) {
       const auto a = fuzz_vector<float>(rng, n);
       const auto b = fuzz_vector<float>(rng, n);
       const float ref_dot = dot_f32_scalar(a.data(), b.data(), n);
-      const float ref_sql2 = squared_l2_f32_scalar(a.data(), b.data(), n);
       for (const auto& rung : rungs) {
         const float got_dot = rung.dot_f32(a.data(), b.data(), n);
-        const float got_sql2 = rung.sql2_f32(a.data(), b.data(), n);
         EXPECT_LE(ulp_distance(got_dot, ref_dot), 1u)
             << level_name(rung.level) << " dot n=" << n << " got=" << got_dot
             << " ref=" << ref_dot;
-        EXPECT_LE(ulp_distance(got_sql2, ref_sql2), 1u)
-            << level_name(rung.level) << " squared_l2 n=" << n << " got=" << got_sql2
-            << " ref=" << ref_sql2;
       }
     }
   }
@@ -591,7 +583,6 @@ TEST(SimdDispatch, ForcedRungsStillComputeCorrectly) {
     if (!level_supported(level)) continue;
     EXPECT_EQ(force_level(level), level);
     EXPECT_FLOAT_EQ(dot(a, b, 5), 35.0f) << level_name(level);
-    EXPECT_FLOAT_EQ(squared_l2(a, b, 5), 40.0f) << level_name(level);
   }
   force_level(original);
 }

@@ -163,27 +163,6 @@ TEST(Fsio, TransientErrorsAreRetriedAndCounted) {
   EXPECT_GE(fsio::stats().faults_injected, 2u);
 }
 
-TEST(Fsio, AtomicReplaceSkipsFsyncButKeepsRetries) {
-  TempDir dir{"fsio_replace"};
-  const auto path = dir.file("data.bin");
-  fsio::atomic_replace_file(path, "first");
-  fsio::reset_stats();
-
-  // A vetoed fsync cannot fail a write that makes none; a transient write
-  // error is still retried, and the rename still replaces the old bytes.
-  ScriptedInjector no_fsync{fsio::Op::kFsync, EACCES, 100};
-  fsio::set_fault_injector(&no_fsync);
-  fsio::atomic_replace_file(path, "second", fast_policy());
-  ScriptedInjector flaky{fsio::Op::kWrite, EIO, 1};
-  fsio::set_fault_injector(&flaky);
-  fsio::atomic_replace_file(path, "third", fast_policy());
-  fsio::set_fault_injector(nullptr);
-
-  EXPECT_EQ(fsio::read_file(path), "third");
-  EXPECT_EQ(fsio::stats().atomic_renames, 2u);
-  EXPECT_EQ(fsio::stats().retries, 1u);
-}
-
 TEST(Fsio, RetryBudgetExhaustionThrowsIoError) {
   TempDir dir{"fsio_exhaust"};
   const auto path = dir.file("data.bin");

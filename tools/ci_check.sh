@@ -44,18 +44,19 @@
 #      robustness label too, so it reruns sanitized, and so do graph_test,
 #      graph_io_test, trace_test and core_test, so the bipartite store's
 #      key and row-offset arithmetic and the generator's reused log entry
-#      run sanitized — plus one
-#      distributed-label pass under ASan so the fork/waitpid/heartbeat
-#      paths run sanitized, and one serving-label pass under ASan so the
-#      daemon's stdin parsing into stack buffers runs sanitized
+#      run sanitized — plus one distributed-label pass under ASan so the
+#      fork, worker-pipe, poll and reap paths run sanitized, and one
+#      serving-label pass under ASan so the daemon's stdin parsing into
+#      stack buffers runs sanitized
 #   7. concurrency label (parallel projection, SVM kernel fill, sharded
 #      metrics, loader fuzzers, serve engine) under ThreadSanitizer
 #
-# With --full-bench, micro_line and micro_graph also run in full mode
-# after the smoke steps (before the sanitizer passes), so their timing
+# With --full-bench, micro_line, micro_graph and micro_obs also run in full
+# mode after the smoke steps (before the sanitizer passes), so their timing
 # gates can fail: micro_line's widest rung must be at least 1.5x scalar at
-# dim 128, and micro_graph's projection at T=max must take at most
-# 1/0.9 of its T=1 wall time.
+# dim 128, micro_graph's projection at T=max must take at most 1/0.9 of
+# its T=1 wall time, and micro_obs's enabled metrics on project_right and
+# sidecar encode+merge on a supervised mini-run must each cost at most 3%.
 # Their JSON goes to temp files; the committed BENCH_*.json stay as they are.
 #
 # Usage: tools/ci_check.sh [--skip-sanitizers] [--full-bench]
@@ -130,6 +131,9 @@ if [[ "$full_bench" == 1 ]]; then
 
   step "micro_graph full mode (timing gate: projection thread scaling)"
   DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_graph
+
+  step "micro_obs full mode (timing gates: metrics and sidecar overhead <= 3%)"
+  DNSEMBED_BENCH_JSON="$(mktemp)" build/bench/micro_obs
 fi
 
 if [[ "$skip_sanitizers" == 1 ]]; then
@@ -142,7 +146,7 @@ cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$jobs"
 ctest --preset asan -j "$jobs"
 
-step "distributed label under ASan (fork/waitpid/heartbeat paths sanitized)"
+step "distributed label under ASan (fork/pipe/poll/reap paths sanitized)"
 ctest --test-dir build-asan -j "$jobs" -L distributed --output-on-failure
 
 step "serving label under ASan (stdin line parsing, engine, daemon over pipes)"

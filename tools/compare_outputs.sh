@@ -9,7 +9,9 @@
 #             DNSEMBED_FORCE_SCALAR=1. Every workdir file is compared
 #             (report.md, manifest.run, the *_sim.csr graphs, the .emb
 #             embeddings, the .bg graphs, kept.domains, labeled.set,
-#             truth.gt, trace.stats), except the supervisor's sv/ scratch.
+#             truth.gt, trace.stats), except sv/: parents from before
+#             heartbeats and telemetry moved onto worker pipes still
+#             write their supervisor scratch there.
 #   report    the one-shot markdown report, streaming section included.
 #   graphs    the bipartite and similarity CSVs of a simulated log.
 #   embed     then the detect stdout, the cluster CSV and the score output
@@ -85,7 +87,8 @@ check() {
 }
 
 # check_tree NAME: the file lists of both sides' NAME directories, and every
-# file in both, except sv/ and the captured stdout/stderr.
+# file in both, except sv/ (the supervisor scratch of older parents) and the
+# captured stdout/stderr.
 check_tree() {
   local name="$1"
   local list_parent list_change
