@@ -145,11 +145,11 @@ struct ManifestEntry {
 
 struct StageRecord {
   std::string name;
+  std::string key;  // what the stage was computed from (StageDriver::stage_key)
   std::vector<ManifestEntry> artifacts;
 };
 
 struct Manifest {
-  std::string config_hash;
   /// Supervised tasks that exhausted retries (sorted task names, e.g.
   /// "behavior.query"); their stage's artifacts are partial.
   std::vector<std::string> quarantined;
@@ -159,12 +159,13 @@ struct Manifest {
 constexpr const char* kManifestFile = "manifest.run";
 
 std::string manifest_payload(const Manifest& manifest) {
-  std::string out = "config " + manifest.config_hash + "\n";
+  std::string out;
   for (const auto& task : manifest.quarantined) {
     out += "quarantined " + task + "\n";
   }
   for (const auto& stage : manifest.stages) {
-    out += "stage " + stage.name + " " + std::to_string(stage.artifacts.size()) + "\n";
+    out += "stage " + stage.name + " " + stage.key + " " +
+           std::to_string(stage.artifacts.size()) + "\n";
     for (const auto& entry : stage.artifacts) {
       out += "artifact " + entry.file + " " + entry.digest + "\n";
     }
@@ -176,10 +177,6 @@ Manifest parse_manifest_payload(const std::string& payload, const std::string& p
   std::istringstream in{payload};
   Manifest manifest;
   std::string word;
-  if (!(in >> word >> manifest.config_hash) || word != "config" ||
-      manifest.config_hash.size() != 16) {
-    corrupt_payload(path, "manifest: bad config line");
-  }
   while (in >> word) {
     if (word == "quarantined") {
       std::string task;
@@ -192,7 +189,9 @@ Manifest parse_manifest_payload(const std::string& payload, const std::string& p
     if (word != "stage") corrupt_payload(path, "manifest: expected stage record");
     StageRecord record;
     std::size_t count = 0;
-    if (!(in >> record.name >> count)) corrupt_payload(path, "manifest: bad stage header");
+    if (!(in >> record.name >> record.key >> count) || record.key.size() != 16) {
+      corrupt_payload(path, "manifest: bad stage header");
+    }
     for (std::size_t i = 0; i < count; ++i) {
       ManifestEntry entry;
       if (!(in >> word >> entry.file >> entry.digest) || word != "artifact" ||
@@ -213,7 +212,8 @@ void save_manifest(const std::string& workdir, const Manifest& manifest) {
 
 /// Manifest from a previous run, if one exists and validates; nullopt when
 /// there is nothing trustworthy to resume from (no manifest yet, torn
-/// container, unparseable payload). A manifest that exists but cannot be
+/// container, unparseable payload — a manifest written before per-stage
+/// keys, with its `config` line, is one). A manifest that exists but cannot be
 /// OPENED — permissions, EIO, a directory where the file should be — is a
 /// real input error and propagates as fsio::IoError (filename + errno), so
 /// the CLI reports it on exit 3 instead of silently recomputing over a
@@ -359,11 +359,14 @@ class StageDriver {
   /// Poll the deadline of the stage in flight.
   void check() const { watchdog_->check(); }
 
-  /// Run or skip one stage. `body` must commit every artifact in the
+  /// Run or skip one stage. `knobs` is the text of the config values
+  /// `body` reads (knob_text). `body` must commit every artifact in the
   /// stage's spec, in any order.
-  void stage(const StageSpec& spec, RunSummary& summary, const std::function<void()>& body) {
+  void stage(const StageSpec& spec, const std::string& knobs, RunSummary& summary,
+             const std::function<void()>& body) {
     util::Stopwatch watch;
-    if (const auto* record = resumable_record(spec.name)) {
+    const std::string key = stage_key(spec.name, knobs);
+    if (const auto* record = resumable_record(spec.name, key)) {
       if (stage_artifacts_valid(options_.workdir, *record, spec)) {
         obs::metrics().counter("pipeline.stage.resumed").add(1);
         ++summary.resumed_stages;
@@ -395,9 +398,8 @@ class StageDriver {
       body();
     } catch (...) {
       // Mid-stage abort (deadline, I/O failure, supervisor giving up):
-      // persist the completed-stage prefix so the on-disk manifest always
-      // matches this run's config and exactly the stages that finished —
-      // a later --resume then trusts precisely what this run produced and
+      // persist the stages that finished, under this run's keys, so a
+      // later --resume trusts precisely what this run produced and
       // recomputes only the stage that was in flight. Best-effort: if even
       // the manifest cannot be written, the original error wins.
       try {
@@ -406,7 +408,7 @@ class StageDriver {
       }
       throw;
     }
-    completed_.push_back({spec.name, committed_in_spec_order(spec)});
+    completed_.push_back({spec.name, key, committed_in_spec_order(spec)});
     pending_ = {};
     // Rewrite the manifest after every stage: a crash between stages loses
     // at most the stage in flight.
@@ -426,10 +428,8 @@ class StageDriver {
   const std::vector<std::string>& quarantined() const noexcept { return quarantined_; }
 
  private:
-  std::string config_hash() const { return hash_pipeline_config(options_.config); }
-
   void save_manifest_now() {
-    save_manifest(options_.workdir, {config_hash(), quarantined_, completed_});
+    save_manifest(options_.workdir, {quarantined_, completed_});
     manifest_written_ = true;
   }
 
@@ -449,33 +449,24 @@ class StageDriver {
     return entries;
   }
 
-  /// The previous run's record for this stage, when resume applies to it.
-  const StageRecord* resumable_record(const char* name) const {
-    if (!options_.resume) return nullptr;
-    if (manifest_.config_hash != config_hash()) return nullptr;
-    // Stages only resume in prefix order behind already-valid ones:
-    // a recomputed earlier stage is deterministic, so identical artifacts
-    // keep later digests valid — but a *failed* validation earlier means
-    // later stages were built from inputs we no longer trust.
-    const std::size_t position = completed_.size();
-    if (position >= manifest_.stages.size()) return nullptr;
-    if (manifest_.stages[position].name != name) return nullptr;
-    for (std::size_t i = 0; i < position; ++i) {
-      if (completed_[i].name != manifest_.stages[i].name ||
-          !equal_entries(completed_[i].artifacts, manifest_.stages[i].artifacts)) {
-        return nullptr;
-      }
+  /// A stage's key: the hash of its name, its knob text and the
+  /// file=digest of every artifact this run committed before it. An
+  /// earlier stage recomputed to other bytes changes every later key; one
+  /// recomputed to the same bytes (a repaired artifact) changes none.
+  std::string stage_key(const char* name, const std::string& knobs) const {
+    std::string text = std::string{name} + '\n' + knobs + '\n';
+    for (const auto& stage : completed_) {
+      for (const auto& entry : stage.artifacts) text += entry.file + '=' + entry.digest + '\n';
     }
-    return &manifest_.stages[position];
+    return util::hex64(util::xxhash64(text));
   }
 
-  static bool equal_entries(const std::vector<ManifestEntry>& a,
-                            const std::vector<ManifestEntry>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i].file != b[i].file || a[i].digest != b[i].digest) return false;
-    }
-    return true;
+  /// The previous run's record of this stage, when it carries `key`.
+  const StageRecord* resumable_record(const char* name, const std::string& key) const {
+    if (!options_.resume) return nullptr;
+    const auto it = std::find_if(manifest_.stages.begin(), manifest_.stages.end(),
+                                 [&](const StageRecord& record) { return record.name == name; });
+    return it != manifest_.stages.end() && it->key == key ? &*it : nullptr;
   }
 
   const RunOptions& options_;
@@ -613,41 +604,18 @@ void write_report_file(const std::string& workdir, const PipelineConfig& config,
   util::fsio::atomic_write_file(path("report.md"), report.str());
 }
 
-}  // namespace
-
-// ---------------------------------------------------------- config hash
-
-std::string hash_pipeline_config(const PipelineConfig& config) {
+/// A stage's knob text, the config values its body reads: joined by
+/// commas, doubles at 17 significant digits so that no two print alike.
+template <typename... Values>
+std::string knob_text(const Values&... values) {
   std::ostringstream out;
   out.precision(17);
-  out << "run-config 3";
-  out << " trace=" << config.trace.seed << ',' << config.trace.campaign_seed << ','
-      << config.trace.hosts << ',' << config.trace.days << ',' << config.trace.benign_sites
-      << ',' << config.trace.malware_families;
-  // Adversarial-scenario knobs change the emitted trace, so they must
-  // invalidate resumed stages exactly like the base trace shape does.
-  out << " adv=" << config.trace.zero_day_families << ','
-      << config.trace.zero_day_activation_day << ',' << config.trace.zero_day_ip_reuse_fraction
-      << ',' << config.trace.evasion_families << ',' << config.trace.evasion_mimicry_rate << ','
-      << config.trace.evasion_cover_sites << ',' << config.trace.iot_host_fraction << ','
-      << config.trace.iot_vendor_domains << ',' << config.trace.iot_burst_period_hours;
-  out << " prune=" << config.behavior.prune.min_left_degree << ','
-      << config.behavior.prune.max_left_fraction;
-  out << " proj=" << config.behavior.query_projection.min_similarity << ','
-      << config.behavior.ip_projection.min_similarity << ','
-      << config.behavior.temporal_projection.min_similarity;
-  // Frozen at the exact-mode text of the removed sketch knobs: old workdirs keep their hash.
-  out << " projmode=0,64,32,8,0,1592614637";
-  out << " embed=" << static_cast<int>(config.embedding.method) << ','
-      << config.embedding_dimension << ',' << config.embedding.line.total_samples << ','
-      << config.seed;
-  out << " labeling=" << config.labeling.malicious_fraction << ',' << config.labeling.seed;
-  out << " svm=" << static_cast<int>(config.svm.kernel) << ',' << config.svm.c << ','
-      << config.svm.gamma << ',' << config.kfold;
-  out << " xmeans=" << config.xmeans.k_min << ',' << config.xmeans.k_max << ','
-      << config.xmeans.seed;
-  return util::hex64(util::xxhash64(out.str()));
+  const char* separator = "";
+  ((out << separator << values, separator = ","), ...);
+  return out.str();
 }
+
+}  // namespace
 
 // ------------------------------------------------------------------ run
 
@@ -672,7 +640,15 @@ RunSummary run_resumable(const RunOptions& options) {
 
   // trace: synthesize the campus capture into the three bipartite graphs
   // plus the ground-truth registry.
-  driver.stage(specs[0], summary, [&] {
+  const auto& trace_config = config.trace;
+  const auto trace_knobs = knob_text(
+      trace_config.seed, trace_config.campaign_seed, trace_config.hosts, trace_config.days,
+      trace_config.benign_sites, trace_config.malware_families, trace_config.zero_day_families,
+      trace_config.zero_day_activation_day, trace_config.zero_day_ip_reuse_fraction,
+      trace_config.evasion_families, trace_config.evasion_mimicry_rate,
+      trace_config.evasion_cover_sites, trace_config.iot_host_fraction,
+      trace_config.iot_vendor_domains, trace_config.iot_burst_period_hours);
+  driver.stage(specs[0], trace_knobs, summary, [&] {
     WorkerTask task;
     task.name = "trace";
     for (const auto& artifact : specs[0].artifacts) {
@@ -685,7 +661,7 @@ RunSummary run_resumable(const RunOptions& options) {
       {
         // Trace synthesis with the graph sink inline, then finalization.
         OBS_SPAN("trace.graph_build");
-        trace_result = trace::generate_trace(config.trace, graphs);
+        trace_result = trace::generate_trace(trace_config, graphs);
         hdbg = graphs.take_hdbg();
         dibg = graphs.take_dibg();
         dtbg = graphs.take_dtbg();
@@ -706,7 +682,13 @@ RunSummary run_resumable(const RunOptions& options) {
   // bipartite graph restricted to the kept domains, one task per channel
   // writing the channel's CSR. A quarantined channel's graph is edgeless
   // and the run is flagged.
-  driver.stage(specs[1], summary, [&] {
+  const auto& behavior = config.behavior;
+  const auto behavior_knobs =
+      knob_text(behavior.prune.min_left_degree, behavior.prune.max_left_fraction,
+                behavior.query_projection.min_similarity,
+                behavior.ip_projection.min_similarity,
+                behavior.temporal_projection.min_similarity);
+  driver.stage(specs[1], behavior_knobs, summary, [&] {
     WorkerTask prune;
     prune.name = "behavior.prune";
     prune.outputs.push_back({path("kept.domains"), "domain-list"});
@@ -714,7 +696,7 @@ RunSummary run_resumable(const RunOptions& options) {
       util::save_artifact(
           path("kept.domains"), "domain-list",
           domain_list_payload(kept_domains(graph::load_bipartite_file(path("hdbg.bg")),
-                                           config.behavior.prune)));
+                                           behavior.prune)));
     };
     executor.run({prune});
 
@@ -745,7 +727,10 @@ RunSummary run_resumable(const RunOptions& options) {
   // embed: one LINE embedding per similarity graph (the CSR is memory-
   // mapped, not parsed: LINE's samplers read the mapped adjacency in
   // place), then the concatenated vector over the kept domains.
-  driver.stage(specs[2], summary, [&] {
+  const auto embed_knobs =
+      knob_text(static_cast<int>(config.embedding.method), config.embedding_dimension,
+                config.embedding.line.total_samples, config.seed);
+  driver.stage(specs[2], embed_knobs, summary, [&] {
     std::vector<WorkerTask> tasks;
     for (const auto& channel : kChannels) {
       WorkerTask task;
@@ -771,7 +756,8 @@ RunSummary run_resumable(const RunOptions& options) {
   });
 
   // labels: ground truth + simulated VirusTotal over the kept domains.
-  driver.stage(specs[3], summary, [&] {
+  const auto labels_knobs = knob_text(config.labeling.malicious_fraction, config.labeling.seed);
+  driver.stage(specs[3], labels_knobs, summary, [&] {
     WorkerTask task;
     task.name = "labels";
     task.outputs.push_back({path("labeled.set"), "labeled-set"});
@@ -780,8 +766,12 @@ RunSummary run_resumable(const RunOptions& options) {
   });
 
   // report: per-channel SVM evaluation + clustering over the persisted
-  // artifacts only (nothing carried in memory from earlier stages).
-  driver.stage(specs[4], summary, [&] {
+  // artifacts only (nothing carried in memory from earlier stages). `seed`
+  // is the cross-validation fold seed.
+  const auto report_knobs =
+      knob_text(static_cast<int>(config.svm.kernel), config.svm.c, config.svm.gamma, config.kfold,
+                config.xmeans.k_min, config.xmeans.k_max, config.xmeans.seed, config.seed);
+  driver.stage(specs[4], report_knobs, summary, [&] {
     WorkerTask task;
     task.name = "report";
     task.outputs.push_back({path("report.md"), nullptr});

@@ -1,9 +1,12 @@
 // Resumable pipeline runner: drives the paper pipeline (trace -> behavior
 // -> embed -> labels -> report) with stage-granular persistence under a
 // working directory. Every stage commits its outputs as atomic, checksummed
-// artifacts and the run manifest records their digests plus the config
-// hash; `--resume` skips stages whose artifacts still validate and re-runs
-// anything missing, corrupt, or built under a different config.
+// artifacts and the run manifest records their digests under the stage's
+// key: a hash of its name, the config knobs its body reads and the digests
+// of every artifact committed before it. `--resume` skips a stage whose key
+// matches and whose artifacts still validate, and re-runs anything missing,
+// corrupt, or built from other knobs or other input bytes — so a
+// report-only knob reruns only the report.
 //
 // Each stage is declared once, as a list of named tasks that read artifacts
 // and write artifacts, and one of two executors runs it: inline (each task
@@ -97,12 +100,6 @@ class StageDeadlineExceeded : public std::runtime_error {
  private:
   std::string stage_;
 };
-
-/// Digest of the pipeline knobs that shape run artifacts (trace shape and
-/// seeds, pruning/projection thresholds, embedding method and budgets,
-/// labeling, SVM and clustering parameters). Recorded in the manifest; a
-/// mismatch on --resume invalidates every recorded stage.
-std::string hash_pipeline_config(const PipelineConfig& config);
 
 /// Run (or resume) the pipeline under options.workdir; returns what ran vs
 /// was reused. Throws StageDeadlineExceeded on deadline, util::fsio::IoError

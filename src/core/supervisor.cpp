@@ -474,6 +474,7 @@ void Supervisor::run_tasks(const std::vector<WorkerTask>& tasks,
           continue;
         }
         ts.running = true;
+        resources_for(tasks[i].name);  // its row, in first-spawn order
         set_status(tasks[i].name, "running", attempt + 1, 0);
         running.push_back(std::move(flight));
       }

@@ -268,13 +268,6 @@ __attribute__((flatten)) void run_sgd_scalar(const TrainContext& ctx,
 }
 
 #ifdef DNSEMBED_SIMD_X86
-__attribute__((flatten, target("sse2"))) void run_sgd_sse2(const TrainContext& ctx,
-                                                           std::vector<float>& vertex,
-                                                           std::vector<float>& context,
-                                                           std::size_t dim, bool second_order) {
-  run_sgd_any_width<util::simd::kernels::Sse2>(ctx, vertex, context, dim, second_order);
-}
-
 __attribute__((flatten, target("avx2,fma"))) void run_sgd_avx2(const TrainContext& ctx,
                                                                std::vector<float>& vertex,
                                                                std::vector<float>& context,
@@ -289,7 +282,6 @@ __attribute__((flatten, target("avx2,fma"))) void run_sgd_avx2(const TrainContex
 SgdLoop sgd_loop_for(util::simd::Level level) noexcept {
 #ifdef DNSEMBED_SIMD_X86
   if (level == util::simd::Level::kAvx2) return run_sgd_avx2;
-  if (level == util::simd::Level::kSse2) return run_sgd_sse2;
 #endif
   (void)level;
   return run_sgd_scalar;

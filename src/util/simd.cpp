@@ -115,122 +115,6 @@ void smo_gradient_step_scalar(double step, const double* y, const double* ki, co
 
 #ifdef DNSEMBED_SIMD_X86
 
-// --------------------------------------------------------------- sse2
-// SSE2 is baseline on x86-64; the target attribute keeps i386 builds honest.
-
-__attribute__((target("sse2"))) float dot_f32_sse2(const float* a, const float* b,
-                                                   std::size_t n) noexcept {
-  return kernels::Sse2::dot(a, b, n);
-}
-
-__attribute__((target("sse2"))) double dot_f64_sse2(const double* a, const double* b,
-                                                    std::size_t n) noexcept {
-  __m128d acc0 = _mm_setzero_pd();
-  __m128d acc1 = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 = _mm_add_pd(acc0, _mm_mul_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i)));
-    acc1 = _mm_add_pd(acc1, _mm_mul_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2)));
-  }
-  const __m128d acc = _mm_add_pd(acc0, acc1);
-  double lanes[2];
-  _mm_storeu_pd(lanes, acc);
-  double sum = lanes[0] + lanes[1];
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-__attribute__((target("sse2"))) double squared_l2_f64_sse2(const double* a, const double* b,
-                                                           std::size_t n) noexcept {
-  __m128d acc0 = _mm_setzero_pd();
-  __m128d acc1 = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128d d0 = _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
-    acc0 = _mm_add_pd(acc0, _mm_mul_pd(d0, d0));
-    const __m128d d1 = _mm_sub_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2));
-    acc1 = _mm_add_pd(acc1, _mm_mul_pd(d1, d1));
-  }
-  const __m128d acc = _mm_add_pd(acc0, acc1);
-  double lanes[2];
-  _mm_storeu_pd(lanes, acc);
-  double sum = lanes[0] + lanes[1];
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
-// Two rows per pass, each with the pairwise kernel's two accumulators and
-// lane split; the unpack pair forms each row's lanes[0] + lanes[1].
-__attribute__((target("sse2"))) void squared_l2_rows_f64_sse2(const double* a,
-                                                              const double* rows,
-                                                              std::size_t m, std::size_t n,
-                                                              double* out) noexcept {
-  std::size_t j = 0;
-  for (; j + 2 <= m; j += 2) {
-    const double* r0 = rows + j * n;
-    const double* r1 = r0 + n;
-    __m128d acc00 = _mm_setzero_pd();
-    __m128d acc01 = _mm_setzero_pd();
-    __m128d acc10 = _mm_setzero_pd();
-    __m128d acc11 = _mm_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128d a0 = _mm_loadu_pd(a + i);
-      const __m128d a1 = _mm_loadu_pd(a + i + 2);
-      __m128d d = _mm_sub_pd(a0, _mm_loadu_pd(r0 + i));
-      acc00 = _mm_add_pd(acc00, _mm_mul_pd(d, d));
-      d = _mm_sub_pd(a1, _mm_loadu_pd(r0 + i + 2));
-      acc01 = _mm_add_pd(acc01, _mm_mul_pd(d, d));
-      d = _mm_sub_pd(a0, _mm_loadu_pd(r1 + i));
-      acc10 = _mm_add_pd(acc10, _mm_mul_pd(d, d));
-      d = _mm_sub_pd(a1, _mm_loadu_pd(r1 + i + 2));
-      acc11 = _mm_add_pd(acc11, _mm_mul_pd(d, d));
-    }
-    const __m128d s0 = _mm_add_pd(acc00, acc01);
-    const __m128d s1 = _mm_add_pd(acc10, acc11);
-    double sums[2];
-    _mm_storeu_pd(sums, _mm_add_pd(_mm_unpacklo_pd(s0, s1), _mm_unpackhi_pd(s0, s1)));
-    for (; i < n; ++i) {
-      const double d0 = a[i] - r0[i];
-      sums[0] += d0 * d0;
-      const double d1 = a[i] - r1[i];
-      sums[1] += d1 * d1;
-    }
-    out[j] = sums[0];
-    out[j + 1] = sums[1];
-  }
-  for (; j < m; ++j) out[j] = squared_l2_f64_sse2(a, rows + j * n, n);
-}
-
-__attribute__((target("sse2"))) void axpy_f32_sse2(float alpha, const float* x, float* y,
-                                                   std::size_t n) noexcept {
-  kernels::Sse2::axpy(alpha, x, y, n);
-}
-
-__attribute__((target("sse2"))) void scale_f32_sse2(float alpha, const float* x, float* out,
-                                                    std::size_t n) noexcept {
-  kernels::Sse2::scale(alpha, x, out, n);
-}
-
-__attribute__((target("sse2"))) void fused_step_sse2(float coeff, const float* src, float* tgt,
-                                                     float* grad, std::size_t n) noexcept {
-  const __m128 vc = _mm_set1_ps(coeff);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 vt = _mm_loadu_ps(tgt + i);
-    const __m128 vg = _mm_add_ps(_mm_loadu_ps(grad + i), _mm_mul_ps(vc, vt));
-    _mm_storeu_ps(grad + i, vg);
-    _mm_storeu_ps(tgt + i, _mm_add_ps(vt, _mm_mul_ps(vc, _mm_loadu_ps(src + i))));
-  }
-  for (; i < n; ++i) {
-    grad[i] += coeff * tgt[i];
-    tgt[i] += coeff * src[i];
-  }
-}
-
 // --------------------------------------------------------------- avx2
 
 __attribute__((target("avx2,fma"))) float dot_f32_avx2(const float* a, const float* b,
@@ -549,15 +433,6 @@ constexpr Kernels kScalarKernels{
 };
 
 #ifdef DNSEMBED_SIMD_X86
-constexpr Kernels kSse2Kernels{
-    detail::dot_f32_sse2,           detail::dot_f64_sse2,
-    detail::squared_l2_f64_sse2,    detail::squared_l2_rows_f64_sse2,
-    detail::axpy_f32_sse2,          detail::scale_f32_sse2,
-    detail::fused_step_sse2,        detail::add_f64_scalar,
-    detail::loosen_bounds_scalar,   detail::candidate_mask_scalar,
-    detail::max_violating_pair_scalar, detail::smo_gradient_step_scalar,
-};
-
 constexpr Kernels kAvx2Kernels{
     detail::dot_f32_avx2,           detail::dot_f64_avx2,
     detail::squared_l2_f64_avx2,    detail::squared_l2_rows_f64_avx2,
@@ -571,7 +446,6 @@ constexpr Kernels kAvx2Kernels{
 const Kernels& kernels_for(Level level) noexcept {
 #ifdef DNSEMBED_SIMD_X86
   if (level == Level::kAvx2) return kAvx2Kernels;
-  if (level == Level::kSse2) return kSse2Kernels;
 #else
   (void)level;
 #endif
@@ -587,7 +461,6 @@ Level detect_level() noexcept {
   if (force_scalar_env()) return Level::kScalar;
 #ifdef DNSEMBED_SIMD_X86
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return Level::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Level::kSse2;
 #endif
   return Level::kScalar;
 }
@@ -618,7 +491,6 @@ Level active_level() noexcept {
 const char* level_name(Level level) noexcept {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSse2: return "sse2";
     case Level::kAvx2: return "avx2";
   }
   return "unknown";
@@ -629,7 +501,6 @@ bool level_supported(Level level) noexcept {
   if (level == Level::kAvx2) {
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   }
-  if (level == Level::kSse2) return __builtin_cpu_supports("sse2");
 #else
   if (level != Level::kScalar) return false;
 #endif
@@ -637,10 +508,7 @@ bool level_supported(Level level) noexcept {
 }
 
 Level force_level(Level level) noexcept {
-  if (!level_supported(level)) {
-    level = level == Level::kAvx2 && level_supported(Level::kSse2) ? Level::kSse2
-                                                                   : Level::kScalar;
-  }
+  if (!level_supported(level)) level = Level::kScalar;
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
   g_kernels.store(&kernels_for(level), std::memory_order_release);
   return level;

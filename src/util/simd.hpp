@@ -9,12 +9,12 @@
 // which the table's entries also call, and picks the instantiation of
 // active_level().
 //
-// Dispatch is resolved once at first use, walking the ladder
-// AVX2 (+FMA) -> SSE2 -> scalar by runtime CPU detection. The
-// DNSEMBED_FORCE_SCALAR environment variable (any value except "" or "0")
-// pins the scalar rung. The selected rung is republished by the obs
-// registry as the `simd.level` gauge at snapshot time (0 = scalar,
-// 1 = sse2, 2 = avx2) — util cannot depend on obs.
+// Dispatch is resolved once at first use: AVX2 (+FMA) when runtime CPU
+// detection finds it, scalar otherwise. The DNSEMBED_FORCE_SCALAR
+// environment variable (any value except "" or "0") pins the scalar rung.
+// The selected rung is republished by the obs registry as the `simd.level`
+// gauge at snapshot time (0 = scalar, 2 = avx2) — util cannot depend on
+// obs.
 //
 // Numeric contract (the parity fuzz test in tests/simd_test.cpp enforces
 // it): float `dot` accumulates in double in every rung — float products
@@ -31,8 +31,7 @@
 // a result. The k-means and SMO kernels (`add`, `loosen_bounds`,
 // `candidate_mask`, `max_violating_pair`, `smo_gradient_step`) are exact
 // compares or element-wise ops in the scalar loop's operation order, so all
-// rungs return the same bits; they have scalar and AVX2 bodies, and the SSE2
-// rung runs the scalar ones.
+// rungs return the same bits.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +40,9 @@
 
 namespace dnsembed::util::simd {
 
-/// Dispatch ladder rung, widest first wins.
-enum class Level : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// Dispatch rung. The values are the `simd.level` gauge's; 1 was the
+/// retired SSE2 rung.
+enum class Level : int { kScalar = 0, kAvx2 = 2 };
 
 /// The rung the process resolved (cached after the first call).
 Level active_level() noexcept;
@@ -50,8 +50,8 @@ Level active_level() noexcept;
 const char* level_name(Level level) noexcept;
 
 /// Re-point every kernel at the given rung. Test/bench hook: not safe while
-/// other threads are inside a kernel, and ignored requests (a rung the CPU
-/// lacks) fall back down the ladder. Returns the rung actually selected.
+/// other threads are inside a kernel, and a rung the CPU lacks falls back to
+/// scalar. Returns the rung actually selected.
 Level force_level(Level level) noexcept;
 
 /// True when the running CPU can execute the rung.
@@ -144,10 +144,9 @@ inline double squared_l2(std::span<const double> a, std::span<const double> b) n
 }
 
 // Every rung's implementation, exposed so the parity fuzz test can compare
-// rungs pairwise regardless of what dispatch picked. The sse2/avx2 entry
-// points exist on every build; calling one on a CPU without the feature is
-// undefined, so guard with level_supported(). The five exact kernels have no
-// sse2 entry points: that rung's table names their scalar bodies.
+// rungs pairwise regardless of what dispatch picked. The avx2 entry points
+// exist on every x86 build; calling one on a CPU without the feature is
+// undefined, so guard with level_supported().
 namespace detail {
 
 float dot_f32_scalar(const float* a, const float* b, std::size_t n) noexcept;
@@ -172,16 +171,6 @@ void smo_gradient_step_scalar(double step, const double* y, const double* ki,
                               std::size_t n) noexcept;
 
 #if defined(__x86_64__) || defined(__i386__)
-float dot_f32_sse2(const float* a, const float* b, std::size_t n) noexcept;
-double dot_f64_sse2(const double* a, const double* b, std::size_t n) noexcept;
-double squared_l2_f64_sse2(const double* a, const double* b, std::size_t n) noexcept;
-void squared_l2_rows_f64_sse2(const double* a, const double* rows, std::size_t m,
-                              std::size_t n, double* out) noexcept;
-void axpy_f32_sse2(float alpha, const float* x, float* y, std::size_t n) noexcept;
-void scale_f32_sse2(float alpha, const float* x, float* out, std::size_t n) noexcept;
-void fused_step_sse2(float coeff, const float* src, float* tgt, float* grad,
-                     std::size_t n) noexcept;
-
 float dot_f32_avx2(const float* a, const float* b, std::size_t n) noexcept;
 double dot_f64_avx2(const double* a, const double* b, std::size_t n) noexcept;
 double squared_l2_f64_avx2(const double* a, const double* b, std::size_t n) noexcept;

@@ -41,51 +41,6 @@ struct Scalar {
 
 #ifdef DNSEMBED_SIMD_X86
 
-// SSE2 is baseline on x86-64; the target attribute keeps i386 builds honest.
-struct Sse2 {
-  __attribute__((target("sse2"))) static float dot(const float* a, const float* b,
-                                                   std::size_t n) noexcept {
-    __m128d acc0 = _mm_setzero_pd();
-    __m128d acc1 = _mm_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128 va = _mm_loadu_ps(a + i);
-      const __m128 vb = _mm_loadu_ps(b + i);
-      acc0 = _mm_add_pd(acc0, _mm_mul_pd(_mm_cvtps_pd(va), _mm_cvtps_pd(vb)));
-      const __m128 va_hi = _mm_movehl_ps(va, va);
-      const __m128 vb_hi = _mm_movehl_ps(vb, vb);
-      acc1 = _mm_add_pd(acc1, _mm_mul_pd(_mm_cvtps_pd(va_hi), _mm_cvtps_pd(vb_hi)));
-    }
-    const __m128d acc = _mm_add_pd(acc0, acc1);
-    double lanes[2];
-    _mm_storeu_pd(lanes, acc);
-    double sum = lanes[0] + lanes[1];
-    for (; i < n; ++i) sum += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    return static_cast<float>(sum);
-  }
-
-  __attribute__((target("sse2"))) static void axpy(float alpha, const float* x, float* y,
-                                                   std::size_t n) noexcept {
-    const __m128 va = _mm_set1_ps(alpha);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128 prod = _mm_mul_ps(va, _mm_loadu_ps(x + i));
-      _mm_storeu_ps(y + i, _mm_add_ps(_mm_loadu_ps(y + i), prod));
-    }
-    for (; i < n; ++i) y[i] += alpha * x[i];
-  }
-
-  __attribute__((target("sse2"))) static void scale(float alpha, const float* x, float* out,
-                                                    std::size_t n) noexcept {
-    const __m128 va = _mm_set1_ps(alpha);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      _mm_storeu_ps(out + i, _mm_mul_ps(va, _mm_loadu_ps(x + i)));
-    }
-    for (; i < n; ++i) out[i] = alpha * x[i];
-  }
-};
-
 struct Avx2 {
   __attribute__((target("avx2,fma"))) static float dot(const float* a, const float* b,
                                                        std::size_t n) noexcept {

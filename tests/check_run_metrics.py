@@ -13,8 +13,10 @@ and clustering out of the stages. A renamed span would otherwise read as
 zero seconds without failing anything.
 A following `run --resume` over the same workdir must report all five
 stages resumed, and its --trace-out must hold one artifact check span for
-each artifact digest span of the first run. --line-threads stays in the options to show the ignored flag
-is still accepted.
+each artifact digest span of the first run. A last `run --resume` with
+--kfold 4 in place of --kfold 3, a knob only the report stage reads, must
+report four stages resumed. --line-threads stays in the options to show the
+ignored flag is still accepted.
 """
 import json
 import subprocess
@@ -84,8 +86,19 @@ def main():
         if checks != digests:
             fail(f"`run --resume` traced {checks} artifact checks, expected one per "
                  f"artifact digest of the first run ({digests})")
+
+        # The parser takes an option's first value, so replace --kfold's
+        # value rather than appending a second --kfold.
+        kfold4 = list(OPTIONS)
+        kfold4[kfold4.index("--kfold") + 1] = "4"
+        rekeyed = subprocess.run([cli, "run", "--workdir", str(workdir), "--resume", *kfold4],
+                                 check=True, capture_output=True, text=True)
+        if "4/5 stages resumed" not in rekeyed.stdout:
+            fail(f"`run --resume --kfold 4` did not resume exactly the four stages "
+                 f"before the report:\n{rekeyed.stdout}")
     print(f"ok: {len(HISTOGRAMS)} histograms, {len(COUNTERS) + 1} counters, "
-          f"{len(SPANS)} spans, resume 5/5 with {checks} artifact checks")
+          f"{len(SPANS)} spans, resume 5/5 with {checks} artifact checks, "
+          f"resume 4/5 at --kfold 4")
 
 
 if __name__ == "__main__":

@@ -281,8 +281,7 @@ void expect_matches_reference_on_rung(const util::CsrGraph& g, const std::string
 }
 
 void expect_matches_reference(const util::CsrGraph& g, const std::string& graph_name) {
-  for (const auto level :
-       {util::simd::Level::kScalar, util::simd::Level::kSse2, util::simd::Level::kAvx2}) {
+  for (const auto level : {util::simd::Level::kScalar, util::simd::Level::kAvx2}) {
     if (!util::simd::level_supported(level)) continue;
     const RungGuard rung{level};
     ASSERT_EQ(util::simd::active_level(), level);

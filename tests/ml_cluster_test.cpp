@@ -416,7 +416,7 @@ std::vector<ClusterCase> cluster_cases() {
 
 TEST(KMeansBounds, MatchesThePlainScanBitForBit) {
   const Level original = util::simd::active_level();
-  for (const Level level : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+  for (const Level level : {Level::kScalar, Level::kAvx2}) {
     if (!util::simd::level_supported(level)) continue;
     util::simd::force_level(level);
     for (const auto& c : cluster_cases()) {
@@ -457,7 +457,7 @@ TEST(KMeansBounds, EmbeddingScaleMatchesThePlainScanBitForBit) {
   }
   const Matrix x = blobs(centers, 640 / 48 + 1, 0.8, 137);
   const Level original = util::simd::active_level();
-  for (const Level level : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+  for (const Level level : {Level::kScalar, Level::kAvx2}) {
     if (!util::simd::level_supported(level)) continue;
     util::simd::force_level(level);
     for (const std::size_t k : {std::size_t{40}, std::size_t{65}, std::size_t{130}}) {

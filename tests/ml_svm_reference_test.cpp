@@ -226,7 +226,7 @@ std::vector<std::pair<std::string, SvmConfig>> svm_configs() {
 
 TEST(SmoReference, TrainSvmMatchesThePlainLoopBitForBit) {
   const Level original = util::simd::active_level();
-  for (const Level level : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+  for (const Level level : {Level::kScalar, Level::kAvx2}) {
     if (!util::simd::level_supported(level)) continue;
     util::simd::force_level(level);
     for (const auto& c : svm_cases()) {
@@ -259,7 +259,7 @@ TEST(SmoReference, TrainSvmMatchesThePlainLoopBitForBit) {
 
 TEST(SmoReference, CrossValidateSvmMatchesThePlainLoopBitForBit) {
   const Level original = util::simd::active_level();
-  for (const Level level : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+  for (const Level level : {Level::kScalar, Level::kAvx2}) {
     if (!util::simd::level_supported(level)) continue;
     util::simd::force_level(level);
     for (const auto& c : svm_cases()) {

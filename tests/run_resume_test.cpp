@@ -1,8 +1,11 @@
 // Resumable pipeline runner: a --resume over a completed workdir must skip
 // every stage and reproduce the report byte-for-byte; corrupting one
 // artifact must recompute exactly the owning stage (and still converge on
-// the same bytes, with a manifest the next --resume skips whole); a config
-// change must invalidate everything; a workdir whose bipartite graphs are
+// the same bytes, with a manifest the next --resume skips whole); a changed
+// knob must recompute the stage that reads it and every stage whose inputs
+// then change bytes, and nothing else (a trace knob: everything; a report
+// knob: the report alone, to a fresh run's bytes); a manifest from before
+// per-stage keys must recompute once; a workdir whose bipartite graphs are
 // text-era containers must recompute the trace stage; a blown
 // stage deadline must throw but leave committed artifacts resumable. The
 // in-memory chain must compute the objects the workdir holds.
@@ -170,24 +173,98 @@ TEST_F(RunResumeTest, ConfigChangeInvalidatesAllStages) {
   EXPECT_EQ(second.resumed_stages, 0u);
 }
 
-TEST_F(RunResumeTest, ConfigHashCoversShapeKnobs) {
-  auto options = small_options(dir_);
-  const auto base = hash_pipeline_config(options.config);
-  auto changed = options.config;
-  changed.embedding_dimension += 1;
-  EXPECT_NE(hash_pipeline_config(changed), base);
-  changed = options.config;
-  changed.svm.c *= 2.0;
-  EXPECT_NE(hash_pipeline_config(changed), base);
-  EXPECT_EQ(hash_pipeline_config(options.config), base);
+/// The names of the stages a run recomputed, in run order.
+std::vector<std::string> recomputed(const RunSummary& summary) {
+  std::vector<std::string> names;
+  for (const auto& stage : summary.stages) {
+    if (!stage.resumed) names.push_back(stage.name);
+  }
+  return names;
 }
 
-TEST_F(RunResumeTest, ConfigHashDerivationIsPinned) {
-  // manifest.run stores this hash to detect a stale workdir, so a config
-  // must keep hashing to the same value from build to build, or every
-  // workdir written earlier would recompute on --resume.
-  EXPECT_EQ(hash_pipeline_config(PipelineConfig{}), "fa358a6d4a4fea79");
-  EXPECT_EQ(hash_pipeline_config(small_options(dir_).config), "3f5a8ef79b64f7ae");
+TEST_F(RunResumeTest, KnobChangeRecomputesTheStagesThatReadIt) {
+  run_resumable(small_options(dir_));
+
+  // A stage's key covers its own knobs and every earlier artifact's digest,
+  // so a changed knob recomputes its stage and each later stage whose
+  // inputs then differ. Labels reads no embedding, but its key follows the
+  // embed stage's artifacts all the same.
+  struct Row {
+    const char* knob;
+    void (*change)(PipelineConfig&);
+    std::vector<std::string> recomputed;
+  };
+  const std::vector<Row> table{
+      {"kfold", [](PipelineConfig& c) { c.kfold = 4; }, {"report"}},
+      {"svm.c", [](PipelineConfig& c) { c.svm.c *= 2.0; }, {"report"}},
+      {"xmeans.k_max", [](PipelineConfig& c) { c.xmeans.k_max = 8; }, {"report"}},
+      {"labeling.seed", [](PipelineConfig& c) { c.labeling.seed += 1; }, {"labels", "report"}},
+      {"embedding.line.total_samples",
+       [](PipelineConfig& c) { c.embedding.line.total_samples = 40'000; },
+       {"embed", "labels", "report"}},
+      {"embedding_dimension", [](PipelineConfig& c) { c.embedding_dimension = 10; },
+       {"embed", "labels", "report"}},
+      {"prune.min_left_degree", [](PipelineConfig& c) { c.behavior.prune.min_left_degree = 3; },
+       {"behavior", "embed", "labels", "report"}},
+  };
+  for (const auto& row : table) {
+    const auto copy = dir_ + "_" + row.knob;
+    fs::remove_all(copy);
+    fs::copy(dir_, copy, fs::copy_options::recursive);
+    auto options = small_options(copy);
+    options.resume = true;
+    row.change(options.config);
+    EXPECT_EQ(recomputed(run_resumable(options)), row.recomputed) << row.knob;
+    fs::remove_all(copy);
+  }
+}
+
+TEST_F(RunResumeTest, ReportKnobResumesFourStagesToAFreshRunsBytes) {
+  auto options = small_options(dir_);
+  run_resumable(options);
+
+  options.resume = true;
+  options.config.xmeans.k_max = 8;
+  const auto resumed = run_resumable(options);
+  EXPECT_EQ(resumed.resumed_stages, 4u);
+  EXPECT_EQ(recomputed(resumed), std::vector<std::string>{"report"});
+
+  auto fresh = small_options(dir_ + "_fresh");
+  fresh.config.xmeans.k_max = 8;
+  run_resumable(fresh);
+  for (const char* file : {"report.md", "manifest.run"}) {
+    EXPECT_TRUE(util::fsio::read_file(dir_ + "/" + file) ==
+                util::fsio::read_file(dir_ + "_fresh/" + file))
+        << file;
+  }
+  fs::remove_all(dir_ + "_fresh");
+}
+
+TEST_F(RunResumeTest, ManifestWithConfigLineRecomputesOnce) {
+  // A manifest written before per-stage keys opens with a whole-config
+  // hash line. It no longer parses, so the workdir recomputes once, and
+  // the manifest that run writes resumes whole.
+  auto options = small_options(dir_);
+  run_resumable(options);
+  const auto manifest_path = dir_ + "/manifest.run";
+  util::save_artifact(manifest_path, "run-manifest",
+                      "config 3f5a8ef79b64f7ae\n" +
+                          util::load_artifact(manifest_path, "run-manifest"));
+
+  options.resume = true;
+  EXPECT_EQ(run_resumable(options).resumed_stages, 0u);
+  EXPECT_EQ(run_resumable(options).resumed_stages, 5u);
+}
+
+TEST_F(RunResumeTest, TraceStageKeyIsPinned) {
+  // manifest.run stores each stage's key to detect a stale stage, so the
+  // same knobs must keep giving the same key from build to build, or every
+  // workdir written earlier would recompute on --resume. The trace stage
+  // follows no artifact, so its key hashes its name and knob text alone:
+  // "trace\n31,0,40,2,150,4,0,18446744073709551615,0.75,0,0.5,12,0,3,6\n".
+  run_resumable(small_options(dir_));
+  const auto manifest = util::load_artifact(dir_ + "/manifest.run", "run-manifest");
+  EXPECT_EQ(manifest.substr(0, manifest.find('\n')), "stage trace d2a02caee1e103c7 5");
 }
 
 TEST_F(RunResumeTest, DeadlineThrowsThenResumeCompletes) {

@@ -6,7 +6,8 @@
 // quarantined (edgeless graph, degraded report + manifest row) and
 // the quarantine must survive --resume; a mid-stage deadline hit must leave
 // the workdir resumable to an identical report; a worker must exit as soon
-// as its body returns, not a heartbeat interval later.
+// as its body returns, not a heartbeat interval later; the per-task resource
+// rows must come in first-spawn order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,7 +85,7 @@ class RunSupervisorTest : public ::testing::Test {
     return util::fsio::read_file(summary.report_path);
   }
 
-  /// Manifest of the reference run: the config hash plus the digest of
+  /// Manifest of the reference run: each stage's key plus the digest of
   /// every stage artifact.
   std::string reference_manifest() const {
     return util::fsio::read_file(dir_ + "_ref/manifest.run");
@@ -145,6 +146,32 @@ TEST_F(RunSupervisorTest, WorkerExitsWhenItsBodyReturns) {
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed.count(), 2.5);
   EXPECT_EQ(supervisor.stats().tasks_run, 1u);
+}
+
+TEST_F(RunSupervisorTest, ResourceRowsComeInSpawnOrder) {
+  // Tasks spawn in list order but finish in reverse: each row must still
+  // sit where its task first spawned, not where its attempt was reaped.
+  SupervisorOptions options;
+  options.workers = 3;
+  options.heartbeat_interval_seconds = 0.05;
+  Supervisor supervisor{options};
+  std::vector<WorkerTask> tasks;
+  for (const int sleep_ms : {120, 60, 0}) {
+    WorkerTask task;
+    task.name = "task" + std::to_string(tasks.size());
+    task.body = [sleep_ms](const auto&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds{sleep_ms});
+    };
+    tasks.push_back(std::move(task));
+  }
+
+  supervisor.run_tasks(tasks, [] {});
+  const auto& rows = supervisor.stats().resources;
+  ASSERT_EQ(rows.size(), 3u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].task, tasks[i].name) << i;
+    EXPECT_EQ(rows[i].attempts, 1u) << i;
+  }
 }
 
 TEST_F(RunSupervisorTest, SidecarLargerThanThePipeBufferArrivesWhole) {

@@ -1,8 +1,9 @@
-// Parity fuzz for the util/simd dispatch ladder: every rung the CPU
-// supports must agree with the scalar reference — within 1 ulp of the
-// returned float for the double-accumulated float dot, bit-exactly for the element-wise float kernels (axpy, scale,
-// fused_sigmoid_step) and for the k-means and SMO kernels (add,
-// loosen_bounds, candidate_mask, max_violating_pair, smo_gradient_step) —
+// Parity fuzz for the util/simd dispatch rungs: the AVX2 rung, where the CPU
+// supports it, must agree with the scalar reference — within 1 ulp of the
+// returned float for the double-accumulated float dot, bit-exactly for the
+// element-wise float kernels (axpy, scale, fused_sigmoid_step) and for the
+// k-means and SMO kernels (add, loosen_bounds, candidate_mask,
+// max_violating_pair, smo_gradient_step) —
 // each rung's float dot, axpy and scale must follow its own operation order
 // bit for bit, and each rung's one-to-many squared_l2_rows must match its
 // own pairwise squared_l2 bit for bit. Inputs sweep random data plus the
@@ -46,11 +47,6 @@ struct Rung {
 std::vector<Rung> supported_rungs() {
   std::vector<Rung> rungs;
 #if defined(__x86_64__) || defined(__i386__)
-  if (level_supported(Level::kSse2)) {
-    rungs.push_back({Level::kSse2, detail::dot_f32_sse2, detail::dot_f64_sse2,
-                     detail::squared_l2_f64_sse2, detail::axpy_f32_sse2,
-                     detail::scale_f32_sse2, detail::fused_step_sse2});
-  }
   if (level_supported(Level::kAvx2)) {
     rungs.push_back({Level::kAvx2, detail::dot_f32_avx2, detail::dot_f64_avx2,
                      detail::squared_l2_f64_avx2, detail::axpy_f32_avx2,
@@ -128,10 +124,10 @@ TEST(SimdParity, FloatReductionsWithinOneUlp) {
 }
 
 /// A rung's float dot written out plainly: the scalar rung sums in index
-/// order; SSE2 keeps two 2-lane and AVX2 two 4-lane double accumulators over
-/// blocks of 4 and 8 elements, adds them lane by lane, reduces the lanes as
-/// l0 + l1 (SSE2) or (l0 + l1) + (l2 + l3) (AVX2), then adds the remaining
-/// products one at a time in index order. Float products are exact in
+/// order; AVX2 keeps two 4-lane double accumulators over blocks of 8
+/// elements, adds them lane by lane, reduces the lanes as
+/// (l0 + l1) + (l2 + l3), then adds the remaining products one at a time in
+/// index order. Float products are exact in
 /// double, so an FMA into an accumulator rounds like this add does.
 float reference_dot(Level level, const float* a, const float* b, std::size_t n) {
   const auto product = [&](std::size_t i) {
@@ -139,19 +135,18 @@ float reference_dot(Level level, const float* a, const float* b, std::size_t n) 
   };
   std::size_t i = 0;
   double sum = 0.0;
-  if (level != Level::kScalar) {
-    const std::size_t lanes = level == Level::kAvx2 ? 4 : 2;
+  if (level == Level::kAvx2) {
     double acc0[4] = {};
     double acc1[4] = {};
-    for (; i + 2 * lanes <= n; i += 2 * lanes) {
-      for (std::size_t j = 0; j < lanes; ++j) {
+    for (; i + 8 <= n; i += 8) {
+      for (std::size_t j = 0; j < 4; ++j) {
         acc0[j] += product(i + j);
-        acc1[j] += product(i + lanes + j);
+        acc1[j] += product(i + 4 + j);
       }
     }
     double l[4] = {};
-    for (std::size_t j = 0; j < lanes; ++j) l[j] = acc0[j] + acc1[j];
-    sum = lanes == 4 ? (l[0] + l[1]) + (l[2] + l[3]) : l[0] + l[1];
+    for (std::size_t j = 0; j < 4; ++j) l[j] = acc0[j] + acc1[j];
+    sum = (l[0] + l[1]) + (l[2] + l[3]);
   }
   for (; i < n; ++i) sum += product(i);
   return static_cast<float>(sum);
@@ -284,7 +279,7 @@ TEST(SimdParity, ElementwiseKernelsBitIdentical) {
 
 // squared_l2_rows must give every row the bits of the same rung's pairwise
 // squared_l2, with the fixed vector as either pairwise operand. m = 0..9
-// covers the SSE2 two-row and AVX2 four-row blocks and their remainders;
+// covers the AVX2 four-row blocks and their remainders;
 // kLengths covers every lane tail.
 TEST(SimdParity, SquaredL2RowsMatchPairwiseBitForBit) {
   struct RowsRung {
@@ -295,10 +290,6 @@ TEST(SimdParity, SquaredL2RowsMatchPairwiseBitForBit) {
   std::vector<RowsRung> rungs{
       {Level::kScalar, squared_l2_f64_scalar, detail::squared_l2_rows_f64_scalar}};
 #if defined(__x86_64__) || defined(__i386__)
-  if (level_supported(Level::kSse2)) {
-    rungs.push_back(
-        {Level::kSse2, detail::squared_l2_f64_sse2, detail::squared_l2_rows_f64_sse2});
-  }
   if (level_supported(Level::kAvx2)) {
     rungs.push_back(
         {Level::kAvx2, detail::squared_l2_f64_avx2, detail::squared_l2_rows_f64_avx2});
@@ -340,7 +331,7 @@ TEST(SimdParity, SquaredL2RowsMatchPairwiseBitForBit) {
 
 /// The exact double kernels of one vector rung: k-means' sums, bound
 /// loosening and candidate mask, and SMO's working-set scan and gradient
-/// step. Only AVX2 has its own bodies; the SSE2 rung runs the scalar ones.
+/// step.
 struct ExactRung {
   Level level;
   void (*add)(const double*, double*, std::size_t) noexcept;
@@ -521,7 +512,7 @@ TEST(SimdParity, ViolatingPairTakesTheFirstIndexOfEachExtremum) {
   const double cap[9] = {1, 1, 1, 1, 1, 1, 1, 1, 1};
   // values -y * g: 0, 0, 2, 2, 1, -0, -1, -3, 3.
   const Level original = active_level();
-  for (const Level level : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+  for (const Level level : {Level::kScalar, Level::kAvx2}) {
     if (!level_supported(level)) continue;
     force_level(level);
     const ViolatingPair pair = max_violating_pair(y, gradient, alpha, cap, 9);
@@ -579,7 +570,7 @@ TEST(SimdDispatch, ForcedRungsStillComputeCorrectly) {
   const float a[5] = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f};
   const float b[5] = {5.0f, 4.0f, 3.0f, 2.0f, 1.0f};
   const Level original = active_level();
-  for (const Level level : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+  for (const Level level : {Level::kScalar, Level::kAvx2}) {
     if (!level_supported(level)) continue;
     EXPECT_EQ(force_level(level), level);
     EXPECT_FLOAT_EQ(dot(a, b, 5), 35.0f) << level_name(level);
@@ -589,7 +580,6 @@ TEST(SimdDispatch, ForcedRungsStillComputeCorrectly) {
 
 TEST(SimdDispatch, LevelNamesAreStable) {
   EXPECT_STREQ(level_name(Level::kScalar), "scalar");
-  EXPECT_STREQ(level_name(Level::kSse2), "sse2");
   EXPECT_STREQ(level_name(Level::kAvx2), "avx2");
 }
 

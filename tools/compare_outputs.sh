@@ -12,6 +12,10 @@
 #             truth.gt, trace.stats), except sv/: parents from before
 #             heartbeats and telemetry moved onto worker pipes still
 #             write their supervisor scratch there.
+#   resume    the seed-11 run, then `run --resume --kfold 3` over its
+#             workdir, every workdir file compared: a resume with a
+#             changed knob must leave the same bytes, whichever stages
+#             each build's resume rule recomputes.
 #   report    the one-shot markdown report, streaming section included.
 #   graphs    the bipartite and similarity CSVs of a simulated log.
 #   embed     then the detect stdout, the cluster CSV and the score output
@@ -122,6 +126,10 @@ for spec in "${runs[@]}"; do
   run_case "${words[@]}"
   check_tree "${words[0]}"
 done
+
+run_case resume run --workdir w --samples 300000 --seed 11
+run_case resume run --workdir w --samples 300000 --seed 11 --resume --kfold 3
+check_tree resume
 
 run_case report report --out report.md --samples 300000
 check report/report.md report/report.md

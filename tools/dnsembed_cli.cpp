@@ -28,7 +28,8 @@
 //   dnsembed embed    --log trace.log --out emb.bin --dim 32
 //   dnsembed detect   --embeddings emb.bin --labels labels.csv --kfold 10
 //   dnsembed run      --workdir run1 --hosts 300 --days 5
-//   dnsembed run      --workdir run1 --resume   # no-op: all stages valid
+//   dnsembed run      --workdir run1 --hosts 300 --days 5 --resume  # no-op
+//   dnsembed run      --workdir run1 --hosts 300 --days 5 --resume --kfold 3  # report only
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -119,10 +120,13 @@ commands:
             [--fault-crash R] [--fault-hang R] [--fault-garbage R]
             [--fault-max-per-task N] [--fault-target PREFIX] [--fault-seed N]
             (resumable pipeline: each stage commits atomic checksummed
-             artifacts + a manifest under DIR; --resume skips stages whose
-             artifacts still validate and recomputes anything missing,
-             corrupt, or built under a different config; final output is
-             DIR/report.md. exit 4 = a stage exceeded --stage-deadline.
+             artifacts + a manifest under DIR; --resume skips a stage whose
+             key (the knobs it reads and the bytes of the artifacts before
+             it) is unchanged and whose artifacts still validate, and
+             recomputes anything missing, corrupt, or built from other knobs
+             or inputs, so --resume --kfold N reruns only the report; final
+             output is DIR/report.md. exit 4 = a stage exceeded
+             --stage-deadline.
              --line-threads is accepted and ignored: LINE trains on one
              thread.
              --workers N >= 1 forks supervised worker processes: each
